@@ -12,7 +12,7 @@
 //                           the paper uses 100)
 //   FASTFIT_BENCH_SEED      campaign master seed       (default 0xF457F17)
 //   FASTFIT_BENCH_PARALLEL  max concurrent trials      (default 0 = auto:
-//                           hardware_concurrency / ranks; 1 = serial)
+//                           hardware_concurrency; 1 = serial)
 //   FASTFIT_BENCH_TELEMETRY enable the telemetry recorder for the whole
 //                           binary (default 0; the throughput bench also
 //                           measures the on/off delta explicitly)

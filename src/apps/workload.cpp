@@ -57,21 +57,13 @@ std::uint64_t digest_doubles(std::span<const double> values, int decimals) {
 }
 
 JobResult run_job(const Workload& workload, const mpi::WorldOptions& options,
-                  mpi::ToolHooks* tools, trace::ContextRegistry& contexts,
-                  std::vector<std::shared_ptr<void>> keepalives) {
+                  mpi::ToolHooks* tools, trace::ContextRegistry& contexts) {
   mpi::World world(options);
   world.set_tools(tools);
-  // Digests live on the heap and the rank closure shares ownership: a rank
-  // thread that outlives this frame (quarantined straggler) still writes
-  // into valid memory, never into a dead stack.
-  auto digests = std::make_shared<std::vector<std::uint64_t>>(
-      static_cast<std::size_t>(options.nranks), 0);
-  world.add_keepalive(digests);
-  for (auto& keepalive : keepalives) {
-    world.add_keepalive(std::move(keepalive));
-  }
+  std::vector<std::uint64_t> digests(static_cast<std::size_t>(options.nranks),
+                                     0);
   JobResult result;
-  result.world = world.run([digests, &workload, &contexts,
+  result.world = world.run([&digests, &workload, &contexts,
                             seed = options.seed](mpi::Mpi& mpi) {
     trace::RankContext& trace = contexts.of(mpi.world_rank());
     mpi.set_stack_probe([&trace]() -> mpi::Mpi::StackProbe {
@@ -79,7 +71,7 @@ JobResult run_job(const Workload& workload, const mpi::WorldOptions& options,
     });
     AppContext ctx{mpi, trace, seed};
     try {
-      (*digests)[static_cast<std::size_t>(mpi.world_rank())] =
+      digests[static_cast<std::size_t>(mpi.world_rank())] =
           workload.run_rank(ctx);
     } catch (const RankRevoked&) {
       // A peer fail-stopped under repair mode. Workloads that opt in
@@ -87,12 +79,12 @@ JobResult run_job(const Workload& workload, const mpi::WorldOptions& options,
       // unwind (subordinate to the captured RankDead event).
       if (!workload.can_repair()) throw;
       const mpi::Comm survivors = mpi.shrink_and_continue();
-      (*digests)[static_cast<std::size_t>(mpi.world_rank())] =
+      digests[static_cast<std::size_t>(mpi.world_rank())] =
           workload.repair_rank(ctx, survivors);
       mpi.mark_repaired();
     }
   });
-  result.digest = result.world.clean() ? combine_digests(*digests) : 0;
+  result.digest = result.world.clean() ? combine_digests(digests) : 0;
   return result;
 }
 

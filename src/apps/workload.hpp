@@ -16,7 +16,6 @@
 // results.
 
 #include <cstdint>
-#include <memory>
 #include <span>
 #include <string>
 #include <vector>
@@ -88,14 +87,10 @@ struct JobResult {
 
 /// Runs `workload` under a fresh World. `tools` (may be null) is installed
 /// as the interposition chain; `contexts` must have options.nranks slots
-/// and receives the trace annotations. `keepalives` are handed to the
-/// World so everything the rank closure references outlives even a
-/// quarantined rank thread — callers that heap-allocate their tools and
-/// contexts pass the owning pointers here. Each rank's shadow stack is
+/// and receives the trace annotations. Each rank's shadow stack is
 /// installed as the Mpi stack probe, so pending-op signatures carry
 /// application frames.
 JobResult run_job(const Workload& workload, const mpi::WorldOptions& options,
-                  mpi::ToolHooks* tools, trace::ContextRegistry& contexts,
-                  std::vector<std::shared_ptr<void>> keepalives = {});
+                  mpi::ToolHooks* tools, trace::ContextRegistry& contexts);
 
 }  // namespace fastfit::apps

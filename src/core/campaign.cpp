@@ -10,7 +10,6 @@
 #include "core/recording_io.hpp"
 #include "core/trial_executor.hpp"
 #include "inject/injector.hpp"
-#include "minimpi/quarantine.hpp"
 #include "support/error.hpp"
 #include "telemetry/recorder.hpp"
 
@@ -132,9 +131,6 @@ Campaign::Campaign(const apps::Workload& workload, CampaignOptions options)
 }
 
 std::string Campaign::golden_key() const {
-  // Deliberately engine-free: both substrates produce identical digests
-  // and wall times of the same order, so a fiber golden run is valid for
-  // a thread campaign and vice versa.
   return workload_->name() + '|' + workload_->params_key() + '|' +
          std::to_string(options_.nranks) + '|' +
          std::to_string(options_.seed) + '|' +
@@ -155,16 +151,14 @@ std::pair<std::uint64_t, std::chrono::milliseconds> Campaign::run_golden(
   }
   mpi::WorldOptions opts;
   opts.nranks = options_.nranks;
-  opts.engine = options_.engine;
   opts.seed = options_.seed;
   opts.algorithms = options_.algorithms;
   opts.watchdog = watchdog_budget;
   opts.hang_detection = options_.deterministic_hang_detection;
-  auto contexts = std::make_shared<trace::ContextRegistry>(options_.nranks);
+  trace::ContextRegistry contexts(options_.nranks);
   tel::ScopedSpan span("golden-run");
   const auto t0 = std::chrono::steady_clock::now();
-  const auto golden =
-      apps::run_job(*workload_, opts, nullptr, *contexts, {contexts});
+  const auto golden = apps::run_job(*workload_, opts, nullptr, contexts);
   const auto wall = std::chrono::duration_cast<std::chrono::milliseconds>(
       std::chrono::steady_clock::now() - t0);
   span.finish();
@@ -173,13 +167,12 @@ std::pair<std::uint64_t, std::chrono::milliseconds> Campaign::run_golden(
                         golden.world.event->message);
   }
   // Uninjected runs get the strict leak audit: with no fault to explain
-  // them, a leaked thread, a still-registered region, or a queued message
-  // is a harness bug, full stop.
-  if (golden.world.leaked_threads > 0 || golden.world.leaked_regions > 0 ||
+  // them, a still-registered region or a queued message is a harness bug,
+  // full stop.
+  if (golden.world.leaked_regions > 0 ||
       golden.world.undelivered_messages > 0) {
     throw InternalError(
         "Campaign: golden run leaked (" +
-        std::to_string(golden.world.leaked_threads) + " thread(s), " +
         std::to_string(golden.world.leaked_regions) + " region(s), " +
         std::to_string(golden.world.undelivered_messages) +
         " undelivered message(s))");
@@ -201,19 +194,17 @@ void Campaign::profile() {
 
   // Profiling run (paper Fig 5 phase 1): same problem as the injection
   // runs, so the features transfer.
-  contexts_ = std::make_shared<trace::ContextRegistry>(options_.nranks);
-  profiler_ = std::make_shared<profile::Profiler>(*contexts_);
+  contexts_ = std::make_unique<trace::ContextRegistry>(options_.nranks);
+  profiler_ = std::make_unique<profile::Profiler>(*contexts_);
   mpi::WorldOptions profile_opts;
   profile_opts.nranks = options_.nranks;
-  profile_opts.engine = options_.engine;
   profile_opts.seed = options_.seed;
   profile_opts.algorithms = options_.algorithms;
   profile_opts.watchdog = options_.watchdog.value_or(30'000ms);
   profile_opts.hang_detection = options_.deterministic_hang_detection;
   tel::ScopedSpan profiling_span("profiling-run");
-  const auto profiled = apps::run_job(*workload_, profile_opts,
-                                      profiler_.get(), *contexts_,
-                                      {contexts_, profiler_});
+  const auto profiled =
+      apps::run_job(*workload_, profile_opts, profiler_.get(), *contexts_);
   profiling_span.finish();
   if (!profiled.world.clean()) {
     throw InternalError("Campaign: profiling run failed: " +
@@ -222,12 +213,10 @@ void Campaign::profile() {
   if (profiled.digest != golden_digest_) {
     throw InternalError("Campaign: profiling run digest diverged");
   }
-  if (profiled.world.leaked_threads > 0 ||
-      profiled.world.leaked_regions > 0 ||
+  if (profiled.world.leaked_regions > 0 ||
       profiled.world.undelivered_messages > 0) {
     throw InternalError(
         "Campaign: profiling run leaked (" +
-        std::to_string(profiled.world.leaked_threads) + " thread(s), " +
         std::to_string(profiled.world.leaked_regions) + " region(s), " +
         std::to_string(profiled.world.undelivered_messages) +
         " undelivered message(s))");
@@ -319,10 +308,6 @@ CampaignHealth Campaign::health() const noexcept {
   h.replayed_trials = replayed_trials_.load(std::memory_order_relaxed);
   h.deterministic_deadlocks =
       deterministic_deadlocks_.load(std::memory_order_relaxed);
-  h.quarantined_rank_threads =
-      leaked_threads_total_.load(std::memory_order_relaxed);
-  h.leaked_rank_threads =
-      leaked_threads_outstanding_.load(std::memory_order_relaxed);
   h.worker_deaths = worker_deaths_.load(std::memory_order_relaxed);
   h.worker_lease_kills =
       worker_lease_kills_.load(std::memory_order_relaxed);
@@ -353,7 +338,6 @@ std::shared_ptr<const mpi::WorldRecording> Campaign::build_recording() {
     auto recorder = std::make_shared<mpi::PrefixRecorder>(options_.nranks);
     mpi::WorldOptions opts;
     opts.nranks = options_.nranks;
-    opts.engine = options_.engine;
     opts.seed = options_.seed;
     opts.algorithms = options_.algorithms;
     // The recording run is fault-free; give it the relaxed golden-style
@@ -363,11 +347,10 @@ std::shared_ptr<const mpi::WorldRecording> Campaign::build_recording() {
         30'000ms, watchdog_ * options_.watchdog_escalation);
     opts.hang_detection = options_.deterministic_hang_detection;
     opts.recorder = recorder;
-    auto contexts = std::make_shared<trace::ContextRegistry>(options_.nranks);
-    const auto job = apps::run_job(*workload_, opts, nullptr, *contexts,
-                                   {contexts, recorder});
-    if (!job.world.clean() || job.world.leaked_threads > 0 ||
-        job.world.leaked_regions > 0 || job.world.undelivered_messages > 0) {
+    trace::ContextRegistry contexts(options_.nranks);
+    const auto job = apps::run_job(*workload_, opts, nullptr, contexts);
+    if (!job.world.clean() || job.world.leaked_regions > 0 ||
+        job.world.undelivered_messages > 0) {
       return nullptr;
     }
     if (job.digest != golden_digest_) {
@@ -439,20 +422,16 @@ inject::TrialForensics Campaign::execute_trial(
   spec.trial = trial;
   spec.fault = point.fault;
 
-  // Heap-owned tool and contexts, handed to the world as keepalives: a
-  // rank thread that has to be quarantined must never dangle into this
-  // frame.
-  auto injector = std::make_shared<inject::Injector>(spec, options_.seed);
+  inject::Injector injector(spec, options_.seed);
   mpi::WorldOptions opts;
   opts.nranks = options_.nranks;
-  opts.engine = options_.engine;
   opts.seed = options_.seed;
   opts.watchdog = watchdog;
   opts.algorithms = options_.algorithms;
   opts.hang_detection = options_.deterministic_hang_detection;
   opts.repair = options_.repair;
   opts.replay = snapshot;
-  auto contexts = std::make_shared<trace::ContextRegistry>(options_.nranks);
+  trace::ContextRegistry contexts(options_.nranks);
   auto& rec = tel::Recorder::instance();
   if (snapshot && rec.enabled()) {
     static auto& clones = rec.counter(
@@ -462,8 +441,7 @@ inject::TrialForensics Campaign::execute_trial(
   }
   tel::ScopedSpan world_span("world-run");
   const auto t0 = std::chrono::steady_clock::now();
-  const auto job = apps::run_job(*workload_, opts, injector.get(), *contexts,
-                                 {injector, contexts});
+  const auto job = apps::run_job(*workload_, opts, &injector, contexts);
   world_span.finish();
   if (rec.enabled()) {
     static auto& executed = rec.counter(
@@ -478,20 +456,12 @@ inject::TrialForensics Campaign::execute_trial(
   }
   trials_run_.fetch_add(1, std::memory_order_relaxed);
 
-  // Post-trial audit. A quarantined thread is accounted, never retried:
-  // the trial already classified (forced SIM_TIMEOUT), deterministic
-  // seeding means a re-run wedges identically, and the quarantine's
-  // keepalives contain the straggler until the end-of-measure reap — the
-  // max_leaked_threads gate there catches threads that never come back.
-  if (job.world.leaked_threads > 0) {
-    leaked_threads_total_.fetch_add(
-        static_cast<std::uint64_t>(job.world.leaked_threads),
-        std::memory_order_relaxed);
-  } else if (job.world.leaked_regions > 0) {
-    // With every rank thread joined, all RegisteredBuffer destructors have
-    // run; a region still registered is a harness bug, not a fault
-    // consequence. Throw so the guard retries (and eventually quarantines
-    // the point) rather than keep a result from a corrupted registry.
+  // Post-trial audit. With every rank unwound, all RegisteredBuffer
+  // destructors have run; a region still registered is a harness bug, not
+  // a fault consequence. Throw so the guard retries (and eventually
+  // quarantines the point) rather than keep a result from a corrupted
+  // registry.
+  if (job.world.leaked_regions > 0) {
     throw InternalError("post-trial audit: " +
                         std::to_string(job.world.leaked_regions) +
                         " memory region(s) still registered after teardown");
@@ -545,13 +515,6 @@ inject::TrialForensics Campaign::dispatch_trial(
           throw InternalError("worker: " + result.reply.error);
         }
         trials_run_.fetch_add(1, std::memory_order_relaxed);
-        if (result.reply.leaked_threads > 0) {
-          // The child's quarantined threads died with the child; they are
-          // accounted (for health parity with the thread backend) but can
-          // never still be running in this process.
-          leaked_threads_total_.fetch_add(result.reply.leaked_threads,
-                                          std::memory_order_relaxed);
-        }
         inject::TrialForensics forensics;
         forensics.outcome = result.reply.outcome;
         forensics.deterministic_hang = result.reply.deterministic_hang;
@@ -633,9 +596,7 @@ TrialRunner::Attempt Campaign::run_guarded(
 }
 
 std::size_t Campaign::parallel_trials() const noexcept {
-  return resolve_parallel_trials(
-      options_.max_parallel_trials, options_.nranks,
-      options_.engine == mpi::WorldEngine::Threads);
+  return resolve_parallel_trials(options_.max_parallel_trials);
 }
 
 void Campaign::recalibrate_after_storm(std::size_t pool) {
@@ -704,8 +665,6 @@ std::vector<PointResult> Campaign::measure_impl(
             point.invocation = item.invocation;
             point.param = static_cast<mpi::Param>(item.param);
             point.fault = item.fault;
-            const auto leaks_before =
-                leaked_threads_total_.load(std::memory_order_relaxed);
             const auto forensics = run_trial(
                 point, item.trial,
                 std::chrono::milliseconds(
@@ -714,9 +673,6 @@ std::vector<PointResult> Campaign::measure_impl(
             reply.outcome = forensics.outcome;
             reply.deterministic_hang = forensics.deterministic_hang;
             reply.autopsy = forensics.autopsy;
-            reply.leaked_threads = static_cast<std::uint32_t>(
-                leaked_threads_total_.load(std::memory_order_relaxed) -
-                leaks_before);
           } catch (const std::exception& e) {
             reply.ok = false;
             reply.error = e.what();
@@ -764,35 +720,7 @@ std::vector<PointResult> Campaign::measure_impl(
   quarantined_points_.fetch_add(batch.quarantined_points,
                                 std::memory_order_relaxed);
 
-  auto results = accumulator.take();
-  auto& rec = tel::Recorder::instance();
-  const bool telemetry_on = rec.enabled();
-
-  // Leak accounting: reap quarantined threads that have since finished
-  // (a faulted compute loop only notices poison at its next MPI call, so
-  // most stragglers exit on their own), publish what is still running,
-  // and fail the measure once *live* leaks exceed the budget — a wedged
-  // rank thread is contained, never ignored.
-  tel::ScopedSpan reap_span("quarantine-reap");
-  const auto outstanding = mpi::ThreadQuarantine::instance().reap();
-  reap_span.arg("outstanding", std::to_string(outstanding));
-  reap_span.finish();
-  leaked_threads_outstanding_.store(static_cast<std::uint64_t>(outstanding),
-                                    std::memory_order_relaxed);
-  if (telemetry_on) {
-    static auto& leaked = rec.gauge(
-        "fastfit_leaked_threads",
-        "Quarantined rank threads still running after the end-of-measure reap");
-    leaked.set(static_cast<std::int64_t>(outstanding));
-  }
-  if (outstanding > options_.max_leaked_threads) {
-    throw InternalError(
-        "campaign has " + std::to_string(outstanding) +
-        " rank threads still running in quarantine after reap "
-        "(max_leaked_threads = " +
-        std::to_string(options_.max_leaked_threads) + ")");
-  }
-  return results;
+  return accumulator.take();
 }
 
 PointResult Campaign::measure(const InjectionPoint& point,

@@ -73,19 +73,11 @@ struct CampaignOptions {
   }
   /// Collective algorithm selection for every run of this campaign.
   mpi::CollectiveAlgorithms algorithms;
-  /// MiniMPI world engine (--world-engine, FASTFIT_WORLD_ENGINE) for
-  /// every world this campaign runs — golden, profiling, recording, and
-  /// injected trials alike. `Fibers` (default) multiplexes resumable
-  /// rank fibers on the trial's own thread; `Threads` is the pre-fiber
-  /// thread-per-rank substrate. Reports, journals, and counters are
-  /// byte-identical across engines (the parity suite enforces it); only
-  /// wall-clock cost and OS thread counts change.
-  mpi::WorldEngine engine = mpi::WorldEngine::Fibers;
   /// Upper bound on concurrently executing trials in measure_many. 0 means
-  /// "auto": hardware_concurrency() / nranks (min 1), since every trial
-  /// already runs nranks rank threads and the outer pool must not
-  /// oversubscribe the machine. 1 forces the serial path. Results are
-  /// identical at every setting; only wall-clock time changes.
+  /// "auto": hardware_concurrency(), one lane per core (every trial runs
+  /// all its rank fibers on its lane's thread). 1 forces the serial path.
+  /// Results are identical at every setting; only wall-clock time
+  /// changes.
   std::size_t max_parallel_trials = 0;
   /// Trial guard: how many times an internal (non-fault) trial failure is
   /// retried with exponential backoff before the point is quarantined.
@@ -102,19 +94,11 @@ struct CampaignOptions {
   /// INF_LOOP. Must be in (0, 1]. Only *non-deterministic* timeouts count
   /// toward the storm: proven deadlocks are load-independent.
   double watchdog_storm_fraction = 0.5;
-  /// Deterministic hang detection (FASTFIT_HANG_DETECTION): run the
-  /// MiniMPI progress monitor in every injected world, so structural
-  /// deadlocks classify INF_LOOP in milliseconds and skip the escalated
+  /// Deterministic hang detection (FASTFIT_HANG_DETECTION): every
+  /// injected world proves structural deadlocks at quiescence, so they
+  /// classify INF_LOOP in milliseconds and skip the escalated
   /// re-confirmation. Off = watchdog/escalation path for every hang.
   bool deterministic_hang_detection = true;
-  /// Leak-proof teardown budget (FASTFIT_MAX_LEAKED_THREADS): a rank
-  /// thread that survives the escalated world teardown is quarantined
-  /// (with keepalives, so it can never dangle) and reaped once it exits —
-  /// e.g. an injected compute loop that only notices poison at its next
-  /// MPI call. If, after the end-of-measure reap, more than this many
-  /// threads are *still running* in quarantine, measure() fails with
-  /// InternalError instead of letting wedged threads accumulate.
-  std::size_t max_leaked_threads = 8;
   /// Structural pruning chain applied at profile() time, in order
   /// (FASTFIT_PASSES). Names as understood by make_pruning_pass; passes
   /// that need a measurer ("ml") are rejected here — the ML stage runs
@@ -145,12 +129,12 @@ struct CampaignOptions {
   /// once a journal is attached; no journal and no path = in-memory only.
   std::string recording_path;
   /// Trial execution backend (--isolation, FASTFIT_ISOLATION). `Thread`
-  /// (default) runs trials in-process on rank threads — pre-existing
-  /// behaviour bit for bit. `Process` dispatches each trial to a fresh
-  /// child of a per-lane fork-server (core/procpool.hpp): worker death
-  /// by a real signal classifies SEG_FAULT instead of killing the
-  /// campaign; results for non-signal fault models stay byte-identical
-  /// to the thread backend.
+  /// (default) runs trials in-process on the executor lane's thread.
+  /// `Process` dispatches each trial to a fresh child of a per-lane
+  /// fork-server (core/procpool.hpp): worker death by a real signal
+  /// classifies SEG_FAULT instead of killing the campaign, and the lease
+  /// kills rank code that never yields; results for non-signal fault
+  /// models stay byte-identical to the in-process backend.
   IsolationMode isolation = IsolationMode::Thread;
   /// Per-trial lease for process-isolated workers: past this deadline
   /// the whole lane process group is SIGKILLed and the trial re-enters
@@ -168,24 +152,19 @@ struct CampaignHealth {
   std::uint64_t watchdog_confirmations = 0;  ///< escalated INF_LOOP re-runs
   std::uint64_t watchdog_recalibrations = 0; ///< storm-triggered recalibrations
   std::uint64_t replayed_trials = 0;         ///< trials served from the journal
-  std::uint64_t deterministic_deadlocks = 0; ///< monitor-proven INF_LOOPs
-  std::uint64_t quarantined_rank_threads = 0; ///< threads ever quarantined
-  std::uint64_t leaked_rank_threads = 0;     ///< quarantined threads still running
+  std::uint64_t deterministic_deadlocks = 0; ///< structurally proven INF_LOOPs
   std::uint64_t worker_deaths = 0;           ///< workers killed by a real signal
   std::uint64_t worker_lease_kills = 0;      ///< workers SIGKILLed past the lease
   std::uint64_t isolation_fallbacks = 0;     ///< trials run in-process post-degradation
 
-  /// True when no point was quarantined and no rank thread is still
-  /// leaked (retries, confirmations, and deterministic verdicts are
-  /// routine; quarantine and leaks mean lost coverage or held resources).
+  /// True when no point was quarantined (retries, confirmations, and
+  /// deterministic verdicts are routine; quarantine means lost coverage).
   /// Worker deaths are *data* (the classified SEG_FAULT outcomes), lease
   /// kills feed the retry ladder whose terminal state is quarantine, and
   /// degradation fallbacks still produce correct results — none of the
   /// worker counters flips a run unclean on its own, so exit codes stay
-  /// 0/2/1-consistent with quarantine and leaks alone.
-  bool clean() const noexcept {
-    return quarantined_points == 0 && leaked_rank_threads == 0;
-  }
+  /// 0/2/1-consistent with quarantine alone.
+  bool clean() const noexcept { return quarantined_points == 0; }
 };
 
 /// Journal attachment mode (see Campaign::attach_journal).
@@ -291,10 +270,9 @@ class Campaign : private TrialRunner {
   bool profiled_ = false;
   std::uint64_t golden_digest_ = 0;
   std::chrono::milliseconds watchdog_{0};
-  // shared_ptr: the profiling world holds these as keepalives so even a
-  // quarantined rank thread from the profiling run stays memory-safe.
-  std::shared_ptr<trace::ContextRegistry> contexts_;
-  std::shared_ptr<profile::Profiler> profiler_;
+  // Built by profile(); the profiler keeps a reference to the contexts.
+  std::unique_ptr<trace::ContextRegistry> contexts_;
+  std::unique_ptr<profile::Profiler> profiler_;
   Enumeration enumeration_;
   std::unique_ptr<TrialJournal> journal_;
   /// Present unless snapshots == Off; owns the recording + cut LRU.
@@ -309,8 +287,6 @@ class Campaign : private TrialRunner {
   std::atomic<std::uint64_t> recalibrations_{0};
   std::atomic<std::uint64_t> replayed_trials_{0};
   std::atomic<std::uint64_t> deterministic_deadlocks_{0};
-  std::atomic<std::uint64_t> leaked_threads_total_{0};
-  std::atomic<std::uint64_t> leaked_threads_outstanding_{0};
   std::atomic<std::uint64_t> worker_deaths_{0};
   std::atomic<std::uint64_t> worker_lease_kills_{0};
   std::atomic<std::uint64_t> isolation_fallbacks_{0};
@@ -323,11 +299,8 @@ class Campaign : private TrialRunner {
   /// Thread-safe after profile(): touches only immutable campaign state.
   /// Performs the post-trial audit: a fully torn-down world that left
   /// memory regions registered is a harness bug and throws InternalError
-  /// so the guard retries it. Quarantined threads are *accounted*, not
-  /// retried — a re-run of the same deterministic trial would wedge the
-  /// same way, and the campaign-level reap gate (max_leaked_threads)
-  /// catches threads that never come back. Stray undelivered messages are
-  /// a legitimate fault consequence (e.g. a corrupted root re-routes
+  /// so the guard retries it. Stray undelivered messages are a
+  /// legitimate fault consequence (e.g. a corrupted root re-routes
   /// sends nobody awaits), so only the uninjected golden/profiling runs
   /// assert on them.
   inject::TrialForensics run_trial(const InjectionPoint& point,

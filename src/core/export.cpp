@@ -311,11 +311,15 @@ ParsedFragment parse_fragment(const std::string& text) {
       if (!fields) throw ConfigError("fragment: bad golden line: " + line);
       saw_golden = true;
     } else if (tag == "health") {
+      // The last two columns held rank-thread quarantine counts, which
+      // the fiber-only substrate can no longer produce: always written as
+      // 0 and ignored on read, so fragments stay mergeable across versions.
       auto& h = out.health;
+      std::uint64_t retired_threads = 0, retired_leaks = 0;
       fields >> h.total_retries >> h.quarantined_points >>
           h.watchdog_confirmations >> h.watchdog_recalibrations >>
-          h.replayed_trials >> h.deterministic_deadlocks >>
-          h.quarantined_rank_threads >> h.leaked_rank_threads;
+          h.replayed_trials >> h.deterministic_deadlocks >> retired_threads >>
+          retired_leaks;
       if (!fields) throw ConfigError("fragment: bad health line: " + line);
       saw_health = true;
     } else if (tag == "point") {
@@ -396,8 +400,7 @@ std::string to_shard_fragment(const StudyResult& result) {
   const auto& h = result.health;
   out << "health " << h.total_retries << ' ' << h.quarantined_points << ' '
       << h.watchdog_confirmations << ' ' << h.watchdog_recalibrations << ' '
-      << h.replayed_trials << ' ' << h.deterministic_deadlocks << ' '
-      << h.quarantined_rank_threads << ' ' << h.leaked_rank_threads << '\n';
+      << h.replayed_trials << ' ' << h.deterministic_deadlocks << " 0 0\n";
   for (std::size_t i = 0; i < result.measured.size(); ++i) {
     const auto& r = result.measured[i];
     const auto& p = r.point;
@@ -487,9 +490,6 @@ StudyResult merge_fragments(const std::vector<std::string>& fragments) {
     merged.health.replayed_trials += fragment.health.replayed_trials;
     merged.health.deterministic_deadlocks +=
         fragment.health.deterministic_deadlocks;
-    merged.health.quarantined_rank_threads +=
-        fragment.health.quarantined_rank_threads;
-    merged.health.leaked_rank_threads += fragment.health.leaked_rank_threads;
 
     for (auto& [ordinal, result] : fragment.points) {
       if (ordinal >= merged.stats.after_context) {

@@ -261,7 +261,6 @@ std::string encode_reply(const procpool::TrialReply& reply) {
   if (reply.ok) {
     w.u8(static_cast<std::uint8_t>(reply.outcome));
     w.u8(reply.deterministic_hang ? 1 : 0);
-    w.u32(reply.leaked_threads);
     w.str(reply.autopsy);
   } else {
     w.str(reply.error);
@@ -276,8 +275,7 @@ bool decode_reply(ByteReader& r, procpool::TrialReply& reply) {
   if (reply.ok) {
     std::uint8_t outcome = 0;
     std::uint8_t det = 0;
-    if (!r.u8(outcome) || !r.u8(det) || !r.u32(reply.leaked_threads) ||
-        !r.str(reply.autopsy)) {
+    if (!r.u8(outcome) || !r.u8(det) || !r.str(reply.autopsy)) {
       return false;
     }
     if (outcome >= inject::kNumOutcomes) return false;

@@ -45,7 +45,7 @@ namespace fastfit::core {
 
 /// The --isolation / FASTFIT_ISOLATION knob: where trials execute.
 enum class IsolationMode : std::uint8_t {
-  Thread,   ///< in-process rank threads (default; pre-existing behaviour)
+  Thread,   ///< in-process on the executor thread (default)
   Process,  ///< fork-server workers; real signals become classifiable
 };
 
@@ -78,7 +78,6 @@ struct TrialReply {
   inject::Outcome outcome{};         ///< valid when ok
   bool deterministic_hang = false;   ///< valid when ok
   std::string autopsy;               ///< valid when ok
-  std::uint32_t leaked_threads = 0;  ///< rank threads the child quarantined
   std::string error;                 ///< valid when !ok
 };
 

@@ -175,14 +175,8 @@ std::string render_outcome_totals(const std::vector<PointResult>& results) {
 std::string render_health(const CampaignHealth& health) {
   std::ostringstream out;
   out << "Campaign health: ";
-  if (health.clean()) {
-    out << "clean";
-  } else if (health.leaked_rank_threads > 0) {
-    out << "completed with leaked rank threads";
-  } else {
-    out << "completed with quarantined points";
-  }
-  out << '\n';
+  out << (health.clean() ? "clean" : "completed with quarantined points")
+      << '\n';
   if (health.replayed_trials > 0) {
     out << "  trials replayed from journal: " << health.replayed_trials
         << '\n';
@@ -205,11 +199,6 @@ std::string render_health(const CampaignHealth& health) {
   if (health.deterministic_deadlocks > 0) {
     out << "  deterministic deadlocks:      " << health.deterministic_deadlocks
         << '\n';
-  }
-  if (health.quarantined_rank_threads > 0) {
-    out << "  rank threads quarantined:     "
-        << health.quarantined_rank_threads << " ("
-        << health.leaked_rank_threads << " still running)\n";
   }
   if (health.worker_deaths > 0) {
     out << "  worker signal deaths:         " << health.worker_deaths

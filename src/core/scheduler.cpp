@@ -297,7 +297,7 @@ BatchStats TrialScheduler::run(std::span<const InjectionPoint> points,
   // runs time out again (same INF_LOOP), so classification is identical
   // at every parallelism level. Journal-replayed INF_LOOPs were already
   // confirmed when first recorded.
-  // Deterministic verdicts skip this entirely: the monitor *proved* the
+  // Deterministic verdicts skip this entirely: the world *proved* the
   // deadlock structurally, so contention cannot have caused it.
   const auto escalated = runner_->watchdog() * config_.watchdog_escalation;
   std::vector<std::uint32_t> confirm_retries(points.size(), 0);

@@ -8,8 +8,8 @@
 // re-confirmation, and the final deterministic aggregation in
 // (point, trial) order. It is engine-agnostic — trials execute through
 // the narrow TrialRunner interface (implemented by Campaign, which
-// routes each run_guarded call either to in-process rank threads or to
-// the fork-server worker pool, per the --isolation knob; the scheduler
+// routes each run_guarded call either to an in-process world or to the
+// fork-server worker pool, per the --isolation knob; the scheduler
 // never knows which backend ran a trial) — and
 // result-agnostic: every recorded outcome fans out to OutcomeSink
 // observers (report accumulator, telemetry counters, journal

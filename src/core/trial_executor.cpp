@@ -14,13 +14,9 @@ thread_local int t_worker = -1;
 
 int TrialExecutor::current_worker() noexcept { return t_worker; }
 
-std::size_t resolve_parallel_trials(std::size_t configured, int nranks,
-                                    bool rank_threads) {
+std::size_t resolve_parallel_trials(std::size_t configured) {
   if (configured > 0) return configured;
-  const std::size_t hw = std::max(1u, std::thread::hardware_concurrency());
-  if (!rank_threads) return hw;  // fiber trials: one thread each
-  const auto ranks = static_cast<std::size_t>(std::max(1, nranks));
-  return std::max<std::size_t>(1, hw / ranks);
+  return std::max(1u, std::thread::hardware_concurrency());
 }
 
 TrialExecutor::TrialExecutor(std::size_t max_parallel) {

@@ -7,9 +7,9 @@
 // a pure function of (campaign seed, point, trial index) — so running them
 // concurrently cannot change any PointResult, only the wall clock. The
 // executor is deliberately small: submit closures, wait for the queue to
-// drain, reuse. Each trial itself spawns `nranks` rank threads, so the
-// pool size is the *outer* concurrency knob; see
-// `resolve_parallel_trials` for the oversubscription-avoiding default.
+// drain, reuse. Each trial runs all of its rank fibers on the worker
+// thread that picked it up, so the pool size is the whole concurrency
+// knob; see `resolve_parallel_trials` for the default.
 
 #include <condition_variable>
 #include <cstddef>
@@ -23,14 +23,9 @@
 namespace fastfit::core {
 
 /// Resolves CampaignOptions::max_parallel_trials: an explicit value
-/// passes through; 0 ("auto") becomes hardware_concurrency() / nranks,
-/// clamped to at least 1, so outer trial workers times inner rank threads
-/// roughly matches the machine. With `rank_threads` false (the fiber
-/// world engine: every trial runs all its ranks on the submitting
-/// thread), "auto" is simply hardware_concurrency() — one lane per core,
-/// since trials no longer multiply the thread count by nranks.
-std::size_t resolve_parallel_trials(std::size_t configured, int nranks,
-                                    bool rank_threads = true);
+/// passes through; 0 ("auto") becomes hardware_concurrency() (at least
+/// 1) — one lane per core, since a trial occupies exactly one thread.
+std::size_t resolve_parallel_trials(std::size_t configured);
 
 class TrialExecutor {
  public:
@@ -60,7 +55,7 @@ class TrialExecutor {
 
   /// Ordinal of the executor worker running the calling thread, or -1
   /// when called from outside a pool (the serial path, the campaign
-  /// driver, a rank thread). Used to attribute errors and trace spans to
+  /// driver). Used to attribute errors and trace spans to
   /// their worker.
   static int current_worker() noexcept;
 

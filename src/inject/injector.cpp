@@ -68,11 +68,14 @@ void Injector::manifest(mpi::CollectiveCall& call, mpi::Mpi& mpi) {
     return;
   }
   if (is_signal_model(model)) {
-    // Genuine signal on the injected rank's thread: the default
+    // Genuine signal on the injected rank's fiber: the default
     // disposition kills the entire trial process, which is the point —
-    // the fork-server supervisor classifies the death SEG_FAULT. Only
-    // reachable under process isolation (Campaign rejects signal models
-    // for the in-process backend at construction).
+    // the fork-server supervisor classifies the death SEG_FAULT. The
+    // disposition is reset first, so a handler installed in the worker
+    // (a sanitizer runtime's, say) cannot turn the death into an exit.
+    // Only reachable under process isolation (Campaign rejects signal
+    // models for the in-process backend at construction).
+    std::signal(signal_number(model), SIG_DFL);
     std::raise(signal_number(model));
     // raise() returning means something intercepted the signal; that is
     // a harness condition, not a trial outcome.

@@ -62,7 +62,7 @@ Outcome classify(const mpi::WorldResult& result, std::uint64_t trial_digest,
 /// non-SUCCESS classification into campaign reports and the journal.
 struct TrialForensics {
   Outcome outcome = Outcome::Success;
-  /// True when the INF_LOOP was *proven* by the hang monitor (structural
+  /// True when the INF_LOOP was *proven* at quiescence (structural
   /// deadlock) rather than inferred from the watchdog deadline — the
   /// campaign layer skips escalated re-confirmation for these.
   bool deterministic_hang = false;

@@ -326,6 +326,9 @@ void FiberScheduler::run(const std::function<void(int)>& body,
 #if defined(FASTFIT_TSAN_FIBERS)
     f.tsan_fiber = __tsan_create_fiber(0);
 #endif
+    // Under the mutex: a cross-thread make_ready (a wake routed through a
+    // mailbox that already points at this scheduler) may run concurrently.
+    std::lock_guard lock(mutex_);
     f.state = State::Ready;
     ready_.push_back(i);
   }

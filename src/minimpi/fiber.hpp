@@ -1,33 +1,29 @@
 #pragma once
 
-// Stackful rank fibers: the event-driven world engine's execution
-// contexts.
+// Stackful rank fibers: the execution contexts of every World's ranks.
 //
 // A FiberScheduler multiplexes N resumable rank contexts onto the ONE
-// OS thread that calls run() — a World under the fiber engine therefore
-// never creates a thread of its own, and a campaign's total thread count
-// is bounded by the executor's worker-pool width no matter how many
-// ranks each trial simulates. Fibers are resumable contexts on
-// heap-allocated stacks; a context switch is a user-space register swap
-// with no kernel involvement (fastfit_ctx_swap on x86-64, ucontext
-// elsewhere), which is what retires the thread-per-rank substrate's
-// spawn/join and scheduling overhead (ISSUE: negative lane scaling at
-// pool 2-4).
+// OS thread that calls run() — a World therefore never creates a thread
+// of its own, and a campaign's total thread count is bounded by the
+// executor's worker-pool width no matter how many ranks each trial
+// simulates. Fibers are resumable contexts on heap-allocated stacks; a
+// context switch is a user-space register swap with no kernel
+// involvement (fastfit_ctx_swap on x86-64, ucontext elsewhere), so a
+// world pays no thread spawn, join, or kernel scheduling.
 //
 // Scheduling is cooperative and deterministic: the ready queue is FIFO,
 // seeded in rank order, and every yield point is a mailbox rendezvous
 // (minimpi/mailbox.cpp) — rank code never observes preemption. Because
 // MiniMPI matching is exact on (source, tag), the schedule cannot change
-// any rank's observable execution, which is why the fiber and thread
-// engines produce byte-identical trial results (enforced by the engine
-// parity suite).
+// any rank's observable execution, which is why a trial's result does
+// not depend on which executor lane runs it (enforced by the pool parity
+// suite).
 //
 // Wakes (message delivery, poison, revocation, kill_rank) may arrive
 // from other OS threads (tests, the process-wide teardown paths), so
 // make_ready() is thread-safe and a wake that races a fiber's entry
 // into block_current() is latched in a per-fiber pending flag rather
-// than lost — the cooperative analogue of Mailbox::wake()'s
-// lock-before-notify discipline.
+// than lost.
 //
 // Sanitizer support: under TSan and ASan every switch is annotated with
 // the fiber APIs (__tsan_switch_to_fiber / __sanitizer_start_switch_
@@ -104,9 +100,8 @@ class FiberScheduler {
            const std::function<void()>& on_idle);
 
   /// The scheduler driving the calling thread, or nullptr when the
-  /// caller is a plain thread (the thread engine / tests poking at
-  /// mailboxes directly). Mailbox::receive uses this to pick the yield
-  /// path over the condition-variable path.
+  /// caller is a plain thread (e.g. a test poking at a mailbox directly).
+  /// Mailbox::receive parks the current fiber through it.
   static FiberScheduler* active() noexcept;
 
   /// Index of the fiber running on this scheduler, -1 between fibers.

@@ -8,21 +8,12 @@
 namespace fastfit::mpi {
 
 void Mailbox::deliver(Message message) {
-  bool fiber_owner;
-  {
-    std::lock_guard lock(mutex_);
-    queue_.push_back(std::move(message));
-    // Fiber engine: a delivery is the wake — mark the owning fiber ready
-    // while holding the mailbox mutex (same discipline as wake(): the
-    // scheduler pointer is cleared under this mutex at teardown, so the
-    // call can never dangle).
-    fiber_owner = fiber_sched_ != nullptr;
-    if (fiber_owner) fiber_sched_->make_ready(fiber_rank_);
-  }
-  // A fiber owner never sleeps on the mailbox cv (it parks in the
-  // scheduler), so the notify — a futex syscall on the per-message hot
-  // path — is pure waste there.
-  if (!fiber_owner) cv_.notify_all();
+  std::lock_guard lock(mutex_);
+  queue_.push_back(std::move(message));
+  // A delivery is the wake: mark the owning fiber ready while holding the
+  // mailbox mutex (the scheduler pointer is cleared under this mutex at
+  // teardown, so the call can never dangle).
+  if (fiber_sched_ != nullptr) fiber_sched_->make_ready(fiber_rank_);
 }
 
 void Mailbox::set_fiber_waker(FiberScheduler* sched, int owner_rank) {
@@ -34,64 +25,6 @@ void Mailbox::set_fiber_waker(FiberScheduler* sched, int owner_rank) {
 Message Mailbox::receive(int source, std::uint64_t tag,
                          std::chrono::steady_clock::time_point deadline,
                          bool revocable) {
-  if (FiberScheduler* sched = FiberScheduler::active();
-      sched != nullptr && sched->in_fiber()) {
-    return receive_fiber(source, tag, deadline, revocable, *sched);
-  }
-  std::unique_lock lock(mutex_);
-  for (;;) {
-    auto it = std::find_if(queue_.begin(), queue_.end(),
-                           [&](const Message& m) {
-                             return m.source == source && m.tag == tag;
-                           });
-    if (it != queue_.end()) {
-      Message out = std::move(*it);
-      queue_.erase(it);
-      return out;
-    }
-    // Check poison/doom before and after the wait so a rank that arrives
-    // late never sleeps through the teardown (or its own death).
-    if (doom_ != nullptr && doom_->load(std::memory_order_acquire)) {
-      throw RankKilled(doom_rank_, "rank " + std::to_string(doom_rank_) +
-                                       " killed while waiting for rank " +
-                                       std::to_string(source));
-    }
-    {
-      std::lock_guard plock(poison_->mutex);
-      if (poison_->poisoned) {
-        throw WorldAborted("mailbox wait interrupted by world teardown");
-      }
-      if (revocable && poison_->revoked) {
-        throw RankRevoked("communicator revoked while waiting for rank " +
-                          std::to_string(source));
-      }
-    }
-    if (cv_.wait_until(lock, deadline) == std::cv_status::timeout) {
-      if (doom_ != nullptr && doom_->load(std::memory_order_acquire)) {
-        throw RankKilled(doom_rank_, "rank " + std::to_string(doom_rank_) +
-                                         " killed while waiting for rank " +
-                                         std::to_string(source));
-      }
-      {
-        std::lock_guard plock(poison_->mutex);
-        if (poison_->poisoned) {
-          throw WorldAborted("mailbox wait interrupted by world teardown");
-        }
-        if (revocable && poison_->revoked) {
-          throw RankRevoked("communicator revoked while waiting for rank " +
-                            std::to_string(source));
-        }
-      }
-      throw SimTimeout("receive from rank " + std::to_string(source) +
-                       " tag " + std::to_string(tag) +
-                       " never matched (job hang)");
-    }
-  }
-}
-
-Message Mailbox::receive_fiber(int source, std::uint64_t tag,
-                               std::chrono::steady_clock::time_point deadline,
-                               bool revocable, FiberScheduler& sched) {
   for (;;) {
     {
       std::lock_guard lock(mutex_);
@@ -105,63 +38,43 @@ Message Mailbox::receive_fiber(int source, std::uint64_t tag,
         return out;
       }
     }
-    // Same check order as the thread path: doom, poison, revocation.
+    // Doom, then poison, then revocation, then the deadline: checked on
+    // every resume, so a rank that arrives late never sleeps through the
+    // teardown (or its own death).
     if (doom_ != nullptr && doom_->load(std::memory_order_acquire)) {
       throw RankKilled(doom_rank_, "rank " + std::to_string(doom_rank_) +
                                        " killed while waiting for rank " +
                                        std::to_string(source));
     }
-    {
-      std::lock_guard plock(poison_->mutex);
-      if (poison_->poisoned) {
-        throw WorldAborted("mailbox wait interrupted by world teardown");
-      }
-      if (revocable && poison_->revoked) {
-        throw RankRevoked("communicator revoked while waiting for rank " +
-                          std::to_string(source));
-      }
+    if (poison_->poisoned()) {
+      throw WorldAborted("mailbox wait interrupted by world teardown");
+    }
+    if (revocable && poison_->revoked()) {
+      throw RankRevoked("communicator revoked while waiting for rank " +
+                        std::to_string(source));
     }
     if (std::chrono::steady_clock::now() >= deadline) {
-      // The thread path's timed-out branch: one last doom/poison/revoke
-      // look before the hang verdict, with identical message text.
-      if (doom_ != nullptr && doom_->load(std::memory_order_acquire)) {
-        throw RankKilled(doom_rank_, "rank " + std::to_string(doom_rank_) +
-                                         " killed while waiting for rank " +
-                                         std::to_string(source));
-      }
-      {
-        std::lock_guard plock(poison_->mutex);
-        if (poison_->poisoned) {
-          throw WorldAborted("mailbox wait interrupted by world teardown");
-        }
-        if (revocable && poison_->revoked) {
-          throw RankRevoked("communicator revoked while waiting for rank " +
-                            std::to_string(source));
-        }
-      }
       throw SimTimeout("receive from rank " + std::to_string(source) +
                        " tag " + std::to_string(tag) +
                        " never matched (job hang)");
     }
+    FiberScheduler* sched = FiberScheduler::active();
+    if (sched == nullptr || !sched->in_fiber()) {
+      throw InternalError("Mailbox::receive: waiting for rank " +
+                          std::to_string(source) +
+                          " outside a rank fiber (only World ranks can park)");
+    }
     // The rendezvous is the yield point: park this fiber until a
-    // delivery, wake, or the idle handler's deadline sweep resumes it.
-    sched.block_current();
+    // delivery, wake, or the idle handler's deadline sweep resumes it. A
+    // cross-thread wake that lands between the checks above and the park
+    // is latched by the scheduler, never lost.
+    sched->block_current();
   }
 }
 
 void Mailbox::wake() {
-  // Serialize with receive(): holding mutex_ here means a waiter is either
-  // before its poison check (it will see the flag) or already parked in
-  // wait_until (it will get this notification). A bare notify could fire
-  // in the gap between the two and be lost. (A fiber waiter is covered by
-  // make_ready's pending-wake latch instead, and never sleeps on cv_.)
-  bool fiber_owner;
-  {
-    std::lock_guard lock(mutex_);
-    fiber_owner = fiber_sched_ != nullptr;
-    if (fiber_owner) fiber_sched_->make_ready(fiber_rank_);
-  }
-  if (!fiber_owner) cv_.notify_all();
+  std::lock_guard lock(mutex_);
+  if (fiber_sched_ != nullptr) fiber_sched_->make_ready(fiber_rank_);
 }
 
 std::size_t Mailbox::pending() const {

@@ -6,14 +6,14 @@
 // mailboxes (binomial trees, recursive doubling, pairwise exchange), so a
 // corrupted parameter that makes ranks disagree about the communication
 // schedule — e.g. a flipped `root` — produces a genuine unmatched
-// send/recv. The receive path waits with a deadline; when the deadline
-// passes the rank raises SimTimeout (the job "hangs", paper: INF_LOOP),
-// and when another rank has already failed, the world poison wakes every
-// waiter with WorldAborted so trials finish promptly.
+// send/recv. A receive that has to wait parks the calling rank fiber
+// (minimpi/fiber.hpp); when the deadline passes the rank raises
+// SimTimeout (the job "hangs", paper: INF_LOOP), and when another rank
+// has already failed, the world poison wakes every waiter with
+// WorldAborted so trials finish promptly.
 
 #include <atomic>
 #include <chrono>
-#include <condition_variable>
 #include <cstddef>
 #include <cstdint>
 #include <deque>
@@ -32,37 +32,26 @@ struct Message {
   std::vector<std::byte> payload;
 };
 
-/// Shared flag that tears down a world once any rank fails.
-struct PoisonState {
-  std::mutex mutex;
-  std::condition_variable cv;
-  bool poisoned = false;
-  /// Lock-free mirror of `poisoned` for hot paths (snapshot replay polls
-  /// it per op) that must not contend on the teardown mutex.
-  std::atomic<bool> flag{false};
+/// Shared flags that tear down a world once any rank fails. Plain
+/// atomics: every waiter is a fiber that rechecks them each time it is
+/// resumed, so there is no sleeper to notify.
+class PoisonState {
+ public:
+  void poison() noexcept { poisoned_.store(true, std::memory_order_release); }
+  void revoke() noexcept { revoked_.store(true, std::memory_order_release); }
+  bool poisoned() const noexcept {
+    return poisoned_.load(std::memory_order_acquire);
+  }
+  bool revoked() const noexcept {
+    return revoked_.load(std::memory_order_acquire);
+  }
+
+ private:
+  std::atomic<bool> poisoned_{false};
   /// ULFM-style revocation: set (instead of poison) when a rank fail-stops
   /// with repair enabled. Waiters on pre-death communicators observe it
   /// and raise RankRevoked; post-repair communicators are exempt.
-  bool revoked = false;
-  std::atomic<bool> revoked_flag{false};
-
-  void poison() {
-    {
-      std::lock_guard lock(mutex);
-      poisoned = true;
-    }
-    flag.store(true, std::memory_order_release);
-    cv.notify_all();
-  }
-
-  void revoke() {
-    {
-      std::lock_guard lock(mutex);
-      revoked = true;
-    }
-    revoked_flag.store(true, std::memory_order_release);
-    cv.notify_all();
-  }
+  std::atomic<bool> revoked_{false};
 };
 
 /// Unbounded MPSC mailbox with (source, tag) matching and deadline waits.
@@ -73,18 +62,16 @@ class Mailbox {
   /// Enqueues a message (called by the sending rank's thread).
   void deliver(Message message);
 
-  /// Blocks until a message matching (source, tag) is available, the
-  /// deadline passes (throws SimTimeout), or the world is poisoned (throws
-  /// WorldAborted). Matching is exact; out-of-order arrivals with other
-  /// tags stay queued. When `revocable` is set, a world revocation wakes
-  /// the wait with RankRevoked (receives on post-repair communicators pass
-  /// revocable=false and keep waiting). A doomed owner (World::kill_rank
-  /// or a fail-stop fault on this rank) raises RankKilled instead.
-  ///
-  /// On a thread driven by a FiberScheduler the wait is a cooperative
-  /// yield instead of a condition-variable park: the rendezvous is the
-  /// fiber engine's yield point. Exception ordering and messages are
-  /// identical on both paths — the engine parity suite depends on it.
+  /// Returns the first message matching (source, tag). With none queued
+  /// the calling rank fiber parks (FiberScheduler::block_current) until a
+  /// delivery or wake resumes it; the deadline passing throws SimTimeout
+  /// and a poisoned world throws WorldAborted. Matching is exact;
+  /// out-of-order arrivals with other tags stay queued. When `revocable`
+  /// is set, a world revocation wakes the wait with RankRevoked (receives
+  /// on post-repair communicators pass revocable=false and keep waiting).
+  /// A doomed owner (World::kill_rank or a fail-stop fault on this rank)
+  /// raises RankKilled instead. A receive that would have to wait outside
+  /// a fiber throws InternalError: only a World's ranks can park.
   Message receive(int source, std::uint64_t tag,
                   std::chrono::steady_clock::time_point deadline,
                   bool revocable = true);
@@ -101,36 +88,24 @@ class Mailbox {
   std::size_t pending() const;
 
   /// Whether a message matching (source, tag) is queued right now. Used
-  /// by the hang monitor: a blocked rank whose awaited message is already
-  /// here is about to make progress, so the world is not deadlocked.
+  /// by the world's idle scan: a blocked rank whose awaited message is
+  /// already here is about to make progress, so the world is not
+  /// deadlocked.
   bool has_match(int source, std::uint64_t tag) const;
 
-  /// Wakes any waiter so it can observe the poison flag. Called by the
-  /// world during teardown. Takes the mailbox mutex before notifying so
-  /// the wake cannot slip between a waiter's poison check and its entry
-  /// into the timed wait (that window would otherwise swallow the only
-  /// notification and leave the waiter parked for the full watchdog).
-  /// Under the fiber engine the same call marks the owning fiber ready.
+  /// Marks the owning fiber ready so it rechecks poison, doom, and
+  /// revocation. Called by the world during teardown and by kill_rank.
   void wake();
 
-  /// Fiber-engine wake routing: deliveries and wakes mark `owner_rank`'s
-  /// fiber ready on `sched` instead of (only) notifying the condition
-  /// variable. Installed by the world before the scheduler starts and
+  /// Wake routing: deliveries and wakes mark `owner_rank`'s fiber ready
+  /// on `sched`. Installed by the world before the scheduler starts and
   /// cleared after it drains; guarded by the mailbox mutex so a late
   /// cross-thread wake (a test's kill_rank racing world teardown) can
   /// never observe a dangling scheduler.
   void set_fiber_waker(FiberScheduler* sched, int owner_rank);
 
  private:
-  /// The cooperative twin of the condition-variable wait loop in
-  /// receive(): identical match/doom/poison/revoke/deadline ordering and
-  /// exception text, but parks by yielding the calling fiber.
-  Message receive_fiber(int source, std::uint64_t tag,
-                        std::chrono::steady_clock::time_point deadline,
-                        bool revocable, FiberScheduler& sched);
-
   mutable std::mutex mutex_;
-  std::condition_variable cv_;
   std::deque<Message> queue_;
   PoisonState* poison_;
   int doom_rank_ = -1;

@@ -21,8 +21,7 @@ namespace fastfit::mpi {
 
 /// Per-rank registry of valid buffer regions.
 ///
-/// Thread-safety: registration/removal and checking lock a mutex; the
-/// owning rank thread and the trial teardown path may race.
+/// Thread-safety: registration/removal and checking lock a mutex.
 class MemoryRegistry {
  public:
   /// Registers [ptr, ptr+bytes). Overlapping registrations are rejected.

@@ -51,8 +51,8 @@ class WaitScope {
 
 }  // namespace
 
-Mpi::Mpi(std::shared_ptr<WorldState> state, int world_rank)
-    : world_(std::move(state)), world_rank_(world_rank) {
+Mpi::Mpi(WorldState& state, int world_rank)
+    : world_(&state), world_rank_(world_rank) {
   const WorldOptions& options = world_->options();
   recorder_ = options.recorder.get();
   if (options.replay) {
@@ -104,7 +104,7 @@ void Mpi::mark_repaired() { world_->mark_repaired(); }
 // --- snapshot replay --------------------------------------------------------
 
 void Mpi::replay_poison_check() const {
-  if (world_->poison().flag.load(std::memory_order_acquire)) {
+  if (world_->poisoned()) {
     throw WorldAborted("rank " + std::to_string(world_rank_) +
                        ": prefix replay interrupted by world teardown");
   }
@@ -240,9 +240,9 @@ int Mpi::size(Comm comm) const {
 }
 
 void Mpi::check_deadline() {
-  // The heartbeat tells the hang monitor this rank is alive in a compute
-  // loop: genuine livelock therefore never triggers a deterministic
-  // verdict and falls through to the watchdog below.
+  // The heartbeat records that this rank is alive in a compute loop;
+  // genuine livelock never reaches a wait, so it never triggers a
+  // deterministic verdict and falls through to the watchdog below.
   world_->progress().bump(world_rank_);
   check_doom();
   if (world_->poisoned()) {
@@ -317,9 +317,8 @@ void Mpi::send_internal(Comm comm, int dest, std::uint64_t tag,
         return;
     }
   }
-  // Heartbeat strictly before the deliver: the hang monitor may only
-  // declare a deadlock on two identical snapshots, so a send that is
-  // about to land always invalidates the snapshot it raced with.
+  // Heartbeat strictly before the deliver, so the autopsy's heartbeat
+  // counts every message this rank sent.
   world_->progress().bump(world_rank_);
   world_->mailbox(dest_world).deliver(std::move(message));
   // A message held by an earlier MessageDelay fault is released one send
@@ -345,9 +344,9 @@ std::vector<std::byte> Mpi::recv_internal(Comm comm, int source,
   // when a fail-stop revokes the world; waits on the post-repair
   // (shrunken) communicator are exempt and keep waiting.
   const bool revocable =
-      !world_->poison().revoked_flag.load(std::memory_order_acquire) ||
+      !world_->poison().revoked() ||
       world_->comm_revoked(comm);
-  // Publish the wait so the monitor can check whether the awaited
+  // Publish the wait so the idle scan can check whether the awaited
   // (source, tag) can still arrive; restore Computing however we leave.
   world_->progress().publish_wait(
       world_rank_, source, members[static_cast<std::size_t>(source)], tag);

@@ -64,10 +64,10 @@ class ScopedRegistration {
 
 class Mpi {
  public:
-  /// A facade binds to the shared WorldState (not the World handle) so a
-  /// quarantined rank thread keeps a valid view of its world even after
-  /// World::run returned.
-  Mpi(std::shared_ptr<WorldState> state, int world_rank);
+  /// A facade binds to the World's state, not to the World handle; the
+  /// state outlives every facade because World::run returns only after
+  /// all rank fibers have finished.
+  Mpi(WorldState& state, int world_rank);
 
   /// Flushes any messages a transport fault held for delayed delivery (the
   /// rank's end is the last point "later" can mean).
@@ -88,8 +88,8 @@ class Mpi {
   /// Cooperative watchdog check for application compute loops; throws
   /// SimTimeout past the deadline and WorldAborted once the world is
   /// poisoned. Workloads call this once per outer iteration. Also bumps
-  /// this rank's heartbeat, so a compute loop reads as live progress to
-  /// the hang monitor (livelock keeps the timeout path).
+  /// this rank's heartbeat, so a compute loop reads as live progress in
+  /// the autopsy (livelock keeps the timeout path).
   void check_deadline();
 
   /// Shadow-stack probe: where this rank is in application terms. The
@@ -359,7 +359,7 @@ class Mpi {
   /// the delay is bounded by the rank's own program order (deterministic).
   void flush_held();
 
-  std::shared_ptr<WorldState> world_;
+  WorldState* world_;
   int world_rank_;
   std::function<StackProbe()> stack_probe_;
   /// Per-communicator collective sequence numbers (lockstep across ranks
@@ -371,7 +371,7 @@ class Mpi {
   std::map<RawHandle, std::uint32_t> split_seq_;
   /// Recording hook (nullptr outside recording runs). Raw pointer: the
   /// shared_ptr in the state's WorldOptions copy owns it, and that state
-  /// outlives every rank thread, quarantined ones included.
+  /// outlives every rank fiber.
   PrefixRecorder* recorder_ = nullptr;
   /// This rank's recorded op stream and cut (replay runs only).
   const std::vector<RecordedOp>* replay_ops_ = nullptr;

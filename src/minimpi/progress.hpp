@@ -7,12 +7,12 @@
 // (collective entry, message send, compute-loop deadline check, wait
 // exit) and (b) a pending-operation signature — op name, communicator,
 // sequence number, root, awaited peer and transport tag, shadow-stack id
-// — whenever it enters a mailbox rendezvous. A monitor thread can then
-// decide *structurally* that a world is deadlocked: all live ranks
-// blocked, no blocked rank's awaited message queued, and two snapshots a
-// poll apart identical. Because a rank bumps its heartbeat before every
-// deliver, a stable all-blocked snapshot proves no message can ever
-// arrive — the verdict is deterministic, not a timeout heuristic.
+// — whenever it enters a mailbox rendezvous. When the world's fiber
+// scheduler runs out of runnable ranks, this table lets it decide
+// *structurally* that the world is deadlocked: all live ranks blocked and
+// no blocked rank's awaited message queued. Sends are synchronous on the
+// scheduler's thread, so at that instant no message can ever arrive —
+// the verdict is deterministic, not a timeout heuristic.
 //
 // The same table is snapshotted into a WorldAutopsy at first-event time,
 // so every non-SUCCESS trial carries per-rank forensics (phase, last
@@ -33,7 +33,7 @@ enum class RankPhase : std::uint8_t {
   Blocked,    ///< parked in a mailbox wait for a specific (source, tag)
   Exited,     ///< rank main returned or unwound
   Dead,       ///< fail-stop fault killed the rank (it will never publish
-              ///< again); peers and the monitor treat it like Exited but
+              ///< again); peers and the verdict treat it like Exited but
               ///< the autopsy distinguishes death from clean exit
 };
 
@@ -56,7 +56,7 @@ struct PendingSig {
   std::string describe() const;
 };
 
-/// Monitor-side view of one rank.
+/// Verdict-side view of one rank.
 struct RankSnapshot {
   RankPhase phase = RankPhase::Computing;
   std::uint64_t heartbeat = 0;
@@ -65,7 +65,7 @@ struct RankSnapshot {
 };
 
 /// The table itself: one slot per rank, each guarded by its own mutex so
-/// publishes are rank-local and the monitor reads a consistent slot.
+/// publishes are rank-local and a reader sees a consistent slot.
 class ProgressTable {
  public:
   explicit ProgressTable(int nranks);
@@ -87,7 +87,7 @@ class ProgressTable {
   void publish_resume(int rank);
 
   /// Rank main returned or unwound. Never downgrades a Dead slot: the
-  /// thread of a killed rank still unwinds through the normal exit path,
+  /// fiber of a killed rank still unwinds through the normal exit path,
   /// and the death verdict must survive it.
   void publish_exited(int rank);
 
@@ -120,7 +120,7 @@ struct RankAutopsy {
 
 /// Forensic snapshot of the whole world, captured when the initiating
 /// event is recorded (poison time). `deterministic` marks a hang that was
-/// proven structurally by the monitor rather than inferred from the
+/// proven structurally at quiescence rather than inferred from the
 /// watchdog deadline.
 struct WorldAutopsy {
   bool deterministic = false;

@@ -2,7 +2,7 @@
 
 // Copy-on-write world snapshots: record once, replay the prefix.
 //
-// A World of OS threads cannot be checkpointed by copying pages, so the
+// A World's rank fiber stacks and heap buffers are never copied; the
 // snapshot subsystem captures the *observable* state instead: one
 // fault-free recording run logs, per rank, the ordered sequence of MPI
 // operations together with every byte the transport wrote into
@@ -102,7 +102,7 @@ struct WorldRecording {
 };
 
 /// Attached to a recording run via WorldOptions::recorder: each rank
-/// thread appends to its own op vector (no cross-rank synchronization
+/// appends to its own op vector (no cross-rank synchronization
 /// beyond the chunk store's intern lock).
 class PrefixRecorder {
  public:
@@ -134,7 +134,7 @@ class PrefixRecorder {
 
 /// A message that was in flight across the cut: sent during the prefix,
 /// received during the suffix. Delivered into the destination mailbox
-/// before the rank threads launch.
+/// before the ranks start.
 struct PreseedMessage {
   int dest_world = -1;
   int source_comm = -1;           ///< sender's rank in the message's comm

@@ -6,9 +6,9 @@
 // (the call graph is populated by the workload's FunctionScopes in the
 // same ContextRegistry).
 //
-// Thread-safety: each rank thread writes only its own RankProfile slot and
-// its own RankContext, so recording is lock-free; results are read after
-// World::run has joined.
+// Thread-safety: each rank writes only its own RankProfile slot and its
+// own RankContext, so recording is lock-free; results are read after
+// World::run has returned.
 
 #include <memory>
 #include <vector>

@@ -48,9 +48,7 @@ constexpr ConfigKnob kKnobs[] = {
     {"FASTFIT_WATCHDOG_ESCALATION", "watchdog-escalation", "M",
      "watchdog multiplier for uncontended INF_LOOP re-confirmation"},
     {"FASTFIT_HANG_DETECTION", "hang-detection", "0|1",
-     "deterministic deadlock monitor (default on)"},
-    {"FASTFIT_MAX_LEAKED_THREADS", "max-leaked-threads", "N",
-     "quarantined-thread budget before the run fails"},
+     "deterministic deadlock detection (default on)"},
     {"FASTFIT_SHARD", "shard", "i/N",
      "run deterministic shard i of N (merge with 'fastfit merge')"},
     {"FASTFIT_PASSES", "passes", "LIST",
@@ -60,9 +58,7 @@ constexpr ConfigKnob kKnobs[] = {
     {"FASTFIT_REPAIR", "repair", "0|1",
      "ULFM-style shrink-and-continue after rank death (default off)"},
     {"FASTFIT_ISOLATION", "isolation", "thread|process",
-     "trial backend: in-process threads or fork-server workers"},
-    {"FASTFIT_WORLD_ENGINE", "world-engine", "fibers|threads",
-     "rank substrate: resumable fibers (default) or thread-per-rank"},
+     "trial backend: in-process or fork-server workers"},
     {"FASTFIT_SNAPSHOTS", "snapshots", "on|off|auto",
      "prefix-replay world snapshots (default auto)"},
     {"FASTFIT_SNAPSHOT_CACHE_MB", "snapshot-cache-mb", "MB",
@@ -120,8 +116,6 @@ InjectionConfig InjectionConfig::from_map(
       }
     } else if (key == "FASTFIT_HANG_DETECTION") {
       cfg.hang_detection = parse_u64(key, value, 1) != 0;
-    } else if (key == "FASTFIT_MAX_LEAKED_THREADS") {
-      cfg.max_leaked_threads = parse_u64(key, value, 4096);
     } else if (key == "FASTFIT_TRACE") {
       if (value.empty()) throw ConfigError("FASTFIT_TRACE: empty path");
       cfg.trace_out = value;
@@ -152,13 +146,6 @@ InjectionConfig InjectionConfig::from_map(
             value + "'");
       }
       cfg.isolation = value;
-    } else if (key == "FASTFIT_WORLD_ENGINE") {
-      if (value != "fibers" && value != "threads") {
-        throw ConfigError(
-            "FASTFIT_WORLD_ENGINE: must be one of fibers|threads, got '" +
-            value + "'");
-      }
-      cfg.world_engine = value;
     } else if (key == "FASTFIT_SNAPSHOTS") {
       if (value != "on" && value != "off" && value != "auto") {
         throw ConfigError(
@@ -211,9 +198,6 @@ std::map<std::string, std::string> InjectionConfig::to_map() const {
     kv["FASTFIT_WATCHDOG_ESCALATION"] = std::to_string(watchdog_escalation);
   }
   if (!hang_detection) kv["FASTFIT_HANG_DETECTION"] = "0";
-  if (max_leaked_threads != 8) {
-    kv["FASTFIT_MAX_LEAKED_THREADS"] = std::to_string(max_leaked_threads);
-  }
   if (!trace_out.empty()) kv["FASTFIT_TRACE"] = trace_out;
   if (!metrics_out.empty()) kv["FASTFIT_METRICS"] = metrics_out;
   if (progress) kv["FASTFIT_PROGRESS"] = "1";
@@ -225,7 +209,6 @@ std::map<std::string, std::string> InjectionConfig::to_map() const {
   if (!fault_models.empty()) kv["FASTFIT_FAULT_MODELS"] = fault_models;
   if (repair) kv["FASTFIT_REPAIR"] = "1";
   if (isolation != "thread") kv["FASTFIT_ISOLATION"] = isolation;
-  if (world_engine != "fibers") kv["FASTFIT_WORLD_ENGINE"] = world_engine;
   if (snapshots != "auto") kv["FASTFIT_SNAPSHOTS"] = snapshots;
   if (!snapshot_recording.empty()) {
     kv["FASTFIT_SNAPSHOT_RECORDING"] = snapshot_recording;

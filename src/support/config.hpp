@@ -47,7 +47,7 @@ struct InjectionConfig {
   std::optional<std::uint8_t> param_id;   ///< target parameter (1 digit)
   std::uint64_t seed = 0x5eedfa57f17ULL;  ///< campaign master seed
   /// Max concurrently executing trials (our extension, not in Table II).
-  /// 0 = auto (hardware_concurrency / nranks), 1 = serial.
+  /// 0 = auto (hardware_concurrency), 1 = serial.
   std::uint64_t parallel_trials = 0;
   /// Durable trial journal path (FASTFIT_JOURNAL); empty = no journal.
   std::string journal;
@@ -57,13 +57,10 @@ struct InjectionConfig {
   /// Watchdog multiplier for the uncontended INF_LOOP re-confirmation run
   /// (FASTFIT_WATCHDOG_ESCALATION); must be >= 1.
   std::uint64_t watchdog_escalation = 4;
-  /// Deterministic hang detection: a per-world monitor proves deadlocks
-  /// from pending-operation signatures instead of waiting out the watchdog
+  /// Deterministic hang detection: every world proves deadlocks from
+  /// pending-operation signatures instead of waiting out the watchdog
   /// (FASTFIT_HANG_DETECTION); 1 = on (default), 0 = timeout-only.
   bool hang_detection = true;
-  /// Campaign-wide budget of rank threads that may survive teardown into
-  /// quarantine before the run fails (FASTFIT_MAX_LEAKED_THREADS).
-  std::uint64_t max_leaked_threads = 8;
   /// Chrome trace-event JSON output path (FASTFIT_TRACE); empty = no
   /// trace. A non-empty path enables the telemetry recorder.
   std::string trace_out;
@@ -96,17 +93,11 @@ struct InjectionConfig {
   /// classifies RANK_DEAD.
   bool repair = false;
   /// Trial execution backend (FASTFIT_ISOLATION): "thread" (default,
-  /// in-process rank threads) or "process" (fork-server workers; real
-  /// signals become classifiable as SEG_FAULT). Kept as validated text
-  /// here; the mode enum lives in core/procpool.hpp.
+  /// in-process on the executor thread) or "process" (fork-server
+  /// workers; real signals become classifiable as SEG_FAULT, and rank
+  /// code that never yields can be killed). Kept as validated text here;
+  /// the mode enum lives in core/procpool.hpp.
   std::string isolation = "thread";
-  /// MiniMPI world engine (FASTFIT_WORLD_ENGINE): "fibers" (default,
-  /// resumable rank fibers multiplexed on the trial's thread) or
-  /// "threads" (one OS thread per rank, the pre-fiber substrate).
-  /// Reports, journals, and counters are byte-identical across engines;
-  /// only the scheduling substrate changes. Kept as validated text here;
-  /// the engine enum lives in minimpi/world.hpp.
-  std::string world_engine = "fibers";
   /// Prefix-replay world snapshots (FASTFIT_SNAPSHOTS): "on", "off", or
   /// "auto" (default). Kept as validated text here; the mode enum lives
   /// in core/snapshot_cache.hpp.

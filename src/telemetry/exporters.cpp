@@ -1,5 +1,6 @@
 #include "telemetry/exporters.hpp"
 
+#include <algorithm>
 #include <cinttypes>
 #include <cstdio>
 #include <cstring>
@@ -54,12 +55,17 @@ int trace_tid(Track track, int index) noexcept {
   switch (track) {
     case Track::Main: return 1;
     case Track::Executor: return 100 + lane;
-    case Track::Rank: return 1000 + lane;
+    case Track::Rank: return lane;
     case Track::Monitor: return 3000 + lane;
     case Track::MlLoop: return 4000 + lane;
     case Track::Journal: return 4500 + lane;
   }
   return 1;
+}
+
+int trace_pid(Track track, int world_lane) noexcept {
+  if (track != Track::Rank) return 1;
+  return world_lane < 0 ? 2 : 100 + world_lane;
 }
 
 std::string to_chrome_trace(const std::vector<Event>& events,
@@ -73,63 +79,83 @@ std::string to_chrome_trace(const std::vector<Event>& events,
     first = false;
   };
 
-  sep();
-  out += R"({"name":"process_name","ph":"M","pid":1,"tid":1,)"
-         R"("args":{"name":"fastfit campaign"}})";
-
-  // One thread_name entry per lane: every explicitly bound thread, plus
-  // any lane that only appears in events (e.g. rank lanes recorded from
-  // short-lived threads that exited before binding was collected).
-  std::vector<ThreadInfo> lanes = threads;
-  const auto has_lane = [&](Track track, int index) {
-    for (const auto& lane : lanes) {
-      if (lane.track == track && lane.index == index) return true;
-    }
-    return false;
+  // One process per world lane, one thread per lane within it: every
+  // explicitly bound thread, plus any lane that only appears in events
+  // (every rank lane: ranks are fibers and never bind a thread).
+  struct Lane {
+    int pid;
+    int tid;
+    std::string label;
   };
-  for (const auto& event : events) {
-    if (!has_lane(event.track, event.index)) {
-      std::string label = to_string(event.track);
-      if (event.index >= 0) label += '-' + std::to_string(event.index);
-      lanes.push_back(ThreadInfo{event.track, event.index, std::move(label)});
+  std::vector<Lane> lanes;
+  std::vector<int> pids{1};
+  const auto add_lane = [&](int pid, int tid, std::string label) {
+    for (const auto& lane : lanes) {
+      if (lane.pid == pid && lane.tid == tid) return;
     }
+    lanes.push_back(Lane{pid, tid, std::move(label)});
+    if (std::find(pids.begin(), pids.end(), pid) == pids.end()) {
+      pids.push_back(pid);
+    }
+  };
+  for (const auto& thread : threads) {
+    add_lane(trace_pid(thread.track, -1),
+             trace_tid(thread.track, thread.index), thread.label);
   }
-  if (!has_lane(Track::Main, -1)) {
-    lanes.push_back(ThreadInfo{Track::Main, -1, "campaign-main"});
+  for (const auto& event : events) {
+    std::string label = to_string(event.track);
+    if (event.index >= 0) label += '-' + std::to_string(event.index);
+    add_lane(trace_pid(event.track, event.world_lane),
+             trace_tid(event.track, event.index), std::move(label));
+  }
+  add_lane(1, trace_tid(Track::Main, -1), "campaign-main");
+
+  char buf[192];
+  for (const int pid : pids) {
+    std::string name = "fastfit campaign";
+    if (pid == 2) {
+      name = "worlds off the executor pool";
+    } else if (pid != 1) {
+      name = "worlds on executor-" + std::to_string(pid - 100);
+    }
+    sep();
+    std::snprintf(buf, sizeof(buf),
+                  R"({"name":"process_name","ph":"M","pid":%d,"tid":0,)"
+                  R"("args":{"name":"%s"}})",
+                  pid, name.c_str());
+    out += buf;
   }
   for (const auto& lane : lanes) {
-    const int tid = trace_tid(lane.track, lane.index);
-    char buf[160];
     sep();
     std::snprintf(buf, sizeof(buf),
-                  R"({"name":"thread_name","ph":"M","pid":1,"tid":%d,)"
+                  R"({"name":"thread_name","ph":"M","pid":%d,"tid":%d,)"
                   R"("args":{"name":"%s"}})",
-                  tid, json_escape(lane.label).c_str());
+                  lane.pid, lane.tid, json_escape(lane.label).c_str());
     out += buf;
     sep();
     std::snprintf(buf, sizeof(buf),
-                  R"({"name":"thread_sort_index","ph":"M","pid":1,)"
+                  R"({"name":"thread_sort_index","ph":"M","pid":%d,)"
                   R"("tid":%d,"args":{"sort_index":%d}})",
-                  tid, tid);
+                  lane.pid, lane.tid, lane.tid);
     out += buf;
   }
 
   for (const auto& event : events) {
+    const int pid = trace_pid(event.track, event.world_lane);
     const int tid = trace_tid(event.track, event.index);
-    char buf[192];
     sep();
     if (event.dur_us >= 0) {
       std::snprintf(buf, sizeof(buf),
-                    R"({"name":"%s","ph":"X","pid":1,"tid":%d,)"
+                    R"({"name":"%s","ph":"X","pid":%d,"tid":%d,)"
                     R"("ts":%)" PRId64 R"(,"dur":%)" PRId64,
-                    json_escape(event.name).c_str(), tid, event.start_us,
+                    json_escape(event.name).c_str(), pid, tid, event.start_us,
                     event.dur_us);
       out += buf;
     } else {
       std::snprintf(buf, sizeof(buf),
-                    R"({"name":"%s","ph":"i","s":"t","pid":1,"tid":%d,)"
+                    R"({"name":"%s","ph":"i","s":"t","pid":%d,"tid":%d,)"
                     R"("ts":%)" PRId64,
-                    json_escape(event.name).c_str(), tid, event.start_us);
+                    json_escape(event.name).c_str(), pid, tid, event.start_us);
       out += buf;
     }
     if (!event.args.empty()) {

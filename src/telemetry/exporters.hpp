@@ -15,8 +15,10 @@ namespace fastfit::telemetry {
 /// (https://docs.google.com/document/d/1CvAClvFfyA5R-PhYUmn5OOQtYMH4h6I0nSsKchNAySU):
 /// "X" complete events for spans, "i" instants, plus process_name /
 /// thread_name / thread_sort_index metadata so each track renders as a
-/// labelled Perfetto thread. Lanes map to stable synthetic tids (main=1,
-/// executor=100+i, rank=1000+i, monitor=3000+i, ml=4000, journal=4500).
+/// labelled Perfetto thread. The campaign's own lanes live in pid 1 with
+/// stable synthetic tids (main=1, executor=100+i, monitor=3000+i,
+/// ml=4000, journal=4500); rank lanes live in one pid per executor lane
+/// (trace_pid) with tid = rank.
 std::string to_chrome_trace(const std::vector<Event>& events,
                             const std::vector<ThreadInfo>& threads);
 
@@ -38,5 +40,10 @@ bool write_text_file(const std::string& path, const std::string& text);
 
 /// Synthetic Chrome-trace tid for a lane, matching to_chrome_trace.
 int trace_tid(Track track, int index) noexcept;
+
+/// Chrome-trace pid for an event, matching to_chrome_trace: 1 for the
+/// campaign's own tracks; for Track::Rank, 100 + the executor lane that
+/// ran the world, or 2 for worlds run off the executor pool.
+int trace_pid(Track track, int world_lane) noexcept;
 
 }  // namespace fastfit::telemetry

@@ -125,15 +125,13 @@ std::string ProgressMeter::render_line(const MetricsSnapshot& snapshot,
 
   char health[160];
   std::snprintf(
-      health, sizeof(health),
-      " | retries=%llu quarantined=%llu watchdog=%llu leaked=%lld",
+      health, sizeof(health), " | retries=%llu quarantined=%llu watchdog=%llu",
       static_cast<unsigned long long>(
           snapshot.counter_sum("fastfit_trial_retries_total")),
       static_cast<unsigned long long>(
           snapshot.counter_sum("fastfit_quarantined_points_total")),
       static_cast<unsigned long long>(
-          snapshot.counter_sum("fastfit_watchdog_fires_total")),
-      static_cast<long long>(snapshot.gauge_value("fastfit_leaked_threads")));
+          snapshot.counter_sum("fastfit_watchdog_fires_total")));
   line += health;
   if (snapshot.dropped_events > 0) {
     line += " dropped=" + std::to_string(snapshot.dropped_events);

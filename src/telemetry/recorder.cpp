@@ -109,7 +109,7 @@ struct Recorder::ThreadBuffer {
 
 /// Thread-local handle: registers the buffer on first use and retires it
 /// (moving any remaining events into the recorder) at thread exit, so
-/// short-lived rank threads do not accumulate dead buffers.
+/// short-lived threads do not accumulate dead buffers.
 struct Recorder::BufferHandle {
   std::shared_ptr<ThreadBuffer> buffer;
   ThreadInfo info;
@@ -166,6 +166,12 @@ void Recorder::record(Event event) {
     buffered_.fetch_sub(1, std::memory_order_relaxed);
     dropped_.fetch_add(1, std::memory_order_relaxed);
     return;
+  }
+  if (event.track == Track::Rank) {
+    // A world runs all its ranks on one thread; that thread's executor
+    // lane tells apart the worlds of concurrent trials.
+    const ThreadInfo& info = handle().info;
+    event.world_lane = info.track == Track::Executor ? info.index : -1;
   }
   auto& buffer = local_buffer();
   std::lock_guard lock(buffer.mutex);

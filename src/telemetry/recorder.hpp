@@ -40,13 +40,14 @@
 namespace fastfit::telemetry {
 
 /// Trace track an event belongs to. Tracks map to Perfetto threads: one
-/// per executor worker, one per simulated rank, one for the hang monitor
-/// and the live progress meter, one for the ML loop, one for journal I/O.
+/// per executor worker, one per simulated rank of each executor lane's
+/// worlds, one for hang verdicts and the live progress meter, one for the
+/// ML loop, one for journal I/O.
 enum class Track : std::uint8_t {
   Main = 0,  ///< the campaign driver thread
   Executor,  ///< TrialExecutor workers (index = worker ordinal)
   Rank,      ///< simulated MPI ranks (index = world rank)
-  Monitor,   ///< hang monitor verdicts, watchdog fires, progress meter
+  Monitor,   ///< deadlock verdicts, watchdog fires, progress meter
   MlLoop,    ///< injection ⇄ learning feedback loop
   Journal,   ///< durable trial journal fsync batches
 };
@@ -62,6 +63,11 @@ struct Event {
   std::int64_t dur_us = -1;   ///< span duration; < 0 marks an instant
   Track track = Track::Main;
   int index = -1;             ///< per-track lane (worker id, rank, ...)
+  /// Track::Rank only: the executor lane whose thread ran the rank's
+  /// world (-1 = a thread outside the executor pool). Recorder::record
+  /// stamps it, and the exporter renders it as the Perfetto pid, so two
+  /// worlds running at once never share a rank lane.
+  int world_lane = -1;
   std::string args;           ///< "key=value; ..." detail tag (may be empty)
 };
 
@@ -183,8 +189,9 @@ class Recorder {
   /// Microseconds since the recorder epoch (process start, steady clock).
   std::int64_t now_us() const noexcept;
 
-  /// Appends an event to the calling thread's buffer. No-op when
-  /// disabled or when the process-wide event cap is reached (counted in
+  /// Appends an event to the calling thread's buffer, stamping a rank
+  /// event's world_lane from the thread's binding. No-op when disabled or
+  /// when the process-wide event cap is reached (counted in
   /// dropped_events()).
   void record(Event event);
 

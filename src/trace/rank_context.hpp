@@ -85,8 +85,8 @@ class ErrorHandlingScope {
 };
 
 /// One RankContext per world rank, shared between the workload (writer)
-/// and the tool hooks (readers). Indexing is wait-free; each rank thread
-/// touches only its own slot.
+/// and the tool hooks (readers). Indexing is wait-free; each rank touches
+/// only its own slot.
 class ContextRegistry {
  public:
   explicit ContextRegistry(int nranks)

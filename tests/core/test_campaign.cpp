@@ -213,20 +213,20 @@ TEST(Campaign, GoldenDigestStableAcrossCampaigns) {
   EXPECT_EQ(c1.golden_digest(), c2.golden_digest());
 }
 
-// --- engine parity: fibers vs thread-per-rank must be invisible ---------
+// --- pool parity: the executor lane must be invisible ---------------------
 
-struct EngineRun {
+struct PoolRun {
   std::vector<PointResult> results;
   std::string journal_bytes;
   std::map<std::string, std::uint64_t> trial_counters;
+  CampaignHealth health;
 };
 
 // Drops the forensic autopsy field ("a") from a journal line. Autopsies
 // embed raw buffer addresses (ASLR) and a mid-flight census of the other
-// ranks' phases, neither of which reproduces between two runs even on
-// the same engine; everything the resume path actually reads — the
-// (point, trial, outcome) triple, labels, quarantines, the model field —
-// must match byte for byte across engines.
+// ranks' phases, neither of which reproduces between two runs; everything
+// the resume path actually reads — the (point, trial, outcome) triple,
+// labels, quarantines, the model field — must match byte for byte.
 std::string strip_autopsies(const std::string& journal) {
   std::string out;
   out.reserve(journal.size());
@@ -248,26 +248,29 @@ std::string strip_autopsies(const std::string& journal) {
   return out;
 }
 
-EngineRun run_on_engine(mpi::WorldEngine engine, const std::string& tag) {
+// Measures the first four points of `workload_name` (6 trials each) on a
+// pool of `pool` executor lanes, journaled and with telemetry on.
+PoolRun run_on_pool(const std::string& workload_name, std::size_t pool) {
   auto& rec = tel::Recorder::instance();
   rec.enable();
   rec.reset();
-  const auto workload = apps::make_workload("LU");
+  const auto workload = apps::make_workload(workload_name);
   auto opts = small_options();
-  opts.engine = engine;
+  opts.max_parallel_trials = pool;
   Campaign campaign(*workload, opts);
   campaign.profile();
-  const std::string path =
-      ::testing::TempDir() + "fastfit_engine_parity_" + tag;
+  const std::string path = ::testing::TempDir() + "fastfit_pool_parity_" +
+                           workload_name + "_" + std::to_string(pool);
   std::remove(path.c_str());
   std::remove((path + ".recording").c_str());
   campaign.attach_journal(path, JournalMode::Create);
   const auto& points = campaign.enumeration().points;
   const auto n = std::min<std::size_t>(4, points.size());
-  EngineRun run;
+  PoolRun run;
   run.results = campaign.measure_many(
-      std::span<const InjectionPoint>(points.data(), n), 3);
+      std::span<const InjectionPoint>(points.data(), n), 6);
   campaign.detach_journal();
+  run.health = campaign.health();
   std::ifstream in(path, std::ios::binary);
   run.journal_bytes.assign(std::istreambuf_iterator<char>(in),
                            std::istreambuf_iterator<char>());
@@ -278,57 +281,44 @@ EngineRun run_on_engine(mpi::WorldEngine engine, const std::string& tag) {
   }
   rec.reset();
   rec.disable();
+  std::remove(path.c_str());
+  std::remove((path + ".recording").c_str());
   return run;
 }
 
-TEST(Campaign, EngineParityIsByteIdentical) {
-  // The contract the whole PR hangs on: swapping the rank substrate is
-  // invisible in every output — per-point outcome counts, the trial
-  // journal byte for byte, and every fastfit_trials_total series.
-  const auto fibers = run_on_engine(mpi::WorldEngine::Fibers, "fibers");
-  const auto threads = run_on_engine(mpi::WorldEngine::Threads, "threads");
+class PoolParity : public ::testing::TestWithParam<const char*> {};
 
-  ASSERT_EQ(fibers.results.size(), threads.results.size());
-  for (std::size_t i = 0; i < fibers.results.size(); ++i) {
-    EXPECT_EQ(fibers.results[i].counts, threads.results[i].counts)
+TEST_P(PoolParity, Pool8MatchesSerialBitIdentical) {
+  // A trial's outcome is a pure function of (seed, point, trial): running
+  // it on eight lanes instead of one must not move a single output —
+  // per-point outcome counts, the journal byte for byte (autopsies
+  // aside), or any fastfit_trials_total series.
+  const auto serial = run_on_pool(GetParam(), 1);
+  const auto pooled = run_on_pool(GetParam(), 8);
+
+  ASSERT_EQ(serial.results.size(), pooled.results.size());
+  for (std::size_t i = 0; i < serial.results.size(); ++i) {
+    EXPECT_EQ(serial.results[i].counts, pooled.results[i].counts)
         << "point " << i;
-    EXPECT_EQ(fibers.results[i].trials, threads.results[i].trials);
+    EXPECT_EQ(serial.results[i].trials, pooled.results[i].trials)
+        << "point " << i;
+    EXPECT_EQ(serial.results[i].exec.quarantined,
+              pooled.results[i].exec.quarantined);
   }
-  EXPECT_FALSE(fibers.journal_bytes.empty());
-  EXPECT_EQ(strip_autopsies(fibers.journal_bytes),
-            strip_autopsies(threads.journal_bytes));
-  EXPECT_FALSE(fibers.trial_counters.empty());
-  EXPECT_EQ(fibers.trial_counters, threads.trial_counters);
+  EXPECT_FALSE(serial.journal_bytes.empty());
+  EXPECT_EQ(strip_autopsies(serial.journal_bytes),
+            strip_autopsies(pooled.journal_bytes));
+  EXPECT_FALSE(serial.trial_counters.empty());
+  EXPECT_EQ(serial.trial_counters, pooled.trial_counters);
+  EXPECT_TRUE(pooled.health.clean());
 }
 
-TEST(Campaign, FiberEnginePool8MatchesSerialBitIdentical) {
-  const auto workload = apps::make_workload("LU");
-  auto opts = small_options();
-  opts.engine = mpi::WorldEngine::Fibers;
-  opts.max_parallel_trials = 1;
-
-  Campaign serial(*workload, opts);
-  serial.profile();
-  const auto& points = serial.enumeration().points;
-  const auto n = std::min<std::size_t>(4, points.size());
-  const auto expected = serial.measure_many(
-      std::span<const InjectionPoint>(points.data(), n), 6);
-
-  opts.max_parallel_trials = 8;
-  Campaign pooled(*workload, opts);
-  pooled.profile();
-  const auto got = pooled.measure_many(
-      std::span<const InjectionPoint>(pooled.enumeration().points.data(), n),
-      6);
-
-  ASSERT_EQ(expected.size(), got.size());
-  for (std::size_t i = 0; i < expected.size(); ++i) {
-    EXPECT_EQ(expected[i].counts, got[i].counts) << "point " << i;
-    EXPECT_EQ(expected[i].trials, got[i].trials) << "point " << i;
-    EXPECT_EQ(expected[i].exec.quarantined, got[i].exec.quarantined);
-  }
-  EXPECT_TRUE(pooled.health().clean());
-}
+INSTANTIATE_TEST_SUITE_P(AllWorkloads, PoolParity,
+                         ::testing::Values("IS", "FT", "MG", "LU", "CG", "EP",
+                                           "miniMD"),
+                         [](const ::testing::TestParamInfo<const char*>& info) {
+                           return std::string(info.param);
+                         });
 
 }  // namespace
 }  // namespace fastfit::core

@@ -69,7 +69,6 @@ TEST(ProcPool, CompletedReplyRoundTripsEveryField) {
     reply.ok = true;
     reply.outcome = inject::Outcome::WrongAns;
     reply.deterministic_hang = true;
-    reply.leaked_threads = 3;
     std::ostringstream echo;
     echo << item.site_id << '/' << item.rank << '/' << item.invocation << '/'
          << static_cast<int>(item.param) << '/' << item.fault.canonical()
@@ -83,7 +82,6 @@ TEST(ProcPool, CompletedReplyRoundTripsEveryField) {
   EXPECT_TRUE(result.reply.ok);
   EXPECT_EQ(result.reply.outcome, inject::Outcome::WrongAns);
   EXPECT_TRUE(result.reply.deterministic_hang);
-  EXPECT_EQ(result.reply.leaked_threads, 3u);
   EXPECT_EQ(result.reply.autopsy, "42/-3/7/2/single-bit-flip@prob=0.25/11/1234");
   EXPECT_EQ(pool.stats().trials_dispatched, 1u);
   EXPECT_EQ(pool.stats().signal_deaths, 0u);
@@ -111,6 +109,9 @@ TEST(ProcPool, SignalMatrixReportsSignalDeathWithRusage) {
   ProcPool::Options opts;
   opts.lanes = 1;
   ProcPool pool(opts, [](const WorkItem& item) {
+    // Default disposition, as the injector's signal models use: a handler
+    // inherited from the test process (a sanitizer's) must not catch it.
+    std::signal(static_cast<int>(item.site_id), SIG_DFL);
     std::raise(static_cast<int>(item.site_id));
     TrialReply reply;  // unreachable: the raise kills this child
     reply.ok = false;

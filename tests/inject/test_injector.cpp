@@ -135,26 +135,25 @@ TEST(Injector, DutyCycleFiresRepeatedlyOnTheSameBit) {
   // The same manifestation stream re-fires on calls 0 and 2 (duty 1/2),
   // flipping the same send-buffer bit each time: the corruption appears,
   // survives the quiet call, then self-cancels on the second fire.
-  auto diffs = std::make_shared<std::array<bool, 4>>();
-  world.add_keepalive(diffs);
-  world.run([diffs](mpi::Mpi& mpi) {
+  std::array<bool, 4> diffs{};
+  world.run([&diffs](mpi::Mpi& mpi) {
     mpi::RegisteredBuffer<double> send(mpi.registry(), 4, 1.0);
     mpi::RegisteredBuffer<double> recv(mpi.registry(), 4);
     const std::vector<double> pristine(send.data(), send.data() + 4);
     for (int i = 0; i < 4; ++i) {
       mpi.allreduce(send.data(), recv.data(), 4, mpi::kDouble, mpi::kSum);
       if (mpi.world_rank() == 0) {
-        (*diffs)[static_cast<std::size_t>(i)] =
+        diffs[static_cast<std::size_t>(i)] =
             !std::equal(pristine.begin(), pristine.end(), send.data());
       }
     }
   });
   EXPECT_TRUE(injector.fired());
   EXPECT_FALSE(injector.fizzled());
-  EXPECT_TRUE((*diffs)[0]);   // first fire flips the bit
-  EXPECT_TRUE((*diffs)[1]);   // quiet call leaves it corrupted
-  EXPECT_FALSE((*diffs)[2]);  // second fire hits the SAME bit: flips it back
-  EXPECT_FALSE((*diffs)[3]);
+  EXPECT_TRUE(diffs[0]);   // first fire flips the bit
+  EXPECT_TRUE(diffs[1]);   // quiet call leaves it corrupted
+  EXPECT_FALSE(diffs[2]);  // second fire hits the SAME bit: flips it back
+  EXPECT_FALSE(diffs[3]);
 }
 
 TEST(Injector, SpecDescribeMentionsCoordinates) {

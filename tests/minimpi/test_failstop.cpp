@@ -48,9 +48,9 @@ TEST(FailStop, DeathPoisonsWorldWithoutRepair) {
 
 TEST(FailStop, KillRankUnblocksBlockedReceive) {
   // The victim parks in a transport wait for a message that never comes;
-  // kill_rank must wake it and raise RankKilled on its own thread instead
-  // of burning the watchdog. Hang detection is off so the monitor cannot
-  // win the race by proving the blocked-on-exited-peer deadlock first.
+  // kill_rank must wake it and raise RankKilled on its own fiber instead
+  // of burning the watchdog. Hang detection is off so the idle handler
+  // cannot prove the blocked-on-exited-peer deadlock first.
   auto options = small_world(2);
   options.hang_detection = false;
   World world(options);
@@ -219,7 +219,7 @@ TEST(FailStop, AliveMembersExcludeTheDead) {
         mpi.barrier();
       }
     } catch (const RankRevoked&) {
-      const auto alive = world.state()->alive_members();
+      const auto alive = world.state().alive_members();
       EXPECT_EQ(alive, (std::vector<int>{0, 2, 3}));
       const Comm survivors = mpi.shrink_and_continue();
       EXPECT_EQ(world.group_of(survivors), alive);

@@ -2,8 +2,10 @@
 
 #include <gtest/gtest.h>
 
+#include <functional>
 #include <thread>
 
+#include "minimpi/fiber.hpp"
 #include "support/error.hpp"
 
 namespace fastfit::mpi {
@@ -21,6 +23,22 @@ Message make_msg(int source, std::uint64_t tag, std::size_t bytes = 0) {
   m.tag = tag;
   m.payload.resize(bytes);
   return m;
+}
+
+// Runs `body` as the single fiber of a scheduler that owns `box`'s wakes,
+// the way a World runs a rank: a receive that has to wait parks the fiber,
+// and while it is parked the idle handler waits for a cross-thread wake
+// or the deadline, then resumes it (the world's watchdog fallback).
+void run_as_rank(Mailbox& box, std::chrono::steady_clock::time_point deadline,
+                 const std::function<void()>& body) {
+  FiberScheduler sched(1);
+  box.set_fiber_waker(&sched, 0);
+  sched.run([&body](int) { body(); },
+            [&sched, deadline] {
+              if (sched.wait_for_ready(deadline)) return;
+              for (int r : sched.blocked()) sched.make_ready(r);
+            });
+  box.set_fiber_waker(nullptr, -1);
 }
 
 TEST(Mailbox, DeliverThenReceive) {
@@ -58,7 +76,17 @@ TEST(Mailbox, FifoAmongSameSourceAndTag) {
 TEST(Mailbox, TimeoutRaisesSimTimeout) {
   PoisonState poison;
   Mailbox box(poison);
-  EXPECT_THROW(box.receive(0, 1, soon(20ms)), SimTimeout);
+  const auto deadline = soon(20ms);
+  run_as_rank(box, deadline, [&] {
+    EXPECT_THROW(box.receive(0, 1, deadline), SimTimeout);
+  });
+}
+
+TEST(Mailbox, WaitOutsideAFiberIsAnInternalError) {
+  // Only a World's ranks can park; a plain thread has nothing to yield to.
+  PoisonState poison;
+  Mailbox box(poison);
+  EXPECT_THROW(box.receive(0, 1, soon(100ms)), InternalError);
 }
 
 TEST(Mailbox, CrossThreadDelivery) {
@@ -68,8 +96,11 @@ TEST(Mailbox, CrossThreadDelivery) {
     std::this_thread::sleep_for(10ms);
     box.deliver(make_msg(7, 99, 8));
   });
-  const auto m = box.receive(7, 99, soon(2000ms));
-  EXPECT_EQ(m.source, 7);
+  const auto deadline = soon(2000ms);
+  run_as_rank(box, deadline, [&] {
+    const auto m = box.receive(7, 99, deadline);
+    EXPECT_EQ(m.source, 7);
+  });
   producer.join();
 }
 
@@ -81,7 +112,12 @@ TEST(Mailbox, PoisonWakesWaiterWithWorldAborted) {
     poison.poison();
     box.wake();
   });
-  EXPECT_THROW(box.receive(0, 1, soon(5000ms)), WorldAborted);
+  const auto deadline = soon(5000ms);
+  const auto start = std::chrono::steady_clock::now();
+  run_as_rank(box, deadline, [&] {
+    EXPECT_THROW(box.receive(0, 1, deadline), WorldAborted);
+  });
+  EXPECT_LT(std::chrono::steady_clock::now() - start, 2500ms);
   killer.join();
 }
 
@@ -107,22 +143,25 @@ TEST(Mailbox, HasMatchIsExactOnSourceAndTag) {
 }
 
 TEST(Mailbox, WakeCannotSlipBetweenPoisonCheckAndWait) {
-  // Regression stress for the lost-wakeup race: the poison notify used to
-  // fire without the mailbox mutex, so it could land between a waiter's
-  // poison check and its entry into the timed wait — parking the waiter
-  // for the full deadline. With wake() taking the mutex the waiter must
-  // observe the poison promptly on every iteration. Run under TSan in CI.
+  // Lost-wakeup race on the one wait path: another thread's poison + wake
+  // (make_ready) lands anywhere in the waiter's receive — before its
+  // poison check, between the check and block_current, or after the park.
+  // The scheduler's pending-wake latch must turn every interleaving into
+  // a prompt WorldAborted; a lost wake would park the fiber until the 10 s
+  // deadline. Runs under TSan in CI.
   for (int i = 0; i < 200; ++i) {
     PoisonState poison;
     Mailbox box(poison);
+    const auto deadline = soon(10000ms);
     const auto start = std::chrono::steady_clock::now();
-    std::thread waiter([&] {
-      EXPECT_THROW(box.receive(0, 1, soon(10000ms)), WorldAborted);
+    std::thread waker([&] {
+      poison.poison();
+      box.wake();
     });
-    poison.poison();
-    box.wake();
-    waiter.join();
-    // A missed wake would park the waiter for the full 10s deadline.
+    run_as_rank(box, deadline, [&] {
+      EXPECT_THROW(box.receive(0, 1, deadline), WorldAborted);
+    });
+    waker.join();
     EXPECT_LT(std::chrono::steady_clock::now() - start, 5000ms);
   }
 }

@@ -184,35 +184,19 @@ TEST(Config, HangDetectionKnobDefaultsOnAndParses) {
                ConfigError);
 }
 
-TEST(Config, ParsesAndValidatesMaxLeakedThreads) {
-  EXPECT_EQ(InjectionConfig::from_map({}).max_leaked_threads, 8u);
-  EXPECT_EQ(InjectionConfig::from_map({{"FASTFIT_MAX_LEAKED_THREADS", "0"}})
-                .max_leaked_threads,
-            0u);  // 0 = fail on the first leak
-  EXPECT_THROW(
-      InjectionConfig::from_map({{"FASTFIT_MAX_LEAKED_THREADS", "4097"}}),
-      ConfigError);
-}
-
 TEST(Config, TeardownKnobsRoundTripThroughMap) {
-  auto cfg = InjectionConfig::from_map({{"FASTFIT_HANG_DETECTION", "0"},
-                                        {"FASTFIT_MAX_LEAKED_THREADS", "2"}});
+  auto cfg = InjectionConfig::from_map({{"FASTFIT_HANG_DETECTION", "0"}});
   const auto cfg2 = InjectionConfig::from_map(cfg.to_map());
   EXPECT_FALSE(cfg2.hang_detection);
-  EXPECT_EQ(cfg2.max_leaked_threads, 2u);
   const auto defaults = InjectionConfig{}.to_map();
   EXPECT_EQ(defaults.count("FASTFIT_HANG_DETECTION"), 0u);
-  EXPECT_EQ(defaults.count("FASTFIT_MAX_LEAKED_THREADS"), 0u);
 }
 
 TEST(Config, TeardownKnobsReadFromEnvironment) {
   ::setenv("FASTFIT_HANG_DETECTION", "0", 1);
-  ::setenv("FASTFIT_MAX_LEAKED_THREADS", "3", 1);
   const auto cfg = InjectionConfig::from_environment();
   EXPECT_FALSE(cfg.hang_detection);
-  EXPECT_EQ(cfg.max_leaked_threads, 3u);
   ::unsetenv("FASTFIT_HANG_DETECTION");
-  ::unsetenv("FASTFIT_MAX_LEAKED_THREADS");
 }
 
 TEST(Config, TelemetryKnobDefaultsAreOff) {
@@ -316,7 +300,6 @@ TEST(Config, KnobTableIsCompleteAndConsistent) {
       {"FASTFIT_MAX_TRIAL_RETRIES", "1"},
       {"FASTFIT_WATCHDOG_ESCALATION", "1"},
       {"FASTFIT_HANG_DETECTION", "1"},
-      {"FASTFIT_MAX_LEAKED_THREADS", "1"},
       {"FASTFIT_SHARD", "1/2"},
       {"FASTFIT_PASSES", "semantic,context"},
       {"FASTFIT_TRACE", "t.json"},
@@ -329,7 +312,6 @@ TEST(Config, KnobTableIsCompleteAndConsistent) {
       {"FASTFIT_FAULT_MODELS", "single-bit-flip,rank-death"},
       {"FASTFIT_REPAIR", "1"},
       {"FASTFIT_ISOLATION", "process"},
-      {"FASTFIT_WORLD_ENGINE", "threads"},
   };
   std::set<std::string> envs;
   std::set<std::string> flags;

@@ -15,6 +15,7 @@
 #include "apps/registry.hpp"
 #include "core/campaign.hpp"
 #include "inject/outcome.hpp"
+#include "telemetry/exporters.hpp"
 #include "telemetry/recorder.hpp"
 
 namespace fastfit::core {
@@ -60,10 +61,12 @@ TEST_F(CampaignTelemetryTest, ExecutorSpansNestPerLaneAndRankBuffersFlush) {
   const auto events = rec.drain_events();
   ASSERT_FALSE(events.empty());
 
-  // Tally spans per (track, lane) and check stack discipline: spans on
-  // one lane are either disjoint or properly nested. queue-wait spans
-  // are excluded — they start at submit time, while the lane's previous
-  // trial may still be executing.
+  // Tally spans per trace lane — keyed by the (pid, tid) the exporter
+  // writes, so rank lanes of concurrent worlds are told apart exactly as
+  // Perfetto tells them apart — and check stack discipline: spans on one
+  // lane are either disjoint or properly nested. queue-wait spans are
+  // excluded — they start at submit time, while the lane's previous trial
+  // may still be executing.
   std::map<std::pair<int, int>, std::vector<const tel::Event*>> lanes;
   int trial_spans = 0, world_runs = 0, classifies = 0, queue_waits = 0;
   int rank_spans = 0;
@@ -78,24 +81,34 @@ TEST_F(CampaignTelemetryTest, ExecutorSpansNestPerLaneAndRankBuffersFlush) {
       EXPECT_EQ(event.track, tel::Track::Rank);
     }
     if (event.dur_us < 0 || name == "queue-wait") continue;
-    lanes[{static_cast<int>(event.track), event.index}].push_back(&event);
+    lanes[{tel::trace_pid(event.track, event.world_lane),
+           tel::trace_tid(event.track, event.index)}]
+        .push_back(&event);
   }
   // 3 points x 2 trials, plus possible watchdog confirmations.
   EXPECT_GE(trial_spans, 6);
   EXPECT_GE(world_runs, 6);
   EXPECT_EQ(classifies, world_runs);  // every injected run classifies
   EXPECT_GE(queue_waits, 6);
-  // 4 ranks per world, every world's rank threads exited before the
-  // drain: their spans arrived via the retired-buffer path.
+  // 4 ranks per world. The pooled worlds' spans were recorded by executor
+  // threads that exited before the drain: they arrived via the
+  // retired-buffer path.
   EXPECT_GE(rank_spans, 6 * 4);
 
-  // Trial spans land on executor lanes (pool of 2).
+  // Trial spans land on executor lanes (pool of 2), and so do the worlds
+  // they ran: rank lanes live in the pid of executor lane 0 or 1 (or of
+  // the main thread, for the golden and profiling runs).
   bool executor_lane_seen = false;
-  for (const auto& [lane, spans] : lanes) {
-    if (lane.first == static_cast<int>(tel::Track::Executor)) {
+  for (const auto& event : events) {
+    const std::string_view name(event.name);
+    if (name == "trial" && event.track == tel::Track::Executor) {
       executor_lane_seen = true;
-      EXPECT_GE(lane.second, 0);
-      EXPECT_LT(lane.second, 2);
+      EXPECT_GE(event.index, 0);
+      EXPECT_LT(event.index, 2);
+    }
+    if (name == "rank-main") {
+      EXPECT_GE(event.world_lane, -1);
+      EXPECT_LT(event.world_lane, 2);
     }
   }
   EXPECT_TRUE(executor_lane_seen);
@@ -111,7 +124,7 @@ TEST_F(CampaignTelemetryTest, ExecutorSpansNestPerLaneAndRankBuffersFlush) {
         EXPECT_FALSE(partial_overlap)
             << spans[a]->name << " [" << a0 << "," << a1 << ") and "
             << spans[b]->name << " [" << b0 << "," << b1
-            << ") partially overlap on track " << lane.first << " lane "
+            << ") partially overlap on lane pid " << lane.first << " tid "
             << lane.second;
       }
     }

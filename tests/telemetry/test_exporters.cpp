@@ -10,6 +10,7 @@
 #include <set>
 #include <sstream>
 #include <string>
+#include <utility>
 
 #include "json_check.hpp"
 #include "telemetry/exporters.hpp"
@@ -47,13 +48,23 @@ class ExportersTest : public ::testing::Test {
 };
 
 TEST(TraceTid, LanesMapToStableDisjointTids) {
+  // The campaign's own lanes share pid 1 at disjoint tid ranges.
   EXPECT_EQ(trace_tid(Track::Main, -1), 1);
   EXPECT_EQ(trace_tid(Track::Executor, 0), 100);
   EXPECT_EQ(trace_tid(Track::Executor, 7), 107);
-  EXPECT_EQ(trace_tid(Track::Rank, 31), 1031);
   EXPECT_EQ(trace_tid(Track::Monitor, 0), 3000);
   EXPECT_EQ(trace_tid(Track::MlLoop, -1), 4000);
   EXPECT_EQ(trace_tid(Track::Journal, 0), 4500);
+  for (const auto track : {Track::Main, Track::Executor, Track::Monitor,
+                           Track::MlLoop, Track::Journal}) {
+    EXPECT_EQ(trace_pid(track, 3), 1);
+  }
+  // Rank lanes: tid = rank, in one pid per executor lane's worlds, so
+  // rank 31 of two concurrent trials lands on two different lanes.
+  EXPECT_EQ(trace_tid(Track::Rank, 31), 31);
+  EXPECT_EQ(trace_pid(Track::Rank, -1), 2);
+  EXPECT_EQ(trace_pid(Track::Rank, 0), 100);
+  EXPECT_EQ(trace_pid(Track::Rank, 7), 107);
 }
 
 TEST(JsonEscape, EscapesQuotesBackslashesAndControls) {
@@ -70,6 +81,9 @@ TEST_F(ExportersTest, ChromeTraceIsWellFormedAndCoversAllTracks) {
   events.push_back(make_span("trial", 10, 50, Track::Executor, 0,
                              "point=\"bcast\"; trial=1"));
   events.push_back(make_span("rank-main", 12, 40, Track::Rank, 2));
+  events.back().world_lane = 0;
+  events.push_back(make_span("rank-main", 14, 30, Track::Rank, 2));
+  events.back().world_lane = 1;  // rank 2 of a concurrent world
   events.push_back(make_span("journal-fsync", 70, 5, Track::Journal, 0));
   events.push_back(make_span("ml-round", 80, 100, Track::MlLoop, 0));
   events.push_back(
@@ -87,20 +101,26 @@ TEST_F(ExportersTest, ChromeTraceIsWellFormedAndCoversAllTracks) {
   ASSERT_TRUE(root.has("traceEvents"));
   const auto& items = root.at("traceEvents").array;
 
-  std::set<int> named_tids;        // tids with thread_name metadata
-  std::set<int> event_tids;       // tids carrying X/i events
+  using Lane = std::pair<int, int>;  // (pid, tid), as the exporter writes
+  std::set<Lane> named_lanes;        // lanes with thread_name metadata
+  std::set<int> named_pids;          // pids with process_name metadata
+  std::set<Lane> event_lanes;        // lanes carrying X/i events
   int complete = 0, instants = 0, metadata = 0;
   for (const auto& item : items) {
     ASSERT_EQ(item.kind, Node::Kind::Object);
     ASSERT_TRUE(item.has("ph"));
     const std::string ph = item.at("ph").string;
-    const int tid = static_cast<int>(item.at("tid").number);
+    const Lane lane{static_cast<int>(item.at("pid").number),
+                    static_cast<int>(item.at("tid").number)};
     if (ph == "M") {
       ++metadata;
-      if (item.at("name").string == "thread_name") named_tids.insert(tid);
+      if (item.at("name").string == "thread_name") named_lanes.insert(lane);
+      if (item.at("name").string == "process_name") {
+        named_pids.insert(lane.first);
+      }
       continue;
     }
-    event_tids.insert(tid);
+    event_lanes.insert(lane);
     if (ph == "X") {
       ++complete;
       EXPECT_TRUE(item.has("ts"));
@@ -113,22 +133,28 @@ TEST_F(ExportersTest, ChromeTraceIsWellFormedAndCoversAllTracks) {
       FAIL() << "unexpected phase " << ph;
     }
   }
-  EXPECT_EQ(complete, 4);
+  EXPECT_EQ(complete, 5);
   EXPECT_EQ(instants, 1);
   EXPECT_GE(metadata, 2);  // process_name + thread_names + sort indexes
 
-  // Every event lane has a thread_name entry — including lanes that were
-  // never explicitly bound (rank/journal/ml/monitor come from events).
-  for (const int tid : event_tids) {
-    EXPECT_TRUE(named_tids.count(tid)) << "unnamed lane tid " << tid;
+  // Every event lane has a thread_name entry and every pid a
+  // process_name — including lanes that were never explicitly bound
+  // (rank/journal/ml/monitor come from events).
+  for (const auto& [pid, tid] : event_lanes) {
+    EXPECT_TRUE(named_lanes.count({pid, tid}))
+        << "unnamed lane pid " << pid << " tid " << tid;
+    EXPECT_TRUE(named_pids.count(pid)) << "unnamed pid " << pid;
   }
+  // The two rank-2 spans belong to different worlds: different lanes.
+  EXPECT_TRUE(event_lanes.count({100, 2}));
+  EXPECT_TRUE(event_lanes.count({101, 2}));
   // The acceptance bar: at least 4 distinct track types render.
   std::set<std::string> track_types;
   for (const auto& event : events) {
     track_types.insert(to_string(event.track));
   }
   EXPECT_GE(track_types.size(), 4u);
-  EXPECT_GE(event_tids.size(), 5u);
+  EXPECT_GE(event_lanes.size(), 6u);
 
   // The escaped args round-trip through a real JSON parse.
   bool found_args = false;
@@ -149,7 +175,7 @@ TEST_F(ExportersTest, ChromeTraceOfLiveRecorderParses) {
   {
     ScopedSpan span("measure-batch");
     span.arg("points", "3");
-    rec.instant("teardown-escalated", Track::Monitor, 0, "straggler=2");
+    rec.instant("deadlock-proven", Track::Monitor, 0, "rank=2");
   }
   const std::string trace =
       to_chrome_trace(rec.drain_events(), rec.bound_threads());
@@ -216,7 +242,7 @@ TEST_F(ExportersTest, PrometheusExpositionIsWellFormed) {
   rec.counter("fastfit_trials_total", "Trial outcomes", "outcome=\"SEG_FAULT\"")
       .add(2);
   rec.counter("fastfit_journal_flushes_total", "Journal flushes").add();
-  rec.gauge("fastfit_leaked_threads", "Leaked rank threads").set(1);
+  rec.gauge("fastfit_snapshot_cache_bytes", "Snapshot cache bytes").set(1);
   auto& lat = rec.latency("fastfit_trial_seconds", "Trial latency");
   lat.observe_us(100.0);
   lat.observe_us(2e6);
@@ -236,7 +262,7 @@ TEST_F(ExportersTest, PrometheusExpositionIsWellFormed) {
             std::string::npos);
   EXPECT_NE(text.find("fastfit_trials_total{outcome=\"SEG_FAULT\"} 2"),
             std::string::npos);
-  EXPECT_NE(text.find("fastfit_leaked_threads 1"), std::string::npos);
+  EXPECT_NE(text.find("fastfit_snapshot_cache_bytes 1"), std::string::npos);
   // Histogram: le buckets, +Inf, _sum, _count.
   EXPECT_NE(text.find("fastfit_trial_seconds_bucket{le=\""),
             std::string::npos);
@@ -251,7 +277,7 @@ TEST_F(ExportersTest, PrometheusExpositionIsWellFormed) {
 TEST_F(ExportersTest, MetricsJsonParsesAndMatchesRegistry) {
   auto& rec = Recorder::instance();
   rec.counter("fastfit_trials_total", "h", "outcome=\"WRONG_ANS\"").add(7);
-  rec.gauge("fastfit_leaked_threads", "h").set(2);
+  rec.gauge("fastfit_snapshot_cache_bytes", "h").set(2);
   rec.latency("fastfit_trial_seconds", "h").observe_us(50.0);
 
   const std::string text = to_metrics_json(rec.metrics());

@@ -24,7 +24,6 @@ MetricsSnapshot synthetic_snapshot() {
       {"fastfit_trials_total", "h", "outcome=\"SEG_FAULT\"", 10});
   snap.counters.push_back({"fastfit_trial_retries_total", "h", "", 2});
   snap.counters.push_back({"fastfit_watchdog_fires_total", "h", "", 3});
-  snap.gauges.push_back({"fastfit_leaked_threads", "h", "", 1});
   return snap;
 }
 
@@ -41,7 +40,6 @@ TEST(ProgressMeterRender, WithExpectedTotalShowsPercentAndEta) {
   EXPECT_NE(line.find("SEG_FAULT=10"), std::string::npos) << line;
   EXPECT_NE(line.find("retries=2"), std::string::npos) << line;
   EXPECT_NE(line.find("watchdog=3"), std::string::npos) << line;
-  EXPECT_NE(line.find("leaked=1"), std::string::npos) << line;
   EXPECT_EQ(line.find("dropped="), std::string::npos) << line;
 }
 

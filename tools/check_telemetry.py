@@ -4,10 +4,12 @@
 Checks three things (any subset, depending on the flags given):
 
   --trace trace.json      The Chrome trace-event document parses, every
-                          event lane has thread_name metadata, spans have
-                          ts/dur, and at least --min-tracks distinct track
-                          types (main/executor/rank/monitor/ml/journal)
-                          are present.
+                          event lane (pid, tid) has thread_name metadata
+                          and every pid process_name metadata, spans have
+                          ts/dur, rank spans on one lane never partially
+                          overlap, and at least --min-tracks distinct
+                          track types (main/executor/rank/monitor/ml/
+                          journal) are present.
   --metrics metrics.prom  The Prometheus text exposition parses (HELP/
                           TYPE comments, sample lines, monotone histogram
                           buckets, +Inf == _count).
@@ -34,11 +36,13 @@ import json
 import re
 import sys
 
-# tid ranges assigned by telemetry/exporters.cpp (trace_tid).
+# Lane identity assigned by telemetry/exporters.cpp: the campaign's own
+# tracks live in pid 1 at these tid ranges (trace_tid); every other pid is
+# one executor lane's worlds, with tid = rank (trace_pid).
+CAMPAIGN_PID = 1
 TRACK_OF_TID = (
     (1, 1, "main"),
     (100, 999, "executor"),
-    (1000, 2999, "rank"),
     (3000, 3999, "monitor"),
     (4000, 4499, "ml"),
     (4500, 4999, "journal"),
@@ -50,7 +54,9 @@ def fail(msg):
     sys.exit(1)
 
 
-def track_of(tid):
+def track_of(pid, tid):
+    if pid != CAMPAIGN_PID:
+        return "rank"
     for lo, hi, name in TRACK_OF_TID:
         if lo <= tid <= hi:
             return name
@@ -64,25 +70,34 @@ def check_trace(path, min_tracks):
     if not isinstance(events, list) or not events:
         fail(f"{path}: traceEvents missing or empty")
 
-    named_tids = set()
-    event_tids = set()
+    named_lanes = set()
+    named_pids = set()
+    event_lanes = set()
+    rank_spans = {}  # (pid, tid) -> [(start, end)]
     spans = instants = 0
     for ev in events:
         ph = ev.get("ph")
-        tid = ev.get("tid")
+        lane = (ev.get("pid"), ev.get("tid"))
         if ph == "M":
-            if ev.get("name") == "thread_name":
+            if ev.get("name") in ("thread_name", "process_name"):
                 if not ev.get("args", {}).get("name"):
-                    fail(f"{path}: thread_name metadata without a name: {ev}")
-                named_tids.add(tid)
+                    fail(f"{path}: {ev['name']} metadata without a name: {ev}")
+                if ev["name"] == "thread_name":
+                    named_lanes.add(lane)
+                else:
+                    named_pids.add(lane[0])
             continue
-        event_tids.add(tid)
+        event_lanes.add(lane)
         if ph == "X":
             spans += 1
             if not isinstance(ev.get("ts"), (int, float)):
                 fail(f"{path}: X event without ts: {ev}")
             if not isinstance(ev.get("dur"), (int, float)) or ev["dur"] < 0:
                 fail(f"{path}: X event without non-negative dur: {ev}")
+            if track_of(*lane) == "rank":
+                rank_spans.setdefault(lane, []).append(
+                    (ev["ts"], ev["ts"] + ev["dur"])
+                )
         elif ph == "i":
             if ev.get("s") != "t":
                 fail(f"{path}: instant without thread scope: {ev}")
@@ -90,10 +105,25 @@ def check_trace(path, min_tracks):
         else:
             fail(f"{path}: unexpected phase {ph!r}: {ev}")
 
-    unnamed = event_tids - named_tids
+    unnamed = event_lanes - named_lanes
     if unnamed:
         fail(f"{path}: lanes without thread_name metadata: {sorted(unnamed)}")
-    tracks = {track_of(tid) for tid in event_tids}
+    unnamed_pids = {pid for pid, _ in event_lanes} - named_pids
+    if unnamed_pids:
+        fail(f"{path}: pids without process_name metadata: "
+             f"{sorted(unnamed_pids)}")
+    # One rank lane belongs to one world at a time: its spans are disjoint
+    # or nested, never partially overlapping.
+    for lane, intervals in rank_spans.items():
+        open_ends = []
+        for start, end in sorted(intervals, key=lambda iv: (iv[0], -iv[1])):
+            while open_ends and open_ends[-1] <= start:
+                open_ends.pop()
+            if open_ends and end > open_ends[-1]:
+                fail(f"{path}: rank span [{start},{end}) partially overlaps "
+                     f"an enclosing span on lane (pid, tid) = {lane}")
+            open_ends.append(end)
+    tracks = {track_of(*lane) for lane in event_lanes}
     if len(tracks) < min_tracks:
         fail(
             f"{path}: only {len(tracks)} track types {sorted(tracks)}, "
@@ -103,7 +133,7 @@ def check_trace(path, min_tracks):
         fail(f"{path}: no complete ('X') span events")
     print(
         f"check_telemetry: trace OK: {spans} spans, {instants} instants, "
-        f"{len(event_tids)} lanes, tracks: {', '.join(sorted(tracks))}"
+        f"{len(event_lanes)} lanes, tracks: {', '.join(sorted(tracks))}"
     )
 
 

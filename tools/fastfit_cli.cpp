@@ -44,11 +44,15 @@
 //       models apply; anything else is rejected at parse time with the
 //       supported families listed.
 //
-// Exit codes: 0 clean success, 2 study completed but unhealthy —
-// quarantined points (results are partial for those points) or rank
-// threads still leaked in quarantine after the final reap, 1 fatal
-// (usage or execution error).
+// Every command rejects a flag it does not know (exit 1, naming the
+// flag): profile, study, and p2p accept their own flags plus the study
+// knobs; merge accepts only its own.
+//
+// Exit codes: 0 clean success, 2 study completed with quarantined points
+// (results are partial for those points), 1 fatal (usage or execution
+// error).
 
+#include <algorithm>
 #include <array>
 #include <chrono>
 #include <cstdio>
@@ -59,6 +63,7 @@
 #include <memory>
 #include <sstream>
 #include <string>
+#include <string_view>
 #include <vector>
 
 #include "apps/registry.hpp"
@@ -142,15 +147,52 @@ int usage() {
   return 1;
 }
 
-/// Minimal flag parser: --key value pairs plus boolean switches.
+/// The flags one command accepts beyond the study knobs.
+struct CommandFlags {
+  std::vector<std::string_view> options;   ///< take a value
+  std::vector<std::string_view> switches;  ///< take no value
+  bool knobs = true;        ///< also accept every config_knobs() flag
+  bool positional = false;  ///< bare arguments allowed (merge's fragments)
+};
+
+/// Minimal flag parser: --key value pairs plus boolean switches, checked
+/// against one command's flags.
 struct Args {
   std::map<std::string, std::string> values;
-  bool parse(int argc, char** argv, int first) {
+  std::vector<std::string> positional;
+
+  /// Parses argv[first..]. Throws ConfigError naming the first flag that
+  /// `command` does not accept; returns false on a malformed command line
+  /// (a flag missing its value, or a stray bare argument).
+  bool parse(int argc, char** argv, int first, const char* command,
+             const CommandFlags& flags) {
     for (int i = first; i < argc; ++i) {
       std::string key = argv[i];
-      if (key.rfind("--", 0) != 0) return false;
+      if (key.rfind("--", 0) != 0) {
+        if (!flags.positional) return false;
+        positional.push_back(std::move(key));
+        continue;
+      }
       key = key.substr(2);
-      if (key == "no-ml" || key == "resume" || key == "progress") {
+      const auto listed = [&key](const std::vector<std::string_view>& names) {
+        return std::find(names.begin(), names.end(), key) != names.end();
+      };
+      bool takes_value = listed(flags.options);
+      bool known = takes_value || listed(flags.switches);
+      if (!known && flags.knobs) {
+        for (const auto& knob : config_knobs()) {
+          if (knob.flag[0] != '\0' && key == knob.flag) {
+            known = true;
+            takes_value = knob.arg[0] != '\0';
+            break;
+          }
+        }
+      }
+      if (!known) {
+        throw ConfigError("unknown flag --" + key + " for 'fastfit " +
+                          command + "' (see fastfit --help)");
+      }
+      if (!takes_value) {
         values[key] = "1";
       } else {
         if (i + 1 >= argc) return false;
@@ -287,18 +329,6 @@ int cmd_study(const std::string& workload_name, const Args& args) {
   }
   options.campaign.isolation = core::parse_isolation_mode(isolation);
 
-  // World engine: resumable rank fibers (default) or thread-per-rank.
-  // Same validation path as the other text knobs; results are identical
-  // on both, so this is purely a substrate/wall-clock choice.
-  std::string world_engine = env.world_engine;
-  if (args.has("world-engine")) {
-    world_engine =
-        InjectionConfig::from_map(
-            {{"FASTFIT_WORLD_ENGINE", args.get("world-engine", "fibers")}})
-            .world_engine;
-  }
-  options.campaign.engine = mpi::parse_world_engine(world_engine);
-
   options.journal = env.journal;
   options.campaign.max_trial_retries =
       static_cast<std::uint32_t>(env.max_trial_retries);
@@ -318,19 +348,11 @@ int cmd_study(const std::string& workload_name, const Args& args) {
             .watchdog_escalation);
   }
   options.campaign.deterministic_hang_detection = env.hang_detection;
-  options.campaign.max_leaked_threads =
-      static_cast<std::size_t>(env.max_leaked_threads);
   if (args.has("hang-detection")) {
     options.campaign.deterministic_hang_detection =
         InjectionConfig::from_map(
             {{"FASTFIT_HANG_DETECTION", args.get("hang-detection", "1")}})
             .hang_detection;
-  }
-  if (args.has("max-leaked-threads")) {
-    options.campaign.max_leaked_threads = static_cast<std::size_t>(
-        InjectionConfig::from_map({{"FASTFIT_MAX_LEAKED_THREADS",
-                                    args.get("max-leaked-threads", "8")}})
-            .max_leaked_threads);
   }
   options.resume = args.has("resume");
   if (options.resume && options.journal.empty()) {
@@ -497,19 +519,14 @@ std::string read_text_file(const std::string& path) {
 }
 
 int cmd_merge(int argc, char** argv) {
-  // Fragment paths are positional; Args only understands --key value
-  // pairs, so parse the mix by hand.
+  // Fragment paths are positional. The study knobs do not apply to a
+  // merge, so only its three output flags are accepted.
   Args args;
-  std::vector<std::string> paths;
-  for (int i = 2; i < argc; ++i) {
-    std::string arg = argv[i];
-    if (arg.rfind("--", 0) == 0) {
-      if (i + 1 >= argc) return usage();
-      args.values[arg.substr(2)] = argv[++i];
-    } else {
-      paths.push_back(std::move(arg));
-    }
+  if (!args.parse(argc, argv, 2, "merge",
+                  {{"json", "csv", "metrics-out"}, {}, false, true})) {
+    return usage();
   }
+  const auto& paths = args.positional;
   if (paths.empty()) {
     std::fprintf(stderr, "error: merge needs at least one fragment file\n");
     return usage();
@@ -685,8 +702,18 @@ int main(int argc, char** argv) {
     if (command == "merge") return cmd_merge(argc, argv);
     if (command == "profile" || command == "study" || command == "p2p") {
       if (argc < 3) return usage();
+      CommandFlags flags;
+      if (command == "profile") {
+        flags.options = {"ranks", "save"};
+      } else if (command == "p2p") {
+        flags.options = {"ranks", "trials", "points", "fault-model"};
+      } else {
+        flags.options = {"ranks", "trials", "threshold", "fault-model",
+                         "csv",   "json",   "fragment"};
+        flags.switches = {"no-ml", "resume"};
+      }
       Args args;
-      if (!args.parse(argc, argv, 3)) return usage();
+      if (!args.parse(argc, argv, 3, command.c_str(), flags)) return usage();
       if (command == "profile") return cmd_profile(argv[2], args);
       if (command == "p2p") return cmd_p2p(argv[2], args);
       return cmd_study(argv[2], args);
