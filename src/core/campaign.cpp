@@ -10,6 +10,7 @@
 #include "core/recording_io.hpp"
 #include "core/trial_executor.hpp"
 #include "inject/injector.hpp"
+#include "minimpi/mpi.hpp"
 #include "support/error.hpp"
 #include "telemetry/recorder.hpp"
 
@@ -68,6 +69,42 @@ std::vector<InjectionPoint> cross_with_fault_models(
     }
   }
   return crossed;
+}
+
+InjectionPoint point_of(const procpool::WorkItem& item) {
+  InjectionPoint point;
+  point.site_id = item.site_id;
+  point.rank = item.rank;
+  point.invocation = item.invocation;
+  point.param = static_cast<mpi::Param>(item.param);
+  point.fault = item.fault;
+  return point;
+}
+
+std::chrono::milliseconds watchdog_of(const procpool::WorkItem& item) {
+  return std::chrono::milliseconds(static_cast<std::int64_t>(item.watchdog_ms));
+}
+
+/// Runs one trial inside a worker process. Never throws: a contained
+/// failure travels back as TrialReply::error and re-enters the
+/// supervisor-side retry guard.
+template <typename Body>
+procpool::TrialReply worker_reply(const Body& body) {
+  procpool::TrialReply reply;
+  try {
+    const inject::TrialForensics forensics = body();
+    reply.ok = true;
+    reply.outcome = forensics.outcome;
+    reply.deterministic_hang = forensics.deterministic_hang;
+    reply.autopsy = forensics.autopsy;
+  } catch (const std::exception& e) {
+    reply.ok = false;
+    reply.error = e.what();
+  } catch (...) {
+    reply.ok = false;
+    reply.error = "unknown worker error";
+  }
+  return reply;
 }
 
 }  // namespace
@@ -343,8 +380,7 @@ std::shared_ptr<const mpi::WorldRecording> Campaign::build_recording() {
     // The recording run is fault-free; give it the relaxed golden-style
     // budget rather than the trial watchdog, so a loaded machine cannot
     // poison the recording with a spurious timeout.
-    opts.watchdog = std::max<std::chrono::milliseconds>(
-        30'000ms, watchdog_ * options_.watchdog_escalation);
+    opts.watchdog = fault_free_budget();
     opts.hang_detection = options_.deterministic_hang_detection;
     opts.recorder = recorder;
     trace::ContextRegistry contexts(options_.nranks);
@@ -413,7 +449,8 @@ inject::TrialForensics Campaign::run_trial(
 inject::TrialForensics Campaign::execute_trial(
     const InjectionPoint& point, std::uint64_t trial,
     std::chrono::milliseconds watchdog,
-    std::shared_ptr<const mpi::WorldSnapshot> snapshot) {
+    std::shared_ptr<const mpi::WorldSnapshot> snapshot,
+    const procpool::Park* park) {
   inject::FaultSpec spec;
   spec.site_id = point.site_id;
   spec.rank = point.rank;
@@ -431,6 +468,19 @@ inject::TrialForensics Campaign::execute_trial(
   opts.hang_detection = options_.deterministic_hang_detection;
   opts.repair = options_.repair;
   opts.replay = snapshot;
+  if (park != nullptr) {
+    // Fork at the cut: the template world runs fault-free under the
+    // relaxed budget and parks at the cut. Each trial child resumes there,
+    // binds its own trial and gets the budget its trial had left at the
+    // cut.
+    opts.watchdog = fault_free_budget();
+    injector.set_cut_hook([&injector, park](mpi::Mpi& mpi) {
+      const auto cut = std::chrono::steady_clock::now();
+      const procpool::WorkItem& item = (*park)();
+      injector.bind_trial(item.trial);
+      mpi.world().rebase_deadline(watchdog_of(item), cut);
+    });
+  }
   trace::ContextRegistry contexts(options_.nranks);
   auto& rec = tel::Recorder::instance();
   if (snapshot && rec.enabled()) {
@@ -473,18 +523,6 @@ inject::TrialForensics Campaign::execute_trial(
   tel::ScopedSpan classify_span("classify");
   return inject::classify_with_forensics(job.world, job.digest,
                                          golden_digest_);
-}
-
-void Campaign::warm_snapshots(std::span<const InjectionPoint> points) {
-  if (!snapshot_cache_ || snapshot_cache_->disabled()) return;
-  std::set<std::pair<std::uint32_t, std::uint64_t>> warmed;
-  for (const auto& point : points) {
-    if (!inject::is_replayable(point.fault)) continue;
-    if (!warmed.insert({point.site_id, point.invocation}).second) continue;
-    (void)snapshot_cache_->warm(point.site_id, point.invocation,
-                                [this] { return build_recording(); });
-    if (snapshot_cache_->disabled()) return;
-  }
 }
 
 inject::TrialForensics Campaign::dispatch_trial(
@@ -599,9 +637,13 @@ std::size_t Campaign::parallel_trials() const noexcept {
   return resolve_parallel_trials(options_.max_parallel_trials);
 }
 
-void Campaign::recalibrate_after_storm(std::size_t pool) {
-  const auto budget = std::max<std::chrono::milliseconds>(
+std::chrono::milliseconds Campaign::fault_free_budget() const {
+  return std::max<std::chrono::milliseconds>(
       30'000ms, watchdog_ * options_.watchdog_escalation);
+}
+
+void Campaign::recalibrate_after_storm(std::size_t pool) {
+  const auto budget = fault_free_budget();
   tel::ScopedSpan recal_span("watchdog-recalibrate");
   // The whole point is a fresh wall-time measurement on the machine as it
   // is now: drop the memoized golden so run_golden re-measures (and
@@ -638,12 +680,9 @@ std::vector<PointResult> Campaign::measure_impl(
   batch_span.arg("isolation", to_string(options_.isolation));
 
   // Process isolation: fork the lane servers now, from the quietest
-  // moment this measure has — before the trial pool spawns threads, and
-  // after pre-paying the snapshot recording so every worker inherits it
-  // instead of rebuilding it per child.
+  // moment this measure has — before the trial pool spawns threads.
   std::unique_ptr<ProcPool> proc_pool;
   if (options_.isolation == IsolationMode::Process) {
-    warm_snapshots(points);
     ProcPool::Options pool_options;
     pool_options.lanes = std::max<std::size_t>(1, pool);
     pool_options.respawn_budget = pool_options.lanes * 2 + 2;
@@ -652,35 +691,23 @@ std::vector<PointResult> Campaign::measure_impl(
     // way (parent-side sinks carry the counters that matter), so turn
     // the recorder off outright in the worker tree.
     pool_options.child_init = [] { tel::Recorder::instance().disable(); };
+    // Workers never replay op logs: with snapshots on, exact-trigger
+    // trials fork at the cut instead (docs/snapshot.md).
+    if (options_.snapshots != SnapshotMode::Off) {
+      pool_options.cut_template = [this](const procpool::WorkItem& item,
+                                         const procpool::Park& park) {
+        return worker_reply([&] {
+          return execute_trial(point_of(item), item.trial,
+                               watchdog_of(item), nullptr, &park);
+        });
+      };
+    }
     proc_pool = std::make_unique<ProcPool>(
         pool_options, [this](const procpool::WorkItem& item) {
-          // Runs inside the single-use trial child. Never throws: a
-          // contained failure travels back as TrialReply::error and
-          // re-enters the supervisor-side retry guard.
-          procpool::TrialReply reply;
-          try {
-            InjectionPoint point;
-            point.site_id = item.site_id;
-            point.rank = item.rank;
-            point.invocation = item.invocation;
-            point.param = static_cast<mpi::Param>(item.param);
-            point.fault = item.fault;
-            const auto forensics = run_trial(
-                point, item.trial,
-                std::chrono::milliseconds(
-                    static_cast<std::int64_t>(item.watchdog_ms)));
-            reply.ok = true;
-            reply.outcome = forensics.outcome;
-            reply.deterministic_hang = forensics.deterministic_hang;
-            reply.autopsy = forensics.autopsy;
-          } catch (const std::exception& e) {
-            reply.ok = false;
-            reply.error = e.what();
-          } catch (...) {
-            reply.ok = false;
-            reply.error = "unknown worker error";
-          }
-          return reply;
+          return worker_reply([&] {
+            return execute_trial(point_of(item), item.trial,
+                                 watchdog_of(item), nullptr);
+          });
         });
     active_pool_.store(proc_pool.get(), std::memory_order_release);
   }

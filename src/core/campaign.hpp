@@ -114,7 +114,9 @@ struct CampaignOptions {
   /// post-injection suffix. Results are bit-identical at every setting;
   /// `auto` additionally falls back campaign-wide on the first replay
   /// divergence, `on` keeps replaying point by point, `off` is the
-  /// from-scratch path.
+  /// from-scratch path. Under process isolation `auto` and `on` mean
+  /// fork at the cut instead: exact-trigger trials are forked from a
+  /// per-point fault-free template parked where the fault fires.
   SnapshotMode snapshots = SnapshotMode::Auto;
   /// LRU budget for the snapshot cache in MiB (--snapshot-cache-mb,
   /// FASTFIT_SNAPSHOT_CACHE_MB): bounds the recording payload plus all
@@ -131,7 +133,8 @@ struct CampaignOptions {
   /// Trial execution backend (--isolation, FASTFIT_ISOLATION). `Thread`
   /// (default) runs trials in-process on the executor lane's thread.
   /// `Process` dispatches each trial to a fresh child of a per-lane
-  /// fork-server (core/procpool.hpp): worker death by a real signal
+  /// fork-server, or of its cut server (core/procpool.hpp): worker death
+  /// by a real signal
   /// classifies SEG_FAULT instead of killing the campaign, and the lease
   /// kills rank code that never yields; results for non-signal fault
   /// models stay byte-identical to the in-process backend.
@@ -310,11 +313,14 @@ class Campaign : private TrialRunner {
   /// The world execution behind run_trial. With a snapshot, only the
   /// post-injection suffix executes (prefix replayed from the recording);
   /// may throw mpi::ReplayError, which run_trial converts into a
-  /// from-scratch fallback.
+  /// from-scratch fallback. With `park` (a process-isolated cut server)
+  /// the world is a fault-free template that parks at the cut and
+  /// returns only in each forked trial child (core/procpool.hpp).
   inject::TrialForensics execute_trial(
       const InjectionPoint& point, std::uint64_t trial,
       std::chrono::milliseconds watchdog,
-      std::shared_ptr<const mpi::WorldSnapshot> snapshot);
+      std::shared_ptr<const mpi::WorldSnapshot> snapshot,
+      const procpool::Park* park = nullptr);
 
   /// One fault-free recording run (digest-checked against golden).
   /// Returns nullptr on any failure — the snapshot subsystem disables
@@ -335,11 +341,6 @@ class Campaign : private TrialRunner {
                                         std::uint64_t trial,
                                         std::chrono::milliseconds watchdog);
 
-  /// Pre-derives the snapshot recording + cuts for every replayable point
-  /// of the batch, so forked workers inherit them instead of each child
-  /// re-paying the recording cost.
-  void warm_snapshots(std::span<const InjectionPoint> points);
-
   /// TrialRunner: supervised execution of one trial — retries internal
   /// (non-fault) failures with exponential backoff up to
   /// max_trial_retries before reporting !ok (quarantine).
@@ -350,6 +351,10 @@ class Campaign : private TrialRunner {
   /// time, recalibrate the watchdog from it, and halve trial parallelism
   /// for later batches.
   void recalibrate_after_storm(std::size_t pool) override;
+
+  /// Watchdog for fault-free runs that must not time out under load (the
+  /// recording run, a storm recalibration, a fork-at-cut template).
+  std::chrono::milliseconds fault_free_budget() const;
 
   /// Fault-free run: returns (digest, wall time). Used by profile() and
   /// by watchdog-storm recalibration.

@@ -2,6 +2,8 @@
 
 #include <csignal>
 #include <cstring>
+#include <initializer_list>
+#include <optional>
 
 #include <errno.h>
 #include <poll.h>
@@ -293,91 +295,250 @@ enum class ReplyKind : std::uint8_t {
   SignalDeath = 1,  ///< child killed by a signal
   BadExit = 2,      ///< child exited (possibly nonzero) without a reply
   ServeError = 3,   ///< server-side failure (fork/pipe), trial not run
+  NoCut = 4,        ///< cut server → fork-server only: the template's
+                    ///< world ended before its cut, trial not run
 };
 
+/// Which process forked a consolidated frame's trial child (the byte
+/// after the sequence number).
+enum class Route : std::uint8_t {
+  Scratch = 0,  ///< the fork-server: the trial ran from scratch
+  Cut = 1,      ///< a cut server, at the cut
+  NewCut = 2,   ///< as Cut, and the first trial of a new cut server
+};
+
+bool same_point(const procpool::WorkItem& a, const procpool::WorkItem& b) {
+  return a.site_id == b.site_id && a.rank == b.rank &&
+         a.invocation == b.invocation && a.param == b.param &&
+         a.fault == b.fault;
+}
+
 // ---------------------------------------------------------------------------
-// The fork-server: single-threaded after fork, one fresh child per trial.
+// The servers: single-threaded after fork, one fresh child per trial.
 // ---------------------------------------------------------------------------
 
-[[noreturn]] void serve(int cmd_fd, int result_fd, const procpool::TrialFn& fn) {
+/// The fork / wait4 / consolidate step both server levels share. Forks
+/// the trial child of work item `seq`. In the child it returns the write
+/// end of the child's reply pipe: the child writes one encode_reply frame
+/// there and _exits without flushing inherited stdio buffers or running
+/// static destructors (the supervisor's journal fd and buffers are
+/// duplicated in it and must never see a write from it). In the server
+/// it waits for the child, writes the consolidated frame to `result_fd`
+/// and returns -1. `own_fds` are the server's pipe ends, closed in the
+/// child.
+int fork_trial(std::uint64_t seq, Route route, int result_fd,
+               std::initializer_list<int> own_fds) {
+  ByteWriter out;
+  out.u64(seq);
+  out.u8(static_cast<std::uint8_t>(route));
+
+  int trial_pipe[2] = {-1, -1};
+  if (::pipe(trial_pipe) != 0) {
+    out.u8(static_cast<std::uint8_t>(ReplyKind::ServeError));
+    out.str(std::string("fork-server: pipe failed: ") + std::strerror(errno));
+    if (!write_frame(result_fd, out.bytes())) std::_Exit(0);
+    return -1;
+  }
+
+  const pid_t child = ::fork();
+  if (child == 0) {
+    for (const int fd : own_fds) ::close(fd);
+    ::close(trial_pipe[0]);
+    return trial_pipe[1];
+  }
+  if (child < 0) {
+    ::close(trial_pipe[0]);
+    ::close(trial_pipe[1]);
+    out.u8(static_cast<std::uint8_t>(ReplyKind::ServeError));
+    out.str(std::string("fork-server: fork failed: ") + std::strerror(errno));
+    if (!write_frame(result_fd, out.bytes())) std::_Exit(0);
+    return -1;
+  }
+  ::close(trial_pipe[1]);
+
+  // A wedged child never writes and never exits; this read then blocks
+  // until the supervisor's lease expires and SIGKILLs the whole lane
+  // process group (servers + child).
+  std::string child_frame;
+  const bool got_reply = read_frame(trial_pipe[0], child_frame);
+  ::close(trial_pipe[0]);
+
+  int status = 0;
+  struct rusage ru{};
+  while (::wait4(child, &status, 0, &ru) < 0 && errno == EINTR) {}
+
+  if (WIFSIGNALED(status)) {
+    out.u8(static_cast<std::uint8_t>(ReplyKind::SignalDeath));
+    out.u32(static_cast<std::uint32_t>(WTERMSIG(status)));
+    out.u64(static_cast<std::uint64_t>(ru.ru_utime.tv_sec) * 1'000'000 +
+            static_cast<std::uint64_t>(ru.ru_utime.tv_usec));
+    out.u64(static_cast<std::uint64_t>(ru.ru_stime.tv_sec) * 1'000'000 +
+            static_cast<std::uint64_t>(ru.ru_stime.tv_usec));
+    out.u64(static_cast<std::uint64_t>(ru.ru_maxrss));
+  } else if (got_reply && WIFEXITED(status) && WEXITSTATUS(status) == 0) {
+    // Forward the child's reply verbatim inside the consolidated frame.
+    out.u8(static_cast<std::uint8_t>(ReplyKind::Completed));
+    std::string merged = out.bytes();
+    merged += child_frame;
+    if (!write_frame(result_fd, merged)) std::_Exit(0);
+    return -1;
+  } else {
+    out.u8(static_cast<std::uint8_t>(ReplyKind::BadExit));
+    out.u32(static_cast<std::uint32_t>(
+        WIFEXITED(status) ? WEXITSTATUS(status) : -1));
+  }
+  if (!write_frame(result_fd, out.bytes())) std::_Exit(0);
+  return -1;
+}
+
+/// The cut server's main: runs the template world, parks at its cut,
+/// and forks one trial child there per work item until the fork-server
+/// closes the command pipe.
+[[noreturn]] void run_cut_server(int cmd_fd, int res_fd,
+                                 const procpool::WorkItem& point,
+                                 const procpool::TemplateFn& cut_template) {
+  procpool::WorkItem item;
+  int reply_fd = -1;
+  Route route = Route::NewCut;
+  const procpool::Park park = [&]() -> const procpool::WorkItem& {
+    for (;;) {
+      std::string frame;
+      std::uint64_t seq = 0;
+      if (!read_frame(cmd_fd, frame)) std::_Exit(0);
+      if (!decode_work(frame, item, seq)) std::_Exit(3);
+      reply_fd = fork_trial(seq, route, res_fd, {cmd_fd, res_fd});
+      if (reply_fd >= 0) return item;  // the trial child resumes the world
+      route = Route::Cut;
+    }
+  };
+  const procpool::TrialReply reply = cut_template(point, park);
+  if (reply_fd >= 0) {
+    // The trial child, back from its suffix.
+    write_frame(reply_fd, encode_reply(reply));
+    std::_Exit(0);
+  }
+  // The template never parked: tell the fork-server, which serves the
+  // waiting item from scratch.
+  std::string frame;
+  std::uint64_t seq = 0;
+  procpool::WorkItem unserved;
+  if (!read_frame(cmd_fd, frame) || !decode_work(frame, unserved, seq)) {
+    std::_Exit(0);
+  }
+  ByteWriter out;
+  out.u64(seq);
+  out.u8(static_cast<std::uint8_t>(Route::Scratch));
+  out.u8(static_cast<std::uint8_t>(ReplyKind::NoCut));
+  write_frame(res_fd, out.bytes());
+  std::_Exit(0);
+}
+
+/// The fork-server's handle on its cut server.
+struct CutServer {
+  pid_t pid = 0;
+  int cmd_fd = -1;  ///< fork-server → cut server work frames
+  int res_fd = -1;  ///< cut server → fork-server consolidated frames
+  procpool::WorkItem point;
+};
+
+void stop_cut_server(CutServer& cut) {
+  if (cut.pid <= 0) return;
+  // Between items the cut server has no trial child, so this leaves no
+  // orphan behind.
+  ::kill(cut.pid, SIGKILL);
+  while (::waitpid(cut.pid, nullptr, 0) < 0 && errno == EINTR) {}
+  ::close(cut.cmd_fd);
+  ::close(cut.res_fd);
+  cut = CutServer{};
+}
+
+void start_cut_server(CutServer& cut, const procpool::WorkItem& point,
+                      int lane_cmd_fd, int lane_result_fd,
+                      const procpool::TemplateFn& cut_template) {
+  int cmd[2] = {-1, -1};
+  int res[2] = {-1, -1};
+  if (::pipe(cmd) != 0) return;
+  if (::pipe(res) != 0) {
+    ::close(cmd[0]);
+    ::close(cmd[1]);
+    return;
+  }
+  const pid_t pid = ::fork();
+  if (pid == 0) {
+    ::close(lane_cmd_fd);
+    ::close(lane_result_fd);
+    ::close(cmd[1]);
+    ::close(res[0]);
+    run_cut_server(cmd[0], res[1], point, cut_template);
+  }
+  ::close(cmd[0]);
+  ::close(res[1]);
+  if (pid < 0) {
+    ::close(cmd[1]);
+    ::close(res[0]);
+    return;
+  }
+  cut = CutServer{pid, cmd[1], res[0], point};
+}
+
+/// The fork-server loop. Exact-trigger items go to the cut server of
+/// their point (started on demand, replacing the previous one); every
+/// other item, and any the cut server cannot serve, runs from scratch.
+[[noreturn]] void serve(int cmd_fd, int result_fd, const procpool::TrialFn& fn,
+                        const procpool::TemplateFn& cut_template) {
+  CutServer cut;
+  // The last point whose template ended before its cut: its later items
+  // go straight to the from-scratch path.
+  std::optional<procpool::WorkItem> uncut;
   for (;;) {
     std::string frame;
-    if (!read_frame(cmd_fd, frame)) std::_Exit(0);  // supervisor closed
     procpool::WorkItem item;
     std::uint64_t seq = 0;
-    if (!decode_work(frame, item, seq)) std::_Exit(3);
-
-    ByteWriter out;
-    out.u64(seq);
-
-    int trial_pipe[2] = {-1, -1};
-    if (::pipe(trial_pipe) != 0) {
-      out.u8(static_cast<std::uint8_t>(ReplyKind::ServeError));
-      out.str(std::string("fork-server: pipe failed: ") +
-              std::strerror(errno));
-      if (!write_frame(result_fd, out.bytes())) std::_Exit(0);
-      continue;
-    }
-
-    const pid_t child = ::fork();
-    if (child == 0) {
-      // Trial child: run exactly one trial, write the reply, and _exit
-      // without flushing inherited stdio buffers or running static
-      // destructors — the supervisor's journal fd and buffers are
-      // duplicated here and must never see a write from this process.
-      ::close(cmd_fd);
-      ::close(result_fd);
-      ::close(trial_pipe[0]);
-      procpool::TrialReply reply;
-      reply.ok = false;
-      reply.error = "trial function did not run";
-      reply = fn(item);
-      write_frame(trial_pipe[1], encode_reply(reply));
+    if (!read_frame(cmd_fd, frame)) {  // supervisor closed
+      stop_cut_server(cut);
       std::_Exit(0);
     }
-    if (child < 0) {
-      ::close(trial_pipe[0]);
-      ::close(trial_pipe[1]);
-      out.u8(static_cast<std::uint8_t>(ReplyKind::ServeError));
-      out.str(std::string("fork-server: fork failed: ") +
-              std::strerror(errno));
-      if (!write_frame(result_fd, out.bytes())) std::_Exit(0);
-      continue;
+    if (!decode_work(frame, item, seq)) {
+      stop_cut_server(cut);
+      std::_Exit(3);
     }
-    ::close(trial_pipe[1]);
 
-    // A wedged child never writes and never exits; this read then blocks
-    // until the supervisor's lease expires and SIGKILLs the whole lane
-    // process group (server + child).
-    std::string child_frame;
-    const bool got_reply = read_frame(trial_pipe[0], child_frame);
-    ::close(trial_pipe[0]);
-
-    int status = 0;
-    struct rusage ru{};
-    while (::wait4(child, &status, 0, &ru) < 0 && errno == EINTR) {}
-
-    if (WIFSIGNALED(status)) {
-      out.u8(static_cast<std::uint8_t>(ReplyKind::SignalDeath));
-      out.u32(static_cast<std::uint32_t>(WTERMSIG(status)));
-      out.u64(static_cast<std::uint64_t>(ru.ru_utime.tv_sec) * 1'000'000 +
-              static_cast<std::uint64_t>(ru.ru_utime.tv_usec));
-      out.u64(static_cast<std::uint64_t>(ru.ru_stime.tv_sec) * 1'000'000 +
-              static_cast<std::uint64_t>(ru.ru_stime.tv_usec));
-      out.u64(static_cast<std::uint64_t>(ru.ru_maxrss));
-    } else if (got_reply && WIFEXITED(status) && WEXITSTATUS(status) == 0) {
-      // Forward the child's reply verbatim inside the consolidated frame.
-      out.u8(static_cast<std::uint8_t>(ReplyKind::Completed));
-      std::string merged = out.bytes();
-      merged += child_frame;
-      if (!write_frame(result_fd, merged)) std::_Exit(0);
-      continue;
-    } else {
-      out.u8(static_cast<std::uint8_t>(ReplyKind::BadExit));
-      out.u32(static_cast<std::uint32_t>(
-          WIFEXITED(status) ? WEXITSTATUS(status) : -1));
+    const bool at_cut = cut_template &&
+                        item.fault.trigger == inject::FaultTrigger::ExactPoint &&
+                        !(uncut && same_point(*uncut, item));
+    if (cut.pid > 0 && !(at_cut && same_point(cut.point, item))) {
+      stop_cut_server(cut);
     }
-    if (!write_frame(result_fd, out.bytes())) std::_Exit(0);
+    if (at_cut && cut.pid == 0) {
+      start_cut_server(cut, item, cmd_fd, result_fd, cut_template);
+    }
+    if (cut.pid > 0) {
+      std::string reply;
+      if (write_frame(cut.cmd_fd, frame) && read_frame(cut.res_fd, reply)) {
+        ByteReader reader(reply);
+        std::uint64_t got_seq = 0;
+        std::uint8_t route = 0;
+        std::uint8_t kind = 0;
+        if (!(reader.u64(got_seq) && reader.u8(route) && reader.u8(kind) &&
+              static_cast<ReplyKind>(kind) == ReplyKind::NoCut)) {
+          if (!write_frame(result_fd, reply)) {
+            stop_cut_server(cut);
+            std::_Exit(0);
+          }
+          continue;
+        }
+        uncut = item;
+      }
+      // The template never reached its cut, or the cut server was lost.
+      stop_cut_server(cut);
+    }
+
+    const int reply_fd =
+        fork_trial(seq, Route::Scratch, result_fd, {cmd_fd, result_fd});
+    if (reply_fd >= 0) {
+      write_frame(reply_fd, encode_reply(fn(item)));
+      std::_Exit(0);
+    }
   }
 }
 
@@ -496,7 +657,7 @@ bool ProcPool::spawn_locked(Lane& lane, bool is_respawn) {
     } catch (...) {
       // Serving with a failed init is better than losing the lane.
     }
-    serve(cmd[0], res[1], fn_);
+    serve(cmd[0], res[1], fn_, options_.cut_template);
   }
   if (pid < 0) {
     ::close(cmd[0]);
@@ -646,15 +807,37 @@ ProcPool::Result ProcPool::run(const procpool::WorkItem& item,
 
   ByteReader reader(frame);
   std::uint64_t got_seq = 0;
+  std::uint8_t route = 0;
   std::uint8_t kind_raw = 0;
-  bool parsed = reader.u64(got_seq) && reader.u8(kind_raw);
-  if (!parsed || got_seq != seq) {
+  bool parsed =
+      reader.u64(got_seq) && reader.u8(route) && reader.u8(kind_raw);
+  if (!parsed || got_seq != seq ||
+      route > static_cast<std::uint8_t>(Route::NewCut)) {
     std::lock_guard<std::mutex> lock(mutex_);
     kill_lane_locked(lanes_[index]);
     ++stats_.lane_failures;
     result.kind = Result::Kind::LaneFailure;
     result.error = "fork-server protocol error (bad frame); lane killed";
     return result;
+  }
+  result.at_cut = route != static_cast<std::uint8_t>(Route::Scratch);
+  if (result.at_cut) {
+    const bool new_server = route == static_cast<std::uint8_t>(Route::NewCut);
+    {
+      std::lock_guard<std::mutex> lock(mutex_);
+      ++stats_.cut_trials;
+      if (new_server) ++stats_.cut_servers;
+    }
+    if (auto& rec = tel::Recorder::instance(); rec.enabled()) {
+      static auto& cut_trials = rec.counter(
+          "fastfit_worker_cut_trials_total",
+          "Process-isolated trials forked at the cut by a cut server");
+      static auto& cut_servers = rec.counter(
+          "fastfit_worker_cut_servers_total",
+          "Cut servers (per-point fault-free templates) that served a trial");
+      cut_trials.add();
+      if (new_server) cut_servers.add();
+    }
   }
   switch (static_cast<ReplyKind>(kind_raw)) {
     case ReplyKind::Completed: {
@@ -702,6 +885,8 @@ ProcPool::Result ProcPool::run(const procpool::WorkItem& item,
       result.reply.error = std::move(message);
       return result;
     }
+    case ReplyKind::NoCut:
+      break;  // never leaves the fork-server
   }
   {
     std::lock_guard<std::mutex> lock(mutex_);

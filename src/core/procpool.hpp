@@ -15,6 +15,16 @@
 //       ▲                        │  ▲                  │
 //       └──────result pipe───────┘  └───trial pipe─────┘
 //
+// Fork at the cut: with a template function set, an exact-trigger item
+// is served by the lane's *cut server* instead — a child of the
+// fork-server that runs the point's world fault-free up to the cut (the
+// instant the fault would fire) and forks each trial child there, so a
+// trial executes only its suffix. The cut server consolidates exactly
+// like the fork-server, which relays its frames; the lane keeps at most
+// one cut server, for the point it served last.
+//
+//   fork-server ──fork──▶ cut server ──fork at the cut──▶ trial child
+//
 // Death taxonomy (docs/process_isolation.md):
 //   * child killed by SIGSEGV/SIGBUS/SIGFPE/SIGABRT → SignalDeath, a
 //     *datum* (the campaign classifies it SEG_FAULT with the signal
@@ -85,6 +95,18 @@ struct TrialReply {
 /// contained failure is reported through TrialReply::error.
 using TrialFn = std::function<TrialReply(const WorkItem&)>;
 
+/// Fork at the cut, called by a template world at its cut: returns only
+/// inside a forked trial child, with the work item that child serves.
+using Park = std::function<const WorkItem&()>;
+
+/// Runs `point`'s world fault-free up to its cut and calls `park` there;
+/// in the trial child park() returns, and the function finishes that
+/// trial and returns its reply. Returning without ever parking means the
+/// world ended before its cut, and the item is served from scratch.
+/// Must not throw, like TrialFn.
+using TemplateFn =
+    std::function<TrialReply(const WorkItem& point, const Park& park)>;
+
 /// Runs once inside each freshly forked server (e.g. to disable the
 /// telemetry recorder, whose mutexes may have been mid-lock in another
 /// thread of the supervisor at fork time).
@@ -104,6 +126,9 @@ class ProcPool {
     /// per-lane spawns are free.
     std::size_t respawn_budget = 4;
     procpool::ChildInit child_init;
+    /// Fork at the cut for exact-trigger items; empty = every trial runs
+    /// from scratch.
+    procpool::TemplateFn cut_template;
   };
 
   struct Result {
@@ -120,6 +145,7 @@ class ProcPool {
     std::uint64_t sys_us = 0;    ///< SignalDeath: rusage system time
     std::uint64_t maxrss_kb = 0; ///< SignalDeath: rusage peak RSS
     std::string error;           ///< LaneFailure / LeaseExpired detail
+    bool at_cut = false;         ///< the trial child was forked at the cut
   };
 
   struct Stats {
@@ -129,6 +155,8 @@ class ProcPool {
     std::uint64_t signal_deaths = 0;
     std::uint64_t lease_kills = 0;
     std::uint64_t lane_failures = 0;
+    std::uint64_t cut_servers = 0;  ///< cut servers that served a trial
+    std::uint64_t cut_trials = 0;   ///< trials forked at the cut
   };
 
   /// Forks all lane servers eagerly. Call from as quiet a moment as
@@ -154,8 +182,9 @@ class ProcPool {
   std::size_t lanes() const noexcept { return lanes_.size(); }
   Stats stats() const;
 
-  /// Live fork-server pids (0 for lanes awaiting respawn). Tests use this
-  /// to SIGKILL a worker mid-trial.
+  /// Live fork-server pids (0 for lanes awaiting respawn), which are also
+  /// the lanes' process-group ids. Tests use this to SIGKILL a worker
+  /// mid-trial.
   std::vector<int> server_pids() const;
 
  private:

@@ -13,6 +13,16 @@ Injector::Injector(FaultSpec spec, std::uint64_t seed)
     : spec_(spec),
       seed_(seed),
       trigger_rng_(seed, "trigger", spec.stream_index()) {
+  choose_fire_at();
+}
+
+void Injector::bind_trial(std::uint64_t trial) {
+  spec_.trial = trial;
+  trigger_rng_ = RngStream(seed_, "trigger", spec_.stream_index());
+  choose_fire_at();
+}
+
+void Injector::choose_fire_at() {
   if (spec_.fault.trigger == FaultTrigger::UniformOverRun) {
     // One uniform draw over the window, made up front so the choice is a
     // pure function of (seed, point, trial) and not of run length. Runs
@@ -95,6 +105,9 @@ void Injector::on_enter(mpi::CollectiveCall& call, mpi::Mpi& mpi) {
   if (mpi.world_rank() != spec_.rank) return;
   if (!trigger_fires(call)) return;
 
+  if (cut_hook_ && spec_.fault.trigger == FaultTrigger::ExactPoint) {
+    cut_hook_(mpi);
+  }
   fired_.store(true);
   manifest(call, mpi);
 }

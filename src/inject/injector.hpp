@@ -11,6 +11,7 @@
 
 #include <atomic>
 #include <cstdint>
+#include <functional>
 
 #include "inject/fault_spec.hpp"
 #include "minimpi/hooks.hpp"
@@ -28,6 +29,18 @@ class Injector final : public mpi::ToolHooks {
   /// campaign execution order, and byte-identical to pre-v2 behaviour for
   /// the default exact-point trigger.
   Injector(FaultSpec spec, std::uint64_t seed);
+
+  /// Rebinds the trial ordinal, and with it both RNG streams, before the
+  /// trigger has fired: a fork-at-cut template built for one trial of a
+  /// point serves every trial of it.
+  void bind_trial(std::uint64_t trial);
+
+  /// Runs on the injected rank at the cut: just before an ExactPoint
+  /// fault fires, while the world is still fault-free. A template world
+  /// parks inside the hook; it returns inside each forked trial child,
+  /// which binds its trial there before the fault fires.
+  using CutHook = std::function<void(mpi::Mpi&)>;
+  void set_cut_hook(CutHook hook) { cut_hook_ = std::move(hook); }
 
   void on_enter(mpi::CollectiveCall& call, mpi::Mpi& mpi) override;
   void on_exit(const mpi::CollectiveCall& call, mpi::Mpi& mpi) override;
@@ -55,6 +68,9 @@ class Injector final : public mpi::ToolHooks {
   /// and trigger RNG are therefore single-threaded.
   bool trigger_fires(const mpi::CollectiveCall& call);
 
+  /// UniformOverRun: draws the firing call from the trigger stream.
+  void choose_fire_at();
+
   /// Manifestation axis, applied to the firing call.
   void manifest(mpi::CollectiveCall& call, mpi::Mpi& mpi);
 
@@ -72,6 +88,7 @@ class Injector final : public mpi::ToolHooks {
   /// far was a no-op; the first effective mutation latches this true.
   /// Rank-thread-only, like the counters above.
   bool manifested_ = false;
+  CutHook cut_hook_;
 };
 
 }  // namespace fastfit::inject

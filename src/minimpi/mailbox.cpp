@@ -23,7 +23,7 @@ void Mailbox::set_fiber_waker(FiberScheduler* sched, int owner_rank) {
 }
 
 Message Mailbox::receive(int source, std::uint64_t tag,
-                         std::chrono::steady_clock::time_point deadline,
+                         const std::chrono::steady_clock::time_point& deadline,
                          bool revocable) {
   for (;;) {
     {

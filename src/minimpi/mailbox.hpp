@@ -72,8 +72,10 @@ class Mailbox {
   /// A doomed owner (World::kill_rank or a fail-stop fault on this rank)
   /// raises RankKilled instead. A receive that would have to wait outside
   /// a fiber throws InternalError: only a World's ranks can park.
+  /// `deadline` is re-read on every resume (World passes its own, which
+  /// a fork-at-cut trial rebases while ranks are parked).
   Message receive(int source, std::uint64_t tag,
-                  std::chrono::steady_clock::time_point deadline,
+                  const std::chrono::steady_clock::time_point& deadline,
                   bool revocable = true);
 
   /// Arms the fail-stop kill signal for this mailbox's owning rank:

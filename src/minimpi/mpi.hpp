@@ -85,6 +85,10 @@ class Mpi {
 
   MemoryRegistry& registry() { return world_->registry(world_rank_); }
 
+  /// The world this rank runs in (tools use it, e.g. to rebase the
+  /// watchdog of a world resumed at a fork-at-cut).
+  WorldState& world() noexcept { return *world_; }
+
   /// Cooperative watchdog check for application compute loops; throws
   /// SimTimeout past the deadline and WorldAborted once the world is
   /// poisoned. Workloads call this once per outer iteration. Also bumps

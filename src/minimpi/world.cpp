@@ -72,6 +72,12 @@ void WorldState::report_event(int rank, const FaultEvent& event) {
   capture_event(rank, event, std::nullopt);
 }
 
+void WorldState::rebase_deadline(
+    std::chrono::milliseconds watchdog,
+    std::chrono::steady_clock::time_point cut) noexcept {
+  deadline_ = std::chrono::steady_clock::now() + (watchdog - (cut - started_));
+}
+
 void WorldState::kill_rank(int world_rank) {
   doomed_[static_cast<std::size_t>(world_rank)].store(
       true, std::memory_order_release);
@@ -266,7 +272,8 @@ WorldResult World::run(const std::function<void(Mpi&)>& rank_main) {
 
   WorldState* const state = state_.get();
   const int nranks = state->options_.nranks;
-  state->deadline_ = std::chrono::steady_clock::now() + state->options_.watchdog;
+  state->started_ = std::chrono::steady_clock::now();
+  state->deadline_ = state->started_ + state->options_.watchdog;
 
   if (const auto& replay = state->options_.replay) {
     if (static_cast<int>(replay->cut.size()) != nranks) {

@@ -149,10 +149,19 @@ class WorldState {
   ProgressTable& progress() noexcept { return progress_; }
   PoisonState& poison() noexcept { return poison_; }
   bool poisoned() const noexcept { return poison_.poisoned(); }
-  std::chrono::steady_clock::time_point deadline() const noexcept {
+  /// The watchdog deadline, by reference: a parked receive re-reads it
+  /// on every resume, so a rebase reaches waits already in progress.
+  const std::chrono::steady_clock::time_point& deadline() const noexcept {
     return deadline_;
   }
   ToolHooks* tools() const noexcept { return tools_; }
+
+  /// Fork-at-cut: a world parked at its cut in a template process resumes
+  /// in a forked trial child. Re-aims the watchdog so the child gets the
+  /// budget `watchdog` minus what the world had spent by `cut`, counted
+  /// from now — time the template spent parked never counts.
+  void rebase_deadline(std::chrono::milliseconds watchdog,
+                       std::chrono::steady_clock::time_point cut) noexcept;
 
   /// Records the initiating failure (first wins; WorldAborted never
   /// initiates), snapshots the progress table into the autopsy, and
@@ -243,6 +252,7 @@ class WorldState {
   std::vector<std::unique_ptr<Mailbox>> mailboxes_;
   std::vector<std::unique_ptr<MemoryRegistry>> registries_;
   ProgressTable progress_;
+  std::chrono::steady_clock::time_point started_{};
   std::chrono::steady_clock::time_point deadline_{};
 
   std::mutex event_mutex_;

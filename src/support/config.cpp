@@ -60,7 +60,8 @@ constexpr ConfigKnob kKnobs[] = {
     {"FASTFIT_ISOLATION", "isolation", "thread|process",
      "trial backend: in-process or fork-server workers"},
     {"FASTFIT_SNAPSHOTS", "snapshots", "on|off|auto",
-     "prefix-replay world snapshots (default auto)"},
+     "skip the trial prefix: op-log replay in-process, fork at the cut "
+     "under --isolation process (default auto)"},
     {"FASTFIT_SNAPSHOT_CACHE_MB", "snapshot-cache-mb", "MB",
      "LRU budget for the snapshot recording and cuts"},
     {"FASTFIT_SNAPSHOT_RECORDING", "snapshot-recording", "FILE",

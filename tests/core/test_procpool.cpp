@@ -4,10 +4,14 @@
 // Unit tests drive ProcPool directly with synthetic trial functions
 // (echo, contained error, raise(signo), sleep) to pin the wire protocol,
 // the death taxonomy (SignalDeath / LeaseExpired / LaneFailure), lane
-// respawn, and the degradation ladder. Campaign-level tests require the
-// process backend to be byte-identical to the thread backend for
-// non-signal fault models (serial, pooled, and journal resume) and to
-// classify genuine worker signal deaths as SEG_FAULT — with the signal
+// respawn, and the degradation ladder; synthetic templates pin the cut
+// server's lifecycle (lease kill, pool teardown, point switch, a template
+// that never parks) and a real world parked at its cut pins the deadline
+// rebase. Campaign-level tests require the process backend to be
+// byte-identical to the thread backend for non-signal fault models
+// (serial, pooled, and journal resume), fork at the cut to be
+// byte-identical to --snapshots off for every manifestation family, and
+// genuine worker signal deaths to classify as SEG_FAULT — with the signal
 // number and rusage in the journal's forensic field — without losing the
 // campaign.
 //
@@ -19,11 +23,15 @@
 
 #include <csignal>
 #include <cstdio>
+#include <filesystem>
 #include <fstream>
+#include <iterator>
+#include <map>
 #include <span>
 #include <sstream>
 #include <string>
 #include <thread>
+#include <tuple>
 #include <vector>
 
 #include <signal.h>
@@ -33,10 +41,16 @@
 #include "core/campaign.hpp"
 #include "core/procpool.hpp"
 #include "inject/fault_model.hpp"
+#include "inject/injector.hpp"
 #include "inject/outcome.hpp"
+#include "minimpi/mpi.hpp"
+#include "minimpi/world.hpp"
+#include "telemetry/recorder.hpp"
 
 namespace fastfit::core {
 namespace {
+
+namespace tel = fastfit::telemetry;
 
 using procpool::TrialReply;
 using procpool::WorkItem;
@@ -242,6 +256,293 @@ TEST(ProcPool, DescribeWorkerDeathNamesSignalAndRusage) {
 }
 
 // ---------------------------------------------------------------------------
+// Fork at the cut: cut-server lifecycle with synthetic templates.
+// ---------------------------------------------------------------------------
+
+/// State letter of every process in process group `pgid`, by pid, read
+/// from /proc. A killed child not yet reaped by its new parent stays
+/// listed as a zombie ('Z').
+std::map<int, char> group_members(int pgid) {
+  std::map<int, char> members;
+  std::error_code ec;
+  for (std::filesystem::directory_iterator it("/proc", ec), end;
+       !ec && it != end; it.increment(ec)) {
+    const std::string name = it->path().filename().string();
+    if (name.find_first_not_of("0123456789") != std::string::npos) continue;
+    std::ifstream in(it->path() / "stat");
+    std::string stat;
+    if (!std::getline(in, stat)) continue;  // exited meanwhile
+    const auto comm_end = stat.rfind(')');
+    if (comm_end == std::string::npos) continue;
+    std::istringstream rest(stat.substr(comm_end + 1));
+    char state = 0;
+    int ppid = 0;
+    int pgrp = 0;
+    if (rest >> state >> ppid >> pgrp && pgrp == pgid) {
+      members[std::stoi(name)] = state;
+    }
+  }
+  return members;
+}
+
+std::size_t live_members(int pgid) {
+  std::size_t live = 0;
+  for (const auto& [pid, state] : group_members(pgid)) {
+    if (state != 'Z') ++live;
+  }
+  return live;
+}
+
+WorkItem exact_item(std::uint32_t site_id, std::uint64_t trial) {
+  WorkItem item;
+  item.site_id = site_id;
+  item.rank = 1;
+  item.invocation = 0;
+  item.fault = inject::FaultModelSpec::parse("single-bit-flip");
+  item.trial = trial;
+  item.watchdog_ms = 1000;
+  return item;
+}
+
+TrialReply tagged_reply(const std::string& tag) {
+  TrialReply reply;
+  reply.ok = true;
+  reply.outcome = inject::Outcome::Success;
+  reply.autopsy = tag;
+  return reply;
+}
+
+/// Options for a one-lane pool whose template parks at once, except for
+/// site 7, whose "world" ends before its cut. A cut-served child reports
+/// "cut <trial> <cut-server pid>" and sleeps through trial 999.
+ProcPool::Options cut_pool_options() {
+  ProcPool::Options opts;
+  opts.lanes = 1;
+  opts.respawn_budget = 2;
+  opts.cut_template = [](const WorkItem& point, const procpool::Park& park) {
+    if (point.site_id == 7) return tagged_reply("template ended");
+    const WorkItem& item = park();
+    if (item.trial == 999) std::this_thread::sleep_for(std::chrono::seconds(60));
+    return tagged_reply("cut " + std::to_string(item.trial) + ' ' +
+                        std::to_string(::getppid()));
+  };
+  return opts;
+}
+
+TrialReply scratch_trial(const WorkItem& item) {
+  return tagged_reply("scratch " + std::to_string(item.trial));
+}
+
+TEST(ProcPool, CutServerServesExactTriggerItemsAtTheCut) {
+  ProcPool pool(cut_pool_options(), scratch_trial);
+  for (std::uint64_t trial = 0; trial < 3; ++trial) {
+    const auto result = pool.run(exact_item(1, trial), std::chrono::seconds(30));
+    ASSERT_EQ(result.kind, ProcPool::Result::Kind::Completed);
+    EXPECT_TRUE(result.at_cut);
+    EXPECT_EQ(result.reply.autopsy.rfind("cut " + std::to_string(trial), 0), 0u)
+        << result.reply.autopsy;
+  }
+  // A non-exact trigger takes the from-scratch path.
+  WorkItem nth = exact_item(1, 5);
+  nth.fault = inject::FaultModelSpec::parse("single-bit-flip@nth=2");
+  const auto scratch = pool.run(nth, std::chrono::seconds(30));
+  ASSERT_EQ(scratch.kind, ProcPool::Result::Kind::Completed);
+  EXPECT_FALSE(scratch.at_cut);
+  EXPECT_EQ(scratch.reply.autopsy, "scratch 5");
+
+  const auto stats = pool.stats();
+  EXPECT_EQ(stats.cut_trials, 3u);
+  EXPECT_EQ(stats.cut_servers, 1u);
+  EXPECT_EQ(stats.servers_spawned, 1u);  // cut servers are not lane spawns
+}
+
+TEST(ProcPool, LeaseExpiryDuringCutTrialKillsWholeLaneGroup) {
+  ProcPool pool(cut_pool_options(), scratch_trial);
+  ASSERT_TRUE(pool.run(exact_item(1, 0), std::chrono::seconds(30)).at_cut);
+  const int pgid = pool.server_pids().at(0);
+
+  // While trial 999 is wedged, the group is lane server, cut server and
+  // trial child.
+  std::size_t during = 0;
+  std::thread census([&] {
+    std::this_thread::sleep_for(std::chrono::milliseconds(300));
+    during = live_members(pgid);
+  });
+  const auto expired =
+      pool.run(exact_item(1, 999), std::chrono::milliseconds(800));
+  census.join();
+  ASSERT_EQ(expired.kind, ProcPool::Result::Kind::LeaseExpired);
+  EXPECT_EQ(during, 3u);
+  EXPECT_EQ(live_members(pgid), 0u);
+  EXPECT_EQ(pool.stats().lease_kills, 1u);
+
+  // The lane respawns, starts a new cut server, and serves correctly.
+  const auto after = pool.run(exact_item(1, 4), std::chrono::seconds(30));
+  ASSERT_EQ(after.kind, ProcPool::Result::Kind::Completed);
+  EXPECT_TRUE(after.at_cut);
+  EXPECT_EQ(after.reply.autopsy.rfind("cut 4 ", 0), 0u);
+  EXPECT_EQ(pool.stats().respawns, 1u);
+  EXPECT_EQ(pool.stats().cut_servers, 2u);
+}
+
+TEST(ProcPool, DestroyingPoolWithLiveCutServerLeavesNoProcess) {
+  int pgid = 0;
+  {
+    ProcPool pool(cut_pool_options(), scratch_trial);
+    ASSERT_TRUE(pool.run(exact_item(1, 0), std::chrono::seconds(30)).at_cut);
+    pgid = pool.server_pids().at(0);
+    EXPECT_EQ(live_members(pgid), 2u);  // lane server + parked cut server
+  }
+  EXPECT_TRUE(group_members(pgid).empty());
+}
+
+TEST(ProcPool, SwitchingPointReapsOldCutServer) {
+  ProcPool pool(cut_pool_options(), scratch_trial);
+  const auto first = pool.run(exact_item(1, 0), std::chrono::seconds(30));
+  const auto second = pool.run(exact_item(2, 0), std::chrono::seconds(30));
+  ASSERT_TRUE(first.at_cut);
+  ASSERT_TRUE(second.at_cut);
+  const int old_cut = std::stoi(first.reply.autopsy.substr(first.reply.autopsy.rfind(' ')));
+  const int new_cut = std::stoi(second.reply.autopsy.substr(second.reply.autopsy.rfind(' ')));
+  EXPECT_NE(old_cut, new_cut);
+  const auto members = group_members(pool.server_pids().at(0));
+  EXPECT_EQ(members.count(old_cut), 0u);  // reaped, not a zombie
+  EXPECT_EQ(members.size(), 2u);          // lane server + new cut server
+  for (const auto& [pid, state] : members) EXPECT_NE(state, 'Z') << pid;
+  EXPECT_EQ(pool.stats().cut_servers, 2u);
+}
+
+TEST(ProcPool, TemplateThatNeverParksFallsBackToScratch) {
+  ProcPool pool(cut_pool_options(), scratch_trial);
+  for (std::uint64_t trial = 0; trial < 2; ++trial) {
+    const auto result = pool.run(exact_item(7, trial), std::chrono::seconds(30));
+    ASSERT_EQ(result.kind, ProcPool::Result::Kind::Completed);
+    EXPECT_FALSE(result.at_cut);
+    EXPECT_EQ(result.reply.autopsy, "scratch " + std::to_string(trial));
+  }
+  // The next point parks normally.
+  EXPECT_TRUE(pool.run(exact_item(1, 0), std::chrono::seconds(30)).at_cut);
+  EXPECT_EQ(pool.stats().cut_trials, 1u);
+  EXPECT_EQ(pool.stats().respawns, 0u);
+}
+
+// ---------------------------------------------------------------------------
+// Fork at the cut: the deadline rebase, on a real world parked at its cut.
+// ---------------------------------------------------------------------------
+
+/// Rank 0 enters the allreduce first and waits on rank 1, the injected
+/// rank, whose entry is the cut; after it every rank computes for 60 ms
+/// and exits. Hang detection is off, so a hang can end only at the
+/// watchdog: when rank 1's message is dropped, rank 0 is left alone in
+/// the receive it was parked in at the cut.
+void cut_world_main(mpi::Mpi& mpi) {
+  mpi::RegisteredBuffer<std::int32_t> in(mpi.registry(), 1);
+  mpi::RegisteredBuffer<std::int32_t> out(mpi.registry(), 1);
+  in[0] = mpi.world_rank();
+  mpi.allreduce(in.data(), out.data(), 1, mpi::kInt32, mpi::kSum);
+  const auto until =
+      std::chrono::steady_clock::now() + std::chrono::milliseconds(60);
+  while (std::chrono::steady_clock::now() < until) mpi.check_deadline();
+}
+
+/// Site id of cut_world_main's allreduce.
+std::uint32_t cut_world_site() {
+  struct Probe final : mpi::ToolHooks {
+    std::uint32_t site = 0;
+    void on_enter(mpi::CollectiveCall& call, mpi::Mpi&) override {
+      if (site == 0) site = call.site_id;
+    }
+    void on_exit(const mpi::CollectiveCall&, mpi::Mpi&) override {}
+  } probe;
+  mpi::WorldOptions opts;
+  opts.nranks = 2;
+  mpi::World world(opts);
+  world.set_tools(&probe);
+  world.run(cut_world_main);
+  return probe.site;
+}
+
+/// One trial of cut_world_main under `item`'s fault; with `park`, a
+/// template that parks at the cut as the campaign's does.
+TrialReply run_cut_world(const WorkItem& item, const procpool::Park* park) {
+  inject::FaultSpec spec;
+  spec.site_id = item.site_id;
+  spec.rank = item.rank;
+  spec.invocation = item.invocation;
+  spec.param = static_cast<mpi::Param>(item.param);
+  spec.trial = item.trial;
+  spec.fault = item.fault;
+  inject::Injector injector(spec, 20261017);
+  mpi::WorldOptions opts;
+  opts.nranks = 2;
+  opts.hang_detection = false;
+  opts.watchdog = std::chrono::milliseconds(item.watchdog_ms);
+  if (park != nullptr) {
+    opts.watchdog = std::chrono::seconds(20);
+    injector.set_cut_hook([&injector, park](mpi::Mpi& mpi) {
+      const auto cut = std::chrono::steady_clock::now();
+      const WorkItem& bound = (*park)();
+      injector.bind_trial(bound.trial);
+      mpi.world().rebase_deadline(
+          std::chrono::milliseconds(bound.watchdog_ms), cut);
+    });
+  }
+  mpi::World world(opts);
+  world.set_tools(&injector);
+  const auto result = world.run(cut_world_main);
+  TrialReply reply;
+  reply.ok = true;
+  reply.outcome =
+      result.clean() ? inject::Outcome::Success
+      : result.event->type == mpi::EventType::Timeout ? inject::Outcome::InfLoop
+                                                      : inject::Outcome::AppDetected;
+  return reply;
+}
+
+TEST(ProcPool, CutServerParkedPastWatchdogMatchesScratch) {
+  const std::uint32_t site = cut_world_site();
+  ASSERT_NE(site, 0u);
+  ProcPool::Options scratch_opts;
+  ProcPool scratch(scratch_opts,
+                   [](const WorkItem& item) { return run_cut_world(item, nullptr); });
+  ProcPool::Options cut_opts;
+  cut_opts.cut_template = [](const WorkItem& item, const procpool::Park& park) {
+    return run_cut_world(item, &park);
+  };
+  ProcPool cut(cut_opts,
+               [](const WorkItem& item) { return run_cut_world(item, nullptr); });
+
+  // (model, watchdog ms, expected outcome). The bit flip's 60 ms suffix
+  // fits 400 ms but not 30 ms; the dropped message hangs rank 0 until
+  // the watchdog, which its receive must see rebased.
+  const std::tuple<const char*, std::uint64_t, inject::Outcome> cases[] = {
+      {"single-bit-flip", 400, inject::Outcome::Success},
+      {"single-bit-flip", 400, inject::Outcome::Success},
+      {"single-bit-flip", 30, inject::Outcome::InfLoop},
+      {"message-drop", 200, inject::Outcome::InfLoop},
+      {"message-drop", 200, inject::Outcome::InfLoop},
+  };
+  std::uint64_t trial = 0;
+  for (const auto& [model, watchdog_ms, expected] : cases) {
+    WorkItem item = exact_item(site, trial++);
+    item.param = static_cast<std::uint8_t>(mpi::Param::RecvBuf);
+    item.fault = inject::FaultModelSpec::parse(model);
+    item.watchdog_ms = watchdog_ms;
+    const auto want = scratch.run(item, std::chrono::seconds(10));
+    // Park the cut server for longer than any trial watchdog first.
+    std::this_thread::sleep_for(std::chrono::milliseconds(600));
+    const auto got = cut.run(item, std::chrono::seconds(10));
+    ASSERT_EQ(want.kind, ProcPool::Result::Kind::Completed) << model;
+    ASSERT_EQ(got.kind, ProcPool::Result::Kind::Completed)
+        << model << ' ' << watchdog_ms << ": " << got.error;
+    EXPECT_TRUE(got.at_cut);
+    EXPECT_EQ(want.reply.outcome, expected) << model << ' ' << watchdog_ms;
+    EXPECT_EQ(got.reply.outcome, expected) << model << ' ' << watchdog_ms;
+  }
+  EXPECT_EQ(cut.stats().cut_servers, 2u);  // one per point
+}
+
+// ---------------------------------------------------------------------------
 // Campaign integration: --isolation process end to end.
 // ---------------------------------------------------------------------------
 
@@ -317,6 +618,132 @@ TEST(ProcessIsolation, NonParameterModelMatchesAcrossBackends) {
   expect_same_counts(expected, run_points(*workload, process_opts, 3),
                      "rank-death process");
 }
+
+// ---------------------------------------------------------------------------
+// Fork at the cut: parity with --snapshots off, every manifestation family.
+// ---------------------------------------------------------------------------
+
+/// Every manifestation family at the exact trigger, plus two non-exact
+/// triggers that must take the from-scratch path.
+constexpr const char* kEveryFamily =
+    "single-bit-flip,message-drop,message-delay,message-corrupt,rank-death,"
+    "sigsegv,message-drop@nth=2,single-bit-flip@duty=1/3";
+
+struct IsolatedRun {
+  std::vector<PointResult> results;
+  std::string journal;  ///< autopsies stripped
+  std::map<std::string, std::uint64_t> trial_counters;
+  std::uint64_t cut_trials = 0;
+  std::uint64_t exact_trials = 0;
+};
+
+/// The journal without its forensic autopsy fields ("a"): those carry
+/// addresses and rusage, which no two runs share.
+std::string strip_autopsies(const std::string& journal) {
+  std::string out;
+  std::size_t pos = 0;
+  for (;;) {
+    const auto start = journal.find(",\"a\":\"", pos);
+    if (start == std::string::npos) break;
+    out.append(journal, pos, start - pos);
+    std::size_t end = start + 6;
+    while (end < journal.size() &&
+           (journal[end] != '"' || journal[end - 1] == '\\')) {
+      ++end;
+    }
+    pos = end + 1;
+  }
+  out.append(journal, pos, std::string::npos);
+  return out;
+}
+
+/// Two points of every fault model in kEveryFamily, two trials each, at
+/// 8 ranks under --isolation process, journaled and with telemetry on.
+IsolatedRun run_isolated(const std::string& workload_name, std::size_t pool,
+                         SnapshotMode snapshots) {
+  auto& rec = tel::Recorder::instance();
+  rec.enable();
+  rec.reset();
+  const auto workload = apps::make_workload(workload_name);
+  CampaignOptions opts;
+  opts.nranks = 8;
+  opts.trials_per_point = 2;
+  opts.seed = 20261017;
+  opts.max_parallel_trials = pool;
+  opts.isolation = IsolationMode::Process;
+  opts.snapshots = snapshots;
+  opts.fault_models = inject::parse_fault_models(kEveryFamily);
+  // No verdict may hinge on the wall clock: both runs compare exactly.
+  opts.watchdog = std::chrono::seconds(10);
+  Campaign campaign(*workload, opts);
+  campaign.profile();
+  const std::string path = ::testing::TempDir() + "fastfit_cut_parity_" +
+                           workload_name + "_" + std::to_string(pool) + "_" +
+                           to_string(snapshots);
+  std::remove(path.c_str());
+  campaign.attach_journal(path, JournalMode::Create);
+
+  IsolatedRun run;
+  std::vector<InjectionPoint> points;
+  std::map<std::string, int> per_model;
+  for (const auto& point : campaign.enumeration().points) {
+    if (per_model[point.fault.canonical()]++ >= 2) continue;
+    points.push_back(point);
+    if (point.fault.trigger == inject::FaultTrigger::ExactPoint) {
+      run.exact_trials += opts.trials_per_point;
+    }
+  }
+  EXPECT_EQ(per_model.size(), opts.fault_models.size());
+  run.results = campaign.measure_many(points, opts.trials_per_point);
+  EXPECT_TRUE(campaign.health().clean());
+  campaign.detach_journal();
+
+  std::ifstream in(path, std::ios::binary);
+  run.journal = strip_autopsies(std::string(
+      std::istreambuf_iterator<char>(in), std::istreambuf_iterator<char>()));
+  const auto metrics = rec.metrics();
+  for (const auto& c : metrics.counters) {
+    if (c.name == "fastfit_trials_total") run.trial_counters[c.labels] = c.value;
+  }
+  run.cut_trials = metrics.counter_sum("fastfit_worker_cut_trials_total");
+  rec.reset();
+  rec.disable();
+  std::remove(path.c_str());
+  return run;
+}
+
+class ProcessIsolationCut
+    : public ::testing::TestWithParam<std::tuple<const char*, std::size_t>> {};
+
+TEST_P(ProcessIsolationCut, ForkAtCutMatchesFromScratch) {
+  const auto [workload, pool] = GetParam();
+  const auto off = run_isolated(workload, pool, SnapshotMode::Off);
+  const auto cut = run_isolated(workload, pool, SnapshotMode::Auto);
+
+  ASSERT_EQ(off.results.size(), cut.results.size());
+  for (std::size_t i = 0; i < off.results.size(); ++i) {
+    EXPECT_EQ(off.results[i].counts, cut.results[i].counts) << "point " << i;
+    EXPECT_EQ(off.results[i].trials, cut.results[i].trials) << "point " << i;
+  }
+  EXPECT_FALSE(off.journal.empty());
+  EXPECT_EQ(off.journal, cut.journal);
+  EXPECT_FALSE(off.trial_counters.empty());
+  EXPECT_EQ(off.trial_counters, cut.trial_counters);
+  // --snapshots off runs every trial from scratch; the default forks every
+  // exact-trigger trial at its cut and no other.
+  EXPECT_EQ(off.cut_trials, 0u);
+  EXPECT_GT(cut.exact_trials, 0u);
+  EXPECT_EQ(cut.cut_trials, cut.exact_trials);
+}
+
+INSTANTIATE_TEST_SUITE_P(
+    Workloads, ProcessIsolationCut,
+    ::testing::Combine(::testing::Values("EP", "LU", "miniMD"),
+                       ::testing::Values(std::size_t{1}, std::size_t{2})),
+    [](const auto& info) {
+      return std::string(std::get<0>(info.param)) + "_pool" +
+             std::to_string(std::get<1>(info.param));
+    });
 
 TEST(CrashResume, ProcessBackendResumesBitIdentical) {
   const auto workload = apps::make_workload("LU");
