@@ -524,36 +524,52 @@ int main() {
               snap_identical ? "identical" : "DIVERGED");
 
   // Fork at the cut vs op-log replay (ROADMAP, "Checkpoint at the cut"):
-  // per-trial lane time of one serial lane for the three ways a trial
-  // reaches its cut — from scratch (process isolation, snapshots off),
-  // forked at the cut (process isolation, default snapshots) and op-log
-  // prefix replay (in-process, default snapshots) — on LU, EP and miniMD
-  // at each of FASTFIT_BENCH_CUT_RANKS, over "mix" and "suffix" point
-  // sets chosen as above (suffix = End-phase points, topped up with the
-  // last enumerated points where a workload has too few). Each cell is
-  // the median and IQR of FASTFIT_BENCH_CUT_SAMPLES measure_many calls
-  // after an untimed one-trial warm-up (golden run, recording); a
-  // process-isolated sample includes its lane spawn and one template per
-  // point, amortized over FASTFIT_BENCH_CUT_TRIALS trials as in a study.
-  // Outcome counts are compared across the three but do not gate the
-  // exit code: these studies use the calibrated wall-clock watchdog.
+  // per-trial lane time of one serial lane for each way a trial reaches
+  // its cut, on LU, EP and miniMD at each of FASTFIT_BENCH_CUT_RANKS, over
+  // "mix" and "suffix" point sets chosen as above (suffix = End-phase
+  // points, topped up with the last enumerated points where a workload
+  // has too few). The default single bit flip runs from scratch (process
+  // isolation, snapshots off), by op-log replay in each fresh worker child
+  // (process isolation, default snapshots: what a process-isolated study
+  // does for it) and by op-log replay in-process. Replay refuses message
+  // faults, so the same points under message-drop run from scratch and
+  // forked at the cut (process isolation, default snapshots). Each cell
+  // is the median and IQR of kCutSamples measure_many calls after an
+  // untimed one-trial warm-up (golden run, recording); a process-isolated
+  // sample includes its lane spawn and one template per point, amortized
+  // over kCutTrials trials as in a study. Outcome counts are compared with
+  // the same model's from-scratch run but do not gate the exit code:
+  // these studies use the calibrated wall-clock watchdog.
+  constexpr std::size_t kCutPoints = 2;
+  constexpr std::uint32_t kCutTrials = 16;
+  constexpr std::size_t kCutSamples = 5;
+  struct CutMechanism {
+    const char* name;
+    const char* model;
+    core::IsolationMode isolation;
+    core::SnapshotMode snapshots;
+    std::size_t scratch;  ///< the same model's from-scratch mechanism
+  };
+  constexpr std::size_t kCutMechanisms = 5;
+  const CutMechanism cut_mechanisms[kCutMechanisms] = {
+      {"scratch", "single-bit-flip", core::IsolationMode::Process,
+       core::SnapshotMode::Off, 0},
+      {"worker_replay", "single-bit-flip", core::IsolationMode::Process,
+       core::SnapshotMode::Auto, 0},
+      {"replay", "single-bit-flip", core::IsolationMode::Thread,
+       core::SnapshotMode::Auto, 0},
+      {"drop_scratch", "message-drop", core::IsolationMode::Process,
+       core::SnapshotMode::Off, 3},
+      {"cut", "message-drop", core::IsolationMode::Process,
+       core::SnapshotMode::Auto, 3}};
   struct CutCell {
     std::string workload;
     int ranks = 0;
     const char* subset = "";
     std::size_t points = 0;
-    Quartiles ms[3];
+    Quartiles ms[kCutMechanisms];
     bool identical = true;
   };
-  struct CutMechanism {
-    const char* name;
-    core::IsolationMode isolation;
-    core::SnapshotMode snapshots;
-  };
-  const CutMechanism cut_mechanisms[3] = {
-      {"scratch", core::IsolationMode::Process, core::SnapshotMode::Off},
-      {"cut", core::IsolationMode::Process, core::SnapshotMode::Auto},
-      {"replay", core::IsolationMode::Thread, core::SnapshotMode::Auto}};
   std::vector<int> cut_ranks;
   {
     const char* env = std::getenv("FASTFIT_BENCH_CUT_RANKS");
@@ -562,25 +578,21 @@ int main() {
       if (!item.empty()) cut_ranks.push_back(std::stoi(item));
     }
   }
-  const auto cut_points = static_cast<std::size_t>(
-      bench::env_u64("FASTFIT_BENCH_CUT_POINTS", 2));
-  const auto cut_trials = static_cast<std::uint32_t>(
-      bench::env_u64("FASTFIT_BENCH_CUT_TRIALS", 16));
-  const auto cut_samples = static_cast<std::size_t>(
-      std::max<std::uint64_t>(5, bench::env_u64("FASTFIT_BENCH_CUT_SAMPLES", 5)));
   std::vector<CutCell> cut_cells;
   for (const char* cut_app : {"LU", "EP", "miniMD"}) {
     const auto cut_workload = apps::make_workload(cut_app);
     for (const int cut_rank_count : cut_ranks) {
       core::CampaignOptions cut_options;
       cut_options.nranks = cut_rank_count;
-      cut_options.trials_per_point = cut_trials;
+      cut_options.trials_per_point = kCutTrials;
       cut_options.seed = bench::bench_seed();
       cut_options.max_parallel_trials = 1;
       CutCell cells[2];
       std::vector<InjectionPoint> subsets[2];
-      std::vector<core::PointResult> results[2][3];
-      for (std::size_t m = 0; m < 3; ++m) {
+      std::vector<core::PointResult> results[2][kCutMechanisms];
+      for (std::size_t m = 0; m < kCutMechanisms; ++m) {
+        const auto fault = inject::FaultModelSpec::parse(cut_mechanisms[m].model);
+        cut_options.fault_models = {fault};
         cut_options.isolation = cut_mechanisms[m].isolation;
         cut_options.snapshots = cut_mechanisms[m].snapshots;
         const auto cut_driver = bench::profiled_driver(*cut_workload, cut_options);
@@ -588,18 +600,18 @@ int main() {
         if (m == 0) {
           const auto& all = cut_campaign.enumeration().points;
           const std::size_t stride =
-              std::max<std::size_t>(1, all.size() / cut_points);
+              std::max<std::size_t>(1, all.size() / kCutPoints);
           for (std::size_t i = 0;
-               i < all.size() && subsets[0].size() < cut_points; i += stride) {
+               i < all.size() && subsets[0].size() < kCutPoints; i += stride) {
             subsets[0].push_back(all[i]);
           }
           for (const auto& point : all) {
             if (point.phase == trace::ExecPhase::End &&
-                subsets[1].size() < cut_points) {
+                subsets[1].size() < kCutPoints) {
               subsets[1].push_back(point);
             }
           }
-          for (std::size_t i = all.size(); i > 0 && subsets[1].size() < cut_points;
+          for (std::size_t i = all.size(); i > 0 && subsets[1].size() < kCutPoints;
                --i) {
             if (all[i - 1].phase != trace::ExecPhase::End) {
               subsets[1].push_back(all[i - 1]);
@@ -607,16 +619,16 @@ int main() {
           }
         }
         for (std::size_t k = 0; k < 2; ++k) {
-          const std::span<const InjectionPoint> batch(subsets[k].data(),
-                                                      subsets[k].size());
+          std::vector<InjectionPoint> batch = subsets[k];
+          for (auto& point : batch) point.fault = fault;
           (void)cut_campaign.measure_many(batch, 1);
           std::vector<double> per_trial_ms;
-          for (std::size_t sample = 0; sample < cut_samples; ++sample) {
+          for (std::size_t sample = 0; sample < kCutSamples; ++sample) {
             const auto t6 = std::chrono::steady_clock::now();
-            results[k][m] = cut_campaign.measure_many(batch, cut_trials);
+            results[k][m] = cut_campaign.measure_many(batch, kCutTrials);
             per_trial_ms.push_back(
                 seconds_since(t6) * 1e3 /
-                (static_cast<double>(batch.size()) * cut_trials));
+                (static_cast<double>(batch.size()) * kCutTrials));
           }
           cells[k].ms[m] = quartiles(std::move(per_trial_ms));
         }
@@ -627,22 +639,29 @@ int main() {
         cell.ranks = cut_rank_count;
         cell.subset = k == 0 ? "mix" : "suffix";
         cell.points = subsets[k].size();
-        for (std::size_t m = 1; m < 3; ++m) {
+        for (std::size_t m = 0; m < kCutMechanisms; ++m) {
+          const auto& baseline = results[k][cut_mechanisms[m].scratch];
           for (std::size_t i = 0; i < subsets[k].size(); ++i) {
-            if (results[k][m][i].counts != results[k][0][i].counts) {
+            if (results[k][m][i].counts != baseline[i].counts) {
               cell.identical = false;
             }
           }
         }
-        const auto& q = cell.ms;
-        std::printf("cut vs replay %-6s %3dr %-6s  ms/trial  scratch %7.2f "
-                    "[%.2f, %.2f]  cut %7.2f [%.2f, %.2f] (%.1fx)  replay "
-                    "%7.2f [%.2f, %.2f] (%.1fx)%s\n",
-                    cut_app, cut_rank_count, cell.subset, q[0].median, q[0].q1,
-                    q[0].q3, q[1].median, q[1].q1, q[1].q3,
-                    q[1].median > 0.0 ? q[0].median / q[1].median : 0.0,
-                    q[2].median, q[2].q1, q[2].q3,
-                    q[2].median > 0.0 ? q[0].median / q[2].median : 0.0,
+        std::string line;
+        char buf[96];
+        for (std::size_t m = 0; m < kCutMechanisms; ++m) {
+          const auto& q = cell.ms[m];
+          const double scratch_ms = cell.ms[cut_mechanisms[m].scratch].median;
+          std::snprintf(buf, sizeof buf, "  %s %.2f [%.2f, %.2f]",
+                        cut_mechanisms[m].name, q.median, q.q1, q.q3);
+          line += buf;
+          if (cut_mechanisms[m].scratch != m && q.median > 0.0) {
+            std::snprintf(buf, sizeof buf, " (%.1fx)", scratch_ms / q.median);
+            line += buf;
+          }
+        }
+        std::printf("cut vs replay %-6s %3dr %-6s  ms/trial%s%s\n", cut_app,
+                    cut_rank_count, cell.subset, line.c_str(),
                     cell.identical ? "" : "  (counts differ)");
         cut_cells.push_back(std::move(cell));
       }
@@ -684,14 +703,14 @@ int main() {
          << ", \"peak_rss_kb\": " << run.rss_kb << "}";
   }
   json << "\n    ]},\n  \"cut_vs_replay\": {\"trials_per_point\": "
-       << cut_trials << ", \"samples\": " << cut_samples << ", \"cells\": [";
+       << kCutTrials << ", \"samples\": " << kCutSamples << ", \"cells\": [";
   for (std::size_t c = 0; c < cut_cells.size(); ++c) {
     const auto& cell = cut_cells[c];
     if (c) json << ",";
     json << "\n    {\"workload\": \"" << cell.workload
          << "\", \"ranks\": " << cell.ranks << ", \"subset\": \""
          << cell.subset << "\", \"points\": " << cell.points;
-    for (std::size_t m = 0; m < 3; ++m) {
+    for (std::size_t m = 0; m < kCutMechanisms; ++m) {
       json << ", \"" << cut_mechanisms[m].name << "_ms\": {\"median\": "
            << cell.ms[m].median << ", \"q1\": " << cell.ms[m].q1
            << ", \"q3\": " << cell.ms[m].q3 << "}";

@@ -525,6 +525,18 @@ inject::TrialForensics Campaign::execute_trial(
                                          golden_digest_);
 }
 
+void Campaign::warm_snapshots(std::span<const InjectionPoint> points) {
+  if (!snapshot_cache_ || snapshot_cache_->disabled()) return;
+  std::set<std::pair<std::uint32_t, std::uint64_t>> warmed;
+  for (const auto& point : points) {
+    if (!inject::is_replayable(point.fault)) continue;
+    if (!warmed.insert({point.site_id, point.invocation}).second) continue;
+    (void)snapshot_cache_->warm(point.site_id, point.invocation,
+                                [this] { return build_recording(); });
+    if (snapshot_cache_->disabled()) return;
+  }
+}
+
 inject::TrialForensics Campaign::dispatch_trial(
     const InjectionPoint& point, std::uint64_t trial,
     std::chrono::milliseconds watchdog) {
@@ -680,9 +692,12 @@ std::vector<PointResult> Campaign::measure_impl(
   batch_span.arg("isolation", to_string(options_.isolation));
 
   // Process isolation: fork the lane servers now, from the quietest
-  // moment this measure has — before the trial pool spawns threads.
+  // moment this measure has — before the trial pool spawns threads, and
+  // after pre-paying the snapshot recording so every worker inherits it
+  // instead of rebuilding it per child.
   std::unique_ptr<ProcPool> proc_pool;
   if (options_.isolation == IsolationMode::Process) {
+    warm_snapshots(points);
     ProcPool::Options pool_options;
     pool_options.lanes = std::max<std::size_t>(1, pool);
     pool_options.respawn_budget = pool_options.lanes * 2 + 2;
@@ -691,8 +706,9 @@ std::vector<PointResult> Campaign::measure_impl(
     // way (parent-side sinks carry the counters that matter), so turn
     // the recorder off outright in the worker tree.
     pool_options.child_init = [] { tel::Recorder::instance().disable(); };
-    // Workers never replay op logs: with snapshots on, exact-trigger
-    // trials fork at the cut instead (docs/snapshot.md).
+    // With snapshots on, exact-trigger trials that cannot replay an op
+    // log fork at the cut; replayable ones replay in their fresh child
+    // (docs/snapshot.md).
     if (options_.snapshots != SnapshotMode::Off) {
       pool_options.cut_template = [this](const procpool::WorkItem& item,
                                          const procpool::Park& park) {
@@ -705,8 +721,7 @@ std::vector<PointResult> Campaign::measure_impl(
     proc_pool = std::make_unique<ProcPool>(
         pool_options, [this](const procpool::WorkItem& item) {
           return worker_reply([&] {
-            return execute_trial(point_of(item), item.trial,
-                                 watchdog_of(item), nullptr);
+            return run_trial(point_of(item), item.trial, watchdog_of(item));
           });
         });
     active_pool_.store(proc_pool.get(), std::memory_order_release);

@@ -114,9 +114,10 @@ struct CampaignOptions {
   /// post-injection suffix. Results are bit-identical at every setting;
   /// `auto` additionally falls back campaign-wide on the first replay
   /// divergence, `on` keeps replaying point by point, `off` is the
-  /// from-scratch path. Under process isolation `auto` and `on` mean
-  /// fork at the cut instead: exact-trigger trials are forked from a
-  /// per-point fault-free template parked where the fault fires.
+  /// from-scratch path. Under process isolation `auto` and `on` also
+  /// fork at the cut: exact-trigger trials of the message, fail-stop and
+  /// signal models, which cannot replay, are forked from a per-point
+  /// fault-free template parked where the fault fires.
   SnapshotMode snapshots = SnapshotMode::Auto;
   /// LRU budget for the snapshot cache in MiB (--snapshot-cache-mb,
   /// FASTFIT_SNAPSHOT_CACHE_MB): bounds the recording payload plus all
@@ -134,10 +135,10 @@ struct CampaignOptions {
   /// (default) runs trials in-process on the executor lane's thread.
   /// `Process` dispatches each trial to a fresh child of a per-lane
   /// fork-server, or of its cut server (core/procpool.hpp): worker death
-  /// by a real signal
-  /// classifies SEG_FAULT instead of killing the campaign, and the lease
-  /// kills rank code that never yields; results for non-signal fault
-  /// models stay byte-identical to the in-process backend.
+  /// by a real signal classifies SEG_FAULT instead of killing the
+  /// campaign, and the lease kills rank code that never yields; results
+  /// for non-signal fault models stay byte-identical to the in-process
+  /// backend.
   IsolationMode isolation = IsolationMode::Thread;
   /// Per-trial lease for process-isolated workers: past this deadline
   /// the whole lane process group is SIGKILLed and the trial re-enters
@@ -340,6 +341,11 @@ class Campaign : private TrialRunner {
   inject::TrialForensics dispatch_trial(const InjectionPoint& point,
                                         std::uint64_t trial,
                                         std::chrono::milliseconds watchdog);
+
+  /// Pre-derives the snapshot recording + cuts for every replayable point
+  /// of the batch, so forked workers inherit them instead of each child
+  /// re-paying the recording cost.
+  void warm_snapshots(std::span<const InjectionPoint> points);
 
   /// TrialRunner: supervised execution of one trial — retries internal
   /// (non-fault) failures with exponential backoff up to

@@ -313,6 +313,17 @@ bool same_point(const procpool::WorkItem& a, const procpool::WorkItem& b) {
          a.fault == b.fault;
 }
 
+/// Items a cut server serves: exact-trigger faults that cannot replay an
+/// op log (message, fail-stop and signal models). A replayable parameter
+/// fault goes to the from-scratch child instead, where the campaign's
+/// TrialFn replays the prefix from the recording the supervisor made
+/// before forking; at study scale that beats one template per point per
+/// lane (EXPERIMENTS.md, "Fork at the cut").
+bool forks_at_cut(const procpool::WorkItem& item) {
+  return item.fault.trigger == inject::FaultTrigger::ExactPoint &&
+         !inject::is_replayable(item.fault);
+}
+
 // ---------------------------------------------------------------------------
 // The servers: single-threaded after fork, one fresh child per trial.
 // ---------------------------------------------------------------------------
@@ -481,9 +492,10 @@ void start_cut_server(CutServer& cut, const procpool::WorkItem& point,
   cut = CutServer{pid, cmd[1], res[0], point};
 }
 
-/// The fork-server loop. Exact-trigger items go to the cut server of
-/// their point (started on demand, replacing the previous one); every
-/// other item, and any the cut server cannot serve, runs from scratch.
+/// The fork-server loop. Items that fork at the cut go to the cut server
+/// of their point (started on demand, replacing the previous one); every
+/// other item, and any the cut server cannot serve, runs in a fresh
+/// child.
 [[noreturn]] void serve(int cmd_fd, int result_fd, const procpool::TrialFn& fn,
                         const procpool::TemplateFn& cut_template) {
   CutServer cut;
@@ -503,8 +515,7 @@ void start_cut_server(CutServer& cut, const procpool::WorkItem& point,
       std::_Exit(3);
     }
 
-    const bool at_cut = cut_template &&
-                        item.fault.trigger == inject::FaultTrigger::ExactPoint &&
+    const bool at_cut = cut_template && forks_at_cut(item) &&
                         !(uncut && same_point(*uncut, item));
     if (cut.pid > 0 && !(at_cut && same_point(cut.point, item))) {
       stop_cut_server(cut);
@@ -832,11 +843,7 @@ ProcPool::Result ProcPool::run(const procpool::WorkItem& item,
       static auto& cut_trials = rec.counter(
           "fastfit_worker_cut_trials_total",
           "Process-isolated trials forked at the cut by a cut server");
-      static auto& cut_servers = rec.counter(
-          "fastfit_worker_cut_servers_total",
-          "Cut servers (per-point fault-free templates) that served a trial");
       cut_trials.add();
-      if (new_server) cut_servers.add();
     }
   }
   switch (static_cast<ReplyKind>(kind_raw)) {

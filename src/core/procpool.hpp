@@ -16,7 +16,8 @@
 //       └──────result pipe───────┘  └───trial pipe─────┘
 //
 // Fork at the cut: with a template function set, an exact-trigger item
-// is served by the lane's *cut server* instead — a child of the
+// whose fault cannot replay an op log (a message, fail-stop or signal
+// model) is served by the lane's *cut server* instead — a child of the
 // fork-server that runs the point's world fault-free up to the cut (the
 // instant the fault would fire) and forks each trial child there, so a
 // trial executes only its suffix. The cut server consolidates exactly
@@ -126,8 +127,8 @@ class ProcPool {
     /// per-lane spawns are free.
     std::size_t respawn_budget = 4;
     procpool::ChildInit child_init;
-    /// Fork at the cut for exact-trigger items; empty = every trial runs
-    /// from scratch.
+    /// Fork at the cut for exact-trigger items of the message, fail-stop
+    /// and signal models; empty = every trial runs in a fresh child.
     procpool::TemplateFn cut_template;
   };
 

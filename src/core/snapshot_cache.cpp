@@ -108,6 +108,11 @@ std::shared_ptr<const mpi::WorldSnapshot> SnapshotCache::lookup(
   return snapshot;
 }
 
+bool SnapshotCache::warm(std::uint32_t site_id, std::uint64_t invocation,
+                         const RecordingBuilder& build) {
+  return lookup(site_id, invocation, build) != nullptr;
+}
+
 void SnapshotCache::evict_to_fit_locked() {
   const std::size_t base = recording_ ? recording_->payload_bytes : 0;
   while (entries_.size() > 1 && base + snapshot_bytes_ > budget_bytes_) {

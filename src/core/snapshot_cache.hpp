@@ -63,6 +63,14 @@ class SnapshotCache {
       std::uint32_t site_id, std::uint64_t invocation,
       const RecordingBuilder& build);
 
+  /// Pre-derives the recording and the cut for (site_id, invocation)
+  /// without handing out a snapshot. The process-isolation backend warms
+  /// the cache in the supervisor before forking its workers, so every
+  /// child inherits the recording and cuts instead of re-paying for
+  /// them. Returns true when a snapshot would be available.
+  bool warm(std::uint32_t site_id, std::uint64_t invocation,
+            const RecordingBuilder& build);
+
   /// Permanently turns the subsystem off (mode `auto` after a replay
   /// divergence) and releases the recording and all snapshots.
   void disable(const std::string& why);

@@ -293,12 +293,14 @@ std::size_t live_members(int pgid) {
   return live;
 }
 
+/// An exact-trigger item of a model that cannot replay, so it forks at
+/// the cut.
 WorkItem exact_item(std::uint32_t site_id, std::uint64_t trial) {
   WorkItem item;
   item.site_id = site_id;
   item.rank = 1;
   item.invocation = 0;
-  item.fault = inject::FaultModelSpec::parse("single-bit-flip");
+  item.fault = inject::FaultModelSpec::parse("message-drop");
   item.trial = trial;
   item.watchdog_ms = 1000;
   return item;
@@ -342,13 +344,17 @@ TEST(ProcPool, CutServerServesExactTriggerItemsAtTheCut) {
     EXPECT_EQ(result.reply.autopsy.rfind("cut " + std::to_string(trial), 0), 0u)
         << result.reply.autopsy;
   }
-  // A non-exact trigger takes the from-scratch path.
-  WorkItem nth = exact_item(1, 5);
-  nth.fault = inject::FaultModelSpec::parse("single-bit-flip@nth=2");
-  const auto scratch = pool.run(nth, std::chrono::seconds(30));
-  ASSERT_EQ(scratch.kind, ProcPool::Result::Kind::Completed);
-  EXPECT_FALSE(scratch.at_cut);
-  EXPECT_EQ(scratch.reply.autopsy, "scratch 5");
+  // A non-exact trigger takes the from-scratch path, and so does a
+  // replayable parameter fault: its fresh child replays the op log.
+  std::uint64_t trial = 5;
+  for (const char* model : {"message-drop@nth=2", "single-bit-flip"}) {
+    WorkItem scratch_item = exact_item(1, trial);
+    scratch_item.fault = inject::FaultModelSpec::parse(model);
+    const auto scratch = pool.run(scratch_item, std::chrono::seconds(30));
+    ASSERT_EQ(scratch.kind, ProcPool::Result::Kind::Completed) << model;
+    EXPECT_FALSE(scratch.at_cut) << model;
+    EXPECT_EQ(scratch.reply.autopsy, "scratch " + std::to_string(trial++));
+  }
 
   const auto stats = pool.stats();
   EXPECT_EQ(stats.cut_trials, 3u);
@@ -512,13 +518,13 @@ TEST(ProcPool, CutServerParkedPastWatchdogMatchesScratch) {
   ProcPool cut(cut_opts,
                [](const WorkItem& item) { return run_cut_world(item, nullptr); });
 
-  // (model, watchdog ms, expected outcome). The bit flip's 60 ms suffix
-  // fits 400 ms but not 30 ms; the dropped message hangs rank 0 until
-  // the watchdog, which its receive must see rebased.
+  // (model, watchdog ms, expected outcome). After the corrupted message
+  // the 60 ms suffix fits 400 ms but not 30 ms; the dropped message hangs
+  // rank 0 until the watchdog, which its receive must see rebased.
   const std::tuple<const char*, std::uint64_t, inject::Outcome> cases[] = {
-      {"single-bit-flip", 400, inject::Outcome::Success},
-      {"single-bit-flip", 400, inject::Outcome::Success},
-      {"single-bit-flip", 30, inject::Outcome::InfLoop},
+      {"message-corrupt", 400, inject::Outcome::Success},
+      {"message-corrupt", 400, inject::Outcome::Success},
+      {"message-corrupt", 30, inject::Outcome::InfLoop},
       {"message-drop", 200, inject::Outcome::InfLoop},
       {"message-drop", 200, inject::Outcome::InfLoop},
   };
@@ -606,8 +612,8 @@ TEST(ProcessIsolation, MatchesThreadBackendPooled) {
 }
 
 TEST(ProcessIsolation, NonParameterModelMatchesAcrossBackends) {
-  // Rank death exercises the non-replayable (snapshot-bypassing) trial
-  // path inside the worker children.
+  // Rank death cannot replay an op log: under the default snapshots
+  // setting its trials fork at the cut inside the worker tree.
   const auto workload = apps::make_workload("LU");
   auto thread_opts = isolation_options(IsolationMode::Thread);
   thread_opts.fault_models = {inject::FaultModelSpec::parse("rank-death")};
@@ -634,7 +640,8 @@ struct IsolatedRun {
   std::string journal;  ///< autopsies stripped
   std::map<std::string, std::uint64_t> trial_counters;
   std::uint64_t cut_trials = 0;
-  std::uint64_t exact_trials = 0;
+  std::uint64_t cut_eligible_trials = 0;  ///< exact trigger, not replayable
+  std::uint64_t recordings = 0;  ///< op-log recordings built or loaded
 };
 
 /// The journal without its forensic autopsy fields ("a"): those carry
@@ -689,8 +696,9 @@ IsolatedRun run_isolated(const std::string& workload_name, std::size_t pool,
   for (const auto& point : campaign.enumeration().points) {
     if (per_model[point.fault.canonical()]++ >= 2) continue;
     points.push_back(point);
-    if (point.fault.trigger == inject::FaultTrigger::ExactPoint) {
-      run.exact_trials += opts.trials_per_point;
+    if (point.fault.trigger == inject::FaultTrigger::ExactPoint &&
+        !inject::is_replayable(point.fault)) {
+      run.cut_eligible_trials += opts.trials_per_point;
     }
   }
   EXPECT_EQ(per_model.size(), opts.fault_models.size());
@@ -706,9 +714,13 @@ IsolatedRun run_isolated(const std::string& workload_name, std::size_t pool,
     if (c.name == "fastfit_trials_total") run.trial_counters[c.labels] = c.value;
   }
   run.cut_trials = metrics.counter_sum("fastfit_worker_cut_trials_total");
+  run.recordings =
+      metrics.counter_sum("fastfit_snapshot_recordings_total") +
+      metrics.counter_sum("fastfit_snapshot_recording_loads_total");
   rec.reset();
   rec.disable();
   std::remove(path.c_str());
+  std::remove((path + ".recording").c_str());
   return run;
 }
 
@@ -729,11 +741,15 @@ TEST_P(ProcessIsolationCut, ForkAtCutMatchesFromScratch) {
   EXPECT_EQ(off.journal, cut.journal);
   EXPECT_FALSE(off.trial_counters.empty());
   EXPECT_EQ(off.trial_counters, cut.trial_counters);
-  // --snapshots off runs every trial from scratch; the default forks every
-  // exact-trigger trial at its cut and no other.
+  // --snapshots off runs every trial from scratch; the default forks
+  // every exact-trigger trial of a non-replayable model at its cut and no
+  // other (the bit flips replay their op log in a fresh child).
   EXPECT_EQ(off.cut_trials, 0u);
-  EXPECT_GT(cut.exact_trials, 0u);
-  EXPECT_EQ(cut.cut_trials, cut.exact_trials);
+  EXPECT_GT(cut.cut_eligible_trials, 0u);
+  EXPECT_EQ(cut.cut_trials, cut.cut_eligible_trials);
+  // The supervisor recorded the op log once, before forking the lanes.
+  EXPECT_EQ(off.recordings, 0u);
+  EXPECT_EQ(cut.recordings, 1u);
 }
 
 INSTANTIATE_TEST_SUITE_P(
