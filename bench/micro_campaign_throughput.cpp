@@ -315,91 +315,51 @@ int main() {
          << (shard_identical ? "true" : "false") << "}";
   }
 
-  // Hang-heavy section: time-to-classify INF_LOOP with deterministic
-  // deadlock detection on vs off. A bit flip at bench scale almost never
-  // hangs (a flipped root or handle is usually rejected as MPI_ERR), so
-  // the section injects message drops instead: every dropped collective
-  // message leaves its receiver waiting forever. With detection on, each
-  // hang is proven at quiescence in microseconds; the timeout-only path
-  // pays the full watchdog plus the escalated re-confirmation run per
-  // hang (and the storm recalibration a batch of them triggers).
+  // Hang-heavy section: time-to-classify INF_LOOP. A bit flip at bench
+  // scale almost never hangs (a flipped root or handle is usually
+  // rejected as MPI_ERR), so the section injects message drops instead:
+  // every dropped collective message leaves its receiver waiting
+  // forever, and each such hang is proven at quiescence in microseconds,
+  // long before the watchdog.
+  constexpr std::uint32_t kHangTrials = 3;
+  constexpr std::size_t kHangPoints = 3;
+  constexpr std::uint64_t kHangWatchdogMs = 250;
   core::CampaignOptions hang_options = options;
   hang_options.fault_models = inject::parse_fault_models("message-drop");
-  hang_options.trials_per_point = static_cast<std::uint32_t>(
-      bench::env_u64("FASTFIT_BENCH_HANG_TRIALS", 3));
-  const auto watchdog_ms = bench::env_u64("FASTFIT_BENCH_HANG_WATCHDOG_MS",
-                                          250);
-  hang_options.watchdog = std::chrono::milliseconds(watchdog_ms);
-  hang_options.watchdog_escalation = 2;
-  const auto max_hang_points = static_cast<std::size_t>(
-      bench::env_u64("FASTFIT_BENCH_HANG_POINTS", 3));
+  hang_options.trials_per_point = kHangTrials;
+  hang_options.watchdog = std::chrono::milliseconds(kHangWatchdogMs);
 
-  std::size_t hang_point_count = 0;
-  double hang_sec[2] = {0.0, 0.0};
-  std::uint64_t hang_inf[2] = {0, 0};
-  std::uint64_t deterministic_deadlocks = 0;
-  std::vector<PointResult> hang_results[2];
-  for (int detect = 0; detect < 2; ++detect) {
-    hang_options.deterministic_hang_detection = detect != 0;
-    const auto hang_driver = bench::profiled_driver(*workload, hang_options);
-    auto& hang_campaign = hang_driver->campaign();
-    auto hang_points = hang_campaign.enumeration().points;
-    if (hang_points.size() > max_hang_points) {
-      hang_points.resize(max_hang_points);
-    }
-    hang_point_count = hang_points.size();
-    const auto t4 = std::chrono::steady_clock::now();
-    hang_results[detect] = hang_campaign.measure_many(hang_points);
-    hang_sec[detect] = seconds_since(t4);
-    for (const auto& r : hang_results[detect]) {
-      hang_inf[detect] +=
-          r.counts[static_cast<std::size_t>(inject::Outcome::InfLoop)];
-    }
-    if (detect) {
-      deterministic_deadlocks =
-          hang_campaign.health().deterministic_deadlocks;
-    }
-    std::printf("%-28s %8.2fs  (%llu INF_LOOP of %zu trials, "
-                "%.1f ms/INF_LOOP)\n",
-                detect ? "hang campaign, detection on"
-                       : "hang campaign, detection off",
-                hang_sec[detect],
-                static_cast<unsigned long long>(hang_inf[detect]),
-                hang_point_count *
-                    static_cast<std::size_t>(hang_options.trials_per_point),
-                hang_inf[detect] ? 1000.0 * hang_sec[detect] /
-                                       static_cast<double>(hang_inf[detect])
-                                 : 0.0);
+  const auto hang_driver = bench::profiled_driver(*workload, hang_options);
+  auto& hang_campaign = hang_driver->campaign();
+  auto hang_points = hang_campaign.enumeration().points;
+  if (hang_points.size() > kHangPoints) hang_points.resize(kHangPoints);
+  const std::size_t hang_trials = hang_points.size() * kHangTrials;
+  const auto t4 = std::chrono::steady_clock::now();
+  const auto hang_results = hang_campaign.measure_many(hang_points);
+  const double hang_sec = seconds_since(t4);
+  std::uint64_t hang_inf = 0;
+  for (const auto& r : hang_results) {
+    hang_inf += r.counts[static_cast<std::size_t>(inject::Outcome::InfLoop)];
   }
-  for (std::size_t i = 0; i < hang_results[0].size(); ++i) {
-    if (hang_results[0][i].counts != hang_results[1][i].counts) {
-      identical = false;
-      std::printf("  hang-campaign mismatch at point %zu (detection off vs "
-                  "on)\n", i);
-    }
-  }
-  // The section exists to time hangs: a run that classified none measured
-  // nothing, and fails the bench instead of reporting a vacuous speedup.
-  const bool hangs_measured = hang_inf[0] > 0 && hang_inf[1] > 0;
-  if (!hangs_measured) {
-    std::printf("  hang section measured no INF_LOOP (off %llu, on %llu)\n",
-                static_cast<unsigned long long>(hang_inf[0]),
-                static_cast<unsigned long long>(hang_inf[1]));
-  }
-  const double hang_total = static_cast<double>(hang_point_count) *
-                            hang_options.trials_per_point;
-  const double off_ms_per_inf =
-      hang_inf[0] ? 1000.0 * hang_sec[0] / static_cast<double>(hang_inf[0])
-                  : 0.0;
-  const double on_ms_per_inf =
-      hang_inf[1] ? 1000.0 * hang_sec[1] / static_cast<double>(hang_inf[1])
-                  : 0.0;
-  const double classify_speedup =
-      on_ms_per_inf > 0.0 ? off_ms_per_inf / on_ms_per_inf : 0.0;
-  if (hangs_measured) {
-    std::printf("time-to-classify speedup: %.1fx (%llu deterministic "
-                "deadlocks)\n",
-                classify_speedup,
+  const std::uint64_t deterministic_deadlocks =
+      hang_campaign.health().deterministic_deadlocks;
+  const double ms_per_inf =
+      hang_inf ? 1000.0 * hang_sec / static_cast<double>(hang_inf) : 0.0;
+  std::printf("%-28s %8.2fs  (%llu INF_LOOP of %zu trials, %llu proven, "
+              "%.2f ms/INF_LOOP)\n",
+              "hang campaign", hang_sec,
+              static_cast<unsigned long long>(hang_inf), hang_trials,
+              static_cast<unsigned long long>(deterministic_deadlocks),
+              ms_per_inf);
+  // The section exists to time proven hangs: every dropped message must
+  // classify INF_LOOP, and every INF_LOOP must be a proof, not a
+  // watchdog expiry.
+  const bool hangs_proven = hang_trials > 0 && hang_inf == hang_trials &&
+                            deterministic_deadlocks == hang_inf;
+  if (!hangs_proven) {
+    std::printf("  hang section: %llu INF_LOOP of %zu trials, %llu "
+                "proven; want all of them\n",
+                static_cast<unsigned long long>(hang_inf), hang_trials,
                 static_cast<unsigned long long>(deterministic_deadlocks));
   }
 
@@ -732,29 +692,22 @@ int main() {
        << ", \"write_through_overhead_q1\": " << journal_overhead.q1
        << ", \"write_through_overhead_q3\": " << journal_overhead.q3
        << "},\n"
-       << "  \"hang_detection\": {"
+       << "  \"hangs\": {"
        << "\"fault_model\": \"message-drop\""
-       << ", \"points\": " << hang_point_count
-       << ", \"trials_per_point\": " << hang_options.trials_per_point
-       << ", \"watchdog_ms\": " << watchdog_ms
-       << ", \"inf_loops\": " << hang_inf[1]
-       << ", \"inf_loops_detection_off\": " << hang_inf[0]
+       << ", \"points\": " << hang_points.size()
+       << ", \"trials_per_point\": " << kHangTrials
+       << ", \"watchdog_ms\": " << kHangWatchdogMs
+       << ", \"inf_loops\": " << hang_inf
        << ", \"deterministic_deadlocks\": " << deterministic_deadlocks
-       << ",\n    \"off\": {\"seconds\": " << hang_sec[0]
+       << ", \"seconds\": " << hang_sec
        << ", \"trials_per_sec\": "
-       << (hang_sec[0] > 0.0 ? hang_total / hang_sec[0] : 0.0)
-       << ", \"ms_per_inf_loop\": " << off_ms_per_inf << "}"
-       << ",\n    \"on\": {\"seconds\": " << hang_sec[1]
-       << ", \"trials_per_sec\": "
-       << (hang_sec[1] > 0.0 ? hang_total / hang_sec[1] : 0.0)
-       << ", \"ms_per_inf_loop\": " << on_ms_per_inf << "}"
-       << ",\n    \"time_to_classify_speedup\": " << classify_speedup
-       << "},\n"
+       << (hang_sec > 0.0 ? static_cast<double>(hang_trials) / hang_sec : 0.0)
+       << ", \"ms_per_inf_loop\": " << ms_per_inf << "},\n"
        << "  \"results_identical_to_serial\": "
        << (identical ? "true" : "false") << "\n}\n";
 
   std::printf("results identical to serial: %s\n", identical ? "yes" : "NO");
   core::write_file("BENCH_campaign_throughput.json", json.str());
   std::printf("wrote BENCH_campaign_throughput.json\n");
-  return identical && hangs_measured ? 0 : 1;
+  return identical && hangs_proven ? 0 : 1;
 }

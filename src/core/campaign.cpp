@@ -115,9 +115,6 @@ Campaign::Campaign(const apps::Workload& workload, CampaignOptions options)
   if (options_.trials_per_point == 0) {
     throw ConfigError("Campaign: trials_per_point must be positive");
   }
-  if (options_.watchdog_escalation < 1) {
-    throw ConfigError("Campaign: watchdog_escalation must be >= 1");
-  }
   if (options_.fault_models.empty()) {
     throw ConfigError("Campaign: fault_models must be non-empty");
   }
@@ -138,10 +135,6 @@ Campaign::Campaign(const apps::Workload& workload, CampaignOptions options)
                         "' raises a genuine signal and requires "
                         "--isolation process");
     }
-  }
-  if (options_.watchdog_storm_fraction <= 0.0 ||
-      options_.watchdog_storm_fraction > 1.0) {
-    throw ConfigError("Campaign: watchdog_storm_fraction must be in (0, 1]");
   }
   // Validate the structural pruning chain up front: unknown names and
   // measurer-needing passes ("ml") should fail at construction, not at
@@ -171,15 +164,13 @@ std::string Campaign::golden_key() const {
   return workload_->name() + '|' + workload_->params_key() + '|' +
          std::to_string(options_.nranks) + '|' +
          std::to_string(options_.seed) + '|' +
-         algorithms_id(options_.algorithms) + '|' +
-         (options_.deterministic_hang_detection ? "hd1" : "hd0");
+         algorithms_id(options_.algorithms);
 }
 
 std::pair<std::uint64_t, std::chrono::milliseconds> Campaign::run_golden(
     std::chrono::milliseconds watchdog_budget) {
   // Golden memo: one verified fault-free run per (workload, params,
-  // nranks, seed, algorithms, hang detection) per process. A storm
-  // recalibration invalidates the entry first, so it always re-measures.
+  // nranks, seed, algorithms) per process.
   const std::string key = golden_key();
   if (const auto cached = GoldenCache::instance().find(key)) {
     tel::ScopedSpan span("golden-run");
@@ -191,7 +182,6 @@ std::pair<std::uint64_t, std::chrono::milliseconds> Campaign::run_golden(
   opts.seed = options_.seed;
   opts.algorithms = options_.algorithms;
   opts.watchdog = watchdog_budget;
-  opts.hang_detection = options_.deterministic_hang_detection;
   trace::ContextRegistry contexts(options_.nranks);
   tel::ScopedSpan span("golden-run");
   const auto t0 = std::chrono::steady_clock::now();
@@ -238,7 +228,6 @@ void Campaign::profile() {
   profile_opts.seed = options_.seed;
   profile_opts.algorithms = options_.algorithms;
   profile_opts.watchdog = options_.watchdog.value_or(30'000ms);
-  profile_opts.hang_detection = options_.deterministic_hang_detection;
   tel::ScopedSpan profiling_span("profiling-run");
   const auto profiled =
       apps::run_job(*workload_, profile_opts, profiler_.get(), *contexts_);
@@ -341,7 +330,6 @@ CampaignHealth Campaign::health() const noexcept {
   h.total_retries = total_retries_.load(std::memory_order_relaxed);
   h.quarantined_points = quarantined_points_.load(std::memory_order_relaxed);
   h.watchdog_confirmations = confirmations_.load(std::memory_order_relaxed);
-  h.watchdog_recalibrations = recalibrations_.load(std::memory_order_relaxed);
   h.replayed_trials = replayed_trials_.load(std::memory_order_relaxed);
   h.deterministic_deadlocks =
       deterministic_deadlocks_.load(std::memory_order_relaxed);
@@ -381,7 +369,6 @@ std::shared_ptr<const mpi::WorldRecording> Campaign::build_recording() {
     // budget rather than the trial watchdog, so a loaded machine cannot
     // poison the recording with a spurious timeout.
     opts.watchdog = fault_free_budget();
-    opts.hang_detection = options_.deterministic_hang_detection;
     opts.recorder = recorder;
     trace::ContextRegistry contexts(options_.nranks);
     const auto job = apps::run_job(*workload_, opts, nullptr, contexts);
@@ -465,7 +452,6 @@ inject::TrialForensics Campaign::execute_trial(
   opts.seed = options_.seed;
   opts.watchdog = watchdog;
   opts.algorithms = options_.algorithms;
-  opts.hang_detection = options_.deterministic_hang_detection;
   opts.repair = options_.repair;
   opts.replay = snapshot;
   if (park != nullptr) {
@@ -651,28 +637,7 @@ std::size_t Campaign::parallel_trials() const noexcept {
 
 std::chrono::milliseconds Campaign::fault_free_budget() const {
   return std::max<std::chrono::milliseconds>(
-      30'000ms, watchdog_ * options_.watchdog_escalation);
-}
-
-void Campaign::recalibrate_after_storm(std::size_t pool) {
-  const auto budget = fault_free_budget();
-  tel::ScopedSpan recal_span("watchdog-recalibrate");
-  // The whole point is a fresh wall-time measurement on the machine as it
-  // is now: drop the memoized golden so run_golden re-measures (and
-  // refreshes the entry for later campaigns).
-  GoldenCache::instance().invalidate(golden_key());
-  const auto [digest, wall] = run_golden(budget);
-  if (digest != golden_digest_) {
-    throw InternalError("Campaign: recalibration golden digest diverged");
-  }
-  watchdog_ = std::max(kWatchdogFloor, wall * kWatchdogMultiplier);
-  options_.max_parallel_trials = std::max<std::size_t>(1, pool / 2);
-  if (auto& rec = tel::Recorder::instance(); rec.enabled()) {
-    static auto& recals =
-        rec.counter("fastfit_watchdog_recalibrations_total",
-                    "Storm-triggered golden recalibrations");
-    recals.add();
-  }
+      30'000ms, watchdog_ * kWatchdogEscalation);
 }
 
 std::vector<PointResult> Campaign::measure_impl(
@@ -732,14 +697,12 @@ std::vector<PointResult> Campaign::measure_impl(
   } pool_guard{active_pool_};
 
   // The scheduler owns the (point, trial) job matrix — replay, concurrent
-  // execution, storm response, escalated re-confirmation, deterministic
-  // aggregation. Campaign contributes the engine (TrialRunner) and the
-  // observers: the report accumulator, the metrics sink, and (when
-  // attached) the journal write-through.
+  // execution, escalated re-confirmation, deterministic aggregation.
+  // Campaign contributes the engine (TrialRunner) and the observers: the
+  // report accumulator, the metrics sink, and (when attached) the journal
+  // write-through.
   SchedulerConfig scheduler_config;
   scheduler_config.pool = pool;
-  scheduler_config.storm_fraction = options_.watchdog_storm_fraction;
-  scheduler_config.watchdog_escalation = options_.watchdog_escalation;
   TrialScheduler scheduler(*this, scheduler_config);
 
   ResultAccumulator accumulator(points);
@@ -758,7 +721,6 @@ std::vector<PointResult> Campaign::measure_impl(
   deterministic_deadlocks_.fetch_add(batch.deterministic_deadlocks,
                                      std::memory_order_relaxed);
   confirmations_.fetch_add(batch.confirmations, std::memory_order_relaxed);
-  recalibrations_.fetch_add(batch.recalibrations, std::memory_order_relaxed);
   quarantined_points_.fetch_add(batch.quarantined_points,
                                 std::memory_order_relaxed);
 

@@ -9,11 +9,9 @@
 //  (2) a retrying trial guard that contains internal (non-fault)
 //      exceptions: a trial that keeps failing quarantines its point
 //      instead of tearing down the campaign, and
-//  (3) watchdog escalation: INF_LOOP outcomes are re-confirmed
-//      uncontended with an escalated budget, and a watchdog "storm"
-//      (most of a batch timing out — an overloaded machine, not a
-//      thousand genuine hangs) triggers golden-wall recalibration and
-//      degrades trial parallelism toward serial.
+//  (3) watchdog escalation: INF_LOOP outcomes the wall-clock watchdog
+//      declared (not proven deadlocks) are re-confirmed uncontended with
+//      an escalated budget.
 
 #include <array>
 #include <atomic>
@@ -83,22 +81,6 @@ struct CampaignOptions {
   /// retried with exponential backoff before the point is quarantined.
   /// (FASTFIT_MAX_TRIAL_RETRIES; 0 disables retries.)
   std::uint32_t max_trial_retries = 2;
-  /// Watchdog multiplier for the uncontended INF_LOOP re-confirmation run
-  /// and for the golden recalibration budget. Must be >= 1.
-  /// (FASTFIT_WATCHDOG_ESCALATION.)
-  std::uint32_t watchdog_escalation = 4;
-  /// If more than this fraction of a measure_many batch's freshly-run
-  /// trials hit the watchdog, the machine is assumed overloaded: the
-  /// campaign re-measures the golden wall time, recalibrates the
-  /// watchdog, and halves trial parallelism instead of mass-classifying
-  /// INF_LOOP. Must be in (0, 1]. Only *non-deterministic* timeouts count
-  /// toward the storm: proven deadlocks are load-independent.
-  double watchdog_storm_fraction = 0.5;
-  /// Deterministic hang detection (FASTFIT_HANG_DETECTION): every
-  /// injected world proves structural deadlocks at quiescence, so they
-  /// classify INF_LOOP in milliseconds and skip the escalated
-  /// re-confirmation. Off = watchdog/escalation path for every hang.
-  bool deterministic_hang_detection = true;
   /// Structural pruning chain applied at profile() time, in order
   /// (FASTFIT_PASSES). Names as understood by make_pruning_pass; passes
   /// that need a measurer ("ml") are rejected here — the ML stage runs
@@ -154,7 +136,6 @@ struct CampaignHealth {
   std::uint64_t total_retries = 0;           ///< guarded-trial retries
   std::uint64_t quarantined_points = 0;      ///< points given up on
   std::uint64_t watchdog_confirmations = 0;  ///< escalated INF_LOOP re-runs
-  std::uint64_t watchdog_recalibrations = 0; ///< storm-triggered recalibrations
   std::uint64_t replayed_trials = 0;         ///< trials served from the journal
   std::uint64_t deterministic_deadlocks = 0; ///< structurally proven INF_LOOPs
   std::uint64_t worker_deaths = 0;           ///< workers killed by a real signal
@@ -229,7 +210,7 @@ class Campaign : private TrialRunner {
   /// in input order, bit-identical to calling measure() on each point:
   /// per-trial RNG identity is execution-order-free, and any trial that
   /// hits the watchdog is confirmed by an uncontended re-run with an
-  /// escalated (watchdog_escalation ×) budget before being classified
+  /// escalated (kWatchdogEscalation ×) budget before being classified
   /// INF_LOOP.
   std::vector<PointResult> measure_many(std::span<const InjectionPoint> points,
                                         std::uint32_t trials);
@@ -288,7 +269,6 @@ class Campaign : private TrialRunner {
   std::atomic<std::uint64_t> total_retries_{0};
   std::atomic<std::uint64_t> quarantined_points_{0};
   std::atomic<std::uint64_t> confirmations_{0};
-  std::atomic<std::uint64_t> recalibrations_{0};
   std::atomic<std::uint64_t> replayed_trials_{0};
   std::atomic<std::uint64_t> deterministic_deadlocks_{0};
   std::atomic<std::uint64_t> worker_deaths_{0};
@@ -353,17 +333,11 @@ class Campaign : private TrialRunner {
   Attempt run_guarded(const InjectionPoint& point, std::uint64_t trial,
                       std::chrono::milliseconds watchdog) override;
 
-  /// TrialRunner: watchdog-storm response — re-measure the golden wall
-  /// time, recalibrate the watchdog from it, and halve trial parallelism
-  /// for later batches.
-  void recalibrate_after_storm(std::size_t pool) override;
-
   /// Watchdog for fault-free runs that must not time out under load (the
-  /// recording run, a storm recalibration, a fork-at-cut template).
+  /// recording run, a fork-at-cut template).
   std::chrono::milliseconds fault_free_budget() const;
 
-  /// Fault-free run: returns (digest, wall time). Used by profile() and
-  /// by watchdog-storm recalibration.
+  /// Fault-free run: returns (digest, wall time). Used by profile().
   std::pair<std::uint64_t, std::chrono::milliseconds> run_golden(
       std::chrono::milliseconds watchdog_budget);
 

@@ -311,13 +311,15 @@ ParsedFragment parse_fragment(const std::string& text) {
       if (!fields) throw ConfigError("fragment: bad golden line: " + line);
       saw_golden = true;
     } else if (tag == "health") {
-      // The last two columns held rank-thread quarantine counts, which
-      // the fiber-only substrate can no longer produce: always written as
-      // 0 and ignored on read, so fragments stay mergeable across versions.
+      // Three columns are retired: the fourth held storm recalibrations
+      // and the last two rank-thread quarantine counts, none of which the
+      // campaign produces any more. They are always written as 0 and
+      // ignored on read, so fragments stay mergeable across versions.
       auto& h = out.health;
-      std::uint64_t retired_threads = 0, retired_leaks = 0;
+      std::uint64_t retired_recalibrations = 0, retired_threads = 0,
+                    retired_leaks = 0;
       fields >> h.total_retries >> h.quarantined_points >>
-          h.watchdog_confirmations >> h.watchdog_recalibrations >>
+          h.watchdog_confirmations >> retired_recalibrations >>
           h.replayed_trials >> h.deterministic_deadlocks >> retired_threads >>
           retired_leaks;
       if (!fields) throw ConfigError("fragment: bad health line: " + line);
@@ -399,8 +401,8 @@ std::string to_shard_fragment(const StudyResult& result) {
   out << "golden " << result.golden_digest << '\n';
   const auto& h = result.health;
   out << "health " << h.total_retries << ' ' << h.quarantined_points << ' '
-      << h.watchdog_confirmations << ' ' << h.watchdog_recalibrations << ' '
-      << h.replayed_trials << ' ' << h.deterministic_deadlocks << " 0 0\n";
+      << h.watchdog_confirmations << " 0 " << h.replayed_trials << ' '
+      << h.deterministic_deadlocks << " 0 0\n";
   for (std::size_t i = 0; i < result.measured.size(); ++i) {
     const auto& r = result.measured[i];
     const auto& p = r.point;
@@ -485,8 +487,6 @@ StudyResult merge_fragments(const std::vector<std::string>& fragments) {
     merged.health.quarantined_points += fragment.health.quarantined_points;
     merged.health.watchdog_confirmations +=
         fragment.health.watchdog_confirmations;
-    merged.health.watchdog_recalibrations +=
-        fragment.health.watchdog_recalibrations;
     merged.health.replayed_trials += fragment.health.replayed_trials;
     merged.health.deterministic_deadlocks +=
         fragment.health.deterministic_deadlocks;

@@ -90,7 +90,7 @@ class TrialJournal {
 
   /// Appends one completed trial. Idempotent: re-recording a journaled
   /// (key, trial) is a no-op (outcomes are deterministic). Non-SUCCESS
-  /// trials may carry forensics: `deterministic` marks a monitor-proven
+  /// trials may carry forensics: `deterministic` marks a quiescence-proven
   /// deadlock ("d":1) and `autopsy` the one-line world autopsy ("a");
   /// `model` (the canonical fault-model spec, "m") names what was
   /// injected. All are extra record fields older readers ignore; replay

@@ -603,9 +603,10 @@ ProcPool::~ProcPool() {
   // read sees EOF and _exits. No trial is outstanding here — the
   // scheduler joins its workers before the campaign tears the pool down.
   for (auto& lane : lanes_) {
-    if (lane.cmd_fd >= 0) ::close(lane.cmd_fd);
-    if (lane.result_fd >= 0) ::close(lane.result_fd);
-    lane.cmd_fd = lane.result_fd = -1;
+    for (int fd : {lane.cmd_fd, lane.result_fd, lane.alive_fd}) {
+      if (fd >= 0) ::close(fd);
+    }
+    lane.cmd_fd = lane.result_fd = lane.alive_fd = -1;
   }
   for (auto& lane : lanes_) {
     if (lane.pid <= 0) continue;
@@ -640,10 +641,14 @@ bool ProcPool::spawn_locked(Lane& lane, bool is_respawn) {
   }
   int cmd[2] = {-1, -1};
   int res[2] = {-1, -1};
-  if (::pipe(cmd) != 0) return false;
-  if (::pipe(res) != 0) {
-    ::close(cmd[0]);
-    ::close(cmd[1]);
+  int alive[2] = {-1, -1};
+  const auto close_all = [&] {
+    for (int fd : {cmd[0], cmd[1], res[0], res[1], alive[0], alive[1]}) {
+      if (fd >= 0) ::close(fd);
+    }
+  };
+  if (::pipe(cmd) != 0 || ::pipe(res) != 0 || ::pipe(alive) != 0) {
+    close_all();
     return false;
   }
   // Every parent-side fd of every other lane, so the fresh server can
@@ -653,6 +658,7 @@ bool ProcPool::spawn_locked(Lane& lane, bool is_respawn) {
   for (const auto& other : lanes_) {
     if (other.cmd_fd >= 0) parent_fds.push_back(other.cmd_fd);
     if (other.result_fd >= 0) parent_fds.push_back(other.result_fd);
+    if (other.alive_fd >= 0) parent_fds.push_back(other.alive_fd);
   }
   const pid_t pid = ::fork();
   if (pid == 0) {
@@ -662,6 +668,7 @@ bool ProcPool::spawn_locked(Lane& lane, bool is_respawn) {
     ::setpgid(0, 0);
     ::close(cmd[1]);
     ::close(res[0]);
+    ::close(alive[0]);  // alive[1] stays open here and in every descendant
     for (int fd : parent_fds) ::close(fd);
     try {
       if (options_.child_init) options_.child_init();
@@ -671,18 +678,17 @@ bool ProcPool::spawn_locked(Lane& lane, bool is_respawn) {
     serve(cmd[0], res[1], fn_, options_.cut_template);
   }
   if (pid < 0) {
-    ::close(cmd[0]);
-    ::close(cmd[1]);
-    ::close(res[0]);
-    ::close(res[1]);
+    close_all();
     return false;
   }
   ::setpgid(pid, pid);  // also from the parent: closes the killpg race
   ::close(cmd[0]);
   ::close(res[1]);
+  ::close(alive[1]);
   lane.pid = static_cast<int>(pid);
   lane.cmd_fd = cmd[1];
   lane.result_fd = res[0];
+  lane.alive_fd = alive[0];
   lane.seq = 0;
   ++stats_.servers_spawned;
   if (auto& rec = tel::Recorder::instance(); rec.enabled()) {
@@ -699,11 +705,18 @@ void ProcPool::kill_lane_locked(Lane& lane) {
     ::killpg(lane.pid, SIGKILL);
     int status = 0;
     while (::waitpid(lane.pid, &status, 0) < 0 && errno == EINTR) {}
+    // The server's cut server and trial child got the same SIGKILL, but
+    // they are not our children, so waitpid cannot tell when they are
+    // gone. The alive pipe's EOF does: wait for it (at most 1 s), so no
+    // process of a killed lane is still running when the kill returns.
+    pollfd alive{lane.alive_fd, POLLIN, 0};
+    while (::poll(&alive, 1, 1000) < 0 && errno == EINTR) {}
   }
-  if (lane.cmd_fd >= 0) ::close(lane.cmd_fd);
-  if (lane.result_fd >= 0) ::close(lane.result_fd);
+  for (int fd : {lane.cmd_fd, lane.result_fd, lane.alive_fd}) {
+    if (fd >= 0) ::close(fd);
+  }
   lane.pid = 0;
-  lane.cmd_fd = lane.result_fd = -1;
+  lane.cmd_fd = lane.result_fd = lane.alive_fd = -1;
 }
 
 std::size_t ProcPool::acquire_lane() {

@@ -193,6 +193,9 @@ class ProcPool {
     int pid = 0;         ///< server pid (0 = dead, respawn on next use)
     int cmd_fd = -1;     ///< supervisor → server work items
     int result_fd = -1;  ///< server → supervisor consolidated replies
+    /// Read end of a pipe whose write end every process of the lane
+    /// inherits and keeps: EOF means the whole lane has exited.
+    int alive_fd = -1;
     std::uint64_t seq = 0;
   };
 

@@ -192,10 +192,6 @@ std::string render_health(const CampaignHealth& health) {
     out << "  watchdog re-confirmations:    " << health.watchdog_confirmations
         << '\n';
   }
-  if (health.watchdog_recalibrations > 0) {
-    out << "  watchdog recalibrations:      " << health.watchdog_recalibrations
-        << '\n';
-  }
   if (health.deterministic_deadlocks > 0) {
     out << "  deterministic deadlocks:      " << health.deterministic_deadlocks
         << '\n';

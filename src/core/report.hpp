@@ -60,8 +60,7 @@ std::string render_level_table(
     const std::vector<std::string>& level_labels);
 
 /// Campaign health summary: what the resilience machinery had to do
-/// (retries, quarantines, watchdog escalations/recalibrations, journal
-/// replays). One line when the campaign was perfectly healthy.
+/// (retries, quarantines, watchdog re-confirmations, journal replays). One line when the campaign was perfectly healthy.
 std::string render_health(const CampaignHealth& health);
 
 /// Absolute per-outcome trial totals over all measured points, one line

@@ -203,9 +203,8 @@ BatchStats TrialScheduler::run(std::span<const InjectionPoint> points,
     trial_span.arg("outcome", inject::to_string(attempt.outcome));
     if (attempt.outcome == inject::Outcome::InfLoop &&
         attempt.deterministic_hang) {
-      // Proven structural deadlock: load-independent, so it neither
-      // feeds the storm heuristic nor needs an escalated
-      // re-confirmation.
+      // Proven structural deadlock: load-independent, so it needs no
+      // escalated re-confirmation.
       deterministic[i][t] = 1;
     }
     autopsies[i][t] = attempt.autopsy;
@@ -258,38 +257,19 @@ BatchStats TrialScheduler::run(std::span<const InjectionPoint> points,
     }
   }
 
-  // Fresh-trial census for the storm heuristic and the health stats,
-  // taken *after* truncation so wasted beyond-failure executions do not
-  // feed either (the serial run never ran them).
-  std::uint64_t fresh_count = 0;
-  std::uint64_t timeout_count = 0;
+  // Proven-deadlock census for the health stats, taken *after*
+  // truncation so wasted beyond-failure executions do not count (the
+  // serial run never ran them).
   for (std::size_t i = 0; i < points.size(); ++i) {
     for (std::uint32_t t = 0; t < trials; ++t) {
-      if (outcomes[i][t] < 0 || replayed[i][t]) continue;
-      ++fresh_count;
-      if (outcomes[i][t] == static_cast<int>(inject::Outcome::InfLoop)) {
-        if (deterministic[i][t]) {
-          ++stats.deterministic_deadlocks;
-        } else {
-          ++timeout_count;
-        }
+      if (outcomes[i][t] == static_cast<int>(inject::Outcome::InfLoop) &&
+          !replayed[i][t] && deterministic[i][t]) {
+        ++stats.deterministic_deadlocks;
       }
     }
   }
 
-  // Phase 2: watchdog-storm response. When most of a batch times out the
-  // likely cause is an overloaded machine (or a stale calibration), not a
-  // sudden epidemic of genuine hangs: hand the engine its storm response
-  // (golden recalibration + parallelism degradation). The escalated
-  // re-confirmation below then reclassifies with the fresh budget.
-  if (config_.pool > 1 && fresh_count > 0 &&
-      static_cast<double>(timeout_count) >
-          config_.storm_fraction * static_cast<double>(fresh_count)) {
-    runner_->recalibrate_after_storm(config_.pool);
-    ++stats.recalibrations;
-  }
-
-  // Phase 3: the watchdog is the one outcome gate that feels CPU
+  // Phase 2: the watchdog is the one outcome gate that feels CPU
   // contention: a slow-but-finishing faulted run can cross the wall-clock
   // deadline only because concurrent Worlds shared the cores. Re-run
   // every freshly timed-out trial serially — alone on the machine, with
@@ -299,7 +279,7 @@ BatchStats TrialScheduler::run(std::span<const InjectionPoint> points,
   // confirmed when first recorded.
   // Deterministic verdicts skip this entirely: the world *proved* the
   // deadlock structurally, so contention cannot have caused it.
-  const auto escalated = runner_->watchdog() * config_.watchdog_escalation;
+  const auto escalated = runner_->watchdog() * kWatchdogEscalation;
   std::vector<std::uint32_t> confirm_retries(points.size(), 0);
   for (std::size_t i = 0; i < points.size(); ++i) {
     for (std::uint32_t t = 0; t < trials; ++t) {
@@ -325,7 +305,7 @@ BatchStats TrialScheduler::run(std::span<const InjectionPoint> points,
     }
   }
 
-  // Phase 4: fan out in deterministic (point, trial) order. Execution
+  // Phase 3: fan out in deterministic (point, trial) order. Execution
   // order above was free; observation order is pinned here, which is what
   // keeps reports, journals, and counters bit-identical at every pool
   // size.

@@ -4,8 +4,8 @@
 //
 // The scheduler owns the (point, trial) job matrix of one batch: journal
 // replay, concurrent guarded execution on a TrialExecutor pool,
-// watchdog-storm response, escalated uncontended INF_LOOP
-// re-confirmation, and the final deterministic aggregation in
+// escalated uncontended INF_LOOP re-confirmation, and the final
+// deterministic aggregation in
 // (point, trial) order. It is engine-agnostic — trials execute through
 // the narrow TrialRunner interface (implemented by Campaign, which
 // routes each run_guarded call either to an in-process world or to the
@@ -40,7 +40,7 @@ class TrialRunner {
   struct Attempt {
     bool ok = false;  ///< false = retries exhausted, quarantine the point
     inject::Outcome outcome{};
-    bool deterministic_hang = false;  ///< monitor-proven deadlock
+    bool deterministic_hang = false;  ///< deadlock proven at quiescence
     std::string autopsy;              ///< world autopsy (non-SUCCESS runs)
     std::uint32_t retries = 0;        ///< internal-error retries consumed
     std::string error;                ///< last internal error, attributed
@@ -54,14 +54,8 @@ class TrialRunner {
                               std::uint64_t trial,
                               std::chrono::milliseconds watchdog) = 0;
 
-  /// Current per-trial watchdog budget (may change after recalibration).
+  /// Per-trial watchdog budget, calibrated once from the golden run.
   virtual std::chrono::milliseconds watchdog() const = 0;
-
-  /// Watchdog-storm response: most of a batch's fresh trials timed out,
-  /// which reads as machine overload, not an epidemic of genuine hangs.
-  /// The engine re-measures its golden wall time, recalibrates the
-  /// watchdog, and degrades `pool` toward serial for later batches.
-  virtual void recalibrate_after_storm(std::size_t pool) = 0;
 };
 
 /// One recorded (point, trial) outcome, observed in deterministic
@@ -156,16 +150,16 @@ class TelemetrySink final : public OutcomeSink {
 /// engine folds this into its campaign-wide health counters.
 struct BatchStats {
   std::uint64_t replayed = 0;                ///< trials served from journal
-  std::uint64_t deterministic_deadlocks = 0; ///< monitor-proven INF_LOOPs
+  std::uint64_t deterministic_deadlocks = 0; ///< INF_LOOPs proven at quiescence
   std::uint64_t confirmations = 0;           ///< escalated re-confirmations
-  std::uint64_t recalibrations = 0;          ///< storm recalibrations
   std::uint64_t quarantined_points = 0;      ///< points given up on
 };
 
+/// Budget multiplier of the uncontended INF_LOOP re-confirmation.
+inline constexpr std::uint32_t kWatchdogEscalation = 4;
+
 struct SchedulerConfig {
-  std::size_t pool = 1;         ///< concurrent (point, trial) jobs
-  double storm_fraction = 0.5;  ///< fresh-timeout fraction that is a storm
-  std::uint32_t watchdog_escalation = 4;  ///< re-confirmation multiplier
+  std::size_t pool = 1;  ///< concurrent (point, trial) jobs
 };
 
 class TrialScheduler {

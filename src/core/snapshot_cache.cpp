@@ -191,11 +191,6 @@ void GoldenCache::put(const std::string& key, const Value& value) {
   entries_[key] = value;
 }
 
-void GoldenCache::invalidate(const std::string& key) {
-  std::lock_guard lock(mutex_);
-  entries_.erase(key);
-}
-
 std::size_t GoldenCache::size() const {
   std::lock_guard lock(mutex_);
   return entries_.size();

@@ -15,10 +15,9 @@
 //    (--snapshot-cache-mb).
 //
 //  * GoldenCache — process-wide memo of (workload, params, nranks, seed,
-//    algorithms, hang detection) -> (golden digest, wall time), so a
-//    study that builds many campaigns over the same configuration pays
-//    for the fault-free run once. Watchdog-storm recalibration bypasses
-//    the read and refreshes the entry (the invalidation hook).
+//    algorithms) -> (golden digest, wall time), so a study that builds
+//    many campaigns over the same configuration pays for the fault-free
+//    run once.
 
 #include <chrono>
 #include <cstddef>
@@ -120,9 +119,8 @@ class SnapshotCache {
 };
 
 /// Process-wide golden-run memo. Keys are opaque strings composed by the
-/// campaign (workload name, params, nranks, seed, algorithms, hang
-/// detection); values are the verified digest and wall time of one
-/// successful fault-free run.
+/// campaign (workload name, params, nranks, seed, algorithms); values are
+/// the verified digest and wall time of one successful fault-free run.
 class GoldenCache {
  public:
   struct Value {
@@ -134,8 +132,6 @@ class GoldenCache {
 
   std::optional<Value> find(const std::string& key) const;
   void put(const std::string& key, const Value& value);
-  /// Drops one entry (watchdog recalibration refreshes it afterwards).
-  void invalidate(const std::string& key);
   std::size_t size() const;
   void clear();  // tests
 

@@ -235,45 +235,17 @@ void FiberScheduler::block_current() {
   }
   {
     std::lock_guard lock(mutex_);
-    Fiber& f = fibers_[static_cast<std::size_t>(current_)];
-    if (f.wake_pending) {
-      // A wake raced our entry (kill_rank from another thread between the
-      // caller's queue scan and this park): consume it and keep running.
-      f.wake_pending = false;
-      return;
-    }
-    f.state = State::Blocked;
+    fibers_[static_cast<std::size_t>(current_)].state = State::Blocked;
   }
   switch_to_scheduler(/*dying=*/false);
 }
 
 void FiberScheduler::make_ready(int fiber) {
-  bool notify = false;
-  {
-    std::lock_guard lock(mutex_);
-    Fiber& f = fibers_[static_cast<std::size_t>(fiber)];
-    switch (f.state) {
-      case State::Blocked:
-        f.state = State::Ready;
-        f.wake_pending = false;
-        ready_.push_back(fiber);
-        // Most wakes happen while the scheduler thread is running another
-        // fiber (sender delivering to a parked receiver); it will see the
-        // non-empty deque on its next dispatch without a futex. Only a
-        // thread actually parked in wait_for_ready needs the notify — its
-        // predicate re-checks ready_ under this same mutex, so gating on
-        // cv_waiting_ cannot lose a wake.
-        notify = cv_waiting_;
-        break;
-      case State::Running:
-        f.wake_pending = true;  // latched; block_current() consumes it
-        break;
-      case State::Ready:
-      case State::Done:
-        break;
-    }
-  }
-  if (notify) ready_cv_.notify_all();
+  std::lock_guard lock(mutex_);
+  Fiber& f = fibers_[static_cast<std::size_t>(fiber)];
+  if (f.state != State::Blocked) return;
+  f.state = State::Ready;
+  ready_.push_back(fiber);
 }
 
 std::vector<int> FiberScheduler::blocked() const {
@@ -285,16 +257,6 @@ std::vector<int> FiberScheduler::blocked() const {
     }
   }
   return out;
-}
-
-bool FiberScheduler::wait_for_ready(
-    std::chrono::steady_clock::time_point deadline) {
-  std::unique_lock lock(mutex_);
-  cv_waiting_ = true;
-  const bool ready = ready_cv_.wait_until(lock, deadline,
-                                          [&] { return !ready_.empty(); });
-  cv_waiting_ = false;
-  return ready;
 }
 
 void FiberScheduler::run(const std::function<void(int)>& body,
@@ -326,8 +288,6 @@ void FiberScheduler::run(const std::function<void(int)>& body,
 #if defined(FASTFIT_TSAN_FIBERS)
     f.tsan_fiber = __tsan_create_fiber(0);
 #endif
-    // Under the mutex: a cross-thread make_ready (a wake routed through a
-    // mailbox that already points at this scheduler) may run concurrently.
     std::lock_guard lock(mutex_);
     f.state = State::Ready;
     ready_.push_back(i);
@@ -347,7 +307,7 @@ void FiberScheduler::run(const std::function<void(int)>& body,
       continue;
     }
     // No runnable fiber. The idle handler owns the verdict: wake a
-    // satisfiable wait, prove a deadlock, or wait out the watchdog.
+    // satisfiable wait or prove a deadlock.
     on_idle();
   }
 

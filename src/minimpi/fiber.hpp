@@ -19,19 +19,18 @@
 // not depend on which executor lane runs it (enforced by the pool parity
 // suite).
 //
-// Wakes (message delivery, poison, revocation, kill_rank) may arrive
-// from other OS threads (tests, the process-wide teardown paths), so
-// make_ready() is thread-safe and a wake that races a fiber's entry
-// into block_current() is latched in a per-fiber pending flag rather
-// than lost.
+// A World is single-threaded by contract: every wake (message delivery,
+// poison, revocation, kill_rank) is made by a fiber of the same
+// scheduler or by its idle handler, never by another OS thread. A fiber
+// therefore cannot be woken between a mailbox's last readiness check
+// and its park, and the idle handler never waits for an outside event:
+// with no fiber ready and none it can wake, the world is deadlocked.
 //
 // Sanitizer support: under TSan and ASan every switch is annotated with
 // the fiber APIs (__tsan_switch_to_fiber / __sanitizer_start_switch_
 // fiber), so the fiber suites run under the sanitizer CI jobs like any
 // other code.
 
-#include <chrono>
-#include <condition_variable>
 #include <cstddef>
 #include <deque>
 #include <exception>
@@ -91,9 +90,8 @@ class FiberScheduler {
 
   /// Runs body(i) for every fiber i to completion, multiplexed on the
   /// calling thread. Whenever no fiber is ready and not all have
-  /// finished, on_idle() is invoked; it must eventually make a fiber
-  /// ready (wake a satisfiable wait, declare a deadlock and poison, or
-  /// wake all blocked fibers at the watchdog deadline) — with every
+  /// finished, on_idle() is invoked; it must make a fiber ready (wake a
+  /// satisfiable wait, or declare a deadlock and poison) — with every
   /// MiniMPI wait a cancellation point, a blocked fiber always unwinds
   /// once resumed, so run() terminates for every cooperative workload.
   void run(const std::function<void(int)>& body,
@@ -111,23 +109,17 @@ class FiberScheduler {
   bool in_fiber() const noexcept { return current_ >= 0; }
 
   /// Parks the current fiber and switches to the scheduler. Returns when
-  /// some make_ready(current) resumes it. A wake that arrived since the
-  /// caller last held the fiber (the pending latch) returns immediately.
+  /// some make_ready(current) resumes it.
   void block_current();
 
-  /// Marks a blocked fiber ready (FIFO). Thread-safe: callable from the
-  /// scheduler thread (a sender fiber delivering to a parked receiver)
-  /// or from any other thread (kill_rank, poison storms from tests).
-  /// Waking a running fiber latches the wake instead of losing it;
-  /// waking a ready or finished fiber is a no-op.
+  /// Marks a blocked fiber ready (FIFO). Called from a fiber of this
+  /// scheduler (a sender delivering to a parked receiver) or from its
+  /// idle handler. Waking a running, ready or finished fiber is a no-op:
+  /// a running fiber rechecks its wait condition before it parks.
   void make_ready(int fiber);
 
   /// Blocked fibers in rank order — the idle handler's scan set.
   std::vector<int> blocked() const;
-
-  /// Idle wait: blocks until a fiber becomes ready or `deadline` passes.
-  /// Returns true when a fiber is ready. Only meaningful from on_idle().
-  bool wait_for_ready(std::chrono::steady_clock::time_point deadline);
 
   /// Fibers whose body has returned.
   int finished() const noexcept { return finished_; }
@@ -145,7 +137,6 @@ class FiberScheduler {
     void* saved_sp = nullptr;  // fast-switch path: parked stack pointer
     std::unique_ptr<std::byte[]> stack;
     State state = State::Ready;
-    bool wake_pending = false;
 #if defined(FASTFIT_TSAN_FIBERS)
     void* tsan_fiber = nullptr;
 #endif
@@ -161,9 +152,7 @@ class FiberScheduler {
   void* sched_sp_ = nullptr;  // fast-switch path: scheduler's parked sp
 
   mutable std::mutex mutex_;
-  std::condition_variable ready_cv_;
   std::deque<int> ready_;
-  bool cv_waiting_ = false;  // a thread is parked in wait_for_ready
   int finished_ = 0;
 
   int current_ = -1;

@@ -65,9 +65,9 @@ Message Mailbox::receive(int source, std::uint64_t tag,
                           " outside a rank fiber (only World ranks can park)");
     }
     // The rendezvous is the yield point: park this fiber until a
-    // delivery, wake, or the idle handler's deadline sweep resumes it. A
-    // cross-thread wake that lands between the checks above and the park
-    // is latched by the scheduler, never lost.
+    // delivery or wake resumes it. Every wake comes from a fiber of this
+    // world or its idle handler, so none can land between the checks
+    // above and the park.
     sched->block_current();
   }
 }

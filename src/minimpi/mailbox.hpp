@@ -59,7 +59,7 @@ class Mailbox {
  public:
   explicit Mailbox(PoisonState& poison) : poison_(&poison) {}
 
-  /// Enqueues a message (called by the sending rank's thread).
+  /// Enqueues a message (called by the sending rank's fiber).
   void deliver(Message message);
 
   /// Returns the first message matching (source, tag). With none queued
@@ -101,9 +101,8 @@ class Mailbox {
 
   /// Wake routing: deliveries and wakes mark `owner_rank`'s fiber ready
   /// on `sched`. Installed by the world before the scheduler starts and
-  /// cleared after it drains; guarded by the mailbox mutex so a late
-  /// cross-thread wake (a test's kill_rank racing world teardown) can
-  /// never observe a dangling scheduler.
+  /// cleared after it drains, so a wake after the world has run never
+  /// observes a dangling scheduler.
   void set_fiber_waker(FiberScheduler* sched, int owner_rank);
 
  private:

@@ -342,9 +342,9 @@ WorldResult World::run(const std::function<void(Mpi&)>& rank_main) {
 
   sched.run(body, [&state, &sched] { state->fiber_idle(sched); });
 
-  // Detach the wake routing under each mailbox's mutex before the
-  // scheduler leaves this frame: a late cross-thread kill_rank can then
-  // only ever see a null hook, never a dangling one.
+  // Detach the wake routing before the scheduler leaves this frame: a
+  // kill_rank after run() returns then sees a null hook, never a
+  // dangling one.
   for (int r = 0; r < nranks; ++r) {
     state->mailbox(r).set_fiber_waker(nullptr, -1);
   }
@@ -402,20 +402,12 @@ void WorldState::fiber_idle(FiberScheduler& sched) {
 
   // Quiescence: no runnable fiber, no queued message any blocked fiber
   // awaits, and provably no send in flight (sends are synchronous on this
-  // very thread). This IS the structural deadlock. Under an in-progress
-  // revocation (fail-stop + repair) the blocked survivors are about to
-  // wake with RankRevoked, so no verdict is declared then.
-  if (options_.hang_detection && options_.nranks > 1 && !poison_.revoked()) {
-    declare_deadlock(progress_.snapshot_all());
-    return;  // capture_event poisoned; its wake storm marked fibers ready
-  }
-
-  // Watchdog fallback (detection off, a single-rank world, or an
-  // in-progress revocation): wait for an external wake — kill_rank or a
-  // poison from another thread — or the deadline, then resume every
-  // blocked fiber in rank order so the first raises SimTimeout.
-  if (sched.wait_for_ready(deadline_)) return;
-  for (int r : sched.blocked()) sched.make_ready(r);
+  // very thread). This IS the structural deadlock — in one-rank worlds
+  // too, and with a revocation in flight: report_rank_death woke every
+  // fiber blocked at that instant, and Mailbox::receive rechecks the
+  // revocation before every park, so a fiber still blocked here waits on
+  // a communicator the revocation does not reach.
+  declare_deadlock(progress_.snapshot_all());
 }
 
 }  // namespace fastfit::mpi

@@ -65,18 +65,14 @@ struct CollectiveAlgorithms {
 
 struct WorldOptions {
   int nranks = 32;
-  /// Rendezvous watchdog: a collective that has not completed after this
-  /// long is declared hung (paper Table I: INF_LOOP). Must comfortably
-  /// exceed the fault-free runtime of the workload. With hang_detection
-  /// on this is the *fallback* budget: structural deadlocks are declared
-  /// long before it expires.
+  /// Watchdog: a world still running after this long is declared hung
+  /// (paper Table I: INF_LOOP). Must comfortably exceed the fault-free
+  /// runtime of the workload. Structural deadlocks are proven the moment
+  /// no rank can run, long before it expires; the watchdog ends livelock
+  /// (compute loops that poll check_deadline).
   std::chrono::milliseconds watchdog{500};
   std::uint64_t seed = 0x5eedULL;
   CollectiveAlgorithms algorithms;
-  /// Deterministic hang detection: declare a deadlock structurally the
-  /// moment no rank can run and no awaited message is queued, instead of
-  /// waiting for the watchdog. Livelock still uses the timeout path.
-  bool hang_detection = true;
   /// When set, every rank logs its MPI ops and transport payloads here —
   /// the campaign's one fault-free recording run (minimpi/snapshot.hpp).
   std::shared_ptr<PrefixRecorder> recorder;
@@ -177,7 +173,7 @@ class WorldState {
   /// Marks `world_rank` doomed: its next transport wait, deadline check,
   /// or collective dispatch raises RankKilled on its own fiber. The
   /// injector's rank-death manifestation and tests use this primitive;
-  /// callable from any thread.
+  /// call it from a rank fiber of this world.
   void kill_rank(int world_rank);
 
   /// Whether kill_rank / a fail-stop fault has doomed this rank (polled by
@@ -241,10 +237,8 @@ class WorldState {
 
   /// The scheduler's idle handler: invoked when no fiber is runnable.
   /// Wakes satisfiable or doomed waits; with nothing to wake, quiescence
-  /// ("no runnable fiber, no queued message") IS the structural deadlock.
-  /// The watchdog fallback (detection off, single rank, or an
-  /// in-progress revocation) waits out the deadline and then wakes every
-  /// blocked fiber in rank order.
+  /// ("no runnable fiber, no queued message") IS the structural deadlock,
+  /// declared unconditionally.
   void fiber_idle(FiberScheduler& sched);
 
   WorldOptions options_;

@@ -45,10 +45,6 @@ constexpr ConfigKnob kKnobs[] = {
      "durable trial journal (continue with --resume)"},
     {"FASTFIT_MAX_TRIAL_RETRIES", "max-trial-retries", "R",
      "internal-failure retries before a point is quarantined"},
-    {"FASTFIT_WATCHDOG_ESCALATION", "watchdog-escalation", "M",
-     "watchdog multiplier for uncontended INF_LOOP re-confirmation"},
-    {"FASTFIT_HANG_DETECTION", "hang-detection", "0|1",
-     "deterministic deadlock detection (default on)"},
     {"FASTFIT_SHARD", "shard", "i/N",
      "run deterministic shard i of N (merge with 'fastfit merge')"},
     {"FASTFIT_PASSES", "passes", "LIST",
@@ -110,13 +106,6 @@ InjectionConfig InjectionConfig::from_map(
       cfg.journal = value;
     } else if (key == "FASTFIT_MAX_TRIAL_RETRIES") {
       cfg.max_trial_retries = parse_u64(key, value, 100);
-    } else if (key == "FASTFIT_WATCHDOG_ESCALATION") {
-      cfg.watchdog_escalation = parse_u64(key, value, 64);
-      if (cfg.watchdog_escalation == 0) {
-        throw ConfigError("FASTFIT_WATCHDOG_ESCALATION: must be >= 1");
-      }
-    } else if (key == "FASTFIT_HANG_DETECTION") {
-      cfg.hang_detection = parse_u64(key, value, 1) != 0;
     } else if (key == "FASTFIT_TRACE") {
       if (value.empty()) throw ConfigError("FASTFIT_TRACE: empty path");
       cfg.trace_out = value;
@@ -195,10 +184,6 @@ std::map<std::string, std::string> InjectionConfig::to_map() const {
   if (max_trial_retries != 2) {
     kv["FASTFIT_MAX_TRIAL_RETRIES"] = std::to_string(max_trial_retries);
   }
-  if (watchdog_escalation != 4) {
-    kv["FASTFIT_WATCHDOG_ESCALATION"] = std::to_string(watchdog_escalation);
-  }
-  if (!hang_detection) kv["FASTFIT_HANG_DETECTION"] = "0";
   if (!trace_out.empty()) kv["FASTFIT_TRACE"] = trace_out;
   if (!metrics_out.empty()) kv["FASTFIT_METRICS"] = metrics_out;
   if (progress) kv["FASTFIT_PROGRESS"] = "1";

@@ -54,13 +54,6 @@ struct InjectionConfig {
   /// Internal-failure retries per trial before the point is quarantined
   /// (FASTFIT_MAX_TRIAL_RETRIES); 0 disables retries.
   std::uint64_t max_trial_retries = 2;
-  /// Watchdog multiplier for the uncontended INF_LOOP re-confirmation run
-  /// (FASTFIT_WATCHDOG_ESCALATION); must be >= 1.
-  std::uint64_t watchdog_escalation = 4;
-  /// Deterministic hang detection: every world proves deadlocks from
-  /// pending-operation signatures instead of waiting out the watchdog
-  /// (FASTFIT_HANG_DETECTION); 1 = on (default), 0 = timeout-only.
-  bool hang_detection = true;
   /// Chrome trace-event JSON output path (FASTFIT_TRACE); empty = no
   /// trace. A non-empty path enables the telemetry recorder.
   std::string trace_out;

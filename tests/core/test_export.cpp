@@ -132,6 +132,36 @@ TEST(Export, FragmentRoundTripsExtendedOutcomeCounts) {
   EXPECT_EQ(to_json(merged), to_json(result));
 }
 
+TEST(Export, RetiredHealthColumnsAreWrittenZeroAndIgnored) {
+  // The health line's fourth column (storm recalibrations) and its last
+  // two (rank-thread quarantines) are retired: a fragment always writes
+  // them as 0, and one written by an older build with non-zero values
+  // still parses and merges, the values dropped.
+  StudyResult result;
+  result.measured.push_back(sample_result("lu.cpp:10", mpi::Param::SendBuf));
+  result.stats.total_points = 1;
+  result.stats.after_semantic = 1;
+  result.stats.after_context = 1;
+  result.stats.nranks = 8;
+  result.health.total_retries = 1;
+  result.health.quarantined_points = 2;
+  result.health.watchdog_confirmations = 3;
+  result.health.replayed_trials = 4;
+  result.health.deterministic_deadlocks = 5;
+  auto fragment = to_shard_fragment(result);
+  const std::string written = "\nhealth 1 2 3 0 4 5 0 0\n";
+  const auto at = fragment.find(written);
+  ASSERT_NE(at, std::string::npos) << fragment;
+  fragment.replace(at, written.size(), "\nhealth 1 2 3 9 4 5 7 6\n");
+  const auto merged = merge_fragments({fragment});
+  EXPECT_EQ(merged.health.total_retries, 1u);
+  EXPECT_EQ(merged.health.quarantined_points, 2u);
+  EXPECT_EQ(merged.health.watchdog_confirmations, 3u);
+  EXPECT_EQ(merged.health.replayed_trials, 4u);
+  EXPECT_EQ(merged.health.deterministic_deadlocks, 5u);
+  EXPECT_EQ(to_shard_fragment(merged), to_shard_fragment(result));
+}
+
 TEST(Export, MergeRejectsMixedOutcomeSets) {
   StudyResult result;
   result.measured.push_back(sample_result("lu.cpp:10", mpi::Param::SendBuf));

@@ -438,9 +438,10 @@ TEST(ProcPool, TemplateThatNeverParksFallsBackToScratch) {
 
 /// Rank 0 enters the allreduce first and waits on rank 1, the injected
 /// rank, whose entry is the cut; after it every rank computes for 60 ms
-/// and exits. Hang detection is off, so a hang can end only at the
-/// watchdog: when rank 1's message is dropped, rank 0 is left alone in
-/// the receive it was parked in at the cut.
+/// and exits. When rank 1's message is dropped, rank 0 is left alone in
+/// the receive it was parked in at the cut, a deadlock proven once rank
+/// 1 exits; when the suffix's compute outlasts the rebased watchdog,
+/// check_deadline times it out.
 void cut_world_main(mpi::Mpi& mpi) {
   mpi::RegisteredBuffer<std::int32_t> in(mpi.registry(), 1);
   mpi::RegisteredBuffer<std::int32_t> out(mpi.registry(), 1);
@@ -481,7 +482,6 @@ TrialReply run_cut_world(const WorkItem& item, const procpool::Park* park) {
   inject::Injector injector(spec, 20261017);
   mpi::WorldOptions opts;
   opts.nranks = 2;
-  opts.hang_detection = false;
   opts.watchdog = std::chrono::milliseconds(item.watchdog_ms);
   if (park != nullptr) {
     opts.watchdog = std::chrono::seconds(20);
@@ -519,8 +519,9 @@ TEST(ProcPool, CutServerParkedPastWatchdogMatchesScratch) {
                [](const WorkItem& item) { return run_cut_world(item, nullptr); });
 
   // (model, watchdog ms, expected outcome). After the corrupted message
-  // the 60 ms suffix fits 400 ms but not 30 ms; the dropped message hangs
-  // rank 0 until the watchdog, which its receive must see rebased.
+  // the 60 ms compute suffix fits 400 ms but not 30 ms, so the 30 ms case
+  // only times out if the suffix sees the rebased deadline; the dropped
+  // message leaves rank 0 waiting on an exited peer, a proven deadlock.
   const std::tuple<const char*, std::uint64_t, inject::Outcome> cases[] = {
       {"message-corrupt", 400, inject::Outcome::Success},
       {"message-corrupt", 400, inject::Outcome::Success},
@@ -724,8 +725,11 @@ IsolatedRun run_isolated(const std::string& workload_name, std::size_t pool,
   return run;
 }
 
+// The workload is a std::string, not a const char*: gtest prints a C
+// string inside a tuple as its address, which would put a load address
+// into the test's listed name and change it on every build.
 class ProcessIsolationCut
-    : public ::testing::TestWithParam<std::tuple<const char*, std::size_t>> {};
+    : public ::testing::TestWithParam<std::tuple<std::string, std::size_t>> {};
 
 TEST_P(ProcessIsolationCut, ForkAtCutMatchesFromScratch) {
   const auto [workload, pool] = GetParam();
@@ -754,10 +758,11 @@ TEST_P(ProcessIsolationCut, ForkAtCutMatchesFromScratch) {
 
 INSTANTIATE_TEST_SUITE_P(
     Workloads, ProcessIsolationCut,
-    ::testing::Combine(::testing::Values("EP", "LU", "miniMD"),
+    ::testing::Combine(::testing::Values(std::string("EP"), std::string("LU"),
+                                         std::string("miniMD")),
                        ::testing::Values(std::size_t{1}, std::size_t{2})),
     [](const auto& info) {
-      return std::string(std::get<0>(info.param)) + "_pool" +
+      return std::get<0>(info.param) + "_pool" +
              std::to_string(std::get<1>(info.param));
     });
 

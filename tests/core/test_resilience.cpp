@@ -1,6 +1,6 @@
 // Crash-resilient campaign execution: the retrying trial guard with
-// quarantine, kill-and-resume through the trial journal, and watchdog
-// escalation / storm recalibration (docs/resilience.md).
+// quarantine, kill-and-resume through the trial journal, and the
+// escalated INF_LOOP re-confirmation (docs/resilience.md).
 
 #include <gtest/gtest.h>
 
@@ -31,7 +31,9 @@ using namespace std::chrono_literals;
 //    guard must retry and quarantine.
 //  - `hang_from`/`hang_until`: rank 0 skips the collectives for jobs
 //    whose ordinal falls in [hang_from, hang_until], so its peers block
-//    until the watchdog fires — a deterministic INF_LOOP storm.
+//    on an exited rank — a deadlock the world proves at quiescence. With
+//    `spin` set, rank 0 instead loops on check_deadline() until the
+//    watchdog fires — livelock, which only the wall clock can end.
 // Job ordinals count every World execution (golden = 1, profiling = 2,
 // trials from 3), assigned by rank 0 at entry.
 class SupervisedWorkload final : public apps::Workload {
@@ -55,7 +57,10 @@ class SupervisedWorkload final : public apps::Workload {
 
     tr.set_phase(trace::ExecPhase::Compute);
     trace::FunctionScope scope(tr, "kernel");
-    if (hang) return 0;  // silent early exit: peers wait until the watchdog
+    if (hang && spin.load(std::memory_order_relaxed)) {
+      for (;;) mpi.check_deadline();
+    }
+    if (hang) return 0;  // silent early exit: peers block on an exited rank
     const double seeded = mpi.bcast_value(
         mpi.rank() == 0 ? static_cast<double>(ctx.input_seed % 97) : 0.0, 0);
     const double total =
@@ -68,6 +73,7 @@ class SupervisedWorkload final : public apps::Workload {
   mutable std::atomic<int> fail_budget{0};
   mutable std::atomic<int> hang_from{0};
   mutable std::atomic<int> hang_until{-1};
+  mutable std::atomic<bool> spin{false};
 };
 
 CampaignOptions supervised_options() {
@@ -242,50 +248,16 @@ TEST(Resilience, ResumeRefusesChangedSeed) {
   EXPECT_THROW(other.attach_journal(path, JournalMode::Create), ConfigError);
 }
 
-TEST(Resilience, WatchdogStormTriggersRecalibration) {
-  SupervisedWorkload workload;
-  auto opts = supervised_options();
-  opts.max_parallel_trials = 2;
-  // This test exercises the watchdog-timeout path: with the deterministic
-  // monitor on, the synthetic hang (a silent early exit) would be proven
-  // a deadlock in milliseconds and never reach the storm machinery.
-  opts.deterministic_hang_detection = false;
-  Campaign campaign(workload, opts);
-  campaign.profile();  // jobs 1 (golden) and 2 (profiling)
-  ASSERT_FALSE(campaign.enumeration().points.empty());
-
-  // Both first-pass trials (jobs 3 and 4) hang: 100% of the batch hits
-  // the watchdog, which must be read as "overloaded machine", not as two
-  // genuine infinite loops. The campaign re-measures the golden wall
-  // time (job 5, outside the hang window), recalibrates, degrades
-  // parallelism, and re-confirms both trials uncontended (jobs 6 and 7,
-  // also outside the window) — so no INF_LOOP survives.
-  workload.hang_from.store(3);
-  workload.hang_until.store(4);
-  const InjectionPoint point = sendbuf_point(campaign);
-  const auto result =
-      campaign.measure_many(std::span<const InjectionPoint>(&point, 1), 2);
-  ASSERT_EQ(result.size(), 1u);
-  EXPECT_EQ(result[0].trials, 2u);
-  EXPECT_EQ(result[0].counts[static_cast<std::size_t>(
-                inject::Outcome::InfLoop)],
-            0u);
-  const auto health = campaign.health();
-  EXPECT_EQ(health.watchdog_recalibrations, 1u);
-  EXPECT_EQ(health.watchdog_confirmations, 2u);
-  EXPECT_EQ(campaign.parallel_trials(), 1u);  // degraded toward serial
-}
-
 TEST(Resilience, SerialInfLoopIsConfirmedWithEscalatedBudget) {
   SupervisedWorkload workload;
-  auto opts = supervised_options();  // serial: pool = 1, no storm response
-  opts.deterministic_hang_detection = false;  // exercise the timeout path
-  Campaign campaign(workload, opts);
+  workload.spin.store(true);  // livelock: only the watchdog can end it
+  Campaign campaign(workload, supervised_options());  // serial: pool = 1
   campaign.profile();
 
-  // Job 3 (the only first-pass trial) hangs; the escalated re-run (job 4)
-  // does not. Serial and parallel campaigns must classify identically, so
-  // the confirmation pass runs at every pool size.
+  // Job 3 (the only first-pass trial) spins until the watchdog; the
+  // escalated re-run (job 4) does not. Serial and parallel campaigns
+  // must classify identically, so the confirmation pass runs at every
+  // pool size.
   workload.hang_from.store(3);
   workload.hang_until.store(3);
   const auto result = campaign.measure(sendbuf_point(campaign), 1);
@@ -294,14 +266,14 @@ TEST(Resilience, SerialInfLoopIsConfirmedWithEscalatedBudget) {
             0u);
   const auto health = campaign.health();
   EXPECT_EQ(health.watchdog_confirmations, 1u);
-  EXPECT_EQ(health.watchdog_recalibrations, 0u);
+  EXPECT_EQ(health.deterministic_deadlocks, 0u);
 }
 
 TEST(Resilience, DeterministicDeadlockBypassesWatchdogMachinery) {
-  // Same synthetic hang as above, but with detection on (the default):
-  // the early exit is proven a deadlock structurally, so the trial is
-  // classified INF_LOOP without an escalated re-run, without a storm
-  // recalibration, and with a world autopsy attached to the point.
+  // Same hang window as above, but rank 0 exits early instead of
+  // spinning: the early exit is proven a deadlock structurally, so the
+  // trial is classified INF_LOOP without an escalated re-run and with a
+  // world autopsy attached to the point.
   SupervisedWorkload workload;
   Campaign campaign(workload, supervised_options());
   campaign.profile();
@@ -318,7 +290,6 @@ TEST(Resilience, DeterministicDeadlockBypassesWatchdogMachinery) {
   const auto health = campaign.health();
   EXPECT_EQ(health.deterministic_deadlocks, 1u);
   EXPECT_EQ(health.watchdog_confirmations, 0u);
-  EXPECT_EQ(health.watchdog_recalibrations, 0u);
   EXPECT_TRUE(health.clean());
 }
 
@@ -379,7 +350,6 @@ class ScriptedRunner final : public TrialRunner {
   }
 
   std::chrono::milliseconds watchdog() const override { return 1000ms; }
-  void recalibrate_after_storm(std::size_t) override {}
 
  private:
   std::uint32_t fail_site_;

@@ -163,22 +163,6 @@ TEST(SnapshotParity, GoldenRunIsMemoizedAcrossCampaigns) {
   EXPECT_EQ(GoldenCache::instance().size(), 2u);
 }
 
-TEST(SnapshotParity, GoldenCacheInvalidationForcesRemeasure) {
-  GoldenCache& cache = GoldenCache::instance();
-  cache.clear();
-  cache.put("k", {0xabcd, std::chrono::milliseconds(120)});
-  const auto hit = cache.find("k");
-  ASSERT_TRUE(hit.has_value());
-  EXPECT_EQ(hit->digest, 0xabcdu);
-  EXPECT_EQ(hit->wall.count(), 120);
-  // The watchdog-recalibration hook: invalidate, then the next
-  // run_golden misses and re-measures.
-  cache.invalidate("k");
-  EXPECT_FALSE(cache.find("k").has_value());
-  cache.invalidate("k");  // idempotent
-  cache.clear();
-}
-
 TEST(SnapshotParity, CacheBudgetMustBePositive) {
   const auto workload = apps::make_workload("LU");
   auto opts = base_options(SnapshotMode::Auto);

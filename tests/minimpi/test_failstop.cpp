@@ -10,7 +10,8 @@
 
 #include <atomic>
 #include <chrono>
-#include <thread>
+#include <mutex>
+#include <vector>
 
 #include "minimpi/mpi.hpp"
 #include "minimpi/world.hpp"
@@ -48,23 +49,26 @@ TEST(FailStop, DeathPoisonsWorldWithoutRepair) {
 
 TEST(FailStop, KillRankUnblocksBlockedReceive) {
   // The victim parks in a transport wait for a message that never comes;
-  // kill_rank must wake it and raise RankKilled on its own fiber instead
-  // of burning the watchdog. Hang detection is off so the idle handler
-  // cannot prove the blocked-on-exited-peer deadlock first.
-  auto options = small_world(2);
-  options.hang_detection = false;
-  World world(options);
-  std::thread killer([&world] {
-    std::this_thread::sleep_for(100ms);
-    world.kill_rank(1);
-  });
-  const auto result = world.run([](Mpi& mpi) {
-    if (mpi.world_rank() == 1) {
-      RegisteredBuffer<double> buf(mpi.registry(), 1);
+  // kill_rank from rank 0's fiber must wake it and raise RankKilled on
+  // the victim's own fiber. Rank 0 first waits for rank 1's hello, so
+  // rank 1 is already parked in its receive when the kill lands, and
+  // the world is never quiescent before it does.
+  World world(small_world(2));
+  std::atomic<bool> victim_parked{false};
+  const auto result = world.run([&world, &victim_parked](Mpi& mpi) {
+    RegisteredBuffer<double> buf(mpi.registry(), 1);
+    if (mpi.world_rank() == 0) {
+      mpi.recv(buf.data(), 1, kDouble, 1, 8);
+      EXPECT_EQ(world.state().progress().snapshot(1).phase,
+                RankPhase::Blocked);
+      victim_parked.store(true);
+      world.kill_rank(1);
+    } else {
+      mpi.send(buf.data(), 1, kDouble, 0, 8);
       mpi.recv(buf.data(), 1, kDouble, 0, 7);
     }
   });
-  killer.join();
+  EXPECT_TRUE(victim_parked.load());
   ASSERT_FALSE(result.clean());
   EXPECT_EQ(result.event->type, EventType::RankDead);
   EXPECT_EQ(result.event->rank, 1);
@@ -192,6 +196,53 @@ TEST(FailStop, NonRepairingClosureUnderRepairModeStaysRankDead) {
   ASSERT_FALSE(result.clean());
   EXPECT_EQ(result.event->type, EventType::RankDead);
   EXPECT_EQ(result.event->rank, 2);
+  EXPECT_TRUE(result.rank_died);
+  EXPECT_FALSE(result.repaired);
+}
+
+TEST(FailStop, SurvivorDeadlockAfterRepairIsProven) {
+  // Rank 1 dies under repair mode and the survivors shrink; then rank 3
+  // leaves without joining the survivors' barrier, so ranks 0 and 2 stay
+  // blocked on the shrunken communicator with the revocation still
+  // recorded. The world must prove that deadlock at quiescence — its
+  // poison unwinds both with WorldAborted — instead of waiting out the
+  // 10 s watchdog until one of them raises SimTimeout. The death stays
+  // the initiating event (the first event captured wins).
+  auto options = small_world(4, /*repair=*/true);
+  options.watchdog = 10000ms;
+  World world(options);
+  std::atomic<int> aborted{0};
+  std::atomic<int> timed_out{0};
+  const auto t0 = std::chrono::steady_clock::now();
+  const auto result = world.run([&](Mpi& mpi) {
+    try {
+      if (mpi.world_rank() == 1) {
+        throw RankKilled(1, "fail-stop before a broken repair");
+      }
+      for (int i = 0; i < 1000; ++i) {
+        mpi.barrier();
+      }
+    } catch (const RankRevoked&) {
+      const Comm survivors = mpi.shrink_and_continue();
+      if (mpi.world_rank() == 3) return;  // never joins the barrier
+      try {
+        mpi.barrier(survivors);
+      } catch (const WorldAborted&) {
+        aborted.fetch_add(1);
+        throw;
+      } catch (const SimTimeout&) {
+        timed_out.fetch_add(1);
+        throw;
+      }
+      mpi.mark_repaired();
+    }
+  });
+  EXPECT_LT(std::chrono::steady_clock::now() - t0, 5000ms);
+  EXPECT_EQ(aborted.load(), 2);
+  EXPECT_EQ(timed_out.load(), 0);
+  ASSERT_FALSE(result.clean());
+  EXPECT_EQ(result.event->type, EventType::RankDead);
+  EXPECT_EQ(result.event->rank, 1);
   EXPECT_TRUE(result.rank_died);
   EXPECT_FALSE(result.repaired);
 }

