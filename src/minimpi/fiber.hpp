@@ -26,6 +26,10 @@
 // and its park, and the idle handler never waits for an outside event:
 // with no fiber ready and none it can wake, the world is deadlocked.
 //
+// Fibers start in rank order, and a World's rank body checks for poison
+// before it runs any rank code: a fiber that has not started when its
+// world is poisoned returns on its first resume and unwinds nothing.
+//
 // Sanitizer support: under TSan and ASan every switch is annotated with
 // the fiber APIs (__tsan_switch_to_fiber / __sanitizer_start_switch_
 // fiber), so the fiber suites run under the sanitizer CI jobs like any

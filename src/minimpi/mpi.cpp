@@ -105,8 +105,7 @@ void Mpi::mark_repaired() { world_->mark_repaired(); }
 
 void Mpi::replay_poison_check() const {
   if (world_->poisoned()) {
-    throw WorldAborted("rank " + std::to_string(world_rank_) +
-                       ": prefix replay interrupted by world teardown");
+    throw WorldAborted("prefix replay interrupted by world teardown");
   }
 }
 
@@ -246,8 +245,7 @@ void Mpi::check_deadline() {
   world_->progress().bump(world_rank_);
   check_doom();
   if (world_->poisoned()) {
-    throw WorldAborted("rank " + std::to_string(world_rank_) +
-                       ": compute loop interrupted by world teardown");
+    throw WorldAborted("compute loop interrupted by world teardown");
   }
   if (std::chrono::steady_clock::now() > world_->deadline()) {
     throw SimTimeout("rank " + std::to_string(world_rank_) +
@@ -359,10 +357,6 @@ std::vector<std::byte> Mpi::recv_internal(Comm comm, int source,
     throw SimTimeout("rank " + std::to_string(world_rank_) + " blocked in " +
                      world_->progress().snapshot(world_rank_).sig.describe() +
                      ": " + timeout.what());
-  } catch (const WorldAborted& aborted) {
-    throw WorldAborted("rank " + std::to_string(world_rank_) + " blocked in " +
-                       world_->progress().snapshot(world_rank_).sig.describe() +
-                       ": " + aborted.what());
   }
 }
 

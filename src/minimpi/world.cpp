@@ -305,6 +305,14 @@ WorldResult World::run(const std::function<void(Mpi&)>& rank_main) {
   const auto body = [state, &rank_main](int r) {
     // One span per rank lifetime, on the rank's own trace lane.
     telemetry::ScopedSpan rank_span("rank-main", telemetry::Track::Rank, r);
+    // A rank that has not started when its world is poisoned never runs:
+    // it owns nothing yet, and the outcome and autopsy are already fixed.
+    // A revocation (repair mode) is not a poison; survivors start and
+    // shrink.
+    if (state->poisoned()) {
+      state->progress_.publish_exited(r);
+      return;
+    }
     Mpi mpi(*state, r);
     try {
       rank_main(mpi);

@@ -10,7 +10,8 @@
 // any rank raises is captured, the world is poisoned so every other rank
 // unwinds promptly with WorldAborted, and run() returns a WorldResult
 // describing the initiating event — never letting a "segfault" or "hang"
-// escape the process.
+// escape the process. A rank that has not started when its world is
+// poisoned never runs its rank function at all.
 //
 // Every MiniMPI wait is a cooperative yield point, so the scheduler always
 // knows when no rank can run: if no blocked rank's awaited message is

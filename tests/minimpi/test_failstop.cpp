@@ -124,6 +124,35 @@ TEST(FailStop, RepairModeRevokesSurvivorsAndShrinks) {
   EXPECT_EQ(repaired.load(), 3);
 }
 
+TEST(FailStop, DeathAtEntryUnderRepairStillStartsSurvivors) {
+  // Under repair a death revokes the world's communicators instead of
+  // poisoning it, so ranks that had not started when rank 0 died still
+  // start, observe the revocation, shrink and repair.
+  World world(small_world(4, /*repair=*/true));
+  std::atomic<int> entered{0};
+  std::atomic<int> repaired{0};
+  const auto result = world.run([&](Mpi& mpi) {
+    entered.fetch_add(1);
+    if (mpi.world_rank() == 0) throw RankKilled(0, "dies at entry");
+    try {
+      mpi.barrier();
+      FAIL() << "revocation never observed on rank " << mpi.world_rank();
+    } catch (const RankRevoked&) {
+      const Comm survivors = mpi.shrink_and_continue();
+      EXPECT_DOUBLE_EQ(mpi.allreduce_value(1.0, kSum, survivors), 3.0);
+      mpi.mark_repaired();
+      repaired.fetch_add(1);
+    }
+  });
+  EXPECT_EQ(entered.load(), 4);
+  EXPECT_EQ(repaired.load(), 3);
+  ASSERT_FALSE(result.clean());
+  EXPECT_EQ(result.event->type, EventType::RankDead);
+  EXPECT_EQ(result.event->rank, 0);
+  EXPECT_TRUE(result.rank_died);
+  EXPECT_TRUE(result.repaired);
+}
+
 TEST(FailStop, ShrinkIsIdempotentAcrossSurvivors) {
   World world(small_world(4, /*repair=*/true));
   std::mutex mutex;

@@ -140,6 +140,52 @@ TEST(Snapshot, ReplayedPrefixReproducesTheLiveRun) {
   EXPECT_EQ(run_iterative(n, nullptr, first), live);
 }
 
+TEST(Snapshot, FaultAtTheCutNeverStartsLaterRanks) {
+  // A replayed prefix never blocks, so rank 0 reaches its cut before any
+  // later rank has run. When the cut op faults there, ranks 1..n-1 never
+  // enter rank_main at all.
+  const int n = 6;
+  auto recorder = std::make_shared<PrefixRecorder>(n);
+  run_iterative(n, recorder, nullptr);
+  const auto recording = recorder->finish();
+  const auto [site, inv] = nth_allreduce(*recording, 1);
+  const auto snapshot = WorldSnapshot::build(recording, site, inv);
+  ASSERT_NE(snapshot, nullptr);
+
+  class FaultAtFirstLiveOp : public ToolHooks {
+   public:
+    void on_enter(CollectiveCall& call, Mpi& mpi) override {
+      if (mpi.world_rank() == 0) {
+        cut_site = call.site_id;
+        cut_invocation = call.invocation;
+        throw MpiError(MpiErrc::InvalidCount, "fault at the cut");
+      }
+    }
+    void on_exit(const CollectiveCall&, Mpi&) override {}
+    std::uint32_t cut_site = 0;
+    std::uint64_t cut_invocation = 0;
+  } fault;
+
+  auto o = opts(n);
+  o.replay = snapshot;
+  World world(o);
+  world.set_tools(&fault);
+  std::atomic<std::uint32_t> entered{0};
+  std::vector<double> out(static_cast<std::size_t>(n), 0.0);
+  std::mutex mu;
+  const auto result = world.run([&](Mpi& mpi) {
+    entered.fetch_or(1u << mpi.world_rank());
+    iterative_kernel(mpi, out, mu);
+  });
+  EXPECT_EQ(entered.load(), 1u);  // rank 0 only
+  EXPECT_EQ(fault.cut_site, site);
+  EXPECT_EQ(fault.cut_invocation, inv);
+  ASSERT_FALSE(result.clean());
+  EXPECT_EQ(result.event->type, EventType::MpiErr);
+  EXPECT_EQ(result.event->rank, 0);
+  EXPECT_EQ(result.leaked_regions, 0u);
+}
+
 TEST(Snapshot, MissingSiteOrInvocationIsNotACut) {
   const int n = 4;
   auto recorder = std::make_shared<PrefixRecorder>(n);

@@ -107,6 +107,57 @@ TEST(World, PoisonUnblocksPeersWaitingOnCollective) {
   EXPECT_LT(std::chrono::steady_clock::now() - start, 5000ms);
 }
 
+TEST(World, PoisonedWorldNeverStartsRemainingRanks) {
+  // Fibers start in rank order, so rank 0's fault poisons the world
+  // before ranks 1..15 have run: they never enter rank_main, and so
+  // register nothing, send nothing and throw nothing.
+  World world(small_world(16));
+  std::atomic<int> entered{0};
+  const auto result = world.run([&](Mpi& mpi) {
+    entered.fetch_add(1);
+    RegisteredBuffer<double> buf(mpi.registry(), 4, 1.0);
+    if (mpi.world_rank() == 0) throw AppError("set-up check failed");
+    mpi.send(buf.data(), 4, kDouble, 0, 3);
+    mpi.barrier();
+  });
+  EXPECT_EQ(entered.load(), 1);
+  ASSERT_FALSE(result.clean());
+  EXPECT_EQ(result.event->type, EventType::AppDetected);
+  EXPECT_EQ(result.event->rank, 0);
+  EXPECT_EQ(result.leaked_regions, 0u);
+  EXPECT_EQ(result.undelivered_messages, 0u);
+  for (int r = 0; r < 16; ++r) {
+    EXPECT_EQ(world.state().progress().snapshot(r).phase, RankPhase::Exited)
+        << "rank " << r;
+  }
+}
+
+TEST(World, ParkedSurvivorUnwindsWithTheMailboxThrow) {
+  // Rank 1 parks in a receive that never matches; rank 0's fault wakes
+  // it, and the WorldAborted that reaches rank code is the mailbox's own,
+  // not a copy re-thrown with the blocked op prepended.
+  World world(small_world(2));
+  std::string survivor_saw;
+  const auto result = world.run([&](Mpi& mpi) {
+    RegisteredBuffer<double> buf(mpi.registry(), 1);
+    if (mpi.world_rank() == 0) {
+      mpi.recv(buf.data(), 1, kDouble, 1, 8);  // rank 1 is parked after this
+      throw AppError("late fault");
+    }
+    mpi.send(buf.data(), 1, kDouble, 0, 8);
+    try {
+      mpi.recv(buf.data(), 1, kDouble, 0, 9);
+    } catch (const WorldAborted& aborted) {
+      survivor_saw = aborted.what();
+      throw;
+    }
+  });
+  ASSERT_FALSE(result.clean());
+  EXPECT_EQ(result.event->type, EventType::AppDetected);
+  EXPECT_EQ(survivor_saw, "mailbox wait interrupted by world teardown");
+  EXPECT_EQ(survivor_saw.find("blocked in"), std::string::npos);
+}
+
 TEST(World, TimeoutCapturedAsInfLoop) {
   WorldOptions opts = small_world(2);
   opts.watchdog = 50ms;
