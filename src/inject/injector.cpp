@@ -62,11 +62,11 @@ void Injector::manifest(mpi::CollectiveCall& call, mpi::Mpi& mpi) {
     RngStream rng(seed_, "bitflip", spec_.stream_index());
     if (corrupt_parameter(call, spec_.param, model, rng, mpi)) {
       manifested_ = true;
-      fizzled_.store(false);
+      fizzled_ = false;
     } else if (!manifested_) {
       // Fizzled only counts while *no* fire has ever bitten: a repeating
       // fault is effective as soon as any one of its fires changes state.
-      fizzled_.store(true);
+      fizzled_ = true;
     }
     return;
   }
@@ -74,7 +74,7 @@ void Injector::manifest(mpi::CollectiveCall& call, mpi::Mpi& mpi) {
     // Arm the transport layer: the injected rank's next outgoing message
     // (normally the first phase message of this very collective) takes
     // the fault.
-    transport_armed_.store(true, std::memory_order_release);
+    transport_armed_ = true;
     return;
   }
   if (is_signal_model(model)) {
@@ -92,7 +92,7 @@ void Injector::manifest(mpi::CollectiveCall& call, mpi::Mpi& mpi) {
     throw InternalError(std::string("Injector: ") + to_string(model) +
                         " survived raise(); signal intercepted?");
   }
-  // Fail-stop: this rank dies here, mid-collective, on its own thread.
+  // Fail-stop: this rank dies here, mid-collective, on its own fiber.
   throw RankKilled(spec_.rank, "rank " + std::to_string(spec_.rank) +
                                    " fail-stop at " + spec_.describe());
 }
@@ -101,14 +101,14 @@ void Injector::on_enter(mpi::CollectiveCall& call, mpi::Mpi& mpi) {
   // One-shot triggers latch on the first fire; a duty cycle keeps firing
   // for the life of the run (that is what makes it intermittent).
   const bool repeating = spec_.fault.trigger == FaultTrigger::DutyCycle;
-  if (!repeating && fired_.load(std::memory_order_relaxed)) return;
+  if (!repeating && fired_) return;
   if (mpi.world_rank() != spec_.rank) return;
   if (!trigger_fires(call)) return;
 
   if (cut_hook_ && spec_.fault.trigger == FaultTrigger::ExactPoint) {
     cut_hook_(mpi);
   }
-  fired_.store(true);
+  fired_ = true;
   manifest(call, mpi);
 }
 
@@ -117,17 +117,17 @@ void Injector::on_exit(const mpi::CollectiveCall&, mpi::Mpi&) {}
 mpi::SendAction Injector::on_transport_send(int source_world, int /*dest*/,
                                             std::uint64_t /*tag*/,
                                             std::vector<std::byte>& payload) {
-  if (!transport_armed_.load(std::memory_order_acquire)) {
+  if (!transport_armed_) {
     return mpi::SendAction::Deliver;
   }
   if (source_world != spec_.rank) return mpi::SendAction::Deliver;
-  transport_armed_.store(false, std::memory_order_release);
+  transport_armed_ = false;
   switch (spec_.fault.model) {
     case FaultModel::MessageCorrupt: {
       if (payload.empty()) {
         // Nothing to corrupt (e.g. a barrier token): the fault fizzles
         // and the pristine message is delivered.
-        fizzled_.store(true);
+        fizzled_ = true;
         return mpi::SendAction::Deliver;
       }
       RngStream rng(seed_, "bitflip", spec_.stream_index());

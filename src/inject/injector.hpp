@@ -8,8 +8,10 @@
 // record (the PMPI-shim deployment of the paper's Fig 5), an in-flight
 // message corruption / delay / drop at the transport layer, or fail-stop
 // rank death. Every untargeted call passes through untouched.
+//
+// An Injector is a per-trial tool bound to one world, so it runs only on
+// that world's thread and its state is plain fields.
 
-#include <atomic>
 #include <cstdint>
 #include <functional>
 
@@ -53,19 +55,19 @@ class Injector final : public mpi::ToolHooks {
                                     std::vector<std::byte>& payload) override;
 
   /// True once the trigger fired and the manifestation was applied.
-  bool fired() const noexcept { return fired_.load(); }
+  bool fired() const noexcept { return fired_; }
 
   /// True if the fault fired but had no corruptible substance (e.g.
   /// zero-length buffer, stuck-at bit already at its stuck value): the
   /// trial ran effectively fault-free.
-  bool fizzled() const noexcept { return fizzled_.load(); }
+  bool fizzled() const noexcept { return fizzled_; }
 
   const FaultSpec& spec() const noexcept { return spec_; }
 
  private:
   /// Trigger axis: does this call (on the injected rank) fire the fault?
-  /// Only called on the injected rank's own thread; the per-call counters
-  /// and trigger RNG are therefore single-threaded.
+  /// Only called on the injected rank's own fiber; the per-call counters
+  /// and trigger RNG therefore count that rank's calls alone.
   bool trigger_fires(const mpi::CollectiveCall& call);
 
   /// UniformOverRun: draws the firing call from the trigger stream.
@@ -76,17 +78,17 @@ class Injector final : public mpi::ToolHooks {
 
   FaultSpec spec_;
   std::uint64_t seed_;
-  std::atomic<bool> fired_{false};
-  std::atomic<bool> fizzled_{false};
+  bool fired_ = false;
+  bool fizzled_ = false;
   /// A message-fault manifestation armed by the trigger; consumed by the
   /// first subsequent on_transport_send from the injected rank.
-  std::atomic<bool> transport_armed_{false};
+  bool transport_armed_ = false;
   RngStream trigger_rng_;
   std::uint64_t calls_seen_ = 0;  ///< injected rank's collective calls
   std::uint64_t fire_at_ = 0;     ///< UniformOverRun: chosen call ordinal
   /// A repeating (duty-cycle) fault is fizzled only while *every* fire so
   /// far was a no-op; the first effective mutation latches this true.
-  /// Rank-thread-only, like the counters above.
+  /// Injected-rank-only, like the counters above.
   bool manifested_ = false;
   CutHook cut_hook_;
 };

@@ -67,15 +67,15 @@ P2pInjector::P2pInjector(P2pFaultSpec spec, std::uint64_t seed)
     : spec_(spec), seed_(seed) {}
 
 void P2pInjector::on_p2p(mpi::P2pCall& call, mpi::Mpi& mpi) {
-  if (fired_.load(std::memory_order_relaxed)) return;
+  if (fired_) return;
   if (mpi.world_rank() != spec_.rank) return;
   if (call.site_id != spec_.site_id) return;
   if (call.invocation != spec_.invocation) return;
 
-  fired_.store(true);
+  fired_ = true;
   RngStream rng(seed_, "p2p-bitflip", spec_.stream_index());
   if (!corrupt_p2p_parameter(call, spec_.param, spec_.model, rng, mpi)) {
-    fizzled_.store(true);
+    fizzled_ = true;
   }
 }
 

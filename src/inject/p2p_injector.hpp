@@ -5,7 +5,6 @@
 // fault model, targeting, and outcome taxonomy are identical to the
 // collective injector; only the interposition point differs.
 
-#include <atomic>
 #include <string>
 
 #include "inject/fault_model.hpp"
@@ -44,15 +43,15 @@ class P2pInjector final : public mpi::ToolHooks {
   void on_exit(const mpi::CollectiveCall&, mpi::Mpi&) override {}
   void on_p2p(mpi::P2pCall& call, mpi::Mpi& mpi) override;
 
-  bool fired() const noexcept { return fired_.load(); }
-  bool fizzled() const noexcept { return fizzled_.load(); }
+  bool fired() const noexcept { return fired_; }
+  bool fizzled() const noexcept { return fizzled_; }
   const P2pFaultSpec& spec() const noexcept { return spec_; }
 
  private:
   P2pFaultSpec spec_;
   std::uint64_t seed_;
-  std::atomic<bool> fired_{false};
-  std::atomic<bool> fizzled_{false};
+  bool fired_ = false;
+  bool fizzled_ = false;
 };
 
 }  // namespace fastfit::inject

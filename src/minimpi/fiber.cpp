@@ -170,11 +170,8 @@ void FiberScheduler::trampoline() {
     // is a scheduler-user bug. First error wins, mirroring the executor.
     if (!self->error_) self->error_ = std::current_exception();
   }
-  {
-    std::lock_guard lock(self->mutex_);
-    self->fibers_[static_cast<std::size_t>(i)].state = State::Done;
-    ++self->finished_;
-  }
+  self->fibers_[static_cast<std::size_t>(i)].state = State::Done;
+  ++self->finished_;
   self->switch_to_scheduler(/*dying=*/true);
   // Unreachable: a dying fiber is never resumed (on the ucontext path
   // uc_link backstops it; on the fast path the entry thunk aborts).
@@ -182,10 +179,7 @@ void FiberScheduler::trampoline() {
 
 void FiberScheduler::resume(int fiber) {
   Fiber& f = fibers_[static_cast<std::size_t>(fiber)];
-  {
-    std::lock_guard lock(mutex_);
-    f.state = State::Running;
-  }
+  f.state = State::Running;
   current_ = fiber;
 #if defined(FASTFIT_TSAN_FIBERS)
   __tsan_switch_to_fiber(f.tsan_fiber, 0);
@@ -233,15 +227,17 @@ void FiberScheduler::block_current() {
   if (current_ < 0) {
     throw InternalError("FiberScheduler::block_current: not inside a fiber");
   }
-  {
-    std::lock_guard lock(mutex_);
-    fibers_[static_cast<std::size_t>(current_)].state = State::Blocked;
-  }
+  fibers_[static_cast<std::size_t>(current_)].state = State::Blocked;
   switch_to_scheduler(/*dying=*/false);
 }
 
 void FiberScheduler::make_ready(int fiber) {
-  std::lock_guard lock(mutex_);
+  // The one door every wake enters by: a world's state is plain fields,
+  // so a wake from another thread would race it.
+  if (t_active != this) {
+    throw InternalError(
+        "FiberScheduler::make_ready: wake from outside the world's thread");
+  }
   Fiber& f = fibers_[static_cast<std::size_t>(fiber)];
   if (f.state != State::Blocked) return;
   f.state = State::Ready;
@@ -250,7 +246,6 @@ void FiberScheduler::make_ready(int fiber) {
 
 std::vector<int> FiberScheduler::blocked() const {
   std::vector<int> out;
-  std::lock_guard lock(mutex_);
   for (int i = 0; i < nfibers_; ++i) {
     if (fibers_[static_cast<std::size_t>(i)].state == State::Blocked) {
       out.push_back(i);
@@ -288,21 +283,14 @@ void FiberScheduler::run(const std::function<void(int)>& body,
 #if defined(FASTFIT_TSAN_FIBERS)
     f.tsan_fiber = __tsan_create_fiber(0);
 #endif
-    std::lock_guard lock(mutex_);
     f.state = State::Ready;
     ready_.push_back(i);
   }
 
   while (finished_ < nfibers_) {
-    int next = -1;
-    {
-      std::lock_guard lock(mutex_);
-      if (!ready_.empty()) {
-        next = ready_.front();
-        ready_.pop_front();
-      }
-    }
-    if (next >= 0) {
+    if (!ready_.empty()) {
+      const int next = ready_.front();
+      ready_.pop_front();
       resume(next);
       continue;
     }

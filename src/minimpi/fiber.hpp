@@ -25,6 +25,8 @@
 // therefore cannot be woken between a mailbox's last readiness check
 // and its park, and the idle handler never waits for an outside event:
 // with no fiber ready and none it can wake, the world is deadlocked.
+// Every wake enters through make_ready(), which enforces the contract;
+// the scheduler, and all the world state behind it, are plain fields.
 //
 // Fibers start in rank order, and a World's rank body checks for poison
 // before it runs any rank code: a fiber that has not started when its
@@ -40,7 +42,6 @@
 #include <exception>
 #include <functional>
 #include <memory>
-#include <mutex>
 #include <ucontext.h>
 #include <vector>
 
@@ -118,8 +119,10 @@ class FiberScheduler {
 
   /// Marks a blocked fiber ready (FIFO). Called from a fiber of this
   /// scheduler (a sender delivering to a parked receiver) or from its
-  /// idle handler. Waking a running, ready or finished fiber is a no-op:
-  /// a running fiber rechecks its wait condition before it parks.
+  /// idle handler; a call from any other thread, or while this
+  /// scheduler is not running, throws InternalError. Waking a running,
+  /// ready or finished fiber is a no-op: a running fiber rechecks its
+  /// wait condition before it parks.
   void make_ready(int fiber);
 
   /// Blocked fibers in rank order — the idle handler's scan set.
@@ -155,7 +158,6 @@ class FiberScheduler {
   ucontext_t sched_context_{};
   void* sched_sp_ = nullptr;  // fast-switch path: scheduler's parked sp
 
-  mutable std::mutex mutex_;
   std::deque<int> ready_;
   int finished_ = 0;
 

@@ -115,7 +115,8 @@ enum class SendAction : std::uint8_t {
 };
 
 /// A tool attached to the interposition layer. Hooks run on the calling
-/// rank's thread; implementations must be thread-safe across ranks.
+/// rank's fiber, and hooks run on the world's one thread, so an
+/// implementation needs no lock for state that only its world touches.
 class ToolHooks {
  public:
   virtual ~ToolHooks() = default;
@@ -133,7 +134,7 @@ class ToolHooks {
     (void)mpi;
   }
 
-  /// Runs on the sender's thread for every transport-level message —
+  /// Runs on the sender's fiber for every transport-level message —
   /// collective phase traffic and p2p alike — just before mailbox
   /// delivery. Message-fault models corrupt `payload` in place, drop the
   /// message, or hold it for delayed delivery. Default passes through.

@@ -8,16 +8,13 @@
 namespace fastfit::mpi {
 
 void Mailbox::deliver(Message message) {
-  std::lock_guard lock(mutex_);
-  queue_.push_back(std::move(message));
-  // A delivery is the wake: mark the owning fiber ready while holding the
-  // mailbox mutex (the scheduler pointer is cleared under this mutex at
-  // teardown, so the call can never dangle).
+  // A delivery is the wake. Waking first means a delivery from outside
+  // the world is rejected before it touches the queue.
   if (fiber_sched_ != nullptr) fiber_sched_->make_ready(fiber_rank_);
+  queue_.push_back(std::move(message));
 }
 
 void Mailbox::set_fiber_waker(FiberScheduler* sched, int owner_rank) {
-  std::lock_guard lock(mutex_);
   fiber_sched_ = sched;
   fiber_rank_ = owner_rank;
 }
@@ -26,22 +23,18 @@ Message Mailbox::receive(int source, std::uint64_t tag,
                          const std::chrono::steady_clock::time_point& deadline,
                          bool revocable) {
   for (;;) {
-    {
-      std::lock_guard lock(mutex_);
-      auto it = std::find_if(queue_.begin(), queue_.end(),
-                             [&](const Message& m) {
-                               return m.source == source && m.tag == tag;
-                             });
-      if (it != queue_.end()) {
-        Message out = std::move(*it);
-        queue_.erase(it);
-        return out;
-      }
+    auto it = std::find_if(queue_.begin(), queue_.end(), [&](const Message& m) {
+      return m.source == source && m.tag == tag;
+    });
+    if (it != queue_.end()) {
+      Message out = std::move(*it);
+      queue_.erase(it);
+      return out;
     }
     // Doom, then poison, then revocation, then the deadline: checked on
     // every resume, so a rank that arrives late never sleeps through the
     // teardown (or its own death).
-    if (doom_ != nullptr && doom_->load(std::memory_order_acquire)) {
+    if (doom_ != nullptr && *doom_) {
       throw RankKilled(doom_rank_, "rank " + std::to_string(doom_rank_) +
                                        " killed while waiting for rank " +
                                        std::to_string(source));
@@ -73,17 +66,14 @@ Message Mailbox::receive(int source, std::uint64_t tag,
 }
 
 void Mailbox::wake() {
-  std::lock_guard lock(mutex_);
   if (fiber_sched_ != nullptr) fiber_sched_->make_ready(fiber_rank_);
 }
 
 std::size_t Mailbox::pending() const {
-  std::lock_guard lock(mutex_);
   return queue_.size();
 }
 
 bool Mailbox::has_match(int source, std::uint64_t tag) const {
-  std::lock_guard lock(mutex_);
   return std::any_of(queue_.begin(), queue_.end(), [&](const Message& m) {
     return m.source == source && m.tag == tag;
   });

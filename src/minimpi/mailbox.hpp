@@ -12,12 +12,10 @@
 // has already failed, the world poison wakes every waiter with
 // WorldAborted so trials finish promptly.
 
-#include <atomic>
 #include <chrono>
 #include <cstddef>
 #include <cstdint>
 #include <deque>
-#include <mutex>
 #include <vector>
 
 namespace fastfit::mpi {
@@ -32,29 +30,26 @@ struct Message {
   std::vector<std::byte> payload;
 };
 
-/// Shared flags that tear down a world once any rank fails. Plain
-/// atomics: every waiter is a fiber that rechecks them each time it is
-/// resumed, so there is no sleeper to notify.
+/// Flags that tear down a world once any rank fails. Every waiter is a
+/// fiber of the same world that rechecks them each time it is resumed,
+/// so there is no sleeper to notify.
 class PoisonState {
  public:
-  void poison() noexcept { poisoned_.store(true, std::memory_order_release); }
-  void revoke() noexcept { revoked_.store(true, std::memory_order_release); }
-  bool poisoned() const noexcept {
-    return poisoned_.load(std::memory_order_acquire);
-  }
-  bool revoked() const noexcept {
-    return revoked_.load(std::memory_order_acquire);
-  }
+  void poison() noexcept { poisoned_ = true; }
+  void revoke() noexcept { revoked_ = true; }
+  bool poisoned() const noexcept { return poisoned_; }
+  bool revoked() const noexcept { return revoked_; }
 
  private:
-  std::atomic<bool> poisoned_{false};
+  bool poisoned_ = false;
   /// ULFM-style revocation: set (instead of poison) when a rank fail-stops
   /// with repair enabled. Waiters on pre-death communicators observe it
   /// and raise RankRevoked; post-repair communicators are exempt.
-  std::atomic<bool> revoked_{false};
+  bool revoked_ = false;
 };
 
-/// Unbounded MPSC mailbox with (source, tag) matching and deadline waits.
+/// Unbounded mailbox with (source, tag) matching and deadline waits. Its
+/// senders are the other rank fibers of the same world.
 class Mailbox {
  public:
   explicit Mailbox(PoisonState& poison) : poison_(&poison) {}
@@ -80,7 +75,7 @@ class Mailbox {
 
   /// Arms the fail-stop kill signal for this mailbox's owning rank:
   /// receive() polls `doomed` and raises RankKilled once it latches.
-  void set_doom(int owner_rank, const std::atomic<bool>* doomed) {
+  void set_doom(int owner_rank, const bool* doomed) {
     doom_rank_ = owner_rank;
     doom_ = doomed;
   }
@@ -100,18 +95,18 @@ class Mailbox {
   void wake();
 
   /// Wake routing: deliveries and wakes mark `owner_rank`'s fiber ready
-  /// on `sched`. Installed by the world before the scheduler starts and
-  /// cleared after it drains, so a wake after the world has run never
+  /// on `sched` (FiberScheduler::make_ready, which rejects a wake from
+  /// another thread). Installed by the world before the scheduler starts
+  /// and cleared after it drains, so a wake after the world has run never
   /// observes a dangling scheduler.
   void set_fiber_waker(FiberScheduler* sched, int owner_rank);
 
  private:
-  mutable std::mutex mutex_;
   std::deque<Message> queue_;
   PoisonState* poison_;
   int doom_rank_ = -1;
-  const std::atomic<bool>* doom_ = nullptr;
-  FiberScheduler* fiber_sched_ = nullptr;  // guarded by mutex_
+  const bool* doom_ = nullptr;
+  FiberScheduler* fiber_sched_ = nullptr;
   int fiber_rank_ = -1;
 };
 

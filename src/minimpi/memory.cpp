@@ -13,7 +13,6 @@ void MemoryRegistry::add(const void* ptr, std::size_t bytes) {
   }
   if (bytes == 0) return;  // nothing to protect
   const auto base = reinterpret_cast<std::uintptr_t>(ptr);
-  std::lock_guard lock(mutex_);
   // Reject overlap with the predecessor and successor regions.
   auto next = regions_.lower_bound(base);
   if (next != regions_.end() && base + bytes > next->first) {
@@ -30,7 +29,6 @@ void MemoryRegistry::add(const void* ptr, std::size_t bytes) {
 
 void MemoryRegistry::remove(const void* ptr) {
   const auto base = reinterpret_cast<std::uintptr_t>(ptr);
-  std::lock_guard lock(mutex_);
   if (regions_.erase(base) == 0) {
     throw InternalError("MemoryRegistry::remove: unknown region");
   }
@@ -40,7 +38,6 @@ bool MemoryRegistry::covers(const void* ptr, std::size_t bytes) const noexcept {
   if (bytes == 0) return true;
   if (ptr == nullptr) return false;
   const auto base = reinterpret_cast<std::uintptr_t>(ptr);
-  std::lock_guard lock(mutex_);
   auto next = regions_.upper_bound(base);
   if (next == regions_.begin()) return false;
   const auto& [region_base, region_len] = *std::prev(next);
@@ -56,11 +53,6 @@ void MemoryRegistry::check(const void* ptr, std::size_t bytes,
         << " leaves every registered region";
     throw SimSegFault(reinterpret_cast<std::uintptr_t>(ptr), bytes, msg.str());
   }
-}
-
-std::size_t MemoryRegistry::region_count() const {
-  std::lock_guard lock(mutex_);
-  return regions_.size();
 }
 
 namespace {
@@ -79,7 +71,6 @@ std::uint64_t fnv1a_bytes(const void* data, std::size_t bytes) noexcept {
 
 ChunkStore::Chunk ChunkStore::intern(const void* data, std::size_t bytes) {
   const std::uint64_t hash = fnv1a_bytes(data, bytes);
-  std::lock_guard lock(mutex_);
   auto& bucket = buckets_[hash];
   const auto* p = static_cast<const std::byte*>(data);
   for (const auto& chunk : bucket) {
@@ -93,16 +84,6 @@ ChunkStore::Chunk ChunkStore::intern(const void* data, std::size_t bytes) {
   bytes_ += bytes;
   ++chunks_;
   return chunk;
-}
-
-std::size_t ChunkStore::unique_bytes() const {
-  std::lock_guard lock(mutex_);
-  return bytes_;
-}
-
-std::size_t ChunkStore::unique_chunks() const {
-  std::lock_guard lock(mutex_);
-  return chunks_;
 }
 
 }  // namespace fastfit::mpi

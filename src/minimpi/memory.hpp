@@ -14,14 +14,12 @@
 #include <cstdint>
 #include <map>
 #include <memory>
-#include <mutex>
 #include <vector>
 
 namespace fastfit::mpi {
 
-/// Per-rank registry of valid buffer regions.
-///
-/// Thread-safety: registration/removal and checking lock a mutex.
+/// Per-rank registry of valid buffer regions. Only its own world's
+/// thread touches it, so it takes no lock.
 class MemoryRegistry {
  public:
   /// Registers [ptr, ptr+bytes). Overlapping registrations are rejected.
@@ -39,10 +37,9 @@ class MemoryRegistry {
   /// True iff the range is fully covered (non-throwing form of check()).
   bool covers(const void* ptr, std::size_t bytes) const noexcept;
 
-  std::size_t region_count() const;
+  std::size_t region_count() const noexcept { return regions_.size(); }
 
  private:
-  mutable std::mutex mutex_;
   // base address -> byte length
   std::map<std::uintptr_t, std::size_t> regions_;
 };
@@ -54,7 +51,8 @@ class MemoryRegistry {
 /// `unique_bytes` is what the snapshot cache charges against its budget.
 /// Chunks are shared_ptrs: a "clone" of a snapshot copies nothing, and
 /// dirty data never exists — replay copies a chunk into the trial's own
-/// application buffer and every later write lands there.
+/// application buffer and every later write lands there. A store is
+/// filled by one thread (the recording world's) and takes no lock.
 class ChunkStore {
  public:
   using Chunk = std::shared_ptr<const std::vector<std::byte>>;
@@ -62,11 +60,10 @@ class ChunkStore {
   /// Returns a chunk holding exactly `bytes` (deduplicated by content).
   Chunk intern(const void* data, std::size_t bytes);
 
-  std::size_t unique_bytes() const;
-  std::size_t unique_chunks() const;
+  std::size_t unique_bytes() const noexcept { return bytes_; }
+  std::size_t unique_chunks() const noexcept { return chunks_; }
 
  private:
-  mutable std::mutex mutex_;
   // content hash -> chunks with that hash (collisions compared by value)
   std::map<std::uint64_t, std::vector<Chunk>> buckets_;
   std::size_t bytes_ = 0;

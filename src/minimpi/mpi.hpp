@@ -100,7 +100,7 @@ class Mpi {
   /// trial runner installs one per rank (backed by the rank's trace
   /// context); its result is folded into the pending-op signature that
   /// hang verdicts and autopsies report. Must only be called from this
-  /// rank's own thread.
+  /// rank's own fiber.
   struct StackProbe {
     std::uint64_t stack_id = 0;
     std::string frame;  ///< innermost shadow frame name

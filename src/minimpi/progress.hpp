@@ -20,8 +20,6 @@
 // reports and the journal.
 
 #include <cstdint>
-#include <memory>
-#include <mutex>
 #include <string>
 #include <vector>
 
@@ -64,8 +62,9 @@ struct RankSnapshot {
   PendingSig sig;
 };
 
-/// The table itself: one slot per rank, each guarded by its own mutex so
-/// publishes are rank-local and a reader sees a consistent slot.
+/// The table itself: one plain slot per rank. Every publish and every
+/// read runs on the world's one thread (minimpi/fiber.hpp), so a reader
+/// always sees a whole slot.
 class ProgressTable {
  public:
   explicit ProgressTable(int nranks);
@@ -94,28 +93,15 @@ class ProgressTable {
   /// Fail-stop death: terminal, peer-visible via snapshot().
   void publish_dead(int rank);
 
-  RankSnapshot snapshot(int rank) const;
-  std::vector<RankSnapshot> snapshot_all() const;
+  const RankSnapshot& snapshot(int rank) const {
+    return slots_.at(static_cast<std::size_t>(rank));
+  }
+  const std::vector<RankSnapshot>& snapshot_all() const noexcept {
+    return slots_;
+  }
 
  private:
-  struct Slot {
-    mutable std::mutex mutex;
-    std::uint64_t heartbeat = 0;
-    RankPhase phase = RankPhase::Computing;
-    bool has_op = false;
-    PendingSig sig;
-  };
-  // unique_ptr: stable addresses, Slot holds a mutex and cannot move.
-  std::vector<std::unique_ptr<Slot>> slots_;
-};
-
-/// Per-rank entry of a world autopsy.
-struct RankAutopsy {
-  int rank = -1;
-  RankPhase phase = RankPhase::Computing;
-  std::uint64_t heartbeat = 0;
-  bool has_op = false;
-  PendingSig sig;
+  std::vector<RankSnapshot> slots_;
 };
 
 /// Forensic snapshot of the whole world, captured when the initiating
@@ -125,7 +111,7 @@ struct RankAutopsy {
 struct WorldAutopsy {
   bool deterministic = false;
   std::string verdict;  ///< detector conclusion / event description
-  std::vector<RankAutopsy> ranks;
+  std::vector<RankSnapshot> ranks;  ///< [world rank] -> its slot
 
   /// Compact one-line form for journals and messages.
   std::string summary() const;

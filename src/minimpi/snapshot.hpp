@@ -102,8 +102,8 @@ struct WorldRecording {
 };
 
 /// Attached to a recording run via WorldOptions::recorder: each rank
-/// appends to its own op vector (no cross-rank synchronization
-/// beyond the chunk store's intern lock).
+/// appends to its own op vector, all on the recording world's one
+/// thread, so nothing here is synchronized.
 class PrefixRecorder {
  public:
   explicit PrefixRecorder(int nranks);
@@ -127,7 +127,6 @@ class PrefixRecorder {
  private:
   std::vector<std::vector<RecordedOp>> ops_;
   ChunkStore chunks_;
-  std::mutex unsupported_mutex_;
   bool unsupported_ = false;
   std::string why_;
 };

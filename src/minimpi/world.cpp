@@ -3,6 +3,7 @@
 #include <algorithm>
 #include <exception>
 #include <new>
+#include <numeric>
 #include <stdexcept>
 #include <utility>
 
@@ -29,43 +30,32 @@ WorldState::WorldState(const WorldOptions& options)
   if (options_.nranks < 1) {
     throw ConfigError("World: nranks must be at least 1");
   }
-  mailboxes_.reserve(static_cast<std::size_t>(options_.nranks));
-  registries_.reserve(static_cast<std::size_t>(options_.nranks));
-  for (int r = 0; r < options_.nranks; ++r) {
-    mailboxes_.push_back(std::make_unique<Mailbox>(poison_));
-    registries_.push_back(std::make_unique<MemoryRegistry>());
+  const auto n = static_cast<std::size_t>(options_.nranks);
+  doomed_ = std::make_unique<bool[]>(n);
+  dead_ = std::make_unique<bool[]>(n);
+  registries_.resize(n);
+  mailboxes_.reserve(n);
+  for (std::size_t r = 0; r < n; ++r) {
+    mailboxes_.emplace_back(poison_).set_doom(static_cast<int>(r), &doomed_[r]);
   }
-  doomed_ = std::make_unique<std::atomic<bool>[]>(
-      static_cast<std::size_t>(options_.nranks));
-  dead_ = std::make_unique<std::atomic<bool>[]>(
-      static_cast<std::size_t>(options_.nranks));
-  for (int r = 0; r < options_.nranks; ++r) {
-    doomed_[static_cast<std::size_t>(r)].store(false,
-                                               std::memory_order_relaxed);
-    dead_[static_cast<std::size_t>(r)].store(false, std::memory_order_relaxed);
-    mailboxes_[static_cast<std::size_t>(r)]->set_doom(
-        r, &doomed_[static_cast<std::size_t>(r)]);
-  }
-  std::vector<int> everyone(static_cast<std::size_t>(options_.nranks));
-  for (int r = 0; r < options_.nranks; ++r) {
-    everyone[static_cast<std::size_t>(r)] = r;
-  }
+  std::vector<int> everyone(n);
+  std::iota(everyone.begin(), everyone.end(), 0);
   world_members_ = everyone;
   comms_.push_back(CommEntry{std::move(everyone)});
   comm_keys_.emplace("world", 0);
 }
 
 Mailbox& WorldState::mailbox(int world_rank) {
-  return *mailboxes_.at(static_cast<std::size_t>(world_rank));
+  return mailboxes_.at(static_cast<std::size_t>(world_rank));
 }
 
 MemoryRegistry& WorldState::registry(int world_rank) {
-  return *registries_.at(static_cast<std::size_t>(world_rank));
+  return registries_.at(static_cast<std::size_t>(world_rank));
 }
 
 void WorldState::poison_and_wake() {
   poison_.poison();
-  for (auto& mailbox : mailboxes_) mailbox->wake();
+  for (auto& mailbox : mailboxes_) mailbox.wake();
 }
 
 void WorldState::report_event(int rank, const FaultEvent& event) {
@@ -79,8 +69,7 @@ void WorldState::rebase_deadline(
 }
 
 void WorldState::kill_rank(int world_rank) {
-  doomed_[static_cast<std::size_t>(world_rank)].store(
-      true, std::memory_order_release);
+  doomed_[static_cast<std::size_t>(world_rank)] = true;
   // Wake the victim if it is parked in a mailbox wait; receive() rechecks
   // the doom flag on wake and raises RankKilled on the victim's fiber.
   mailbox(world_rank).wake();
@@ -97,18 +86,14 @@ std::vector<int> WorldState::alive_members() const {
 
 bool WorldState::comm_revoked(Comm comm) const noexcept {
   if (!poison_.revoked()) return false;
-  return handle_index(raw(comm)) <
-         revoked_comm_limit_.load(std::memory_order_acquire);
+  return handle_index(raw(comm)) < revoked_comm_limit_;
 }
 
 void WorldState::report_rank_death(int rank, const RankKilled& event) {
   // Publish the death before capturing so the autopsy and any peer
   // analysis ("blocked on dead peer") see the Dead phase.
   progress_.publish_dead(rank);
-  const bool first =
-      !dead_[static_cast<std::size_t>(rank)].exchange(
-          true, std::memory_order_acq_rel);
-  if (first) dead_count_.fetch_add(1, std::memory_order_acq_rel);
+  dead_[static_cast<std::size_t>(rank)] = true;
 
   if (!options_.repair) {
     capture_event(rank, event, std::nullopt);
@@ -119,64 +104,58 @@ void WorldState::report_rank_death(int rank, const RankKilled& event) {
   // shrunken communicator survivors build afterwards gets a larger table
   // index and is exempt.
   capture_event(rank, event, std::nullopt, /*poison=*/false);
-  {
-    std::lock_guard lock(comm_mutex_);
-    revoked_comm_limit_.store(comms_.size(), std::memory_order_release);
-  }
+  revoked_comm_limit_ = comms_.size();
   poison_.revoke();
-  for (auto& mailbox : mailboxes_) mailbox->wake();
+  for (auto& mailbox : mailboxes_) mailbox.wake();
 }
 
 void WorldState::capture_event(int rank, const FaultEvent& event,
                                std::optional<WorldAutopsy> autopsy,
                                bool poison) {
-  {
-    std::lock_guard lock(event_mutex_);
-    if (!event_) {
-      CapturedEvent captured;
-      captured.rank = rank;
-      captured.message = event.what();
-      if (const auto* mpi_error = dynamic_cast<const MpiError*>(&event)) {
-        captured.type = EventType::MpiErr;
-        captured.mpi_code = mpi_error->code();
-      } else if (dynamic_cast<const SimSegFault*>(&event) != nullptr) {
-        captured.type = EventType::SegFault;
-      } else if (dynamic_cast<const AppError*>(&event) != nullptr) {
-        captured.type = EventType::AppDetected;
-      } else if (dynamic_cast<const SimTimeout*>(&event) != nullptr) {
-        captured.type = EventType::Timeout;
-      } else if (dynamic_cast<const RankKilled*>(&event) != nullptr) {
-        captured.type = EventType::RankDead;
-      } else {
-        // WorldAborted never initiates; anything else is a library bug.
-        throw InternalError(std::string("report_event: unexpected event: ") +
-                            event.what());
-      }
-      if (auto& rec = telemetry::Recorder::instance();
-          rec.enabled() && captured.type == EventType::Timeout) {
-        // A proven deadlock and a watchdog expiry are different verdicts:
-        // the first is structural, the second wall-clock.
-        if (autopsy && autopsy->deterministic) {
-          rec.instant("deadlock-proven", telemetry::Track::Monitor, 0,
-                      "rank=" + std::to_string(rank));
-          static auto& proven =
-              rec.counter("fastfit_deadlocks_proven_total",
-                          "Monitor-proven structural deadlocks");
-          proven.add();
-        } else {
-          rec.instant("watchdog-fire", telemetry::Track::Monitor, 0,
-                      "rank=" + std::to_string(rank));
-          static auto& fires = rec.counter("fastfit_watchdog_fires_total",
-                                           "Wall-clock watchdog expiries");
-          fires.add();
-        }
-      }
-      event_ = std::move(captured);
-      // Attach forensics at poison time: either the deadlock verdict's
-      // snapshot, or a live snapshot of the progress table as-is.
-      autopsy_ = autopsy ? std::move(autopsy)
-                         : build_autopsy(progress_, false, event.what());
+  if (!event_) {
+    CapturedEvent captured;
+    captured.rank = rank;
+    captured.message = event.what();
+    if (const auto* mpi_error = dynamic_cast<const MpiError*>(&event)) {
+      captured.type = EventType::MpiErr;
+      captured.mpi_code = mpi_error->code();
+    } else if (dynamic_cast<const SimSegFault*>(&event) != nullptr) {
+      captured.type = EventType::SegFault;
+    } else if (dynamic_cast<const AppError*>(&event) != nullptr) {
+      captured.type = EventType::AppDetected;
+    } else if (dynamic_cast<const SimTimeout*>(&event) != nullptr) {
+      captured.type = EventType::Timeout;
+    } else if (dynamic_cast<const RankKilled*>(&event) != nullptr) {
+      captured.type = EventType::RankDead;
+    } else {
+      // WorldAborted never initiates; anything else is a library bug.
+      throw InternalError(std::string("report_event: unexpected event: ") +
+                          event.what());
     }
+    if (auto& rec = telemetry::Recorder::instance();
+        rec.enabled() && captured.type == EventType::Timeout) {
+      // A proven deadlock and a watchdog expiry are different verdicts:
+      // the first is structural, the second wall-clock.
+      if (autopsy && autopsy->deterministic) {
+        rec.instant("deadlock-proven", telemetry::Track::Monitor, 0,
+                    "rank=" + std::to_string(rank));
+        static auto& proven =
+            rec.counter("fastfit_deadlocks_proven_total",
+                        "Monitor-proven structural deadlocks");
+        proven.add();
+      } else {
+        rec.instant("watchdog-fire", telemetry::Track::Monitor, 0,
+                    "rank=" + std::to_string(rank));
+        static auto& fires = rec.counter("fastfit_watchdog_fires_total",
+                                         "Wall-clock watchdog expiries");
+        fires.add();
+      }
+    }
+    event_ = std::move(captured);
+    // Attach forensics at poison time: either the deadlock verdict's
+    // snapshot, or a live snapshot of the progress table as-is.
+    autopsy_ = autopsy ? std::move(autopsy)
+                       : build_autopsy(progress_, false, event.what());
   }
   if (poison) poison_and_wake();
 }
@@ -186,7 +165,6 @@ Comm WorldState::register_comm(const std::string& key,
   if (members.empty()) {
     throw InternalError("register_comm: empty member list");
   }
-  std::lock_guard lock(comm_mutex_);
   if (auto it = comm_keys_.find(key); it != comm_keys_.end()) {
     const auto& existing = comms_[it->second].members;
     if (existing != members) {
@@ -210,7 +188,6 @@ Comm WorldState::register_comm(const std::string& key,
 const std::vector<int>& WorldState::group_of(Comm comm) const {
   if (comm == kCommWorld) return world_members_;
   const RawHandle h = raw(comm);
-  std::lock_guard lock(comm_mutex_);
   if (!has_magic(h, kCommMagic) || handle_index(h) >= comms_.size()) {
     throw MpiError(MpiErrc::InvalidComm, "handle 0x" + std::to_string(h));
   }
@@ -227,36 +204,24 @@ int WorldState::comm_rank_of(Comm comm, int world_rank) const {
   return static_cast<int>(it - members.begin());
 }
 
-void WorldState::declare_deadlock(const std::vector<RankSnapshot>& snaps) {
-  const std::string verdict = analyze_deadlock(snaps);
-
-  WorldAutopsy autopsy;
-  autopsy.deterministic = true;
-  autopsy.verdict = verdict;
-  autopsy.ranks.reserve(snaps.size());
-  int reporter = -1;
-  for (int r = 0; r < static_cast<int>(snaps.size()); ++r) {
-    const auto& snap = snaps[static_cast<std::size_t>(r)];
-    RankAutopsy entry;
-    entry.rank = r;
-    entry.phase = snap.phase;
-    entry.heartbeat = snap.heartbeat;
-    entry.has_op = snap.has_op;
-    entry.sig = snap.sig;
-    autopsy.ranks.push_back(std::move(entry));
-    if (reporter < 0 && snap.phase == RankPhase::Blocked) reporter = r;
-  }
+void WorldState::declare_deadlock() {
+  const auto& snaps = progress_.snapshot_all();
+  std::string verdict = analyze_deadlock(snaps);
+  const auto blocked =
+      std::find_if(snaps.begin(), snaps.end(), [](const RankSnapshot& snap) {
+        return snap.phase == RankPhase::Blocked;
+      });
+  const int reporter = blocked == snaps.end()
+                           ? -1
+                           : static_cast<int>(blocked - snaps.begin());
 
   std::string message = "deterministic deadlock: " + verdict;
-  if (reporter >= 0) {
-    const auto& snap = snaps[static_cast<std::size_t>(reporter)];
-    if (snap.has_op) {
-      message += "; rank " + std::to_string(reporter) + " blocked in " +
-                 snap.sig.describe();
-    }
+  if (reporter >= 0 && blocked->has_op) {
+    message += "; rank " + std::to_string(reporter) + " blocked in " +
+               blocked->sig.describe();
   }
   capture_event(reporter >= 0 ? reporter : 0, SimTimeout(message),
-                std::move(autopsy));
+                build_autopsy(progress_, true, std::move(verdict)));
 }
 
 World::World(WorldOptions options)
@@ -363,26 +328,23 @@ WorldResult World::run(const std::function<void(Mpi&)>& rank_main) {
   // be gone and (on a clean run) all sends consumed.
   WorldResult result;
   for (const auto& registry : state->registries_) {
-    result.leaked_regions += registry->region_count();
+    result.leaked_regions += registry.region_count();
   }
   for (const auto& mailbox : state->mailboxes_) {
-    result.undelivered_messages += mailbox->pending();
+    result.undelivered_messages += mailbox.pending();
   }
 
-  const int dead = state->dead_count_.load(std::memory_order_acquire);
+  const int dead =
+      nranks - static_cast<int>(state->alive_members().size());
   result.rank_died = dead > 0;
   // Repaired means every survivor ran its repair hook to completion; a
   // survivor that aborted mid-repair leaves the count short and the trial
   // classifies as RANK_DEAD.
   result.repaired =
       state->options_.repair && dead > 0 &&
-      state->repaired_count_.load(std::memory_order_acquire) == nranks - dead;
-
-  {
-    std::lock_guard lock(state->event_mutex_);
-    result.event = state->event_;
-    result.autopsy = state->autopsy_;
-  }
+      state->repaired_count_ == nranks - dead;
+  result.event = state->event_;
+  result.autopsy = state->autopsy_;
   return result;
 }
 
@@ -397,7 +359,7 @@ void WorldState::fiber_idle(FiberScheduler& sched) {
   for (int r : blocked) {
     bool wake = rank_doomed(r) || poison_.poisoned();
     if (!wake) {
-      const auto snap = progress_.snapshot(r);
+      const auto& snap = progress_.snapshot(r);
       wake = snap.has_op && snap.sig.wait_source >= 0 &&
              mailbox(r).has_match(snap.sig.wait_source, snap.sig.wait_tag);
     }
@@ -415,7 +377,7 @@ void WorldState::fiber_idle(FiberScheduler& sched) {
   // fiber blocked at that instant, and Mailbox::receive rechecks the
   // revocation before every park, so a fiber still blocked here waits on
   // a communicator the revocation does not reach.
-  declare_deadlock(progress_.snapshot_all());
+  declare_deadlock();
 }
 
 }  // namespace fastfit::mpi

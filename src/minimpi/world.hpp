@@ -23,13 +23,11 @@
 // process isolation (core/procpool.hpp). WorldResult also carries a
 // post-trial audit of the memory registries and mailbox queues.
 
-#include <atomic>
 #include <chrono>
 #include <cstdint>
 #include <functional>
 #include <map>
 #include <memory>
-#include <mutex>
 #include <optional>
 #include <string>
 #include <vector>
@@ -133,7 +131,9 @@ struct WorldResult {
 };
 
 /// All state shared between the rank fibers and the controlling World.
-/// The Mpi facade talks to this class, not to World.
+/// The Mpi facade talks to this class, not to World. Every member is a
+/// plain field: only the world's own thread ever touches it
+/// (minimpi/fiber.hpp).
 class WorldState {
  public:
   explicit WorldState(const WorldOptions& options);
@@ -180,14 +180,12 @@ class WorldState {
   /// Whether kill_rank / a fail-stop fault has doomed this rank (polled by
   /// the rank itself at cancellation points).
   bool rank_doomed(int world_rank) const noexcept {
-    return doomed_[static_cast<std::size_t>(world_rank)].load(
-        std::memory_order_acquire);
+    return doomed_[static_cast<std::size_t>(world_rank)];
   }
 
   /// Whether this rank's death has been reported.
   bool rank_dead(int world_rank) const noexcept {
-    return dead_[static_cast<std::size_t>(world_rank)].load(
-        std::memory_order_acquire);
+    return dead_[static_cast<std::size_t>(world_rank)];
   }
 
   /// World ranks whose death has not been reported, in rank order: the
@@ -201,9 +199,7 @@ class WorldState {
 
   /// A survivor completed its repair hook; when every survivor has, the
   /// world result reports repaired=true (outcome REPAIRED).
-  void mark_repaired() noexcept {
-    repaired_count_.fetch_add(1, std::memory_order_acq_rel);
-  }
+  void mark_repaired() noexcept { ++repaired_count_; }
 
   /// Communicator registry. A communicator is a list of world ranks.
   /// `register_comm` is idempotent on `key`: all members of a new
@@ -232,9 +228,9 @@ class WorldState {
   /// Poison + mailbox wake storm (idempotent).
   void poison_and_wake();
 
-  /// Builds the deterministic-deadlock autopsy from an all-blocked
-  /// snapshot and captures it as the world's INF_LOOP event.
-  void declare_deadlock(const std::vector<RankSnapshot>& snaps);
+  /// Builds the deterministic-deadlock autopsy from the all-blocked
+  /// progress table and captures it as the world's INF_LOOP event.
+  void declare_deadlock();
 
   /// The scheduler's idle handler: invoked when no fiber is runnable.
   /// Wakes satisfiable or doomed waits; with nothing to wake, quiescence
@@ -244,25 +240,22 @@ class WorldState {
 
   WorldOptions options_;
   PoisonState poison_;
-  std::vector<std::unique_ptr<Mailbox>> mailboxes_;
-  std::vector<std::unique_ptr<MemoryRegistry>> registries_;
+  std::vector<Mailbox> mailboxes_;
+  std::vector<MemoryRegistry> registries_;  ///< never resized after build
   ProgressTable progress_;
   std::chrono::steady_clock::time_point started_{};
   std::chrono::steady_clock::time_point deadline_{};
 
-  std::mutex event_mutex_;
   std::optional<CapturedEvent> event_;
   std::optional<WorldAutopsy> autopsy_;
 
-  mutable std::mutex comm_mutex_;
   struct CommEntry {
     std::vector<int> members;
   };
   std::vector<CommEntry> comms_;
   std::map<std::string, RawHandle> comm_keys_;
-  /// Members of the world communicator (every rank, in order), read
-  /// without comm_mutex_: it never changes, and nearly every operation
-  /// resolves it.
+  /// Members of the world communicator (every rank, in order), resolved
+  /// without a table lookup: nearly every operation names it.
   std::vector<int> world_members_;
 
   ToolHooks* tools_ = nullptr;
@@ -272,11 +265,10 @@ class WorldState {
   // revoked_comm_limit_ is the size of the communicator table at
   // revocation time (older handles are revoked, newer — the shrunken comm
   // — are exempt).
-  std::unique_ptr<std::atomic<bool>[]> doomed_;
-  std::unique_ptr<std::atomic<bool>[]> dead_;
-  std::atomic<int> dead_count_{0};
-  std::atomic<int> repaired_count_{0};
-  std::atomic<std::size_t> revoked_comm_limit_{0};
+  std::unique_ptr<bool[]> doomed_;
+  std::unique_ptr<bool[]> dead_;
+  int repaired_count_ = 0;
+  std::size_t revoked_comm_limit_ = 0;
 
   // Internal (non-fault) exception escaping a rank fiber.
   std::exception_ptr internal_error_;
@@ -308,33 +300,6 @@ class World {
   /// The world's state (used by tests that poke at mailboxes/registries
   /// directly).
   WorldState& state() noexcept { return *state_; }
-
-  // --- forwarded accessors (source compatibility) ------------------------
-
-  Mailbox& mailbox(int world_rank) { return state_->mailbox(world_rank); }
-  MemoryRegistry& registry(int world_rank) {
-    return state_->registry(world_rank);
-  }
-  PoisonState& poison() noexcept { return state_->poison(); }
-  bool poisoned() const noexcept { return state_->poisoned(); }
-  std::chrono::steady_clock::time_point deadline() const noexcept {
-    return state_->deadline();
-  }
-  void report_event(int rank, const FaultEvent& event) {
-    state_->report_event(rank, event);
-  }
-  /// Fail-stop test primitive: dooms one rank; it dies at its next
-  /// cancellation point (transport wait, deadline check, dispatch).
-  void kill_rank(int world_rank) { state_->kill_rank(world_rank); }
-  Comm register_comm(const std::string& key, std::vector<int> members) {
-    return state_->register_comm(key, std::move(members));
-  }
-  const std::vector<int>& group_of(Comm comm) const {
-    return state_->group_of(comm);
-  }
-  int comm_rank_of(Comm comm, int world_rank) const {
-    return state_->comm_rank_of(comm, world_rank);
-  }
 
  private:
   std::unique_ptr<WorldState> state_;

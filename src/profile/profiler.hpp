@@ -6,9 +6,9 @@
 // (the call graph is populated by the workload's FunctionScopes in the
 // same ContextRegistry).
 //
-// Thread-safety: each rank writes only its own RankProfile slot and its
-// own RankContext, so recording is lock-free; results are read after
-// World::run has returned.
+// Each rank writes only its own RankProfile slot and its own
+// RankContext, all on the world's one thread, so recording takes no
+// lock; results are read after World::run has returned.
 
 #include <memory>
 #include <vector>

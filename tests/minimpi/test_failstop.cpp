@@ -62,7 +62,7 @@ TEST(FailStop, KillRankUnblocksBlockedReceive) {
       EXPECT_EQ(world.state().progress().snapshot(1).phase,
                 RankPhase::Blocked);
       victim_parked.store(true);
-      world.kill_rank(1);
+      world.state().kill_rank(1);
     } else {
       mpi.send(buf.data(), 1, kDouble, 0, 8);
       mpi.recv(buf.data(), 1, kDouble, 0, 7);
@@ -302,7 +302,7 @@ TEST(FailStop, AliveMembersExcludeTheDead) {
       const auto alive = world.state().alive_members();
       EXPECT_EQ(alive, (std::vector<int>{0, 2, 3}));
       const Comm survivors = mpi.shrink_and_continue();
-      EXPECT_EQ(world.group_of(survivors), alive);
+      EXPECT_EQ(world.state().group_of(survivors), alive);
       mpi.barrier(survivors);
       mpi.mark_repaired();
     }

@@ -2,6 +2,7 @@
 
 #include <gtest/gtest.h>
 
+#include <exception>
 #include <functional>
 #include <thread>
 #include <vector>
@@ -92,7 +93,7 @@ TEST(Mailbox, WaitOutsideAFiberIsAnInternalError) {
   EXPECT_THROW(box.receive(0, 1, soon(100ms)), InternalError);
 }
 
-TEST(Mailbox, CrossThreadDelivery) {
+TEST(Mailbox, DeliveryFromAnotherFiberResumesTheWaiter) {
   // Fiber 0 parks in the receive; fiber 1's delivery resumes it.
   PoisonState poison;
   Mailbox box(poison);
@@ -110,6 +111,25 @@ TEST(Mailbox, CrossThreadDelivery) {
                   box.deliver(make_msg(7, 99, 8));
                 }});
   EXPECT_TRUE(received);
+}
+
+TEST(Mailbox, WakeFromAnotherThreadIsAnInternalError) {
+  // A world is single-threaded: while its ranks run, a wake made by any
+  // other thread is rejected instead of racing the scheduler.
+  PoisonState poison;
+  Mailbox box(poison);
+  std::exception_ptr error;
+  run_as_ranks(box, soon(2000ms), {[&] {
+                 std::thread([&] {
+                   try {
+                     box.wake();
+                   } catch (...) {
+                     error = std::current_exception();
+                   }
+                 }).join();
+               }});
+  ASSERT_TRUE(error);
+  EXPECT_THROW(std::rethrow_exception(error), InternalError);
 }
 
 TEST(Mailbox, PoisonWakesWaiterWithWorldAborted) {

@@ -204,31 +204,31 @@ TEST(World, CheckDeadlineThrowsPastWatchdog) {
 
 TEST(World, CommWorldGroupIsEveryone) {
   World world(small_world(6));
-  const auto& group = world.group_of(kCommWorld);
+  const auto& group = world.state().group_of(kCommWorld);
   ASSERT_EQ(group.size(), 6u);
   for (int r = 0; r < 6; ++r) EXPECT_EQ(group[static_cast<std::size_t>(r)], r);
-  EXPECT_EQ(world.comm_rank_of(kCommWorld, 4), 4);
+  EXPECT_EQ(world.state().comm_rank_of(kCommWorld, 4), 4);
 }
 
 TEST(World, InvalidCommHandleRejected) {
   World world(small_world(2));
-  EXPECT_THROW(world.group_of(static_cast<Comm>(0x1234u)), MpiError);
-  EXPECT_THROW(world.group_of(make_comm(57)), MpiError);
+  EXPECT_THROW(world.state().group_of(static_cast<Comm>(0x1234u)), MpiError);
+  EXPECT_THROW(world.state().group_of(make_comm(57)), MpiError);
 }
 
 TEST(World, RegisterCommIdempotentOnKey) {
   World world(small_world(4));
-  const Comm a = world.register_comm("sub", {0, 2});
-  const Comm b = world.register_comm("sub", {0, 2});
+  const Comm a = world.state().register_comm("sub", {0, 2});
+  const Comm b = world.state().register_comm("sub", {0, 2});
   EXPECT_EQ(a, b);
-  EXPECT_EQ(world.comm_rank_of(a, 2), 1);
-  EXPECT_EQ(world.comm_rank_of(a, 1), -1);
+  EXPECT_EQ(world.state().comm_rank_of(a, 2), 1);
+  EXPECT_EQ(world.state().comm_rank_of(a, 1), -1);
 }
 
 TEST(World, RegisterCommInconsistentGroupIsCommError) {
   World world(small_world(4));
-  world.register_comm("sub", {0, 2});
-  EXPECT_THROW(world.register_comm("sub", {0, 3}), MpiError);
+  world.state().register_comm("sub", {0, 2});
+  EXPECT_THROW(world.state().register_comm("sub", {0, 3}), MpiError);
 }
 
 // Site ids feed injection points, journals and per-trial RNG streams, so
