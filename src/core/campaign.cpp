@@ -489,6 +489,12 @@ inject::TrialForensics Campaign::execute_trial(
     latency.observe_us(std::chrono::duration<double, std::micro>(
                            std::chrono::steady_clock::now() - t0)
                            .count());
+    if (job.world.reconverged) {
+      static auto& reconverged = rec.counter(
+          "fastfit_trials_reconverged_total",
+          "Replayed trials classified SUCCESS at the cut");
+      reconverged.add();
+    }
   }
   trials_run_.fetch_add(1, std::memory_order_relaxed);
 

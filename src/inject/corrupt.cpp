@@ -104,11 +104,12 @@ std::size_t ragged_extent_bytes(const std::vector<std::int32_t>* counts,
 }
 
 bool mutate_buffer(void* buffer, std::size_t bytes, FaultModel model,
-                   RngStream& rng, mpi::Mpi& mpi) {
+                   RngStream& rng, mpi::Mpi& mpi, mpi::WriteSpan* mutated) {
   if (buffer == nullptr || bytes == 0) return false;
   // The mutation must land in memory the application actually owns; a
   // tool writing elsewhere would be a tool bug, not an injected fault.
   if (!mpi.registry().covers(buffer, bytes)) return false;
+  if (mutated != nullptr) *mutated = {buffer, bytes};
   return mutate_bytes(
       std::span<std::byte>(static_cast<std::byte*>(buffer), bytes), model,
       rng);
@@ -133,7 +134,8 @@ Handle mutate_handle(Handle handle, FaultModel model, RngStream& rng,
 }  // namespace
 
 bool corrupt_parameter(mpi::CollectiveCall& call, mpi::Param param,
-                       FaultModel model, RngStream& rng, mpi::Mpi& mpi) {
+                       FaultModel model, RngStream& rng, mpi::Mpi& mpi,
+                       mpi::WriteSpan* mutated) {
   // Pre-corruption communicator size; the call is still pristine here.
   const int comm_size = mpi.size(call.comm);
   bool changed = false;
@@ -147,7 +149,7 @@ bool corrupt_parameter(mpi::CollectiveCall& call, mpi::Param param,
         bytes = ragged_extent_bytes(call.sendcounts, call.sdispls,
                                     esize_or_zero(call.datatype));
       }
-      return mutate_buffer(call.sendbuf, bytes, model, rng, mpi);
+      return mutate_buffer(call.sendbuf, bytes, model, rng, mpi, mutated);
     }
     case Param::RecvBuf: {
       std::size_t bytes = recv_region_bytes(call, comm_size);
@@ -158,7 +160,7 @@ bool corrupt_parameter(mpi::CollectiveCall& call, mpi::Param param,
         bytes = ragged_extent_bytes(call.recvcounts, call.rdispls,
                                     esize_or_zero(call.recvdatatype));
       }
-      return mutate_buffer(call.recvbuf, bytes, model, rng, mpi);
+      return mutate_buffer(call.recvbuf, bytes, model, rng, mpi, mutated);
     }
     case Param::Count:
       if (call.kind == CollectiveKind::Alltoallv ||

@@ -25,9 +25,11 @@ namespace fastfit::inject {
 /// the parameter has no corruptible substance at this rank (zero-length
 /// buffer, buffer not mapped in the rank's registry) or the mutation is a
 /// provable no-op — the fault then lands in dead state and the trial
-/// proceeds un-faulted, as on real hardware.
+/// proceeds un-faulted, as on real hardware. `mutated` (optional)
+/// receives the byte range a buffer parameter's model is applied to.
 bool corrupt_parameter(mpi::CollectiveCall& call, mpi::Param param,
-                       FaultModel model, RngStream& rng, mpi::Mpi& mpi);
+                       FaultModel model, RngStream& rng, mpi::Mpi& mpi,
+                       mpi::WriteSpan* mutated = nullptr);
 
 /// Paper-default model (single bit flip).
 inline bool corrupt_parameter(mpi::CollectiveCall& call, mpi::Param param,

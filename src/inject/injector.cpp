@@ -1,5 +1,6 @@
 #include "inject/injector.hpp"
 
+#include <algorithm>
 #include <csignal>
 
 #include "inject/corrupt.hpp"
@@ -8,6 +9,27 @@
 #include "support/rng.hpp"
 
 namespace fastfit::inject {
+namespace {
+
+// Whether `range` lies inside the union of `spans` (adjacent blocks of a
+// vector collective may cover it together).
+bool covered(const mpi::WriteSpan& range,
+             std::span<const mpi::WriteSpan> spans) {
+  auto cursor = reinterpret_cast<std::uintptr_t>(range.ptr);
+  const auto end = cursor + range.bytes;
+  while (cursor < end) {
+    const auto it = std::find_if(
+        spans.begin(), spans.end(), [cursor](const mpi::WriteSpan& span) {
+          const auto begin = reinterpret_cast<std::uintptr_t>(span.ptr);
+          return begin <= cursor && cursor < begin + span.bytes;
+        });
+    if (it == spans.end()) return false;
+    cursor = reinterpret_cast<std::uintptr_t>(it->ptr) + it->bytes;
+  }
+  return true;
+}
+
+}  // namespace
 
 Injector::Injector(FaultSpec spec, std::uint64_t seed)
     : spec_(spec),
@@ -60,7 +82,7 @@ void Injector::manifest(mpi::CollectiveCall& call, mpi::Mpi& mpi) {
     // cycle) corrupts the *same* bit every time — a genuine intermittent
     // stuck-at, not a fresh random upset per call.
     RngStream rng(seed_, "bitflip", spec_.stream_index());
-    if (corrupt_parameter(call, spec_.param, model, rng, mpi)) {
+    if (corrupt_parameter(call, spec_.param, model, rng, mpi, &mutated_)) {
       manifested_ = true;
       fizzled_ = false;
     } else if (!manifested_) {
@@ -113,6 +135,25 @@ void Injector::on_enter(mpi::CollectiveCall& call, mpi::Mpi& mpi) {
 }
 
 void Injector::on_exit(const mpi::CollectiveCall&, mpi::Mpi&) {}
+
+bool Injector::vouches_at_cut(int world_rank,
+                              std::span<const mpi::WriteSpan> spans) const {
+  if (world_rank != spec_.rank) return true;
+  // An exact parameter fault fires once, at the cut, and never again; any
+  // other trigger or manifestation may still act in the suffix.
+  if (!fired_ || spec_.fault.trigger != FaultTrigger::ExactPoint ||
+      !is_parameter_model(spec_.fault.model)) {
+    return false;
+  }
+  if (fizzled_) return true;
+  // Scalar parameters (and the count arrays, in application memory) are
+  // never rewritten by the collective they corrupted.
+  if (spec_.param != mpi::Param::SendBuf &&
+      spec_.param != mpi::Param::RecvBuf) {
+    return false;
+  }
+  return covered(mutated_, spans);
+}
 
 mpi::SendAction Injector::on_transport_send(int source_world, int /*dest*/,
                                             std::uint64_t /*tag*/,

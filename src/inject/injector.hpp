@@ -14,6 +14,7 @@
 
 #include <cstdint>
 #include <functional>
+#include <span>
 
 #include "inject/fault_spec.hpp"
 #include "minimpi/hooks.hpp"
@@ -54,6 +55,13 @@ class Injector final : public mpi::ToolHooks {
                                     std::uint64_t tag,
                                     std::vector<std::byte>& payload) override;
 
+  /// Vouches (minimpi/hooks.hpp) for a rank other than the injected one,
+  /// for an exact-trigger parameter fault that fizzled, and for a buffer
+  /// fault whose whole mutated range lies inside `spans`. Scalar faults
+  /// never qualify.
+  bool vouches_at_cut(int world_rank,
+                      std::span<const mpi::WriteSpan> spans) const override;
+
   /// True once the trigger fired and the manifestation was applied.
   bool fired() const noexcept { return fired_; }
 
@@ -90,6 +98,8 @@ class Injector final : public mpi::ToolHooks {
   /// far was a no-op; the first effective mutation latches this true.
   /// Injected-rank-only, like the counters above.
   bool manifested_ = false;
+  /// The byte range a buffer-content fault was applied to.
+  mpi::WriteSpan mutated_;
   CutHook cut_hook_;
 };
 

@@ -37,6 +37,9 @@ Outcome classify(const mpi::WorldResult& result, std::uint64_t trial_digest,
         return result.repaired ? Outcome::Repaired : Outcome::RankDead;
     }
   }
+  // A reconverged world stopped at the cut; its suffix, hence its answer,
+  // was the golden one.
+  if (result.reconverged) return Outcome::Success;
   return trial_digest == golden_digest ? Outcome::Success : Outcome::WrongAns;
 }
 

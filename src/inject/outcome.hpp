@@ -53,8 +53,9 @@ constexpr bool is_error(Outcome outcome) noexcept {
 }
 
 /// Classifies a finished trial: an initiating fault event decides
-/// directly; a clean world is Success or WrongAns by digest comparison
-/// against the golden (fault-free) run.
+/// directly; a reconverged world is Success; any other clean world is
+/// Success or WrongAns by digest comparison against the golden
+/// (fault-free) run.
 Outcome classify(const mpi::WorldResult& result, std::uint64_t trial_digest,
                  std::uint64_t golden_digest) noexcept;
 

@@ -10,6 +10,7 @@
 
 #include <cstddef>
 #include <cstdint>
+#include <span>
 #include <vector>
 
 #include "minimpi/types.hpp"
@@ -68,6 +69,13 @@ struct CollectiveCall {
   std::uint64_t invocation = 0;  ///< per-(rank, site) invocation number
   const char* site_file = "";
   int site_line = 0;
+};
+
+/// One byte range of application memory on one rank: a region a
+/// collective writes (minimpi/snapshot.hpp) or a region a tool mutated.
+struct WriteSpan {
+  void* ptr = nullptr;
+  std::size_t bytes = 0;
 };
 
 // --- point-to-point interposition (the paper's future-work extension to
@@ -146,6 +154,19 @@ class ToolHooks {
     (void)tag;
     (void)payload;
     return SendAction::Deliver;
+  }
+
+  /// Reconvergence at the cut (docs/snapshot.md): asked once per rank of a
+  /// replay world, right after its first live collective, with the byte
+  /// ranges that collective wrote on `world_rank`. True vouches that every
+  /// mutation this tool made on that rank lies inside `spans` and that it
+  /// will make no more, so the rank equals the recording wherever the
+  /// spans hold recorded bytes. Default: cannot vouch.
+  virtual bool vouches_at_cut(int world_rank,
+                              std::span<const WriteSpan> spans) const {
+    (void)world_rank;
+    (void)spans;
+    return false;
   }
 };
 

@@ -132,8 +132,7 @@ void Mpi::replay_collective(CollectiveCall& call) {
   const RecordedOp& op = replay_expect(RecordedOp::Kind::Collective,
                                        call.site_id, call.invocation,
                                        to_string(call.kind));
-  if (op.coll != call.kind || op.comm != raw(call.comm) ||
-      op.self_comm != call.rank) {
+  if (!records(op, call)) {
     throw ReplayError("rank " + std::to_string(world_rank_) +
                       ": collective shape diverged from the recording at " +
                       std::string(to_string(call.kind)));
@@ -143,18 +142,13 @@ void Mpi::replay_collective(CollectiveCall& call) {
   coll_seq_[raw(call.comm)]++;
   const int comm_size = static_cast<int>(world_->group_of(call.comm).size());
   const auto spans = collect_write_spans(call, comm_size);
-  if (spans.size() != op.writes.size()) {
+  if (!same_shape(op, spans)) {
     throw ReplayError("rank " + std::to_string(world_rank_) +
                       ": write-span shape diverged from the recording");
   }
   for (std::size_t i = 0; i < spans.size(); ++i) {
-    const auto& chunk = op.writes[i];
-    if (!chunk || chunk->size() != spans[i].bytes) {
-      throw ReplayError("rank " + std::to_string(world_rank_) +
-                        ": write-span size diverged from the recording");
-    }
     try {
-      store(spans[i].ptr, *chunk, "collective output (replay)");
+      store(spans[i].ptr, *op.writes[i], "collective output (replay)");
     } catch (const FaultEvent& event) {
       // A bounds failure here means the replayed application allocated
       // differently than the recording run — a divergence, not a trial
@@ -164,6 +158,29 @@ void Mpi::replay_collective(CollectiveCall& call) {
     }
   }
   ++replay_next_;
+}
+
+void Mpi::check_reconvergence(const CollectiveCall& call) {
+  // Checked in order of cost. The identity check comes first: a corrupted
+  // communicator handle fails it before group_of could reject it.
+  const RecordedOp& op = (*replay_ops_)[replay_cut_];
+  ToolHooks* tools = world_->tools();
+  if (tools == nullptr || !records(op, call)) return;
+  const auto spans = collect_write_spans(
+      call, static_cast<int>(world_->group_of(call.comm).size()));
+  if (!same_shape(op, spans) || !tools->vouches_at_cut(world_rank_, spans)) {
+    return;
+  }
+  for (std::size_t i = 0; i < spans.size(); ++i) {
+    if (!registry().covers(spans[i].ptr, spans[i].bytes) ||
+        std::memcmp(spans[i].ptr, op.writes[i]->data(), spans[i].bytes) !=
+            0) {
+      return;
+    }
+  }
+  if (world_->note_reconverged_rank()) {
+    throw WorldAborted("world reconverged at the cut");
+  }
 }
 
 void Mpi::replay_send(const P2pCall& call) {
@@ -571,6 +588,10 @@ void Mpi::dispatch(CollectiveCall& call, std::source_location loc) {
   if (world_->poisoned()) {
     throw WorldAborted("collective interrupted by world teardown");
   }
+  // The first live collective of a replay world is the op at the cut.
+  const bool at_cut = replay_ops_ != nullptr && replay_next_ == replay_cut_ &&
+                      replay_cut_ < replay_ops_->size();
+  if (at_cut) ++replay_next_;
   check_doom();
   if (world_->comm_revoked(call.comm)) {
     throw RankRevoked("rank " + std::to_string(world_rank_) + ": " +
@@ -619,6 +640,7 @@ void Mpi::dispatch(CollectiveCall& call, std::source_location loc) {
   if (ToolHooks* tools = world_->tools()) {
     tools->on_exit(call, *this);
   }
+  if (at_cut) check_reconvergence(call);
 }
 
 void Mpi::run_algorithm(const CollectiveCall& call, std::uint32_t seq) {

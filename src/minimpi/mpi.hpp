@@ -323,8 +323,14 @@ class Mpi {
   void replay_collective(CollectiveCall& call);
   void replay_send(const P2pCall& call);
   void replay_recv(const P2pCall& call);
-  /// Lock-free poison poll so a mid-replay rank notices teardown promptly.
+  /// Poison poll so a mid-replay rank notices teardown promptly.
   void replay_poison_check() const;
+  /// Reconvergence at the cut (docs/snapshot.md): run once, right after
+  /// the op at the cut ran live. When this rank's state equals the
+  /// recording's and its tools vouch for every mutation they made here,
+  /// counts the rank as reconverged; the rank that completes the count
+  /// tears the world down and unwinds with WorldAborted.
+  void check_reconvergence(const CollectiveCall& call);
   /// The next recorded op, verified to be of `kind` at this site; any
   /// mismatch is a divergence (ReplayError).
   const RecordedOp& replay_expect(RecordedOp::Kind kind, std::uint32_t site_id,

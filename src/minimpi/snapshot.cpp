@@ -102,6 +102,21 @@ std::vector<WriteSpan> collect_write_spans(const CollectiveCall& call,
   return spans;
 }
 
+bool records(const RecordedOp& op, const CollectiveCall& call) noexcept {
+  return op.kind == RecordedOp::Kind::Collective && op.coll == call.kind &&
+         op.site_id == call.site_id && op.invocation == call.invocation &&
+         op.comm == raw(call.comm) && op.self_comm == call.rank;
+}
+
+bool same_shape(const RecordedOp& op,
+                std::span<const WriteSpan> spans) noexcept {
+  if (spans.size() != op.writes.size()) return false;
+  for (std::size_t i = 0; i < spans.size(); ++i) {
+    if (!op.writes[i] || op.writes[i]->size() != spans[i].bytes) return false;
+  }
+  return true;
+}
+
 // --- PrefixRecorder ---------------------------------------------------------
 
 PrefixRecorder::PrefixRecorder(int nranks)

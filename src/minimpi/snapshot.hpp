@@ -55,17 +55,11 @@ class ReplayError : public FastFitError {
       : FastFitError("snapshot replay diverged: " + what) {}
 };
 
-/// One byte range a collective writes into an application buffer on one
-/// rank. Recomputed from the live call's arguments on both the record
-/// and the replay side, so the two are symmetric by construction.
-struct WriteSpan {
-  void* ptr = nullptr;
-  std::size_t bytes = 0;
-};
-
-/// The buffer regions `call` writes on the calling rank (a superset is
-/// unsafe: unregistered gaps would trip the bounds registry; a subset is
-/// unsafe: replay would miss output). Root-only collectives report
+/// The buffer regions `call` writes on the calling rank, recomputed from
+/// the live call's arguments on both the record and the replay side, so
+/// the two are symmetric by construction (a superset is unsafe:
+/// unregistered gaps would trip the bounds registry; a subset is unsafe:
+/// replay would miss output). Root-only collectives report
 /// nothing on non-roots; vector collectives report one span per
 /// displacement block.
 std::vector<WriteSpan> collect_write_spans(const CollectiveCall& call,
@@ -88,6 +82,15 @@ struct RecordedOp {
   /// Recv: the payload. Send: the payload (for in-flight pre-seeding).
   std::vector<ChunkStore::Chunk> writes;
 };
+
+/// Whether `op` is the recording of the live collective `call`: same
+/// kind, site, invocation, communicator and caller rank.
+bool records(const RecordedOp& op, const CollectiveCall& call) noexcept;
+
+/// Whether `spans` has the shape `op` recorded: one chunk per span, each
+/// exactly the span's size.
+bool same_shape(const RecordedOp& op,
+                std::span<const WriteSpan> spans) noexcept;
 
 /// The complete op log of one fault-free run: per-rank op streams over a
 /// shared chunk store. Immutable once built; shared by every snapshot

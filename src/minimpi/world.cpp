@@ -160,6 +160,13 @@ void WorldState::capture_event(int rank, const FaultEvent& event,
   if (poison) poison_and_wake();
 }
 
+bool WorldState::note_reconverged_rank() {
+  if (++reconverged_count_ < options_.nranks || event_) return false;
+  reconverged_ = true;
+  poison_and_wake();
+  return true;
+}
+
 Comm WorldState::register_comm(const std::string& key,
                                std::vector<int> members) {
   if (members.empty()) {
@@ -343,6 +350,7 @@ WorldResult World::run(const std::function<void(Mpi&)>& rank_main) {
   result.repaired =
       state->options_.repair && dead > 0 &&
       state->repaired_count_ == nranks - dead;
+  result.reconverged = state->reconverged_;
   result.event = state->event_;
   result.autopsy = state->autopsy_;
   return result;

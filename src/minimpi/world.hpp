@@ -126,6 +126,11 @@ struct WorldResult {
   /// Repair mode was on, a rank died, and *every* survivor completed its
   /// repair hook on the shrunken communicator (outcome REPAIRED).
   bool repaired = false;
+  /// A replay world whose every rank left the op at the cut exactly in the
+  /// recorded state, with its tools vouching for their mutations: the
+  /// suffix would have been the golden one, so it was not run and the
+  /// trial classifies SUCCESS (docs/snapshot.md).
+  bool reconverged = false;
 
   bool clean() const noexcept { return !event.has_value(); }
 };
@@ -201,6 +206,12 @@ class WorldState {
   /// world result reports repaired=true (outcome REPAIRED).
   void mark_repaired() noexcept { ++repaired_count_; }
 
+  /// Reconvergence at the cut: a rank's first live collective left it in
+  /// the recorded state. When every rank has, and no event was captured,
+  /// the world is reconverged and torn down; returns true to the rank
+  /// whose report completed the count.
+  bool note_reconverged_rank();
+
   /// Communicator registry. A communicator is a list of world ranks.
   /// `register_comm` is idempotent on `key`: all members of a new
   /// communicator derive the same creation key (parent handle, per-parent
@@ -269,6 +280,9 @@ class WorldState {
   std::unique_ptr<bool[]> dead_;
   int repaired_count_ = 0;
   std::size_t revoked_comm_limit_ = 0;
+
+  int reconverged_count_ = 0;
+  bool reconverged_ = false;
 
   // Internal (non-fault) exception escaping a rank fiber.
   std::exception_ptr internal_error_;

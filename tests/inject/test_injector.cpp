@@ -5,6 +5,7 @@
 #include <algorithm>
 #include <array>
 #include <atomic>
+#include <functional>
 #include <memory>
 #include <vector>
 
@@ -37,8 +38,11 @@ struct AllreduceLoop {
   }
 };
 
-std::uint32_t discover_site_id(int nranks) {
-  // Run once with a recording hook to learn the site id of the loop above.
+std::uint32_t discover_site_id(
+    int nranks,
+    const std::function<void(mpi::Mpi&)>& rank_main = AllreduceLoop{}) {
+  // Run once with a recording hook to learn the site id of `rank_main`'s
+  // (last) collective call site.
   class Recorder : public mpi::ToolHooks {
    public:
     void on_enter(mpi::CollectiveCall& call, mpi::Mpi&) override {
@@ -49,7 +53,7 @@ std::uint32_t discover_site_id(int nranks) {
   } recorder;
   mpi::World world(opts(nranks));
   world.set_tools(&recorder);
-  world.run([](mpi::Mpi& mpi) { AllreduceLoop{}(mpi); });
+  world.run(rank_main);
   return recorder.site.load();
 }
 
@@ -156,6 +160,107 @@ TEST(Injector, DutyCycleFiresRepeatedlyOnTheSameBit) {
   EXPECT_FALSE(diffs[3]);
 }
 
+// One allreduce of four doubles on two ranks, whose buffers live outside
+// the world: after the run their addresses stand in for the write spans
+// a replay world would offer the injector at the cut.
+struct VouchRig {
+  std::array<std::array<double, 4>, 2> send{};
+  std::array<std::array<double, 4>, 2> recv{};
+
+  void operator()(mpi::Mpi& mpi) {
+    const auto r = static_cast<std::size_t>(mpi.world_rank());
+    send[r].fill(1.0);
+    recv[r].fill(0.0);
+    mpi::ScopedRegistration keep_send(mpi.registry(), send[r].data(),
+                                      sizeof send[r]);
+    mpi::ScopedRegistration keep_recv(mpi.registry(), recv[r].data(),
+                                      sizeof recv[r]);
+    mpi.allreduce(send[r].data(), recv[r].data(), 4, mpi::kDouble,
+                  mpi::kSum);
+  }
+
+  // Fires `spec` (on rank 0, at the allreduce) and returns the injector.
+  std::unique_ptr<Injector> fire(FaultSpec spec) {
+    auto injector = std::make_unique<Injector>(spec, 42);
+    mpi::World world(opts(2));
+    world.set_tools(injector.get());
+    world.run([this](mpi::Mpi& mpi) { (*this)(mpi); });
+    return injector;
+  }
+};
+
+TEST(Injector, VouchesOnlyForMutationsTheCutOverwrote) {
+  VouchRig rig;
+  const auto site = discover_site_id(2, [&rig](mpi::Mpi& mpi) { rig(mpi); });
+  ASSERT_NE(site, 0u);
+  FaultSpec spec;
+  spec.site_id = site;
+  spec.rank = 0;
+  spec.invocation = 0;
+
+  const mpi::WriteSpan recv0{rig.recv[0].data(), sizeof rig.recv[0]};
+  const mpi::WriteSpan send0{rig.send[0].data(), sizeof rig.send[0]};
+  const mpi::WriteSpan head{rig.recv[0].data(), 2 * sizeof(double)};
+  const mpi::WriteSpan tail{rig.recv[0].data() + 2, 2 * sizeof(double)};
+  using Spans = std::vector<mpi::WriteSpan>;
+
+  // A rank the fault never touches is always vouched for; the injected
+  // rank is not until its exact trigger has fired.
+  spec.param = mpi::Param::RecvBuf;
+  const Injector unfired(spec, 42);
+  EXPECT_TRUE(unfired.vouches_at_cut(1, Spans{}));
+  EXPECT_FALSE(unfired.vouches_at_cut(0, Spans{recv0}));
+
+  // A receive-buffer flip is vouched for only when the spans cover its
+  // whole range, together if need be.
+  auto recvbuf = rig.fire(spec);
+  ASSERT_TRUE(recvbuf->fired());
+  ASSERT_FALSE(recvbuf->fizzled());
+  EXPECT_TRUE(recvbuf->vouches_at_cut(0, Spans{recv0}));
+  EXPECT_TRUE(recvbuf->vouches_at_cut(0, Spans{tail, head}));
+  EXPECT_FALSE(recvbuf->vouches_at_cut(0, Spans{head}));
+  EXPECT_FALSE(recvbuf->vouches_at_cut(0, Spans{send0}));
+  EXPECT_FALSE(recvbuf->vouches_at_cut(0, Spans{}));
+  EXPECT_TRUE(recvbuf->vouches_at_cut(1, Spans{}));
+
+  // A send-buffer flip lies outside an allreduce's output.
+  spec.param = mpi::Param::SendBuf;
+  auto sendbuf = rig.fire(spec);
+  ASSERT_TRUE(sendbuf->fired());
+  EXPECT_FALSE(sendbuf->vouches_at_cut(0, Spans{recv0}));
+  EXPECT_TRUE(sendbuf->vouches_at_cut(0, Spans{recv0, send0}));
+
+  // Scalar faults never qualify, whatever the spans cover.
+  for (const auto param : {mpi::Param::Count, mpi::Param::Datatype,
+                           mpi::Param::Op, mpi::Param::Comm}) {
+    spec.param = param;
+    auto scalar = rig.fire(spec);
+    ASSERT_TRUE(scalar->fired()) << mpi::to_string(param);
+    ASSERT_FALSE(scalar->fizzled()) << mpi::to_string(param);
+    EXPECT_FALSE(scalar->vouches_at_cut(0, Spans{recv0, send0}))
+        << mpi::to_string(param);
+  }
+
+  // A fault that fizzled mutated nothing: stuck-at-zero on an all-zero
+  // receive buffer.
+  spec.param = mpi::Param::RecvBuf;
+  spec.fault = FaultModelSpec::parse("stuck-at-zero");
+  auto fizzled = rig.fire(spec);
+  ASSERT_TRUE(fizzled->fizzled());
+  EXPECT_TRUE(fizzled->vouches_at_cut(0, Spans{}));
+
+  // Only an exact-trigger parameter fault qualifies: any other trigger
+  // could have fired in the prefix or fire again in the suffix, and a
+  // message fault lands in transport state.
+  for (const char* model : {"single-bit-flip@nth=1", "message-corrupt"}) {
+    spec.fault = FaultModelSpec::parse(model);
+    auto other = rig.fire(spec);
+    ASSERT_TRUE(other->fired()) << model;
+    EXPECT_FALSE(other->vouches_at_cut(0, Spans{recv0, send0})) << model;
+    EXPECT_TRUE(other->vouches_at_cut(1, Spans{})) << model;
+  }
+}
+
 TEST(Injector, SpecDescribeMentionsCoordinates) {
   FaultSpec spec;
   spec.site_id = 0xAB;
@@ -173,6 +278,11 @@ TEST(Outcome, ClassificationTable) {
   mpi::WorldResult clean;
   EXPECT_EQ(classify(clean, 5, 5), Outcome::Success);
   EXPECT_EQ(classify(clean, 5, 6), Outcome::WrongAns);
+
+  // A reconverged world stopped at the cut: its digest is meaningless.
+  mpi::WorldResult reconverged;
+  reconverged.reconverged = true;
+  EXPECT_EQ(classify(reconverged, 5, 6), Outcome::Success);
 
   mpi::WorldResult failed;
   failed.event = mpi::CapturedEvent{mpi::EventType::AppDetected, 0, "x", {}};

@@ -1,6 +1,6 @@
 // Prefix-replay world snapshots (minimpi/snapshot.hpp): chunk dedup,
 // record -> build -> replay fidelity, in-flight pre-seeding across the
-// cut, invalid cuts, and divergence detection.
+// cut, invalid cuts, divergence detection, and reconvergence at the cut.
 
 #include "minimpi/snapshot.hpp"
 
@@ -12,6 +12,8 @@
 #include <mutex>
 #include <vector>
 
+#include "inject/injector.hpp"
+#include "inject/outcome.hpp"
 #include "minimpi/memory.hpp"
 #include "minimpi/mpi.hpp"
 
@@ -355,6 +357,247 @@ TEST(Snapshot, NonblockingReceiveMarksRecordingUnsupported) {
   EXPECT_FALSE(recording->replayable);
   EXPECT_NE(recording->unsupported_reason.find("irecv"), std::string::npos);
   EXPECT_EQ(WorldSnapshot::build(recording, 1, 1), nullptr);
+}
+
+// --- reconvergence at the cut ---------------------------------------------
+
+// Two rounds of bcast, allreduce (MAX), barrier. `done` counts the
+// collectives each rank completed and `out` receives its result, both
+// outside the world, so a test can tell where a world stopped.
+struct Rounds {
+  std::vector<int> done;
+  std::vector<double> out;
+
+  explicit Rounds(int n)
+      : done(static_cast<std::size_t>(n), 0),
+        out(static_cast<std::size_t>(n), -1.0) {}
+
+  void operator()(Mpi& mpi) {
+    int& mine = done[static_cast<std::size_t>(mpi.world_rank())];
+    RegisteredBuffer<double> buf(mpi.registry(), 4);
+    RegisteredBuffer<double> peak(mpi.registry(), 4);
+    double acc = 0.0;
+    for (int round = 0; round < 2; ++round) {
+      if (mpi.rank() == 0) {
+        for (std::size_t i = 0; i < buf.size(); ++i) {
+          buf[i] = round * 10.0 + static_cast<double>(i + 1);
+        }
+      }
+      mpi.bcast(buf.data(), 4, kDouble, 0);
+      ++mine;
+      mpi.allreduce(buf.data(), peak.data(), 4, kDouble, kMax);
+      ++mine;
+      mpi.barrier();
+      ++mine;
+      for (std::size_t i = 0; i < peak.size(); ++i) acc += peak[i] * (i + 1);
+    }
+    out[static_cast<std::size_t>(mpi.world_rank())] = acc;
+  }
+};
+
+constexpr int kRoundsRanks = 4;
+constexpr int kRoundsOps = 6;  // collectives per rank
+
+std::shared_ptr<const WorldRecording> record_rounds() {
+  auto o = opts(kRoundsRanks);
+  o.recorder = std::make_shared<PrefixRecorder>(kRoundsRanks);
+  Rounds rounds(kRoundsRanks);
+  World world(o);
+  EXPECT_TRUE(world.run([&](Mpi& mpi) { rounds(mpi); }).clean());
+  return o.recorder->finish();
+}
+
+// The parameter fault at rank 0's op `op` (all ranks share the stream
+// shape), as the campaign would build it for trial `trial`.
+inject::FaultSpec fault_at(const WorldRecording& recording, std::size_t op,
+                           int rank, Param param, std::uint64_t trial = 0) {
+  inject::FaultSpec spec;
+  spec.site_id = recording.ops[0][op].site_id;
+  spec.invocation = recording.ops[0][op].invocation;
+  spec.rank = rank;
+  spec.param = param;
+  spec.trial = trial;
+  return spec;
+}
+
+struct RoundsRun {
+  WorldResult result;
+  Rounds rounds{kRoundsRanks};
+  bool fired = false;
+};
+
+// Runs Rounds under `spec`, replayed from `recording` up to the fault's
+// cut, or from scratch when `recording` is null.
+RoundsRun run_rounds(const inject::FaultSpec& spec,
+                     const std::shared_ptr<const WorldRecording>& recording) {
+  auto o = opts(kRoundsRanks);
+  if (recording) {
+    o.replay = WorldSnapshot::build(recording, spec.site_id, spec.invocation);
+    EXPECT_NE(o.replay, nullptr);
+  }
+  inject::Injector injector(spec, 42);
+  World world(o);
+  world.set_tools(&injector);
+  RoundsRun run;
+  run.result = world.run([&run](Mpi& mpi) { run.rounds(mpi); });
+  run.fired = injector.fired();
+  return run;
+}
+
+std::vector<double> golden_rounds() {
+  Rounds rounds(kRoundsRanks);
+  World world(opts(kRoundsRanks));
+  EXPECT_TRUE(world.run([&](Mpi& mpi) { rounds(mpi); }).clean());
+  return rounds.out;
+}
+
+TEST(Snapshot, OverwrittenBufferFaultReconvergesAtTheCut) {
+  // A bit flipped in rank 2's allreduce output buffer is overwritten by
+  // the allreduce itself: every rank leaves the cut in the recorded
+  // state, so the world stops there and the trial is SUCCESS.
+  const auto recording = record_rounds();
+  const auto spec = fault_at(*recording, 4, 2, Param::RecvBuf);
+  const auto run = run_rounds(spec, recording);
+  ASSERT_TRUE(run.fired);
+  EXPECT_TRUE(run.result.reconverged);
+  EXPECT_TRUE(run.result.clean());
+  EXPECT_EQ(run.result.leaked_regions, 0u);
+  EXPECT_EQ(inject::classify(run.result, 0, 1), inject::Outcome::Success);
+  // No rank completed an op after the cut. Every rank but the one whose
+  // check completed the verdict (it unwinds from inside the cut op)
+  // returned from the cut op, and none finished.
+  int unwound_in_cut = 0;
+  for (int r = 0; r < kRoundsRanks; ++r) {
+    const auto i = static_cast<std::size_t>(r);
+    const int done = run.rounds.done[i];
+    EXPECT_TRUE(done == 4 || done == 5) << "rank " << r << " done " << done;
+    if (done == 4) ++unwound_in_cut;
+    EXPECT_EQ(run.rounds.out[i], -1.0) << "rank " << r;
+  }
+  EXPECT_EQ(unwound_in_cut, 1);
+
+  // The same trial from scratch runs its whole suffix to the golden
+  // answer, which is what the verdict stands for.
+  const auto live = run_rounds(spec, nullptr);
+  EXPECT_FALSE(live.result.reconverged);
+  EXPECT_TRUE(live.result.clean());
+  EXPECT_EQ(live.rounds.out, golden_rounds());
+}
+
+TEST(Snapshot, RootBcastBufferFaultRunsTheSuffix) {
+  // The root's bcast buffer is the source: the flip persists there (and
+  // travels), so its check fails and the trial runs live. On a non-root
+  // rank the same flip is overwritten by the bcast and reconverges.
+  const auto recording = record_rounds();
+  const auto root = run_rounds(fault_at(*recording, 3, 0, Param::SendBuf),
+                               recording);
+  ASSERT_TRUE(root.fired);
+  EXPECT_FALSE(root.result.reconverged);
+  EXPECT_TRUE(root.result.clean());
+  for (int r = 0; r < kRoundsRanks; ++r) {
+    const auto i = static_cast<std::size_t>(r);
+    EXPECT_EQ(root.rounds.done[i], kRoundsOps) << "rank " << r;
+    EXPECT_NE(root.rounds.out[i], -1.0) << "rank " << r;
+  }
+
+  const auto leaf = run_rounds(fault_at(*recording, 3, 1, Param::SendBuf),
+                               recording);
+  ASSERT_TRUE(leaf.fired);
+  EXPECT_TRUE(leaf.result.reconverged);
+}
+
+TEST(Snapshot, ScalarParameterFaultNeverReconverges) {
+  // A datatype flip from DOUBLE to UINT64 on one rank leaves an allreduce
+  // MAX of positive doubles bit-identical, so the cut's buffers match the
+  // recording. The injector still never vouches for a scalar fault: the
+  // suffix runs, whatever the trial.
+  const auto recording = record_rounds();
+  const auto golden = golden_rounds();
+  int golden_suffixes = 0;
+  for (std::uint64_t trial = 0; trial < 128; ++trial) {
+    const auto run = run_rounds(
+        fault_at(*recording, 4, 1, Param::Datatype, trial), recording);
+    ASSERT_TRUE(run.fired);
+    EXPECT_FALSE(run.result.reconverged) << "trial " << trial;
+    if (run.result.clean() && run.rounds.out == golden) ++golden_suffixes;
+  }
+  EXPECT_GT(golden_suffixes, 0);
+}
+
+TEST(Snapshot, GathervRecvBufFaultOverADisplacementGapRunsTheSuffix) {
+  // The root gathers two doubles per rank at displacement `stride` * rank.
+  // With stride 3 the receive buffer has gaps the gatherv never writes: a
+  // flip there persists in the root's buffer after the suffix.
+  // The mutated range covers those gaps, so the trial never reconverges.
+  // With stride 2 the blocks tile the buffer and the flip is overwritten.
+  const int n = 4;
+  struct Gather {
+    int stride;
+    std::vector<int> done = std::vector<int>(4, 0);
+    std::vector<std::uint64_t> out{};  ///< the root's final buffer, as bits
+    void operator()(Mpi& mpi) {
+      RegisteredBuffer<double> mine(mpi.registry(), 2);
+      RegisteredBuffer<double> all(mpi.registry(),
+                                   static_cast<std::size_t>(3 * stride + 2));
+      mine[0] = 1.0 + mpi.rank();
+      mine[1] = 0.5 * mpi.rank();
+      std::vector<std::int32_t> counts(4, 2);
+      std::vector<std::int32_t> displs{0, stride, 2 * stride, 3 * stride};
+      int& ops = done[static_cast<std::size_t>(mpi.world_rank())];
+      mpi.barrier();
+      ++ops;
+      mpi.gatherv(mine.data(), 2, kDouble, all.data(), counts, displs,
+                  kDouble, 0);  // the cut
+      ++ops;
+      mpi.barrier();
+      ++ops;
+      if (mpi.rank() == 0) {
+        out.resize(all.size());
+        std::memcpy(out.data(), all.data(), all.size() * sizeof(double));
+      }
+    }
+  };
+
+  for (const int stride : {2, 3}) {
+    auto o = opts(n);
+    o.recorder = std::make_shared<PrefixRecorder>(n);
+    Gather golden{stride};
+    ASSERT_TRUE(World(o).run([&](Mpi& mpi) { golden(mpi); }).clean());
+    const auto recording = o.recorder->finish();
+    const auto& cut = recording->ops[0][1];
+    ASSERT_EQ(cut.coll, CollectiveKind::Gatherv);
+
+    int reconverged = 0;
+    int wrong = 0;
+    const std::uint64_t trials = 16;
+    for (std::uint64_t trial = 0; trial < trials; ++trial) {
+      inject::Injector injector(
+          fault_at(*recording, 1, 0, Param::RecvBuf, trial), 42);
+      auto replay_opts = opts(n);
+      replay_opts.replay =
+          WorldSnapshot::build(recording, cut.site_id, cut.invocation);
+      ASSERT_NE(replay_opts.replay, nullptr);
+      World world(replay_opts);
+      world.set_tools(&injector);
+      Gather trial_run{stride};
+      const auto result = world.run([&](Mpi& mpi) { trial_run(mpi); });
+      ASSERT_TRUE(injector.fired());
+      ASSERT_TRUE(result.clean());
+      if (result.reconverged) {
+        ++reconverged;
+        EXPECT_TRUE(trial_run.out.empty());  // the root never got there
+      } else {
+        EXPECT_EQ(trial_run.done, std::vector<int>(4, 3));
+        if (trial_run.out != golden.out) ++wrong;
+      }
+    }
+    if (stride == 2) {
+      EXPECT_EQ(reconverged, static_cast<int>(trials));
+    } else {
+      EXPECT_EQ(reconverged, 0);
+      EXPECT_GT(wrong, 0);  // some flips landed in a gap
+    }
+  }
 }
 
 }  // namespace
