@@ -91,8 +91,8 @@ int main() {
   options.seed = bench::bench_seed();
   // The executor/journal/shard/hang sections measure *those* subsystems;
   // prefix replay would fold its own speedup into every number, so it is
-  // pinned off here and gets its own on/off/auto section below.
-  options.snapshots = core::SnapshotMode::Off;
+  // pinned off here and gets its own on/off section below.
+  options.snapshots = false;
   const auto workload = apps::make_workload("EP");
   const auto driver = bench::profiled_driver(*workload, options);
   auto& campaign = driver->campaign();
@@ -394,24 +394,23 @@ int main() {
   snap_options.trials_per_point = snap_trials;
   snap_options.seed = bench::bench_seed();
 
+  constexpr std::size_t kSnapModes = 2;
   struct SnapSubset {
     const char* name;
     std::vector<InjectionPoint> points{};
-    double sec[3] = {0.0, 0.0, 0.0};
-    double tps[3] = {0.0, 0.0, 0.0};
-    std::vector<core::PointResult> results[3] = {};
+    double sec[kSnapModes] = {0.0, 0.0};
+    double tps[kSnapModes] = {0.0, 0.0};
+    std::vector<core::PointResult> results[kSnapModes] = {};
   };
   SnapSubset snap_subsets[2] = {{"mix"}, {"suffix"}};
   struct SnapMode {
     const char* mode;
-    core::SnapshotMode setting;
+    bool setting;
     core::SnapshotCache::Stats stats{};
     long rss_kb = 0;
   };
-  SnapMode snap_modes[3] = {{"off", core::SnapshotMode::Off},
-                            {"on", core::SnapshotMode::On},
-                            {"auto", core::SnapshotMode::Auto}};
-  for (std::size_t m = 0; m < 3; ++m) {
+  SnapMode snap_modes[kSnapModes] = {{"off", false}, {"on", true}};
+  for (std::size_t m = 0; m < kSnapModes; ++m) {
     snap_options.snapshots = snap_modes[m].setting;
     const auto snap_driver =
         bench::profiled_driver(snap_workload, snap_options);
@@ -459,7 +458,7 @@ int main() {
   }
   bool snap_identical = true;
   for (auto& subset : snap_subsets) {
-    for (std::size_t m = 1; m < 3; ++m) {
+    for (std::size_t m = 1; m < kSnapModes; ++m) {
       for (std::size_t i = 0; i < subset.points.size(); ++i) {
         if (subset.results[m][i].counts != subset.results[0][i].counts) {
           snap_identical = false;
@@ -507,21 +506,18 @@ int main() {
     const char* name;
     const char* model;
     core::IsolationMode isolation;
-    core::SnapshotMode snapshots;
+    bool snapshots;
     std::size_t scratch;  ///< the same model's from-scratch mechanism
   };
   constexpr std::size_t kCutMechanisms = 5;
   const CutMechanism cut_mechanisms[kCutMechanisms] = {
-      {"scratch", "single-bit-flip", core::IsolationMode::Process,
-       core::SnapshotMode::Off, 0},
-      {"worker_replay", "single-bit-flip", core::IsolationMode::Process,
-       core::SnapshotMode::Auto, 0},
-      {"replay", "single-bit-flip", core::IsolationMode::Thread,
-       core::SnapshotMode::Auto, 0},
-      {"drop_scratch", "message-drop", core::IsolationMode::Process,
-       core::SnapshotMode::Off, 3},
-      {"cut", "message-drop", core::IsolationMode::Process,
-       core::SnapshotMode::Auto, 3}};
+      {"scratch", "single-bit-flip", core::IsolationMode::Process, false, 0},
+      {"worker_replay", "single-bit-flip", core::IsolationMode::Process, true,
+       0},
+      {"replay", "single-bit-flip", core::IsolationMode::Thread, true, 0},
+      {"drop_scratch", "message-drop", core::IsolationMode::Process, false,
+       3},
+      {"cut", "message-drop", core::IsolationMode::Process, true, 3}};
   struct CutCell {
     std::string workload;
     int ranks = 0;
@@ -637,7 +633,7 @@ int main() {
        << ", \"replay_speedup_suffix\": " << snap_speedup_suffix
        << ", \"identical\": " << (snap_identical ? "true" : "false")
        << ",\n    \"modes\": [";
-  for (std::size_t m = 0; m < 3; ++m) {
+  for (std::size_t m = 0; m < kSnapModes; ++m) {
     const auto& run = snap_modes[m];
     const auto& s = run.stats;
     const double lookups =

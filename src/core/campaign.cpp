@@ -7,7 +7,6 @@
 #include <tuple>
 
 #include "core/pipeline.hpp"
-#include "core/recording_io.hpp"
 #include "core/trial_executor.hpp"
 #include "inject/injector.hpp"
 #include "minimpi/mpi.hpp"
@@ -153,11 +152,10 @@ Campaign::Campaign(const apps::Workload& workload, CampaignOptions options)
   if (options_.snapshot_cache_mb < 1) {
     throw ConfigError("Campaign: snapshot_cache_mb must be >= 1");
   }
-  if (options_.snapshots != SnapshotMode::Off) {
+  if (options_.snapshots) {
     snapshot_cache_ = std::make_unique<SnapshotCache>(
         static_cast<std::size_t>(options_.snapshot_cache_mb) * 1024 * 1024);
   }
-  recording_file_ = options_.recording_path;
 }
 
 std::string Campaign::golden_key() const {
@@ -300,11 +298,6 @@ void Campaign::attach_journal(const std::string& path, JournalMode mode) {
   header.shard_count = options_.shard.count;
   journal_ = mode == JournalMode::Resume ? TrialJournal::resume(path, header)
                                          : TrialJournal::create(path, header);
-  // The recording is as durable as the journal: default it to live next
-  // door, so a resumed campaign replays the prefix without re-recording.
-  if (recording_file_.empty()) {
-    recording_file_ = path + ".recording";
-  }
 }
 
 void Campaign::detach_journal() {
@@ -343,22 +336,6 @@ CampaignHealth Campaign::health() const noexcept {
 
 std::shared_ptr<const mpi::WorldRecording> Campaign::build_recording() {
   tel::ScopedSpan span("snapshot-build");
-  // Durable fast path: a recording persisted by an earlier run (or a
-  // sibling shard worker) with our exact identity and golden digest IS
-  // the golden execution — loading it is as sound as re-recording.
-  if (!recording_file_.empty()) {
-    if (auto loaded =
-            load_recording(recording_file_, golden_key(), golden_digest_)) {
-      span.arg("loaded", "1");
-      if (auto& rec = tel::Recorder::instance(); rec.enabled()) {
-        static auto& loads = rec.counter(
-            "fastfit_snapshot_recording_loads_total",
-            "Prefix-replay recordings reloaded from disk instead of re-run");
-        loads.add();
-      }
-      return loaded;
-    }
-  }
   try {
     auto recorder = std::make_shared<mpi::PrefixRecorder>(options_.nranks);
     mpi::WorldOptions opts;
@@ -384,11 +361,6 @@ std::shared_ptr<const mpi::WorldRecording> Campaign::build_recording() {
     auto recording = recorder->finish();
     span.arg("ops", std::to_string(recording->total_ops));
     span.arg("payload_bytes", std::to_string(recording->payload_bytes));
-    if (!recording_file_.empty()) {
-      // Best-effort: a failed write costs nothing but the reuse.
-      (void)save_recording(recording_file_, *recording, golden_key(),
-                           golden_digest_);
-    }
     if (auto& rec = tel::Recorder::instance(); rec.enabled()) {
       static auto& builds = rec.counter(
           "fastfit_snapshot_recordings_total",
@@ -419,14 +391,12 @@ inject::TrialForensics Campaign::run_trial(
     if (snapshot) {
       try {
         return execute_trial(point, trial, watchdog, std::move(snapshot));
-      } catch (const mpi::ReplayError& e) {
+      } catch (const mpi::ReplayError&) {
         // Divergence is a harness condition, never a trial outcome: fall
-        // back to the from-scratch path below. Under `auto` one
-        // divergence retires the subsystem for the whole campaign.
+        // back to the from-scratch path below, and retire the subsystem
+        // for the rest of the campaign.
         snapshot_cache_->note_fallback();
-        if (options_.snapshots == SnapshotMode::Auto) {
-          snapshot_cache_->disable(e.what());
-        }
+        snapshot_cache_->disable();
       }
     }
   }
@@ -523,8 +493,8 @@ void Campaign::warm_snapshots(std::span<const InjectionPoint> points) {
   for (const auto& point : points) {
     if (!inject::is_replayable(point.fault)) continue;
     if (!warmed.insert({point.site_id, point.invocation}).second) continue;
-    (void)snapshot_cache_->warm(point.site_id, point.invocation,
-                                [this] { return build_recording(); });
+    (void)snapshot_cache_->lookup(point.site_id, point.invocation,
+                                  [this] { return build_recording(); });
     if (snapshot_cache_->disabled()) return;
   }
 }
@@ -680,7 +650,7 @@ std::vector<PointResult> Campaign::measure_impl(
     // With snapshots on, exact-trigger trials that cannot replay an op
     // log fork at the cut; replayable ones replay in their fresh child
     // (docs/snapshot.md).
-    if (options_.snapshots != SnapshotMode::Off) {
+    if (options_.snapshots) {
       pool_options.cut_template = [this](const procpool::WorkItem& item,
                                          const procpool::Park& park) {
         return worker_reply([&] {

@@ -91,28 +91,20 @@ struct CampaignOptions {
   /// itself only pins the shard into the journal header; the study
   /// driver does the actual partitioning.
   ShardSpec shard;
-  /// Prefix-replay world snapshots (--snapshots, FASTFIT_SNAPSHOTS):
+  /// Prefix-replay world snapshots (--snapshots on|off, FASTFIT_SNAPSHOTS):
   /// trials clone a recorded fault-free prefix and execute only the
-  /// post-injection suffix. Results are bit-identical at every setting;
-  /// `auto` additionally falls back campaign-wide on the first replay
-  /// divergence, `on` keeps replaying point by point, `off` is the
-  /// from-scratch path. Under process isolation `auto` and `on` also
-  /// fork at the cut: exact-trigger trials of the message, fail-stop and
-  /// signal models, which cannot replay, are forked from a per-point
-  /// fault-free template parked where the fault fires.
-  SnapshotMode snapshots = SnapshotMode::Auto;
+  /// post-injection suffix. Results are bit-identical either way; the
+  /// first replay divergence runs that trial from scratch and turns
+  /// replay off for the rest of the campaign, and `false` is the
+  /// from-scratch path. Under process isolation `true` also forks at the
+  /// cut: exact-trigger trials of the message, fail-stop and signal
+  /// models, which cannot replay, are forked from a per-point fault-free
+  /// template parked where the fault fires.
+  bool snapshots = true;
   /// LRU budget for the snapshot cache in MiB (--snapshot-cache-mb,
   /// FASTFIT_SNAPSHOT_CACHE_MB): bounds the recording payload plus all
   /// derived per-cut snapshots. Must be >= 1.
   std::uint64_t snapshot_cache_mb = 256;
-  /// Durable home for the prefix-replay recording (--snapshot-recording,
-  /// FASTFIT_SNAPSHOT_RECORDING). When set, build_recording() reloads a
-  /// matching recording from this file instead of re-running the
-  /// fault-free world, and persists a freshly built one for the next
-  /// process — the resume path and every `--shard i/N` worker of one
-  /// study can share a single file. Empty = derive `<journal>.recording`
-  /// once a journal is attached; no journal and no path = in-memory only.
-  std::string recording_path;
   /// Trial execution backend (--isolation, FASTFIT_ISOLATION). `Thread`
   /// (default) runs trials in-process on the executor lane's thread.
   /// `Process` dispatches each trial to a fresh child of a per-lane
@@ -260,11 +252,8 @@ class Campaign : private TrialRunner {
   std::unique_ptr<profile::Profiler> profiler_;
   Enumeration enumeration_;
   std::unique_ptr<TrialJournal> journal_;
-  /// Present unless snapshots == Off; owns the recording + cut LRU.
+  /// Present while snapshots are on; owns the recording + cut LRU.
   std::unique_ptr<SnapshotCache> snapshot_cache_;
-  /// Effective recording file: options_.recording_path, or derived from
-  /// the journal path by attach_journal. Empty = no persistence.
-  std::string recording_file_;
   std::atomic<std::uint64_t> trials_run_{0};
   std::atomic<std::uint64_t> total_retries_{0};
   std::atomic<std::uint64_t> quarantined_points_{0};

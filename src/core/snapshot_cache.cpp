@@ -1,28 +1,10 @@
 #include "core/snapshot_cache.hpp"
 
-#include "support/error.hpp"
 #include "telemetry/recorder.hpp"
 
 namespace fastfit::core {
 
 namespace tel = fastfit::telemetry;
-
-SnapshotMode parse_snapshot_mode(const std::string& text) {
-  if (text == "off") return SnapshotMode::Off;
-  if (text == "on") return SnapshotMode::On;
-  if (text == "auto") return SnapshotMode::Auto;
-  throw ConfigError("snapshots must be one of on|off|auto, got '" + text +
-                    "'");
-}
-
-const char* to_string(SnapshotMode mode) noexcept {
-  switch (mode) {
-    case SnapshotMode::Off: return "off";
-    case SnapshotMode::On: return "on";
-    case SnapshotMode::Auto: return "auto";
-  }
-  return "unknown";
-}
 
 SnapshotCache::SnapshotCache(std::size_t budget_bytes)
     : budget_bytes_(budget_bytes) {}
@@ -40,25 +22,17 @@ std::shared_ptr<const mpi::WorldSnapshot> SnapshotCache::lookup(
     std::shared_ptr<const mpi::WorldRecording> recording;
     try {
       recording = build();
-    } catch (const std::exception& e) {
+    } catch (const std::exception&) {
       // A recording failure must never cost the trial (let alone the
       // point): disable the subsystem and let every trial run live.
       disabled_ = true;
-      disabled_why_ = std::string("recording run failed: ") + e.what();
       return nullptr;
     }
-    if (!recording || !recording->replayable) {
+    // Unreplayable, or larger than the whole budget: every trial runs
+    // live.
+    if (!recording || !recording->replayable ||
+        recording->payload_bytes > budget_bytes_) {
       disabled_ = true;
-      disabled_why_ = recording ? "recording not replayable: " +
-                                      recording->unsupported_reason
-                                : "recording run failed";
-      return nullptr;
-    }
-    if (recording->payload_bytes > budget_bytes_) {
-      disabled_ = true;
-      disabled_why_ = "recording of " +
-                      std::to_string(recording->payload_bytes) +
-                      " bytes exceeds the snapshot cache budget";
       return nullptr;
     }
     recording_ = std::move(recording);
@@ -108,11 +82,6 @@ std::shared_ptr<const mpi::WorldSnapshot> SnapshotCache::lookup(
   return snapshot;
 }
 
-bool SnapshotCache::warm(std::uint32_t site_id, std::uint64_t invocation,
-                         const RecordingBuilder& build) {
-  return lookup(site_id, invocation, build) != nullptr;
-}
-
 void SnapshotCache::evict_to_fit_locked() {
   const std::size_t base = recording_ ? recording_->payload_bytes : 0;
   while (entries_.size() > 1 && base + snapshot_bytes_ > budget_bytes_) {
@@ -131,11 +100,10 @@ void SnapshotCache::evict_to_fit_locked() {
   }
 }
 
-void SnapshotCache::disable(const std::string& why) {
+void SnapshotCache::disable() {
   std::lock_guard lock(mutex_);
   if (disabled_) return;
   disabled_ = true;
-  disabled_why_ = why;
   recording_.reset();
   entries_.clear();
   order_.clear();
@@ -146,11 +114,6 @@ void SnapshotCache::disable(const std::string& why) {
 bool SnapshotCache::disabled() const {
   std::lock_guard lock(mutex_);
   return disabled_;
-}
-
-std::string SnapshotCache::disabled_reason() const {
-  std::lock_guard lock(mutex_);
-  return disabled_why_;
 }
 
 void SnapshotCache::note_fallback() {

@@ -2,17 +2,12 @@
 
 // Campaign-side snapshot management (tentpole of the prefix-replay work):
 //
-//  * SnapshotMode — the --snapshots on|off|auto knob. `auto` (default)
-//    uses replay but permanently falls back campaign-wide on the first
-//    divergence or unsupported recording; `on` keeps trying per trial;
-//    `off` is today's from-scratch path, bit for bit.
-//
-//  * SnapshotCache — one per campaign: builds the fault-free recording
-//    lazily (once), derives one WorldSnapshot per injected (site,
-//    invocation) — shared by every trial of that point and by the whole
-//    semantic-equivalence class behind it — and bounds memory with an
-//    LRU over the per-cut snapshots plus the recording itself
-//    (--snapshot-cache-mb).
+//  * SnapshotCache — one per campaign while --snapshots is on (the
+//    default): builds the fault-free recording lazily (once, in memory),
+//    derives one WorldSnapshot per injected (site, invocation) — shared
+//    by every trial of that point and by the whole semantic-equivalence
+//    class behind it — and bounds memory with an LRU over the per-cut
+//    snapshots plus the recording itself (--snapshot-cache-mb).
 //
 //  * GoldenCache — process-wide memo of (workload, params, nranks, seed,
 //    algorithms) -> (golden digest, wall time), so a study that builds
@@ -36,12 +31,6 @@
 
 namespace fastfit::core {
 
-enum class SnapshotMode : std::uint8_t { Off, On, Auto };
-
-/// Parses "off" / "on" / "auto" (throws ConfigError otherwise).
-SnapshotMode parse_snapshot_mode(const std::string& text);
-const char* to_string(SnapshotMode mode) noexcept;
-
 /// Per-campaign snapshot store. Thread-safe: measure_many worker threads
 /// look up concurrently; one mutex serializes the cache (the recording
 /// build runs under it, so exactly one trial pays for it).
@@ -62,19 +51,10 @@ class SnapshotCache {
       std::uint32_t site_id, std::uint64_t invocation,
       const RecordingBuilder& build);
 
-  /// Pre-derives the recording and the cut for (site_id, invocation)
-  /// without handing out a snapshot. The process-isolation backend warms
-  /// the cache in the supervisor before forking its workers, so every
-  /// child inherits the recording and cuts instead of re-paying for
-  /// them. Returns true when a snapshot would be available.
-  bool warm(std::uint32_t site_id, std::uint64_t invocation,
-            const RecordingBuilder& build);
-
-  /// Permanently turns the subsystem off (mode `auto` after a replay
-  /// divergence) and releases the recording and all snapshots.
-  void disable(const std::string& why);
+  /// Permanently turns the subsystem off (after a replay divergence) and
+  /// releases the recording and all snapshots.
+  void disable();
   bool disabled() const;
-  std::string disabled_reason() const;
 
   /// Counts one replay divergence that fell back to a from-scratch run.
   void note_fallback();
@@ -99,7 +79,6 @@ class SnapshotCache {
   mutable std::mutex mutex_;
   std::size_t budget_bytes_;
   bool disabled_ = false;
-  std::string disabled_why_;
   bool recording_attempted_ = false;
   std::shared_ptr<const mpi::WorldRecording> recording_;
 

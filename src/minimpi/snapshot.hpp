@@ -28,7 +28,7 @@
 // a from-scratch run. Workloads that use nonblocking receives or
 // communicator construction mark the recording non-replayable (none of
 // the bundled workloads do), which makes the whole subsystem fall back
-// campaign-wide under `--snapshots auto`.
+// campaign-wide.
 
 #include <cstddef>
 #include <cstdint>

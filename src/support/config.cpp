@@ -55,13 +55,11 @@ constexpr ConfigKnob kKnobs[] = {
      "ULFM-style shrink-and-continue after rank death (default off)"},
     {"FASTFIT_ISOLATION", "isolation", "thread|process",
      "trial backend: in-process or fork-server workers"},
-    {"FASTFIT_SNAPSHOTS", "snapshots", "on|off|auto",
+    {"FASTFIT_SNAPSHOTS", "snapshots", "on|off",
      "skip the trial prefix: op-log replay in-process, fork at the cut "
-     "under --isolation process (default auto)"},
+     "under --isolation process (default on)"},
     {"FASTFIT_SNAPSHOT_CACHE_MB", "snapshot-cache-mb", "MB",
      "LRU budget for the snapshot recording and cuts"},
-    {"FASTFIT_SNAPSHOT_RECORDING", "snapshot-recording", "FILE",
-     "durable prefix-replay recording shared across resume and shards"},
     {"FASTFIT_TRACE", "trace-out", "FILE",
      "Chrome trace-event JSON of the trial lifecycle"},
     {"FASTFIT_METRICS", "metrics-out", "FILE",
@@ -137,23 +135,17 @@ InjectionConfig InjectionConfig::from_map(
       }
       cfg.isolation = value;
     } else if (key == "FASTFIT_SNAPSHOTS") {
-      if (value != "on" && value != "off" && value != "auto") {
-        throw ConfigError(
-            "FASTFIT_SNAPSHOTS: must be one of on|off|auto, got '" + value +
-            "'");
+      if (value != "on" && value != "off") {
+        throw ConfigError("FASTFIT_SNAPSHOTS: must be one of on|off, got '" +
+                          value + "'");
       }
-      cfg.snapshots = value;
+      cfg.snapshots = value == "on";
     } else if (key == "FASTFIT_SNAPSHOT_CACHE_MB") {
       // 1 TiB ceiling: anything larger is a typo, not a budget.
       cfg.snapshot_cache_mb = parse_u64(key, value, 1'048'576);
       if (cfg.snapshot_cache_mb == 0) {
         throw ConfigError("FASTFIT_SNAPSHOT_CACHE_MB: must be >= 1");
       }
-    } else if (key == "FASTFIT_SNAPSHOT_RECORDING") {
-      if (value.empty()) {
-        throw ConfigError("FASTFIT_SNAPSHOT_RECORDING: path must not be empty");
-      }
-      cfg.snapshot_recording = value;
     } else {
       throw ConfigError("unknown configuration key: " + key);
     }
@@ -195,10 +187,7 @@ std::map<std::string, std::string> InjectionConfig::to_map() const {
   if (!fault_models.empty()) kv["FASTFIT_FAULT_MODELS"] = fault_models;
   if (repair) kv["FASTFIT_REPAIR"] = "1";
   if (isolation != "thread") kv["FASTFIT_ISOLATION"] = isolation;
-  if (snapshots != "auto") kv["FASTFIT_SNAPSHOTS"] = snapshots;
-  if (!snapshot_recording.empty()) {
-    kv["FASTFIT_SNAPSHOT_RECORDING"] = snapshot_recording;
-  }
+  if (!snapshots) kv["FASTFIT_SNAPSHOTS"] = "off";
   if (snapshot_cache_mb != 256) {
     kv["FASTFIT_SNAPSHOT_CACHE_MB"] = std::to_string(snapshot_cache_mb);
   }

@@ -91,19 +91,12 @@ struct InjectionConfig {
   /// code that never yields can be killed). Kept as validated text here;
   /// the mode enum lives in core/procpool.hpp.
   std::string isolation = "thread";
-  /// Prefix-replay world snapshots (FASTFIT_SNAPSHOTS): "on", "off", or
-  /// "auto" (default). Kept as validated text here; the mode enum lives
-  /// in core/snapshot_cache.hpp.
-  std::string snapshots = "auto";
+  /// Prefix-replay world snapshots (FASTFIT_SNAPSHOTS=on|off); on by
+  /// default.
+  bool snapshots = true;
   /// LRU budget in MiB for the snapshot recording plus derived cuts
   /// (FASTFIT_SNAPSHOT_CACHE_MB); must be >= 1.
   std::uint64_t snapshot_cache_mb = 256;
-  /// Durable file for the prefix-replay recording
-  /// (FASTFIT_SNAPSHOT_RECORDING). Resumed campaigns and sharded
-  /// workers pointed at the same file pay the fault-free recording run
-  /// once between them. Empty (default) = derive from the journal path,
-  /// or keep the recording in memory only when there is no journal.
-  std::string snapshot_recording;
 
   /// True when any telemetry sink is requested (trace, metrics, or the
   /// live progress line) and the recorder must therefore be enabled.

@@ -262,7 +262,6 @@ PoolRun run_on_pool(const std::string& workload_name, std::size_t pool) {
   const std::string path = ::testing::TempDir() + "fastfit_pool_parity_" +
                            workload_name + "_" + std::to_string(pool);
   std::remove(path.c_str());
-  std::remove((path + ".recording").c_str());
   campaign.attach_journal(path, JournalMode::Create);
   const auto& points = campaign.enumeration().points;
   const auto n = std::min<std::size_t>(4, points.size());
@@ -282,7 +281,6 @@ PoolRun run_on_pool(const std::string& workload_name, std::size_t pool) {
   rec.reset();
   rec.disable();
   std::remove(path.c_str());
-  std::remove((path + ".recording").c_str());
   return run;
 }
 

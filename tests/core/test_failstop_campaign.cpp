@@ -145,11 +145,11 @@ TEST(FailStopCampaign, NonReplayableSpecsBypassSnapshotsWithParity) {
                             "message-corrupt"}) {
     auto off = failstop_options();
     off.fault_models = {inject::FaultModelSpec::parse(model)};
-    off.snapshots = SnapshotMode::Off;
+    off.snapshots = false;
     const auto expected = run_points(*workload, off, 3);
 
     auto on = off;
-    on.snapshots = SnapshotMode::On;
+    on.snapshots = true;
     SnapshotCache::Stats stats;
     const auto replayed = run_points(*workload, on, 3, &stats);
     expect_same_counts(expected, replayed, model);
@@ -170,14 +170,14 @@ TEST(FailStopCampaign, ProbabilisticTriggerIsDeterministicPerTrial) {
   opts.trials_per_point = 3;
   opts.seed = 99;
   opts.max_parallel_trials = 1;
-  opts.snapshots = SnapshotMode::Off;
+  opts.snapshots = false;
   opts.fault_models = {
       inject::FaultModelSpec::parse("single-bit-flip@prob=0.5")};
   const auto expected = run_points(*workload, opts, 3);
 
   auto pooled = opts;
   pooled.max_parallel_trials = 4;
-  pooled.snapshots = SnapshotMode::On;
+  pooled.snapshots = true;
   SnapshotCache::Stats stats;
   expect_same_counts(expected, run_points(*workload, pooled, 3, &stats),
                      "prob trigger");

@@ -668,7 +668,7 @@ std::string strip_autopsies(const std::string& journal) {
 /// Two points of every fault model in kEveryFamily, two trials each, at
 /// 8 ranks under --isolation process, journaled and with telemetry on.
 IsolatedRun run_isolated(const std::string& workload_name, std::size_t pool,
-                         SnapshotMode snapshots) {
+                         bool snapshots) {
   auto& rec = tel::Recorder::instance();
   rec.enable();
   rec.reset();
@@ -686,8 +686,8 @@ IsolatedRun run_isolated(const std::string& workload_name, std::size_t pool,
   Campaign campaign(*workload, opts);
   campaign.profile();
   const std::string path = ::testing::TempDir() + "fastfit_cut_parity_" +
-                           workload_name + "_" + std::to_string(pool) + "_" +
-                           to_string(snapshots);
+                           workload_name + "_" + std::to_string(pool) +
+                           (snapshots ? "_on" : "_off");
   std::remove(path.c_str());
   campaign.attach_journal(path, JournalMode::Create);
 
@@ -715,13 +715,10 @@ IsolatedRun run_isolated(const std::string& workload_name, std::size_t pool,
     if (c.name == "fastfit_trials_total") run.trial_counters[c.labels] = c.value;
   }
   run.cut_trials = metrics.counter_sum("fastfit_worker_cut_trials_total");
-  run.recordings =
-      metrics.counter_sum("fastfit_snapshot_recordings_total") +
-      metrics.counter_sum("fastfit_snapshot_recording_loads_total");
+  run.recordings = metrics.counter_sum("fastfit_snapshot_recordings_total");
   rec.reset();
   rec.disable();
   std::remove(path.c_str());
-  std::remove((path + ".recording").c_str());
   return run;
 }
 
@@ -733,8 +730,8 @@ class ProcessIsolationCut
 
 TEST_P(ProcessIsolationCut, ForkAtCutMatchesFromScratch) {
   const auto [workload, pool] = GetParam();
-  const auto off = run_isolated(workload, pool, SnapshotMode::Off);
-  const auto cut = run_isolated(workload, pool, SnapshotMode::Auto);
+  const auto off = run_isolated(workload, pool, false);
+  const auto cut = run_isolated(workload, pool, true);
 
   ASSERT_EQ(off.results.size(), cut.results.size());
   for (std::size_t i = 0; i < off.results.size(); ++i) {

@@ -86,7 +86,7 @@ CampaignOptions supervised_options() {
   // = 2, trials from 3); the snapshot recording run would shift the
   // ordinals and absorb scripted failures, so pin it off here. Snapshot
   // parity has its own suite (test_snapshot_parity.cpp).
-  opts.snapshots = SnapshotMode::Off;
+  opts.snapshots = false;
   return opts;
 }
 

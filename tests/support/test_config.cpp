@@ -254,9 +254,8 @@ TEST(Config, KnobTableIsCompleteAndConsistent) {
       {"FASTFIT_METRICS", "m.prom"},
       {"FASTFIT_PROGRESS", "1"},
       {"FASTFIT_METRICS_INTERVAL_MS", "100"},
-      {"FASTFIT_SNAPSHOTS", "auto"},
+      {"FASTFIT_SNAPSHOTS", "on"},
       {"FASTFIT_SNAPSHOT_CACHE_MB", "64"},
-      {"FASTFIT_SNAPSHOT_RECORDING", "lu.recording"},
       {"FASTFIT_FAULT_MODELS", "single-bit-flip,rank-death"},
       {"FASTFIT_REPAIR", "1"},
       {"FASTFIT_ISOLATION", "process"},
@@ -299,11 +298,16 @@ TEST(Config, IsolationKnobValidates) {
 TEST(Config, SnapshotKnobsValidate) {
   const auto cfg = InjectionConfig::from_map(
       {{"FASTFIT_SNAPSHOTS", "off"}, {"FASTFIT_SNAPSHOT_CACHE_MB", "64"}});
-  EXPECT_EQ(cfg.snapshots, "off");
+  EXPECT_FALSE(cfg.snapshots);
   EXPECT_EQ(cfg.snapshot_cache_mb, 64u);
-  EXPECT_EQ(InjectionConfig{}.snapshots, "auto");
+  EXPECT_TRUE(InjectionConfig{}.snapshots);  // on by default
+  EXPECT_TRUE(
+      InjectionConfig::from_map({{"FASTFIT_SNAPSHOTS", "on"}}).snapshots);
   EXPECT_EQ(InjectionConfig{}.snapshot_cache_mb, 256u);
   EXPECT_THROW(InjectionConfig::from_map({{"FASTFIT_SNAPSHOTS", "maybe"}}),
+               ConfigError);
+  // `auto` is not a value: it is rejected, not read as `on`.
+  EXPECT_THROW(InjectionConfig::from_map({{"FASTFIT_SNAPSHOTS", "auto"}}),
                ConfigError);
   EXPECT_THROW(
       InjectionConfig::from_map({{"FASTFIT_SNAPSHOT_CACHE_MB", "0"}}),

@@ -344,23 +344,20 @@ int cmd_study(const std::string& workload_name, const Args& args) {
     throw ConfigError("--resume requires --journal (or FASTFIT_JOURNAL)");
   }
 
-  // Prefix-replay snapshots: the mode knob and the LRU budget.
-  std::string snapshots = env.snapshots;
-  if (args.has("snapshots")) snapshots = args.get("snapshots", "auto");
-  options.campaign.snapshots = core::parse_snapshot_mode(snapshots);
+  // Prefix-replay snapshots: the on/off switch and the LRU budget.
+  options.campaign.snapshots = env.snapshots;
+  if (args.has("snapshots")) {
+    options.campaign.snapshots =
+        InjectionConfig::from_map(
+            {{"FASTFIT_SNAPSHOTS", args.get("snapshots", "on")}})
+            .snapshots;
+  }
   options.campaign.snapshot_cache_mb = env.snapshot_cache_mb;
   if (args.has("snapshot-cache-mb")) {
     options.campaign.snapshot_cache_mb =
         InjectionConfig::from_map({{"FASTFIT_SNAPSHOT_CACHE_MB",
                                     args.get("snapshot-cache-mb", "256")}})
             .snapshot_cache_mb;
-  }
-  options.campaign.recording_path = env.snapshot_recording;
-  if (args.has("snapshot-recording")) {
-    options.campaign.recording_path =
-        InjectionConfig::from_map({{"FASTFIT_SNAPSHOT_RECORDING",
-                                    args.get("snapshot-recording", "")}})
-            .snapshot_recording;
   }
 
   // Pipeline selection: the pruning chain and the deterministic shard.
