@@ -518,7 +518,12 @@ inject::TrialForensics Campaign::dispatch_trial(
     const auto lease = options_.worker_lease.value_or(
         std::max<std::chrono::milliseconds>(
             60'000ms, watchdog * 4 + std::chrono::milliseconds(10'000)));
-    const auto result = pool->run(item, lease);
+    // Lane i is executor worker i; the serial path, the repair pass and
+    // the confirmations run on the scheduling thread, with the workers
+    // idle, and take lane 0.
+    const int worker = TrialExecutor::current_worker();
+    const std::size_t lane = worker < 0 ? 0 : static_cast<std::size_t>(worker);
+    const auto result = pool->run(item, lease, lane);
     switch (result.kind) {
       case ProcPool::Result::Kind::Completed: {
         if (!result.reply.ok) {
@@ -605,6 +610,10 @@ TrialRunner::Attempt Campaign::run_guarded(
         250ms, std::chrono::milliseconds(5) * (1u << std::min(tries, 6u)));
     std::this_thread::sleep_for(backoff);
   }
+}
+
+bool Campaign::lanes_hold_point_state() const {
+  return options_.isolation == IsolationMode::Process && options_.snapshots;
 }
 
 std::size_t Campaign::parallel_trials() const noexcept {

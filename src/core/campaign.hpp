@@ -322,6 +322,10 @@ class Campaign : private TrialRunner {
   Attempt run_guarded(const InjectionPoint& point, std::uint64_t trial,
                       std::chrono::milliseconds watchdog) override;
 
+  /// TrialRunner: true under process isolation with snapshots on, where
+  /// each lane keeps the fork-at-cut template of its current point.
+  bool lanes_hold_point_state() const override;
+
   /// Watchdog for fault-free runs that must not time out under load (the
   /// recording run, a fork-at-cut template).
   std::chrono::milliseconds fault_free_budget() const;

@@ -317,8 +317,8 @@ bool same_point(const procpool::WorkItem& a, const procpool::WorkItem& b) {
 /// op log (message, fail-stop and signal models). A replayable parameter
 /// fault goes to the from-scratch child instead, where the campaign's
 /// TrialFn replays the prefix from the recording the supervisor made
-/// before forking; at study scale that beats one template per point per
-/// lane (EXPERIMENTS.md, "Fork at the cut").
+/// before forking; on whole LU and miniMD studies that beats forking them
+/// at the cut (EXPERIMENTS.md, "Which trials fork at the cut").
 bool forks_at_cut(const procpool::WorkItem& item) {
   return item.fault.trigger == inject::FaultTrigger::ExactPoint &&
          !inject::is_replayable(item.fault);
@@ -590,7 +590,6 @@ ProcPool::ProcPool(Options options, procpool::TrialFn fn)
   std::size_t alive = 0;
   for (std::size_t i = 0; i < lanes_.size(); ++i) {
     if (spawn_locked(lanes_[i], /*is_respawn=*/false)) ++alive;
-    free_.push_back(i);
   }
   if (alive == 0) {
     throw InternalError("ProcPool: could not spawn any fork-server lane");
@@ -719,22 +718,6 @@ void ProcPool::kill_lane_locked(Lane& lane) {
   lane.cmd_fd = lane.result_fd = lane.alive_fd = -1;
 }
 
-std::size_t ProcPool::acquire_lane() {
-  std::unique_lock<std::mutex> lock(mutex_);
-  lane_available_.wait(lock, [this] { return !free_.empty(); });
-  const std::size_t index = free_.back();
-  free_.pop_back();
-  return index;
-}
-
-void ProcPool::release_lane(std::size_t index) {
-  {
-    std::lock_guard<std::mutex> lock(mutex_);
-    free_.push_back(index);
-  }
-  lane_available_.notify_one();
-}
-
 bool ProcPool::degraded() const noexcept {
   std::lock_guard<std::mutex> lock(mutex_);
   return degraded_;
@@ -754,14 +737,29 @@ std::vector<int> ProcPool::server_pids() const {
 }
 
 ProcPool::Result ProcPool::run(const procpool::WorkItem& item,
-                               std::chrono::milliseconds lease) {
+                               std::chrono::milliseconds lease,
+                               std::size_t index) {
   tel::ScopedSpan span("worker-dispatch");
   Result result;
-  const std::size_t index = acquire_lane();
+  {
+    std::lock_guard<std::mutex> lock(mutex_);
+    if (index >= lanes_.size()) {
+      throw InternalError("ProcPool: no lane " + std::to_string(index) +
+                          " in a pool of " + std::to_string(lanes_.size()));
+    }
+    if (lanes_[index].busy) {
+      throw InternalError("ProcPool: two callers on lane " +
+                          std::to_string(index));
+    }
+    lanes_[index].busy = true;
+  }
   struct Release {
     ProcPool& pool;
     std::size_t index;
-    ~Release() { pool.release_lane(index); }
+    ~Release() {
+      std::lock_guard<std::mutex> lock(pool.mutex_);
+      pool.lanes_[index].busy = false;
+    }
   } release{*this, index};
 
   std::uint64_t seq = 0;
@@ -790,8 +788,8 @@ ProcPool::Result ProcPool::run(const procpool::WorkItem& item,
     dispatched.add();
   }
 
-  // Holding no lock across the blocking I/O: only this thread owns the
-  // lane until release, so the fds cannot be closed under it.
+  // Holding no lock across the blocking I/O: the lane is this call's
+  // until it returns, so the fds cannot be closed under it.
   if (!write_frame(cmd_fd, encode_work(item, seq))) {
     std::lock_guard<std::mutex> lock(mutex_);
     kill_lane_locked(lanes_[index]);
@@ -856,7 +854,11 @@ ProcPool::Result ProcPool::run(const procpool::WorkItem& item,
       static auto& cut_trials = rec.counter(
           "fastfit_worker_cut_trials_total",
           "Process-isolated trials forked at the cut by a cut server");
+      static auto& cut_servers = rec.counter(
+          "fastfit_worker_cut_servers_total",
+          "Cut servers started: fault-free templates run to a point's cut");
       cut_trials.add();
+      if (new_server) cut_servers.add();
     }
   }
   switch (static_cast<ReplyKind>(kind_raw)) {

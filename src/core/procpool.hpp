@@ -21,8 +21,11 @@
 // fork-server that runs the point's world fault-free up to the cut (the
 // instant the fault would fire) and forks each trial child there, so a
 // trial executes only its suffix. The cut server consolidates exactly
-// like the fork-server, which relays its frames; the lane keeps at most
-// one cut server, for the point it served last.
+// like the fork-server, which relays its frames. It lives for as long as
+// its point: the lane stops it when an item of another point arrives.
+// Lane i serves one caller (executor worker i), and the scheduler keeps
+// that worker on one point until the point runs dry, so each point's
+// template is built about once per study, not once per lane.
 //
 //   fork-server ──fork──▶ cut server ──fork at the cut──▶ trial child
 //
@@ -42,7 +45,6 @@
 // pre-existing behaviour is preserved bit for bit.
 
 #include <chrono>
-#include <condition_variable>
 #include <cstdint>
 #include <functional>
 #include <mutex>
@@ -115,9 +117,11 @@ using ChildInit = std::function<void()>;
 
 }  // namespace procpool
 
-/// Supervisor-side handle to the fork-server pool. Thread-safe: run() may
-/// be called concurrently from every scheduler worker; each call owns one
-/// lane for its duration.
+/// Supervisor-side handle to the fork-server pool. Lanes are bound to
+/// callers: run() on lane i comes from executor worker i only (lane 0
+/// also from the scheduling thread while the workers are idle), so calls
+/// on distinct lanes run concurrently and a lane never waits for
+/// another's caller.
 class ProcPool {
  public:
   struct Options {
@@ -170,11 +174,14 @@ class ProcPool {
   ProcPool(const ProcPool&) = delete;
   ProcPool& operator=(const ProcPool&) = delete;
 
-  /// Dispatches one trial to a free lane and waits for its consolidated
+  /// Dispatches one trial to lane `lane` and waits for its consolidated
   /// reply, up to `lease`. On lease expiry the lane's process group is
   /// SIGKILLed. Never throws for worker-side conditions — every failure
   /// mode is a Result kind the campaign maps onto its retry ladder.
-  Result run(const procpool::WorkItem& item, std::chrono::milliseconds lease);
+  /// Throws InternalError for a lane out of range or one that already
+  /// has a caller in run().
+  Result run(const procpool::WorkItem& item, std::chrono::milliseconds lease,
+             std::size_t lane);
 
   /// True once the respawn budget is exhausted: callers should stop
   /// dispatching and fall back to in-process execution.
@@ -197,19 +204,16 @@ class ProcPool {
     /// inherits and keeps: EOF means the whole lane has exited.
     int alive_fd = -1;
     std::uint64_t seq = 0;
+    bool busy = false;  ///< a run() call owns the lane
   };
 
   bool spawn_locked(Lane& lane, bool is_respawn);
   void kill_lane_locked(Lane& lane);
-  std::size_t acquire_lane();
-  void release_lane(std::size_t index);
 
   Options options_;
   procpool::TrialFn fn_;
   mutable std::mutex mutex_;
-  std::condition_variable lane_available_;
   std::vector<Lane> lanes_;
-  std::vector<std::size_t> free_;
   std::size_t respawns_used_ = 0;
   bool degraded_ = false;
   Stats stats_;

@@ -1,5 +1,6 @@
 #include "core/scheduler.hpp"
 
+#include <algorithm>
 #include <array>
 #include <atomic>
 #include <deque>
@@ -211,27 +212,82 @@ BatchStats TrialScheduler::run(std::span<const InjectionPoint> points,
     outcomes[i][t] = static_cast<int>(attempt.outcome);
   };
 
-  // Phase 1: concurrent guarded execution of the missing trials.
-  {
-    TrialExecutor executor(config_.pool);
-    for (std::size_t i = 0; i < points.size(); ++i) {
-      for (std::uint32_t t = 0; t < trials; ++t) {
-        if (outcomes[i][t] != kPending) continue;
-        // Submission timestamp: the gap to execution start is the queue
-        // wait, rendered as its own span on the executing worker's lane.
-        auto& rec = tel::Recorder::instance();
-        const std::int64_t submit_us = rec.enabled() ? rec.now_us() : -1;
-        executor.submit([&run_fresh, &state, &outcomes, submit_us, i, t] {
-          // Skip only trials *beyond* a known failure: those are the
-          // ones the serial run would never have executed. Trials below
-          // it must still run — the serial stream includes them.
-          if (state[i].first_failed.load(std::memory_order_acquire) < t) {
-            outcomes[i][t] = kSkipped;
-            return;
+  // Phase 1: concurrent guarded execution of the missing trials. Each
+  // lane loop claims its next trial from a shared cursor (claim_next).
+  const bool affine = runner_->lanes_hold_point_state();
+  std::mutex claim_mutex;
+  // Per point, the next ordinal to consider and how many pending
+  // (neither claimed nor replayed) ordinals lie at or beyond it.
+  std::vector<std::uint32_t> cursor(points.size(), 0);
+  std::vector<std::uint32_t> unclaimed(points.size(), 0);
+  for (std::size_t i = 0; i < points.size(); ++i) {
+    for (std::uint32_t t = 0; t < trials; ++t) {
+      unclaimed[i] += outcomes[i][t] == kPending;
+    }
+  }
+  // Affine: the first point no lane has taken yet. Point-major: the
+  // lowest point that may still have an unclaimed trial.
+  std::size_t next_point = 0;
+  constexpr std::size_t kNoPoint = std::numeric_limits<std::size_t>::max();
+
+  // Claims the next trial for the lane now on point `at` (kNoPoint before
+  // its first claim); false once nothing is left. Point-major order hands
+  // every lane the lowest unclaimed (point, trial). Affine order keeps a
+  // lane on its point until the point has no unclaimed trial, then takes
+  // the next untaken point, and once every point is taken joins the one
+  // with the most unclaimed trials, so the tail stays balanced.
+  const auto claim_next = [&](std::size_t& at, std::uint32_t& t) {
+    std::lock_guard<std::mutex> lock(claim_mutex);
+    for (;;) {
+      if (!affine) {
+        while (next_point < points.size() && unclaimed[next_point] == 0) {
+          ++next_point;
+        }
+        at = next_point < points.size() ? next_point : kNoPoint;
+      } else if (at == kNoPoint || unclaimed[at] == 0) {
+        at = kNoPoint;
+        if (next_point < points.size()) {
+          at = next_point++;
+        } else {
+          std::uint32_t most = 0;
+          for (std::size_t i = 0; i < points.size(); ++i) {
+            if (unclaimed[i] > most) {
+              most = unclaimed[i];
+              at = i;
+            }
           }
-          run_fresh(i, t, submit_us);
-        });
+        }
       }
+      if (at == kNoPoint) return false;
+      if (unclaimed[at] == 0) continue;  // an untaken point with no gaps
+      // Slots at or beyond the cursor are untouched but for replays.
+      t = cursor[at];
+      while (outcomes[at][t] != kPending) ++t;
+      cursor[at] = t + 1;
+      --unclaimed[at];
+      // Skip only trials *beyond* a known failure: those are the ones
+      // the serial run would never have executed. Trials below it must
+      // still run — the serial stream includes them.
+      if (state[at].first_failed.load(std::memory_order_acquire) < t) {
+        outcomes[at][t] = kSkipped;
+        continue;
+      }
+      return true;
+    }
+  };
+  {
+    // Lanes open together: the gap to a trial's start is its queue wait,
+    // rendered as its own span on the executing worker's lane.
+    auto& rec = tel::Recorder::instance();
+    const std::int64_t open_us = rec.enabled() ? rec.now_us() : -1;
+    TrialExecutor executor(config_.pool);
+    for (std::size_t lane = 0; lane < std::max<std::size_t>(1, config_.pool);
+         ++lane) {
+      executor.submit([&run_fresh, &claim_next, open_us] {
+        std::size_t at = kNoPoint;
+        std::uint32_t t = 0;
+        while (claim_next(at, t)) run_fresh(at, t, open_us);
+      });
     }
     executor.wait();
   }

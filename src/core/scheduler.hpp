@@ -15,10 +15,24 @@
 // observers (report accumulator, telemetry counters, journal
 // write-through), so the scheduler itself never knows what a report is.
 //
+// Claim order. The pool runs one loop per lane; each loop claims its
+// next trial from a cursor the lanes share, under one mutex, and a trial
+// beyond its point's known first failure is skipped at claim time. By
+// default the claim order is point-major: every lane takes the lowest
+// unclaimed (point, trial), which at pool 1 is the serial order. When the
+// runner's lanes hold per-point state
+// (TrialRunner::lanes_hold_point_state: a process-isolated lane keeps a
+// fork-at-cut template of the point it serves), the order is
+// point-affine instead: a lane stays on its point until that point has no
+// unclaimed trial, then takes the next point no lane has taken, and once
+// every point is taken joins the point with the most unclaimed trials.
+// Each point's template is then built about once, not once per lane,
+// and the tail still spreads over every lane.
+//
 // Aggregating in (point, trial) order after execution is what makes the
-// batch bit-identical to a serial run at every pool size: execution order
-// is free (per-trial RNG identity is order-independent), observation
-// order is not.
+// batch bit-identical to a serial run at every pool size and in either
+// claim order: execution order is free (per-trial RNG identity is
+// order-independent), observation order is not.
 
 #include <chrono>
 #include <cstdint>
@@ -56,6 +70,11 @@ class TrialRunner {
 
   /// Per-trial watchdog budget, calibrated once from the golden run.
   virtual std::chrono::milliseconds watchdog() const = 0;
+
+  /// True when a lane keeps state for the point it ran last that a
+  /// switch of point throws away (a fork-at-cut template); the scheduler
+  /// then claims trials point-affine. Lane i is executor worker i.
+  virtual bool lanes_hold_point_state() const { return false; }
 };
 
 /// One recorded (point, trial) outcome, observed in deterministic
@@ -159,7 +178,7 @@ struct BatchStats {
 inline constexpr std::uint32_t kWatchdogEscalation = 4;
 
 struct SchedulerConfig {
-  std::size_t pool = 1;  ///< concurrent (point, trial) jobs
+  std::size_t pool = 1;  ///< lanes: concurrently running trials
 };
 
 class TrialScheduler {

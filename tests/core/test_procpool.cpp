@@ -4,14 +4,15 @@
 // Unit tests drive ProcPool directly with synthetic trial functions
 // (echo, contained error, raise(signo), sleep) to pin the wire protocol,
 // the death taxonomy (SignalDeath / LeaseExpired / LaneFailure), lane
-// respawn, and the degradation ladder; synthetic templates pin the cut
-// server's lifecycle (lease kill, pool teardown, point switch, a template
-// that never parks) and a real world parked at its cut pins the deadline
-// rebase. Campaign-level tests require the process backend to be
+// respawn, one caller per lane, and the degradation ladder; synthetic
+// templates pin the cut server's lifecycle (lease kill, pool teardown,
+// point switch, a template that never parks) and a real world parked at
+// its cut pins the deadline rebase. Campaign-level tests require the process backend to be
 // byte-identical to the thread backend for non-signal fault models
 // (serial, pooled, and journal resume), fork at the cut to be
-// byte-identical to --snapshots off for every manifestation family, and
-// genuine worker signal deaths to classify as SEG_FAULT — with the signal
+// byte-identical to --snapshots off for every manifestation family (and
+// a pool of 4 to build about one cut server per point), and genuine
+// worker signal deaths to classify as SEG_FAULT — with the signal
 // number and rusage in the journal's forensic field — without losing the
 // campaign.
 //
@@ -21,6 +22,7 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <csignal>
 #include <cstdio>
 #include <filesystem>
@@ -45,6 +47,7 @@
 #include "inject/outcome.hpp"
 #include "minimpi/mpi.hpp"
 #include "minimpi/world.hpp"
+#include "support/error.hpp"
 #include "telemetry/recorder.hpp"
 
 namespace fastfit::core {
@@ -91,7 +94,7 @@ TEST(ProcPool, CompletedReplyRoundTripsEveryField) {
     return reply;
   });
 
-  const auto result = pool.run(sample_item(), std::chrono::seconds(30));
+  const auto result = pool.run(sample_item(), std::chrono::seconds(30), 0);
   ASSERT_EQ(result.kind, ProcPool::Result::Kind::Completed);
   EXPECT_TRUE(result.reply.ok);
   EXPECT_EQ(result.reply.outcome, inject::Outcome::WrongAns);
@@ -110,7 +113,7 @@ TEST(ProcPool, ContainedErrorTravelsThroughReply) {
     reply.error = "synthetic contained failure";
     return reply;
   });
-  const auto result = pool.run(sample_item(), std::chrono::seconds(30));
+  const auto result = pool.run(sample_item(), std::chrono::seconds(30), 0);
   ASSERT_EQ(result.kind, ProcPool::Result::Kind::Completed);
   EXPECT_FALSE(result.reply.ok);
   EXPECT_EQ(result.reply.error, "synthetic contained failure");
@@ -136,7 +139,7 @@ TEST(ProcPool, SignalMatrixReportsSignalDeathWithRusage) {
   for (const int signo : {SIGSEGV, SIGBUS, SIGFPE, SIGABRT}) {
     WorkItem item = sample_item();
     item.site_id = static_cast<std::uint32_t>(signo);
-    const auto result = pool.run(item, std::chrono::seconds(30));
+    const auto result = pool.run(item, std::chrono::seconds(30), 0);
     ASSERT_EQ(result.kind, ProcPool::Result::Kind::SignalDeath)
         << "signal " << signo;
     EXPECT_EQ(result.signal, signo);
@@ -164,13 +167,13 @@ TEST(ProcPool, LeaseExpiryKillsLaneAndRespawns) {
 
   WorkItem wedged = sample_item();
   wedged.trial = 999;
-  const auto expired = pool.run(wedged, std::chrono::milliseconds(200));
+  const auto expired = pool.run(wedged, std::chrono::milliseconds(200), 0);
   ASSERT_EQ(expired.kind, ProcPool::Result::Kind::LeaseExpired);
   EXPECT_NE(expired.error.find("lease"), std::string::npos);
   EXPECT_EQ(pool.stats().lease_kills, 1u);
 
   // The lane respawns on next use and serves normally.
-  const auto after = pool.run(sample_item(), std::chrono::seconds(30));
+  const auto after = pool.run(sample_item(), std::chrono::seconds(30), 0);
   ASSERT_EQ(after.kind, ProcPool::Result::Kind::Completed);
   EXPECT_TRUE(after.reply.ok);
   EXPECT_EQ(pool.stats().respawns, 1u);
@@ -202,12 +205,12 @@ TEST(ProcPool, ServerKilledMidTrialIsLaneFailureThenRecovers) {
   });
   WorkItem wedged = sample_item();
   wedged.trial = 999;
-  const auto lost = pool.run(wedged, std::chrono::seconds(30));
+  const auto lost = pool.run(wedged, std::chrono::seconds(30), 0);
   killer.join();
   ASSERT_EQ(lost.kind, ProcPool::Result::Kind::LaneFailure);
   EXPECT_EQ(pool.stats().lane_failures, 1u);
 
-  const auto after = pool.run(sample_item(), std::chrono::seconds(30));
+  const auto after = pool.run(sample_item(), std::chrono::seconds(30), 0);
   ASSERT_EQ(after.kind, ProcPool::Result::Kind::Completed);
   EXPECT_TRUE(after.reply.ok);
   EXPECT_EQ(pool.stats().respawns, 1u);
@@ -229,12 +232,40 @@ TEST(ProcPool, RespawnBudgetExhaustionDegradesPool) {
 
   // First run discovers the dead server (LaneFailure), second finds the
   // lane down with no respawn budget left: the pool declares degraded.
-  const auto first = pool.run(sample_item(), std::chrono::seconds(30));
+  const auto first = pool.run(sample_item(), std::chrono::seconds(30), 0);
   EXPECT_EQ(first.kind, ProcPool::Result::Kind::LaneFailure);
-  const auto second = pool.run(sample_item(), std::chrono::seconds(30));
+  const auto second = pool.run(sample_item(), std::chrono::seconds(30), 0);
   ASSERT_EQ(second.kind, ProcPool::Result::Kind::LaneFailure);
   EXPECT_NE(second.error.find("degraded"), std::string::npos);
   EXPECT_TRUE(pool.degraded());
+}
+
+TEST(ProcPool, LaneHasOneCallerAtATime) {
+  ProcPool::Options opts;
+  opts.lanes = 2;
+  ProcPool pool(opts, [](const WorkItem& item) {
+    if (item.trial == 999) std::this_thread::sleep_for(std::chrono::seconds(1));
+    TrialReply reply;
+    reply.ok = true;
+    return reply;
+  });
+  WorkItem slow = sample_item();
+  slow.trial = 999;
+  std::thread first([&] {
+    EXPECT_EQ(pool.run(slow, std::chrono::seconds(30), 0).kind,
+              ProcPool::Result::Kind::Completed);
+  });
+  // The dispatch count moves once the first call owns lane 0.
+  while (pool.stats().trials_dispatched == 0) {
+    std::this_thread::sleep_for(std::chrono::milliseconds(1));
+  }
+  EXPECT_THROW(pool.run(sample_item(), std::chrono::seconds(30), 0),
+               InternalError);
+  EXPECT_EQ(pool.run(sample_item(), std::chrono::seconds(30), 1).kind,
+            ProcPool::Result::Kind::Completed);
+  EXPECT_THROW(pool.run(sample_item(), std::chrono::seconds(30), 2),
+               InternalError);
+  first.join();
 }
 
 TEST(ProcPool, IsolationModeParsesAndRejects) {
@@ -338,7 +369,8 @@ TrialReply scratch_trial(const WorkItem& item) {
 TEST(ProcPool, CutServerServesExactTriggerItemsAtTheCut) {
   ProcPool pool(cut_pool_options(), scratch_trial);
   for (std::uint64_t trial = 0; trial < 3; ++trial) {
-    const auto result = pool.run(exact_item(1, trial), std::chrono::seconds(30));
+    const auto result =
+        pool.run(exact_item(1, trial), std::chrono::seconds(30), 0);
     ASSERT_EQ(result.kind, ProcPool::Result::Kind::Completed);
     EXPECT_TRUE(result.at_cut);
     EXPECT_EQ(result.reply.autopsy.rfind("cut " + std::to_string(trial), 0), 0u)
@@ -350,7 +382,7 @@ TEST(ProcPool, CutServerServesExactTriggerItemsAtTheCut) {
   for (const char* model : {"message-drop@nth=2", "single-bit-flip"}) {
     WorkItem scratch_item = exact_item(1, trial);
     scratch_item.fault = inject::FaultModelSpec::parse(model);
-    const auto scratch = pool.run(scratch_item, std::chrono::seconds(30));
+    const auto scratch = pool.run(scratch_item, std::chrono::seconds(30), 0);
     ASSERT_EQ(scratch.kind, ProcPool::Result::Kind::Completed) << model;
     EXPECT_FALSE(scratch.at_cut) << model;
     EXPECT_EQ(scratch.reply.autopsy, "scratch " + std::to_string(trial++));
@@ -364,7 +396,7 @@ TEST(ProcPool, CutServerServesExactTriggerItemsAtTheCut) {
 
 TEST(ProcPool, LeaseExpiryDuringCutTrialKillsWholeLaneGroup) {
   ProcPool pool(cut_pool_options(), scratch_trial);
-  ASSERT_TRUE(pool.run(exact_item(1, 0), std::chrono::seconds(30)).at_cut);
+  ASSERT_TRUE(pool.run(exact_item(1, 0), std::chrono::seconds(30), 0).at_cut);
   const int pgid = pool.server_pids().at(0);
 
   // While trial 999 is wedged, the group is lane server, cut server and
@@ -375,7 +407,7 @@ TEST(ProcPool, LeaseExpiryDuringCutTrialKillsWholeLaneGroup) {
     during = live_members(pgid);
   });
   const auto expired =
-      pool.run(exact_item(1, 999), std::chrono::milliseconds(800));
+      pool.run(exact_item(1, 999), std::chrono::milliseconds(800), 0);
   census.join();
   ASSERT_EQ(expired.kind, ProcPool::Result::Kind::LeaseExpired);
   EXPECT_EQ(during, 3u);
@@ -383,7 +415,7 @@ TEST(ProcPool, LeaseExpiryDuringCutTrialKillsWholeLaneGroup) {
   EXPECT_EQ(pool.stats().lease_kills, 1u);
 
   // The lane respawns, starts a new cut server, and serves correctly.
-  const auto after = pool.run(exact_item(1, 4), std::chrono::seconds(30));
+  const auto after = pool.run(exact_item(1, 4), std::chrono::seconds(30), 0);
   ASSERT_EQ(after.kind, ProcPool::Result::Kind::Completed);
   EXPECT_TRUE(after.at_cut);
   EXPECT_EQ(after.reply.autopsy.rfind("cut 4 ", 0), 0u);
@@ -395,7 +427,7 @@ TEST(ProcPool, DestroyingPoolWithLiveCutServerLeavesNoProcess) {
   int pgid = 0;
   {
     ProcPool pool(cut_pool_options(), scratch_trial);
-    ASSERT_TRUE(pool.run(exact_item(1, 0), std::chrono::seconds(30)).at_cut);
+    ASSERT_TRUE(pool.run(exact_item(1, 0), std::chrono::seconds(30), 0).at_cut);
     pgid = pool.server_pids().at(0);
     EXPECT_EQ(live_members(pgid), 2u);  // lane server + parked cut server
   }
@@ -404,8 +436,8 @@ TEST(ProcPool, DestroyingPoolWithLiveCutServerLeavesNoProcess) {
 
 TEST(ProcPool, SwitchingPointReapsOldCutServer) {
   ProcPool pool(cut_pool_options(), scratch_trial);
-  const auto first = pool.run(exact_item(1, 0), std::chrono::seconds(30));
-  const auto second = pool.run(exact_item(2, 0), std::chrono::seconds(30));
+  const auto first = pool.run(exact_item(1, 0), std::chrono::seconds(30), 0);
+  const auto second = pool.run(exact_item(2, 0), std::chrono::seconds(30), 0);
   ASSERT_TRUE(first.at_cut);
   ASSERT_TRUE(second.at_cut);
   const int old_cut = std::stoi(first.reply.autopsy.substr(first.reply.autopsy.rfind(' ')));
@@ -421,13 +453,14 @@ TEST(ProcPool, SwitchingPointReapsOldCutServer) {
 TEST(ProcPool, TemplateThatNeverParksFallsBackToScratch) {
   ProcPool pool(cut_pool_options(), scratch_trial);
   for (std::uint64_t trial = 0; trial < 2; ++trial) {
-    const auto result = pool.run(exact_item(7, trial), std::chrono::seconds(30));
+    const auto result =
+        pool.run(exact_item(7, trial), std::chrono::seconds(30), 0);
     ASSERT_EQ(result.kind, ProcPool::Result::Kind::Completed);
     EXPECT_FALSE(result.at_cut);
     EXPECT_EQ(result.reply.autopsy, "scratch " + std::to_string(trial));
   }
   // The next point parks normally.
-  EXPECT_TRUE(pool.run(exact_item(1, 0), std::chrono::seconds(30)).at_cut);
+  EXPECT_TRUE(pool.run(exact_item(1, 0), std::chrono::seconds(30), 0).at_cut);
   EXPECT_EQ(pool.stats().cut_trials, 1u);
   EXPECT_EQ(pool.stats().respawns, 0u);
 }
@@ -535,10 +568,10 @@ TEST(ProcPool, CutServerParkedPastWatchdogMatchesScratch) {
     item.param = static_cast<std::uint8_t>(mpi::Param::RecvBuf);
     item.fault = inject::FaultModelSpec::parse(model);
     item.watchdog_ms = watchdog_ms;
-    const auto want = scratch.run(item, std::chrono::seconds(10));
+    const auto want = scratch.run(item, std::chrono::seconds(10), 0);
     // Park the cut server for longer than any trial watchdog first.
     std::this_thread::sleep_for(std::chrono::milliseconds(600));
-    const auto got = cut.run(item, std::chrono::seconds(10));
+    const auto got = cut.run(item, std::chrono::seconds(10), 0);
     ASSERT_EQ(want.kind, ProcPool::Result::Kind::Completed) << model;
     ASSERT_EQ(got.kind, ProcPool::Result::Kind::Completed)
         << model << ' ' << watchdog_ms << ": " << got.error;
@@ -762,6 +795,55 @@ INSTANTIATE_TEST_SUITE_P(
       return std::get<0>(info.param) + "_pool" +
              std::to_string(std::get<1>(info.param));
     });
+
+TEST(ProcessIsolation, PooledCutServersFollowPointsNotLanes) {
+  // Each lane stays on its point while the point has trials left, so a
+  // pool of 4 builds about one cut server per point (plus at most one per
+  // lane and joined point in the tail), not one per point per lane, and
+  // reports exactly what the serial pool does.
+  constexpr std::size_t kPool = 4;
+  const auto workload = apps::make_workload("EP");
+  const auto run = [&](std::size_t pool, std::uint64_t& cut_servers,
+                       std::size_t& npoints) {
+    auto& rec = tel::Recorder::instance();
+    rec.enable();
+    rec.reset();
+    CampaignOptions opts;
+    opts.nranks = 8;
+    opts.trials_per_point = 6;
+    opts.seed = 20261018;
+    opts.max_parallel_trials = pool;
+    opts.isolation = IsolationMode::Process;
+    opts.fault_models =
+        inject::parse_fault_models("message-drop,rank-death,sigsegv");
+    // No verdict may hinge on the wall clock: both runs compare exactly.
+    opts.watchdog = std::chrono::seconds(10);
+    Campaign campaign(*workload, opts);
+    campaign.profile();
+    const auto& all = campaign.enumeration().points;
+    npoints = std::min<std::size_t>(all.size(), 16);
+    auto results = campaign.measure_many(
+        std::span<const InjectionPoint>(all.data(), npoints),
+        opts.trials_per_point);
+    EXPECT_TRUE(campaign.health().clean());
+    cut_servers =
+        rec.metrics().counter_sum("fastfit_worker_cut_servers_total");
+    rec.reset();
+    rec.disable();
+    return results;
+  };
+  std::uint64_t serial_servers = 0;
+  std::uint64_t pooled_servers = 0;
+  std::size_t npoints = 0;
+  const auto serial = run(1, serial_servers, npoints);
+  const auto pooled = run(kPool, pooled_servers, npoints);
+  expect_same_counts(serial, pooled, "EP pool-4 vs pool-1");
+  EXPECT_GT(npoints, kPool);
+  EXPECT_GT(serial_servers, 0u);
+  EXPECT_LE(serial_servers, npoints);
+  EXPECT_GE(pooled_servers, serial_servers);
+  EXPECT_LE(pooled_servers, npoints + kPool * kPool);
+}
 
 TEST(CrashResume, ProcessBackendResumesBitIdentical) {
   const auto workload = apps::make_workload("LU");

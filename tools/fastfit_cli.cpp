@@ -208,12 +208,24 @@ struct Args {
   bool has(const std::string& key) const { return values.count(key) > 0; }
 };
 
-/// Validates --parallel-trials through the InjectionConfig parser (same
-/// rules as the FASTFIT_PARALLEL_TRIALS environment variable).
-std::size_t parse_parallel_trials(const std::string& value) {
-  const auto cfg =
-      InjectionConfig::from_map({{"FASTFIT_PARALLEL_TRIALS", value}});
-  return static_cast<std::size_t>(cfg.parallel_trials);
+/// Validates the value of knob flag `--flag` through the InjectionConfig
+/// parser (same rules as the knob's environment variable). An error names
+/// the flag, not the variable: the value came from the command line.
+InjectionConfig parse_knob_flag(const Args& args, const std::string& flag) {
+  for (const auto& knob : config_knobs()) {
+    if (flag != knob.flag) continue;
+    const std::string env = knob.env;
+    try {
+      return InjectionConfig::from_map({{env, args.get(flag, "")}});
+    } catch (const ConfigError& e) {
+      std::string message = e.what();
+      if (message.rfind(env, 0) == 0) {
+        message.replace(0, env.size(), "--" + flag);
+      }
+      throw ConfigError(message);
+    }
+  }
+  throw InternalError("no configuration knob for --" + flag);
 }
 
 /// --repair on|off (also accepts the knob table's 0|1).
@@ -295,8 +307,8 @@ int cmd_study(const std::string& workload_name, const Args& args) {
   options.ml.accuracy_threshold =
       std::atof(args.get("threshold", "0.65").c_str());
   if (args.has("parallel-trials")) {
-    options.campaign.max_parallel_trials =
-        parse_parallel_trials(args.get("parallel-trials", "0"));
+    options.campaign.max_parallel_trials = static_cast<std::size_t>(
+        parse_knob_flag(args, "parallel-trials").parallel_trials);
   }
 
   // Resilience knobs: flags override the FASTFIT_* environment (both are
@@ -323,9 +335,7 @@ int cmd_study(const std::string& workload_name, const Args& args) {
   // which Campaign enforces at construction).
   std::string isolation = env.isolation;
   if (args.has("isolation")) {
-    isolation = InjectionConfig::from_map(
-                    {{"FASTFIT_ISOLATION", args.get("isolation", "thread")}})
-                    .isolation;
+    isolation = parse_knob_flag(args, "isolation").isolation;
   }
   options.campaign.isolation = core::parse_isolation_mode(isolation);
 
@@ -335,9 +345,7 @@ int cmd_study(const std::string& workload_name, const Args& args) {
   if (args.has("journal")) options.journal = args.get("journal", "");
   if (args.has("max-trial-retries")) {
     options.campaign.max_trial_retries = static_cast<std::uint32_t>(
-        InjectionConfig::from_map({{"FASTFIT_MAX_TRIAL_RETRIES",
-                                    args.get("max-trial-retries", "2")}})
-            .max_trial_retries);
+        parse_knob_flag(args, "max-trial-retries").max_trial_retries);
   }
   options.resume = args.has("resume");
   if (options.resume && options.journal.empty()) {
@@ -347,17 +355,12 @@ int cmd_study(const std::string& workload_name, const Args& args) {
   // Prefix-replay snapshots: the on/off switch and the LRU budget.
   options.campaign.snapshots = env.snapshots;
   if (args.has("snapshots")) {
-    options.campaign.snapshots =
-        InjectionConfig::from_map(
-            {{"FASTFIT_SNAPSHOTS", args.get("snapshots", "on")}})
-            .snapshots;
+    options.campaign.snapshots = parse_knob_flag(args, "snapshots").snapshots;
   }
   options.campaign.snapshot_cache_mb = env.snapshot_cache_mb;
   if (args.has("snapshot-cache-mb")) {
     options.campaign.snapshot_cache_mb =
-        InjectionConfig::from_map({{"FASTFIT_SNAPSHOT_CACHE_MB",
-                                    args.get("snapshot-cache-mb", "256")}})
-            .snapshot_cache_mb;
+        parse_knob_flag(args, "snapshot-cache-mb").snapshot_cache_mb;
   }
 
   // Pipeline selection: the pruning chain and the deterministic shard.
@@ -387,10 +390,7 @@ int cmd_study(const std::string& workload_name, const Args& args) {
   if (args.has("progress")) progress = true;
   if (args.has("metrics-interval-ms")) {
     metrics_interval_ms =
-        InjectionConfig::from_map(
-            {{"FASTFIT_METRICS_INTERVAL_MS",
-              args.get("metrics-interval-ms", "0")}})
-            .metrics_interval_ms;
+        parse_knob_flag(args, "metrics-interval-ms").metrics_interval_ms;
   }
   const bool telemetry_on =
       !trace_out.empty() || !metrics_out.empty() || progress;
