@@ -1,5 +1,5 @@
-// Campaign trial throughput: serial loop vs the TrialExecutor at several
-// pool sizes. The whole evaluation suite (bench binaries, the ML loop,
+// Campaign trial throughput: serial loop vs the scheduler's lanes at
+// several pool sizes. The whole evaluation suite (bench binaries, the ML loop,
 // traditional mode) sits on Campaign::measure_many, so trials/sec here is
 // the multiplier on everything downstream. Emits
 // BENCH_campaign_throughput.json so later changes can track the perf
@@ -28,7 +28,6 @@
 #include "bench_common.hpp"
 #include "trace/rank_context.hpp"
 #include "core/export.hpp"
-#include "core/trial_executor.hpp"
 #include "inject/fault_model.hpp"
 #include "inject/outcome.hpp"
 #include "telemetry/recorder.hpp"
@@ -82,7 +81,7 @@ int main() {
 
   bench::banner("micro_campaign_throughput",
                 "(no figure) trials/sec of the campaign loop, serial vs "
-                "parallel TrialExecutor",
+                "parallel scheduler lanes",
                 "workload EP; identical PointResults at every pool size");
 
   core::CampaignOptions options;
@@ -652,7 +651,6 @@ int main() {
          << ", \"cache_hit_rate\": "
          << (lookups > 0.0 ? static_cast<double>(s.hits) / lookups : 0.0)
          << ", \"clones\": " << s.clones
-         << ", \"evictions\": " << s.evictions
          << ", \"fallbacks\": " << s.fallbacks
          << ", \"recording_bytes\": " << s.recording_bytes
          << ", \"cached_bytes\": " << s.cached_bytes

@@ -27,11 +27,6 @@ class MiniCG final : public Workload {
   explicit MiniCG(CgConfig config = {}) : config_(config) {}
 
   std::string name() const override { return "CG"; }
-  std::string params_key() const override {
-    return std::to_string(config_.unknowns) + ':' +
-           std::to_string(config_.iterations) + ':' +
-           std::to_string(config_.couplings);
-  }
   std::uint64_t run_rank(AppContext& ctx) const override;
 
  private:

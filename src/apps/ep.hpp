@@ -25,10 +25,6 @@ class MiniEP final : public Workload {
   explicit MiniEP(EpConfig config = {}) : config_(config) {}
 
   std::string name() const override { return "EP"; }
-  std::string params_key() const override {
-    return std::to_string(config_.pairs_per_rank) + ':' +
-           std::to_string(config_.annuli);
-  }
   std::uint64_t run_rank(AppContext& ctx) const override;
 
  private:

@@ -30,12 +30,6 @@ class MiniFT final : public Workload {
   explicit MiniFT(FtConfig config = {}) : config_(config) {}
 
   std::string name() const override { return "FT"; }
-  std::string params_key() const override {
-    return std::to_string(config_.nx) + ':' + std::to_string(config_.ny) +
-           ':' + std::to_string(config_.nz) + ':' +
-           std::to_string(config_.iterations) + ':' +
-           std::to_string(config_.alpha);
-  }
   std::uint64_t run_rank(AppContext& ctx) const override;
 
  private:

@@ -25,11 +25,6 @@ class MiniIS final : public Workload {
   explicit MiniIS(IsConfig config = {}) : config_(config) {}
 
   std::string name() const override { return "IS"; }
-  std::string params_key() const override {
-    return std::to_string(config_.keys_per_rank) + ':' +
-           std::to_string(config_.max_key) + ':' +
-           std::to_string(config_.iterations);
-  }
   std::uint64_t run_rank(AppContext& ctx) const override;
 
  private:

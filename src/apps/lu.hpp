@@ -27,12 +27,6 @@ class MiniLU final : public Workload {
   explicit MiniLU(LuConfig config = {}) : config_(config) {}
 
   std::string name() const override { return "LU"; }
-  std::string params_key() const override {
-    return std::to_string(config_.npoints) + ':' +
-           std::to_string(config_.iterations) + ':' +
-           std::to_string(config_.omega) + ':' +
-           std::to_string(config_.sigma);
-  }
   std::uint64_t run_rank(AppContext& ctx) const override;
 
   /// LU opts into ULFM-style shrink-and-continue: after a peer's

@@ -28,13 +28,6 @@ class MiniMG final : public Workload {
   explicit MiniMG(MgConfig config = {}) : config_(config) {}
 
   std::string name() const override { return "MG"; }
-  std::string params_key() const override {
-    return std::to_string(config_.npoints) + ':' +
-           std::to_string(config_.vcycles) + ':' +
-           std::to_string(config_.pre_smooth) + ':' +
-           std::to_string(config_.post_smooth) + ':' +
-           std::to_string(config_.coarse_smooth);
-  }
   std::uint64_t run_rank(AppContext& ctx) const override;
 
  private:

@@ -33,12 +33,6 @@ class MiniMD final : public Workload {
   explicit MiniMD(MdConfig config = {}) : config_(config) {}
 
   std::string name() const override { return "miniMD"; }
-  std::string params_key() const override {
-    return std::to_string(config_.atoms_per_rank) + ':' +
-           std::to_string(config_.steps) + ':' + std::to_string(config_.dt) +
-           ':' + std::to_string(config_.target_temperature) + ':' +
-           std::to_string(config_.density);
-  }
   std::uint64_t run_rank(AppContext& ctx) const override;
 
  private:

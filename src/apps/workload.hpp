@@ -44,13 +44,6 @@ class Workload {
   /// inconsistency.
   virtual std::uint64_t run_rank(AppContext& ctx) const = 0;
 
-  /// Stable serialization of this instance's problem parameters, used to
-  /// distinguish differently-configured instances of the same workload in
-  /// process-wide caches (the golden-run memo). Two instances with equal
-  /// (name, params_key) must produce identical runs for identical world
-  /// options. Default: empty (no parameters).
-  virtual std::string params_key() const { return {}; }
-
   /// Whether this workload can survive a fail-stop peer death when the
   /// world runs in repair mode. Default no: a death then classifies as
   /// RANK_DEAD even with --repair on.

@@ -7,7 +7,6 @@
 #include <tuple>
 
 #include "core/pipeline.hpp"
-#include "core/trial_executor.hpp"
 #include "inject/injector.hpp"
 #include "minimpi/mpi.hpp"
 #include "support/error.hpp"
@@ -33,7 +32,7 @@ std::string algorithms_id(const mpi::CollectiveAlgorithms& algorithms) {
 
 /// Where a trial attempt ran, for error attribution and trace spans.
 std::string execution_site() {
-  const int worker = TrialExecutor::current_worker();
+  const int worker = current_worker();
   return worker >= 0 ? "executor thread " + std::to_string(worker)
                      : "main thread";
 }
@@ -149,32 +148,11 @@ Campaign::Campaign(const apps::Workload& workload, CampaignOptions options)
       options_.shard.index > options_.shard.count) {
     throw ConfigError("Campaign: shard must satisfy 1 <= index <= count");
   }
-  if (options_.snapshot_cache_mb < 1) {
-    throw ConfigError("Campaign: snapshot_cache_mb must be >= 1");
-  }
-  if (options_.snapshots) {
-    snapshot_cache_ = std::make_unique<SnapshotCache>(
-        static_cast<std::size_t>(options_.snapshot_cache_mb) * 1024 * 1024);
-  }
-}
-
-std::string Campaign::golden_key() const {
-  return workload_->name() + '|' + workload_->params_key() + '|' +
-         std::to_string(options_.nranks) + '|' +
-         std::to_string(options_.seed) + '|' +
-         algorithms_id(options_.algorithms);
+  if (options_.snapshots) snapshot_cache_ = std::make_unique<SnapshotCache>();
 }
 
 std::pair<std::uint64_t, std::chrono::milliseconds> Campaign::run_golden(
     std::chrono::milliseconds watchdog_budget) {
-  // Golden memo: one verified fault-free run per (workload, params,
-  // nranks, seed, algorithms) per process.
-  const std::string key = golden_key();
-  if (const auto cached = GoldenCache::instance().find(key)) {
-    tel::ScopedSpan span("golden-run");
-    span.arg("cached", "1");
-    return {cached->digest, cached->wall};
-  }
   mpi::WorldOptions opts;
   opts.nranks = options_.nranks;
   opts.seed = options_.seed;
@@ -202,7 +180,6 @@ std::pair<std::uint64_t, std::chrono::milliseconds> Campaign::run_golden(
         std::to_string(golden.world.undelivered_messages) +
         " undelivered message(s))");
   }
-  GoldenCache::instance().put(key, {golden.digest, wall});
   return {golden.digest, wall};
 }
 
@@ -518,10 +495,10 @@ inject::TrialForensics Campaign::dispatch_trial(
     const auto lease = options_.worker_lease.value_or(
         std::max<std::chrono::milliseconds>(
             60'000ms, watchdog * 4 + std::chrono::milliseconds(10'000)));
-    // Lane i is executor worker i; the serial path, the repair pass and
-    // the confirmations run on the scheduling thread, with the workers
+    // Lane i is scheduler lane i; the serial path, the repair pass and
+    // the confirmations run on the scheduling thread, with the lanes
     // idle, and take lane 0.
-    const int worker = TrialExecutor::current_worker();
+    const int worker = current_worker();
     const std::size_t lane = worker < 0 ? 0 : static_cast<std::size_t>(worker);
     const auto result = pool->run(item, lease, lane);
     switch (result.kind) {
@@ -578,7 +555,7 @@ TrialRunner::Attempt Campaign::run_guarded(
   Attempt attempt;
   for (std::uint32_t tries = 0;; ++tries) {
     // Attribution prefix for the error: which attempt failed, on which
-    // executor worker (quarantine messages must be traceable to a lane).
+    // lane (quarantine messages must be traceable to a lane).
     const std::string site = "attempt " + std::to_string(tries + 1) + " on " +
                              execution_site() + ": ";
     try {

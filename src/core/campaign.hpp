@@ -101,12 +101,8 @@ struct CampaignOptions {
   /// models, which cannot replay, are forked from a per-point fault-free
   /// template parked where the fault fires.
   bool snapshots = true;
-  /// LRU budget for the snapshot cache in MiB (--snapshot-cache-mb,
-  /// FASTFIT_SNAPSHOT_CACHE_MB): bounds the recording payload plus all
-  /// derived per-cut snapshots. Must be >= 1.
-  std::uint64_t snapshot_cache_mb = 256;
   /// Trial execution backend (--isolation, FASTFIT_ISOLATION). `Thread`
-  /// (default) runs trials in-process on the executor lane's thread.
+  /// (default) runs trials in-process on the scheduler lane's thread.
   /// `Process` dispatches each trial to a fresh child of a per-lane
   /// fork-server, or of its cut server (core/procpool.hpp): worker death
   /// by a real signal classifies SEG_FAULT instead of killing the
@@ -198,8 +194,9 @@ class Campaign : private TrialRunner {
   PointResult measure(const InjectionPoint& point);
 
   /// Measures a batch of points, running up to max_parallel_trials
-  /// (point, trial) jobs concurrently on a TrialExecutor. Returns results
-  /// in input order, bit-identical to calling measure() on each point:
+  /// (point, trial) jobs concurrently on the scheduler's lanes. Returns
+  /// results in input order, bit-identical to calling measure() on each
+  /// point:
   /// per-trial RNG identity is execution-order-free, and any trial that
   /// hits the watchdog is confirmed by an uncontended re-run with an
   /// escalated (kWatchdogEscalation ×) budget before being classified
@@ -296,10 +293,6 @@ class Campaign : private TrialRunner {
   /// Returns nullptr on any failure — the snapshot subsystem disables
   /// itself instead of costing the trial.
   std::shared_ptr<const mpi::WorldRecording> build_recording();
-
-  /// Key of this campaign's configuration in the process-wide golden
-  /// cache.
-  std::string golden_key() const;
 
   /// Routes one trial to the right backend: the live worker pool under
   /// process isolation (worker death → SEG_FAULT forensics, lease

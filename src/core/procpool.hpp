@@ -23,8 +23,8 @@
 // trial executes only its suffix. The cut server consolidates exactly
 // like the fork-server, which relays its frames. It lives for as long as
 // its point: the lane stops it when an item of another point arrives.
-// Lane i serves one caller (executor worker i), and the scheduler keeps
-// that worker on one point until the point runs dry, so each point's
+// Lane i serves one caller (scheduler lane i), and the scheduler keeps
+// that lane on one point until the point runs dry, so each point's
 // template is built about once per study, not once per lane.
 //
 //   fork-server ──fork──▶ cut server ──fork at the cut──▶ trial child
@@ -58,7 +58,7 @@ namespace fastfit::core {
 
 /// The --isolation / FASTFIT_ISOLATION knob: where trials execute.
 enum class IsolationMode : std::uint8_t {
-  Thread,   ///< in-process on the executor thread (default)
+  Thread,   ///< in-process on the scheduler lane's thread (default)
   Process,  ///< fork-server workers; real signals become classifiable
 };
 
@@ -118,8 +118,8 @@ using ChildInit = std::function<void()>;
 }  // namespace procpool
 
 /// Supervisor-side handle to the fork-server pool. Lanes are bound to
-/// callers: run() on lane i comes from executor worker i only (lane 0
-/// also from the scheduling thread while the workers are idle), so calls
+/// callers: run() on lane i comes from scheduler lane i only (lane 0
+/// also from the scheduling thread while the lanes are idle), so calls
 /// on distinct lanes run concurrently and a lane never waits for
 /// another's caller.
 class ProcPool {

@@ -2,12 +2,12 @@
 
 #include <algorithm>
 #include <array>
-#include <atomic>
-#include <deque>
+#include <exception>
+#include <functional>
 #include <limits>
 #include <mutex>
+#include <thread>
 
-#include "core/trial_executor.hpp"
 #include "support/error.hpp"
 #include "telemetry/recorder.hpp"
 
@@ -21,11 +21,65 @@ namespace {
 constexpr int kPending = -1;  ///< not yet executed
 constexpr int kSkipped = -2;  ///< abandoned after the point quarantined
 
-// "No trial of this point has failed" marker for the per-point CAS-min.
+// "No trial of this point has failed" marker for first_failed.
 constexpr std::uint32_t kNoFailure =
     std::numeric_limits<std::uint32_t>::max();
 
+/// Everything one (point, trial) job leaves behind.
+struct Slot {
+  int outcome = kPending;      ///< an inject::Outcome, or a sentinel
+  bool replayed = false;       ///< served from the journal
+  bool deterministic = false;  ///< INF_LOOP proven at quiescence
+  bool failed = false;         ///< retries exhausted (quarantine)
+  std::uint32_t retries = 0;   ///< internal-error retries consumed
+  std::string autopsy;         ///< world autopsy carried into the journal
+  std::string error;           ///< last internal error, if failed
+};
+
+thread_local int t_lane = -1;
+
+/// Runs `loop` once per lane: inline on the calling thread at pool <= 1,
+/// else on `pool` threads, each bound to its lane ordinal and telemetry
+/// track. Every lane runs to completion before the first exception any
+/// lane threw is rethrown, so one bad trial never strands the others.
+void run_lanes(std::size_t pool, const std::function<void()>& loop) {
+  if (pool <= 1) {
+    loop();
+    return;
+  }
+  std::mutex error_mutex;
+  std::exception_ptr first_error;
+  {
+    std::vector<std::jthread> lanes;
+    lanes.reserve(pool);
+    for (std::size_t i = 0; i < pool; ++i) {
+      lanes.emplace_back([&, i] {
+        t_lane = static_cast<int>(i);
+        if (tel::Recorder::instance().enabled()) {
+          tel::Recorder::bind_thread(tel::Track::Executor,
+                                     static_cast<int>(i),
+                                     "executor-" + std::to_string(i));
+        }
+        try {
+          loop();
+        } catch (...) {
+          std::lock_guard<std::mutex> lock(error_mutex);
+          if (!first_error) first_error = std::current_exception();
+        }
+      });
+    }
+  }  // joins every lane
+  if (first_error) std::rethrow_exception(first_error);
+}
+
 }  // namespace
+
+int current_worker() noexcept { return t_lane; }
+
+std::size_t resolve_parallel_trials(std::size_t configured) {
+  if (configured > 0) return configured;
+  return std::max(1u, std::thread::hardware_concurrency());
+}
 
 ResultAccumulator::ResultAccumulator(std::span<const InjectionPoint> points)
     : results_(points.size()) {
@@ -113,38 +167,22 @@ BatchStats TrialScheduler::run(std::span<const InjectionPoint> points,
                                std::span<OutcomeSink* const> sinks) {
   BatchStats stats;
 
-  // One outcome slot per (point, trial) job; aggregated afterwards in
-  // trial order so the fan-out is byte-for-byte the serial one.
-  std::vector<std::vector<int>> outcomes(points.size(),
-                                         std::vector<int>(trials, kPending));
-  std::vector<std::vector<std::uint8_t>> replayed(
-      points.size(), std::vector<std::uint8_t>(trials, 0));
-  // Forensics per (point, trial): whether an INF_LOOP was proven
-  // deterministically (skips escalated re-confirmation) and the world
-  // autopsy carried into the journal and point stats.
-  std::vector<std::vector<std::uint8_t>> deterministic(
-      points.size(), std::vector<std::uint8_t>(trials, 0));
-  std::vector<std::vector<std::string>> autopsies(
-      points.size(), std::vector<std::string>(trials));
-
-  // Per-point supervision state. deque: stable addresses, no moves — the
-  // elements hold atomics. `first_failed` is the *minimum* failed trial
-  // ordinal (CAS-min): under pool > 1 the first trial to fail in
-  // wall-clock time is not necessarily the first in trial order, and
-  // every per-point aggregate (which trials count, whose error message
-  // survives, how many retries) must be derived from the trial-order
-  // minimum — never from arrival order — to stay bit-identical to the
-  // serial run. Everything else is recorded per (point, trial) slot.
-  struct PointState {
-    std::atomic<std::uint32_t> first_failed{kNoFailure};
-  };
-  std::deque<PointState> state(points.size());
-  std::vector<std::vector<std::uint32_t>> trial_retries(
-      points.size(), std::vector<std::uint32_t>(trials, 0));
-  std::vector<std::vector<std::string>> errors(
-      points.size(), std::vector<std::string>(trials));
-  std::vector<std::vector<std::uint8_t>> failed(
-      points.size(), std::vector<std::uint8_t>(trials, 0));
+  // One slot per (point, trial) job; aggregated afterwards in trial
+  // order so the fan-out is byte-for-byte the serial one. A slot is
+  // written only by the lane that claimed it (or by claim_next under
+  // claim_mutex, for slots no lane has claimed) and read after the lanes
+  // join.
+  std::vector<std::vector<Slot>> slots(points.size(),
+                                       std::vector<Slot>(trials));
+  // Per point, the *minimum* failed trial ordinal: under pool > 1 the
+  // first trial to fail in wall-clock time is not necessarily the first
+  // in trial order, and every per-point aggregate (which trials count,
+  // whose error message survives, how many retries) must be derived from
+  // the trial-order minimum — never from arrival order — to stay
+  // bit-identical to the serial run. Lowered and read under claim_mutex
+  // while the lanes run.
+  std::vector<std::uint32_t> first_failed(points.size(), kNoFailure);
+  std::mutex claim_mutex;
 
   std::vector<std::string> keys(points.size());
   for (std::size_t i = 0; i < points.size(); ++i) {
@@ -156,8 +194,8 @@ BatchStats TrialScheduler::run(std::span<const InjectionPoint> points,
     for (std::size_t i = 0; i < points.size(); ++i) {
       for (std::uint32_t t = 0; t < trials; ++t) {
         if (const auto o = replay->lookup(keys[i], t)) {
-          outcomes[i][t] = static_cast<int>(*o);
-          replayed[i][t] = 1;
+          slots[i][t].outcome = static_cast<int>(*o);
+          slots[i][t].replayed = true;
           ++stats.replayed;
         }
       }
@@ -165,12 +203,11 @@ BatchStats TrialScheduler::run(std::span<const InjectionPoint> points,
   }
 
   // One fresh guarded trial, writing only into slot (i, t). Shared by
-  // the pool jobs and by the post-wait repair pass, so the two paths
+  // the lane loops and by the post-join repair pass, so the two paths
   // cannot drift.
-  const auto run_fresh = [this, &outcomes, &state, &points, &keys,
-                          &deterministic, &autopsies, &trial_retries,
-                          &errors, &failed](std::size_t i, std::uint32_t t,
-                                            std::int64_t submit_us) {
+  const auto run_fresh = [this, &slots, &first_failed, &claim_mutex,
+                          &points, &keys](std::size_t i, std::uint32_t t,
+                                          std::int64_t submit_us) {
     auto& rec = tel::Recorder::instance();
     if (submit_us >= 0 && rec.enabled()) {
       const auto info = tel::Recorder::thread_info();
@@ -187,43 +224,34 @@ BatchStats TrialScheduler::run(std::span<const InjectionPoint> points,
     trial_span.arg("trial", std::to_string(t));
     const auto attempt =
         runner_->run_guarded(points[i], t, runner_->watchdog());
-    trial_retries[i][t] = attempt.retries;
+    Slot& slot = slots[i][t];
+    slot.retries = attempt.retries;
     if (!attempt.ok) {
-      errors[i][t] = attempt.error;
-      failed[i][t] = 1;
-      // CAS-min: remember the lowest failed ordinal, not the first to
-      // arrive.
-      auto& first = state[i].first_failed;
-      std::uint32_t seen = first.load(std::memory_order_relaxed);
-      while (t < seen && !first.compare_exchange_weak(
-                             seen, t, std::memory_order_acq_rel)) {
-      }
-      outcomes[i][t] = kSkipped;
+      slot.error = attempt.error;
+      slot.failed = true;
+      slot.outcome = kSkipped;
+      std::lock_guard<std::mutex> lock(claim_mutex);
+      first_failed[i] = std::min(first_failed[i], t);
       return;
     }
     trial_span.arg("outcome", inject::to_string(attempt.outcome));
-    if (attempt.outcome == inject::Outcome::InfLoop &&
-        attempt.deterministic_hang) {
-      // Proven structural deadlock: load-independent, so it needs no
-      // escalated re-confirmation.
-      deterministic[i][t] = 1;
-    }
-    autopsies[i][t] = attempt.autopsy;
-    outcomes[i][t] = static_cast<int>(attempt.outcome);
+    // A proven structural deadlock is load-independent, so it needs no
+    // escalated re-confirmation.
+    slot.deterministic = attempt.outcome == inject::Outcome::InfLoop &&
+                         attempt.deterministic_hang;
+    slot.autopsy = attempt.autopsy;
+    slot.outcome = static_cast<int>(attempt.outcome);
   };
 
   // Phase 1: concurrent guarded execution of the missing trials. Each
   // lane loop claims its next trial from a shared cursor (claim_next).
   const bool affine = runner_->lanes_hold_point_state();
-  std::mutex claim_mutex;
   // Per point, the next ordinal to consider and how many pending
   // (neither claimed nor replayed) ordinals lie at or beyond it.
   std::vector<std::uint32_t> cursor(points.size(), 0);
   std::vector<std::uint32_t> unclaimed(points.size(), 0);
   for (std::size_t i = 0; i < points.size(); ++i) {
-    for (std::uint32_t t = 0; t < trials; ++t) {
-      unclaimed[i] += outcomes[i][t] == kPending;
-    }
+    for (const Slot& slot : slots[i]) unclaimed[i] += slot.outcome == kPending;
   }
   // Affine: the first point no lane has taken yet. Point-major: the
   // lowest point that may still have an unclaimed trial.
@@ -262,14 +290,14 @@ BatchStats TrialScheduler::run(std::span<const InjectionPoint> points,
       if (unclaimed[at] == 0) continue;  // an untaken point with no gaps
       // Slots at or beyond the cursor are untouched but for replays.
       t = cursor[at];
-      while (outcomes[at][t] != kPending) ++t;
+      while (slots[at][t].outcome != kPending) ++t;
       cursor[at] = t + 1;
       --unclaimed[at];
       // Skip only trials *beyond* a known failure: those are the ones
       // the serial run would never have executed. Trials below it must
       // still run — the serial stream includes them.
-      if (state[at].first_failed.load(std::memory_order_acquire) < t) {
-        outcomes[at][t] = kSkipped;
+      if (first_failed[at] < t) {
+        slots[at][t].outcome = kSkipped;
         continue;
       }
       return true;
@@ -277,19 +305,14 @@ BatchStats TrialScheduler::run(std::span<const InjectionPoint> points,
   };
   {
     // Lanes open together: the gap to a trial's start is its queue wait,
-    // rendered as its own span on the executing worker's lane.
+    // rendered as its own span on the executing lane.
     auto& rec = tel::Recorder::instance();
     const std::int64_t open_us = rec.enabled() ? rec.now_us() : -1;
-    TrialExecutor executor(config_.pool);
-    for (std::size_t lane = 0; lane < std::max<std::size_t>(1, config_.pool);
-         ++lane) {
-      executor.submit([&run_fresh, &claim_next, open_us] {
-        std::size_t at = kNoPoint;
-        std::uint32_t t = 0;
-        while (claim_next(at, t)) run_fresh(at, t, open_us);
-      });
-    }
-    executor.wait();
+    run_lanes(config_.pool, [&run_fresh, &claim_next, open_us] {
+      std::size_t at = kNoPoint;
+      std::uint32_t t = 0;
+      while (claim_next(at, t)) run_fresh(at, t, open_us);
+    });
   }
 
   // Truncation/repair pass: rebuild the serial stream per point. Serial
@@ -297,29 +320,28 @@ BatchStats TrialScheduler::run(std::span<const InjectionPoint> points,
   // f's slot and everything after it are skipped". Under pool > 1, slots
   // beyond f may have executed anyway (wasted work — discard them) and a
   // slot at or below f may have been skipped against a failure ordinal
-  // that a later CAS-min then lowered — re-run those serially here.
+  // that a later failure then lowered — re-run those serially here.
   for (std::size_t i = 0; i < points.size(); ++i) {
-    std::uint32_t f = state[i].first_failed.load(std::memory_order_acquire);
-    for (std::uint32_t t = 0; t < trials && t < f; ++t) {
-      if (outcomes[i][t] == kSkipped && !failed[i][t] && !replayed[i][t]) {
+    for (std::uint32_t t = 0; t < trials && t < first_failed[i]; ++t) {
+      const Slot& slot = slots[i][t];
+      if (slot.outcome == kSkipped && !slot.failed && !slot.replayed) {
         run_fresh(i, t, -1);
-        f = state[i].first_failed.load(std::memory_order_acquire);
       }
     }
-    for (std::uint32_t t = f; t < trials; ++t) {
+    for (std::uint32_t t = first_failed[i]; t < trials; ++t) {
       // Journal-replayed outcomes survive the truncation — the serial
       // run never re-executes (or un-records) them either.
-      if (!replayed[i][t]) outcomes[i][t] = kSkipped;
+      if (!slots[i][t].replayed) slots[i][t].outcome = kSkipped;
     }
   }
 
   // Proven-deadlock census for the health stats, taken *after*
   // truncation so wasted beyond-failure executions do not count (the
   // serial run never ran them).
-  for (std::size_t i = 0; i < points.size(); ++i) {
-    for (std::uint32_t t = 0; t < trials; ++t) {
-      if (outcomes[i][t] == static_cast<int>(inject::Outcome::InfLoop) &&
-          !replayed[i][t] && deterministic[i][t]) {
+  for (const auto& row : slots) {
+    for (const Slot& slot : row) {
+      if (slot.outcome == static_cast<int>(inject::Outcome::InfLoop) &&
+          !slot.replayed && slot.deterministic) {
         ++stats.deterministic_deadlocks;
       }
     }
@@ -339,8 +361,9 @@ BatchStats TrialScheduler::run(std::span<const InjectionPoint> points,
   std::vector<std::uint32_t> confirm_retries(points.size(), 0);
   for (std::size_t i = 0; i < points.size(); ++i) {
     for (std::uint32_t t = 0; t < trials; ++t) {
-      if (outcomes[i][t] != static_cast<int>(inject::Outcome::InfLoop) ||
-          replayed[i][t] || deterministic[i][t]) {
+      Slot& slot = slots[i][t];
+      if (slot.outcome != static_cast<int>(inject::Outcome::InfLoop) ||
+          slot.replayed || slot.deterministic) {
         continue;
       }
       tel::ScopedSpan confirm_span("watchdog-confirm");
@@ -357,7 +380,7 @@ BatchStats TrialScheduler::run(std::span<const InjectionPoint> points,
       confirm_retries[i] += attempt.retries;
       // A confirmation that fails internally keeps the original outcome:
       // the trial did produce one, and quarantining here would discard it.
-      if (attempt.ok) outcomes[i][t] = static_cast<int>(attempt.outcome);
+      if (attempt.ok) slot.outcome = static_cast<int>(attempt.outcome);
     }
   }
 
@@ -368,30 +391,29 @@ BatchStats TrialScheduler::run(std::span<const InjectionPoint> points,
   const std::string no_error;
   for (std::size_t i = 0; i < points.size(); ++i) {
     for (std::uint32_t t = 0; t < trials; ++t) {
-      const int o = outcomes[i][t];
-      if (o < 0) continue;  // skipped after quarantine
+      const Slot& slot = slots[i][t];
+      if (slot.outcome < 0) continue;  // skipped after quarantine
       TrialRecord record{keys[i],
                          i,
                          t,
-                         static_cast<inject::Outcome>(o),
-                         replayed[i][t] != 0,
-                         deterministic[i][t] != 0,
-                         autopsies[i][t]};
+                         static_cast<inject::Outcome>(slot.outcome),
+                         slot.replayed,
+                         slot.deterministic,
+                         slot.autopsy};
       for (auto* sink : sinks) sink->on_trial(record);
     }
     // Point aggregates from the truncated stream: retries come from the
     // trials the serial run would have executed (ordinals <= the first
     // failure) plus the escalated confirmations; the surviving error is
     // the first failure's, never a later racer's.
-    const std::uint32_t f =
-        state[i].first_failed.load(std::memory_order_acquire);
+    const std::uint32_t f = first_failed[i];
     const bool quarantined = f != kNoFailure;
     std::uint32_t retry_total = confirm_retries[i];
     for (std::uint32_t t = 0; t < trials && t <= f; ++t) {
-      retry_total += trial_retries[i][t];
+      retry_total += slots[i][t].retries;
     }
     PointStatus status{keys[i], i, retry_total, quarantined,
-                       quarantined ? errors[i][f] : no_error};
+                       quarantined ? slots[i][f].error : no_error};
     if (quarantined) ++stats.quarantined_points;
     for (auto* sink : sinks) sink->on_point(status);
   }

@@ -3,31 +3,35 @@
 // TrialScheduler: the ordering/batching stage of the study pipeline.
 //
 // The scheduler owns the (point, trial) job matrix of one batch: journal
-// replay, concurrent guarded execution on a TrialExecutor pool,
-// escalated uncontended INF_LOOP re-confirmation, and the final
-// deterministic aggregation in
-// (point, trial) order. It is engine-agnostic — trials execute through
-// the narrow TrialRunner interface (implemented by Campaign, which
-// routes each run_guarded call either to an in-process world or to the
-// fork-server worker pool, per the --isolation knob; the scheduler
-// never knows which backend ran a trial) — and
+// replay, concurrent guarded execution on its own lanes, escalated
+// uncontended INF_LOOP re-confirmation, and the final deterministic
+// aggregation in (point, trial) order. It is engine-agnostic — trials
+// execute through the narrow TrialRunner interface (implemented by
+// Campaign, which routes each run_guarded call either to an in-process
+// world or to the fork-server worker pool, per the --isolation knob; the
+// scheduler never knows which backend ran a trial) — and
 // result-agnostic: every recorded outcome fans out to OutcomeSink
 // observers (report accumulator, telemetry counters, journal
 // write-through), so the scheduler itself never knows what a report is.
 //
-// Claim order. The pool runs one loop per lane; each loop claims its
-// next trial from a cursor the lanes share, under one mutex, and a trial
-// beyond its point's known first failure is skipped at claim time. By
-// default the claim order is point-major: every lane takes the lowest
-// unclaimed (point, trial), which at pool 1 is the serial order. When the
-// runner's lanes hold per-point state
-// (TrialRunner::lanes_hold_point_state: a process-isolated lane keeps a
-// fork-at-cut template of the point it serves), the order is
-// point-affine instead: a lane stays on its point until that point has no
-// unclaimed trial, then takes the next point no lane has taken, and once
-// every point is taken joins the point with the most unclaimed trials.
-// Each point's template is then built about once, not once per lane,
-// and the tail still spreads over every lane.
+// Lanes. At pool 1 the one claim loop runs inline on the calling thread
+// (lane ordinal -1); otherwise each lane is one thread running one claim
+// loop, started and joined by the batch. A trial runs all of its rank
+// fibers on the lane that claimed it, so the pool size is the whole
+// concurrency knob.
+//
+// Claim order. Each lane loop claims its next trial from a cursor the
+// lanes share, under one mutex, and a trial beyond its point's known
+// first failure is skipped at claim time. By default the claim order is
+// point-major: every lane takes the lowest unclaimed (point, trial),
+// which at pool 1 is the serial order. When the runner's lanes hold
+// per-point state (TrialRunner::lanes_hold_point_state: a
+// process-isolated lane keeps a fork-at-cut template of the point it
+// serves), the order is point-affine instead: a lane stays on its point
+// until that point has no unclaimed trial, then takes the next point no
+// lane has taken, and once every point is taken joins the point with the
+// most unclaimed trials. Each point's template is then built about once,
+// not once per lane, and the tail still spreads over every lane.
 //
 // Aggregating in (point, trial) order after execution is what makes the
 // batch bit-identical to a serial run at every pool size and in either
@@ -45,6 +49,17 @@
 #include "inject/outcome.hpp"
 
 namespace fastfit::core {
+
+/// Resolves CampaignOptions::max_parallel_trials: an explicit value
+/// passes through; 0 ("auto") becomes hardware_concurrency() (at least
+/// 1) — one lane per core, since a trial occupies exactly one thread.
+std::size_t resolve_parallel_trials(std::size_t configured);
+
+/// Ordinal of the scheduler lane running the calling thread, or -1 off
+/// the lane threads (pool 1, the repair pass, the confirmations, the
+/// campaign driver). Used to attribute errors and trace spans to their
+/// lane.
+int current_worker() noexcept;
 
 /// Execution engine behind the scheduler: runs one supervised trial.
 /// Implemented by Campaign (fresh Injector + World per call).
@@ -73,7 +88,7 @@ class TrialRunner {
 
   /// True when a lane keeps state for the point it ran last that a
   /// switch of point throws away (a fork-at-cut template); the scheduler
-  /// then claims trials point-affine. Lane i is executor worker i.
+  /// then claims trials point-affine. Lane i is current_worker() == i.
   virtual bool lanes_hold_point_state() const { return false; }
 };
 

@@ -6,9 +6,6 @@ namespace fastfit::core {
 
 namespace tel = fastfit::telemetry;
 
-SnapshotCache::SnapshotCache(std::size_t budget_bytes)
-    : budget_bytes_(budget_bytes) {}
-
 std::shared_ptr<const mpi::WorldSnapshot> SnapshotCache::lookup(
     std::uint32_t site_id, std::uint64_t invocation,
     const RecordingBuilder& build) {
@@ -28,10 +25,9 @@ std::shared_ptr<const mpi::WorldSnapshot> SnapshotCache::lookup(
       disabled_ = true;
       return nullptr;
     }
-    // Unreplayable, or larger than the whole budget: every trial runs
-    // live.
+    // Unreplayable, or too large to hold: every trial runs live.
     if (!recording || !recording->replayable ||
-        recording->payload_bytes > budget_bytes_) {
+        recording->payload_bytes > kMaxRecordingBytes) {
       disabled_ = true;
       return nullptr;
     }
@@ -42,9 +38,8 @@ std::shared_ptr<const mpi::WorldSnapshot> SnapshotCache::lookup(
   if (!recording_) return nullptr;
 
   const Key key{site_id, invocation};
-  if (invalid_.count(key) != 0) return nullptr;
-  if (auto it = entries_.find(key); it != entries_.end()) {
-    order_.splice(order_.begin(), order_, it->second.where);
+  if (auto it = cuts_.find(key); it != cuts_.end()) {
+    if (!it->second) return nullptr;  // invalid cut
     ++stats_.hits;
     ++stats_.clones;
     if (auto& rec = tel::Recorder::instance(); rec.enabled()) {
@@ -52,7 +47,7 @@ std::shared_ptr<const mpi::WorldSnapshot> SnapshotCache::lookup(
                                       "Snapshot lookups served from cache");
       hits.add();
     }
-    return it->second.snapshot;
+    return it->second;
   }
 
   auto snapshot = mpi::WorldSnapshot::build(recording_, site_id, invocation);
@@ -62,15 +57,10 @@ std::shared_ptr<const mpi::WorldSnapshot> SnapshotCache::lookup(
                                       "Per-(site, invocation) cut derivations");
     builds.add();
   }
-  if (!snapshot) {
-    invalid_.insert(key);
-    return nullptr;
-  }
+  cuts_.emplace(key, snapshot);
+  if (!snapshot) return nullptr;
 
-  order_.push_front(key);
-  entries_.emplace(key, Entry{snapshot, order_.begin()});
   snapshot_bytes_ += snapshot->approx_bytes;
-  evict_to_fit_locked();
   ++stats_.clones;
   if (auto& rec = tel::Recorder::instance(); rec.enabled()) {
     static auto& gauge =
@@ -82,32 +72,12 @@ std::shared_ptr<const mpi::WorldSnapshot> SnapshotCache::lookup(
   return snapshot;
 }
 
-void SnapshotCache::evict_to_fit_locked() {
-  const std::size_t base = recording_ ? recording_->payload_bytes : 0;
-  while (entries_.size() > 1 && base + snapshot_bytes_ > budget_bytes_) {
-    const Key victim = order_.back();
-    order_.pop_back();
-    auto it = entries_.find(victim);
-    snapshot_bytes_ -= it->second.snapshot->approx_bytes;
-    entries_.erase(it);
-    ++stats_.evictions;
-    if (auto& rec = tel::Recorder::instance(); rec.enabled()) {
-      static auto& evictions =
-          rec.counter("fastfit_snapshot_cache_evictions_total",
-                      "Snapshots dropped by the LRU budget");
-      evictions.add();
-    }
-  }
-}
-
 void SnapshotCache::disable() {
   std::lock_guard lock(mutex_);
   if (disabled_) return;
   disabled_ = true;
   recording_.reset();
-  entries_.clear();
-  order_.clear();
-  invalid_.clear();
+  cuts_.clear();
   snapshot_bytes_ = 0;
 }
 
@@ -135,33 +105,6 @@ SnapshotCache::Stats SnapshotCache::stats() const {
   out.cached_bytes = (recording_ ? recording_->payload_bytes : 0) +
                      snapshot_bytes_;
   return out;
-}
-
-GoldenCache& GoldenCache::instance() {
-  static GoldenCache cache;
-  return cache;
-}
-
-std::optional<GoldenCache::Value> GoldenCache::find(
-    const std::string& key) const {
-  std::lock_guard lock(mutex_);
-  if (auto it = entries_.find(key); it != entries_.end()) return it->second;
-  return std::nullopt;
-}
-
-void GoldenCache::put(const std::string& key, const Value& value) {
-  std::lock_guard lock(mutex_);
-  entries_[key] = value;
-}
-
-std::size_t GoldenCache::size() const {
-  std::lock_guard lock(mutex_);
-  return entries_.size();
-}
-
-void GoldenCache::clear() {
-  std::lock_guard lock(mutex_);
-  entries_.clear();
 }
 
 }  // namespace fastfit::core

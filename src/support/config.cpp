@@ -58,8 +58,6 @@ constexpr ConfigKnob kKnobs[] = {
     {"FASTFIT_SNAPSHOTS", "snapshots", "on|off",
      "skip the trial prefix: op-log replay in-process, fork at the cut "
      "under --isolation process (default on)"},
-    {"FASTFIT_SNAPSHOT_CACHE_MB", "snapshot-cache-mb", "MB",
-     "LRU budget for the snapshot recording and cuts"},
     {"FASTFIT_TRACE", "trace-out", "FILE",
      "Chrome trace-event JSON of the trial lifecycle"},
     {"FASTFIT_METRICS", "metrics-out", "FILE",
@@ -140,12 +138,6 @@ InjectionConfig InjectionConfig::from_map(
                           value + "'");
       }
       cfg.snapshots = value == "on";
-    } else if (key == "FASTFIT_SNAPSHOT_CACHE_MB") {
-      // 1 TiB ceiling: anything larger is a typo, not a budget.
-      cfg.snapshot_cache_mb = parse_u64(key, value, 1'048'576);
-      if (cfg.snapshot_cache_mb == 0) {
-        throw ConfigError("FASTFIT_SNAPSHOT_CACHE_MB: must be >= 1");
-      }
     } else {
       throw ConfigError("unknown configuration key: " + key);
     }
@@ -188,9 +180,6 @@ std::map<std::string, std::string> InjectionConfig::to_map() const {
   if (repair) kv["FASTFIT_REPAIR"] = "1";
   if (isolation != "thread") kv["FASTFIT_ISOLATION"] = isolation;
   if (!snapshots) kv["FASTFIT_SNAPSHOTS"] = "off";
-  if (snapshot_cache_mb != 256) {
-    kv["FASTFIT_SNAPSHOT_CACHE_MB"] = std::to_string(snapshot_cache_mb);
-  }
   return kv;
 }
 

@@ -86,7 +86,7 @@ struct InjectionConfig {
   /// classifies RANK_DEAD.
   bool repair = false;
   /// Trial execution backend (FASTFIT_ISOLATION): "thread" (default,
-  /// in-process on the executor thread) or "process" (fork-server
+  /// in-process on the scheduler lane's thread) or "process" (fork-server
   /// workers; real signals become classifiable as SEG_FAULT, and rank
   /// code that never yields can be killed). Kept as validated text here;
   /// the mode enum lives in core/procpool.hpp.
@@ -94,9 +94,6 @@ struct InjectionConfig {
   /// Prefix-replay world snapshots (FASTFIT_SNAPSHOTS=on|off); on by
   /// default.
   bool snapshots = true;
-  /// LRU budget in MiB for the snapshot recording plus derived cuts
-  /// (FASTFIT_SNAPSHOT_CACHE_MB); must be >= 1.
-  std::uint64_t snapshot_cache_mb = 256;
 
   /// True when any telemetry sink is requested (trace, metrics, or the
   /// live progress line) and the recorder must therefore be enabled.

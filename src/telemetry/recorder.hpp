@@ -45,7 +45,7 @@ namespace fastfit::telemetry {
 /// ML loop, one for journal I/O.
 enum class Track : std::uint8_t {
   Main = 0,  ///< the campaign driver thread
-  Executor,  ///< TrialExecutor workers (index = worker ordinal)
+  Executor,  ///< scheduler lanes (index = lane ordinal)
   Rank,      ///< simulated MPI ranks (index = world rank)
   Monitor,   ///< deadlock verdicts, watchdog fires, progress meter
   MlLoop,    ///< injection ⇄ learning feedback loop

@@ -342,8 +342,9 @@ class ScriptedRunner final : public TrialRunner {
     }
     attempt.ok = true;
     attempt.retries = static_cast<std::uint32_t>(trial % 2);
-    // % 5: everything but INF_LOOP, so the escalated-confirmation pass
-    // stays out of this test's accounting.
+    // % 7: every outcome but REPAIRED. INF_LOOP is among them, so the
+    // escalated-confirmation pass runs too (its retries join the point's
+    // total).
     attempt.outcome = static_cast<inject::Outcome>(
         (point.site_id + trial) % (inject::kNumOutcomes - 1));
     return attempt;
@@ -403,6 +404,7 @@ TEST(Resilience, SchedulerQuarantineIsPoolOrderIndependent) {
     OutcomeSink* sinks[] = {&sink};
     const auto stats = scheduler.run(points, trials, nullptr, sinks);
     EXPECT_EQ(stats.quarantined_points, 1u);
+    EXPECT_GT(stats.confirmations, 0u);
     return sink.stream;
   };
 

@@ -1,10 +1,12 @@
-// TrialScheduler claim order: which worker runs which (point, trial), in
-// what order. A fake TrialRunner records every call; the report-level
-// parity of the two orders lives in test_resilience.cpp and
-// test_procpool.cpp.
+// TrialScheduler lanes and claim order: which lane runs which (point,
+// trial), on which thread, in what order, and the parallel == serial
+// contract of Campaign::measure_many. A fake TrialRunner records every
+// call; the report-level parity of the two orders lives in
+// test_resilience.cpp and test_procpool.cpp.
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <chrono>
 #include <condition_variable>
 #include <cstdio>
@@ -13,19 +15,22 @@
 #include <mutex>
 #include <optional>
 #include <set>
+#include <stdexcept>
 #include <string>
+#include <thread>
 #include <vector>
 
+#include "apps/registry.hpp"
+#include "core/campaign.hpp"
 #include "core/journal.hpp"
 #include "core/scheduler.hpp"
-#include "core/trial_executor.hpp"
 
 namespace fastfit::core {
 namespace {
 
 using namespace std::chrono_literals;
 
-/// One run_guarded call: the executor worker (-1 off-pool) and the
+/// One run_guarded call: the lane (-1 off the lane threads) and the
 /// (point, trial) it ran.
 struct Call {
   int worker;
@@ -53,7 +58,7 @@ class RecordingRunner final : public TrialRunner {
 
   Attempt run_guarded(const InjectionPoint& point, std::uint64_t trial,
                       std::chrono::milliseconds) override {
-    const Call self{TrialExecutor::current_worker(), point.site_id, trial};
+    const Call self{current_worker(), point.site_id, trial};
     {
       std::unique_lock<std::mutex> lock(mutex_);
       calls_.push_back(self);
@@ -274,6 +279,174 @@ TEST(TrialScheduler, TailLaneJoinsThePointWithTheMostTrialsLeft) {
     EXPECT_EQ(first_three, claims);
     EXPECT_EQ(workers.size(), 3u);
   }
+}
+
+/// Records the lane and OS thread of every call; one (point, trial)
+/// throws instead of returning an attempt.
+class LaneRunner final : public TrialRunner {
+ public:
+  explicit LaneRunner(std::uint32_t throw_point = 99)
+      : throw_point_(throw_point) {}
+
+  Attempt run_guarded(const InjectionPoint& point, std::uint64_t trial,
+                      std::chrono::milliseconds) override {
+    {
+      std::lock_guard<std::mutex> lock(mutex_);
+      calls_.push_back({current_worker(), point.site_id, trial});
+      threads_[current_worker()].insert(std::this_thread::get_id());
+    }
+    if (point.site_id == throw_point_ && trial == 1) {
+      throw std::runtime_error("boom");
+    }
+    Attempt attempt;
+    attempt.ok = true;
+    return attempt;
+  }
+  std::chrono::milliseconds watchdog() const override { return 1000ms; }
+
+  std::vector<Call> calls_;
+  std::map<int, std::set<std::thread::id>> threads_;
+
+ private:
+  std::uint32_t throw_point_;
+  std::mutex mutex_;
+};
+
+std::size_t run_lane_batch(LaneRunner& runner, std::size_t pool,
+                           const std::vector<InjectionPoint>& points) {
+  SchedulerConfig config;
+  config.pool = pool;
+  TrialScheduler(runner, config).run(points, 4, nullptr, {});
+  return runner.calls_.size();
+}
+
+TEST(SchedulerLanes, EachLaneRunsOnItsOwnThread) {
+  const auto points = make_points(16);
+  LaneRunner runner;
+  EXPECT_EQ(run_lane_batch(runner, 4, points), points.size() * 4);
+  std::set<std::thread::id> seen;
+  for (const auto& [lane, threads] : runner.threads_) {
+    EXPECT_GE(lane, 0);
+    EXPECT_LT(lane, 4);
+    // A lane is one thread, and no lane is the caller's.
+    EXPECT_EQ(threads.size(), 1u) << "lane " << lane;
+    EXPECT_FALSE(threads.count(std::this_thread::get_id()));
+    seen.insert(threads.begin(), threads.end());
+  }
+  EXPECT_EQ(seen.size(), runner.threads_.size());
+  std::set<std::pair<std::uint32_t, std::uint64_t>> ran;
+  for (const auto& call : runner.calls_) ran.insert({call.point, call.trial});
+  EXPECT_EQ(ran.size(), points.size() * 4);  // every job exactly once
+  EXPECT_EQ(current_worker(), -1);  // the caller never became a lane
+}
+
+TEST(SchedulerLanes, PoolOneRunsInlineOnTheCallingThread) {
+  const auto points = make_points(3);
+  LaneRunner runner;
+  run_lane_batch(runner, 1, points);
+  ASSERT_EQ(runner.threads_.size(), 1u);
+  EXPECT_EQ(runner.threads_.begin()->first, -1);
+  EXPECT_EQ(runner.threads_.begin()->second,
+            std::set<std::thread::id>{std::this_thread::get_id()});
+  std::vector<Call> want;
+  for (std::uint32_t p = 0; p < 3; ++p) {
+    for (std::uint32_t t = 0; t < 4; ++t) want.push_back({-1, p, t});
+  }
+  EXPECT_EQ(runner.calls_, want);  // serial order
+}
+
+TEST(SchedulerLanes, FirstExceptionRethrownAfterEveryLaneJoins) {
+  // Point 2's trial 1 throws: its lane stops, and the other lanes claim
+  // every remaining trial before run() rethrows.
+  const auto points = make_points(8);
+  LaneRunner runner(/*throw_point=*/2);
+  EXPECT_THROW(run_lane_batch(runner, 3, points), std::runtime_error);
+  EXPECT_EQ(runner.calls_.size(), points.size() * 4);
+}
+
+TEST(SchedulerLanes, PoolOneRethrowsTheSameWay) {
+  // Inline, the one claim loop ends at the throw: the serial stream never
+  // reaches the trials after it.
+  const auto points = make_points(4);
+  LaneRunner runner(/*throw_point=*/2);
+  EXPECT_THROW(run_lane_batch(runner, 1, points), std::runtime_error);
+  ASSERT_EQ(runner.calls_.size(), 2u * 4 + 2);
+  EXPECT_EQ(runner.calls_.back(), (Call{-1, 2, 1}));
+}
+
+TEST(SchedulerLanes, ResolveParallelTrials) {
+  EXPECT_EQ(resolve_parallel_trials(7), 7u);  // explicit wins
+  // Auto is one lane per core: a trial occupies one thread however many
+  // ranks it simulates.
+  EXPECT_EQ(resolve_parallel_trials(0),
+            std::max(1u, std::thread::hardware_concurrency()));
+}
+
+class MeasureMany : public ::testing::Test {
+ protected:
+  static CampaignOptions options(std::size_t parallel) {
+    CampaignOptions opts;
+    opts.nranks = 4;
+    opts.trials_per_point = 6;
+    opts.seed = 1234;
+    opts.max_parallel_trials = parallel;
+    return opts;
+  }
+};
+
+TEST_F(MeasureMany, ParallelEqualsSerialPointByPoint) {
+  const auto workload = apps::make_workload("LU");
+  Campaign serial(*workload, options(1));
+  Campaign parallel(*workload, options(4));
+  serial.profile();
+  parallel.profile();
+  EXPECT_EQ(parallel.parallel_trials(), 4u);
+
+  auto points = serial.enumeration().points;
+  if (points.size() > 6) points.resize(6);
+
+  std::vector<PointResult> expected;
+  for (const auto& point : points) expected.push_back(serial.measure(point));
+  const auto got = parallel.measure_many(points);
+
+  ASSERT_EQ(got.size(), expected.size());
+  for (std::size_t i = 0; i < got.size(); ++i) {
+    EXPECT_EQ(got[i].point.site_id, points[i].site_id);  // input order kept
+    EXPECT_EQ(got[i].point.param, points[i].param);
+    EXPECT_EQ(got[i].trials, expected[i].trials);
+    EXPECT_EQ(got[i].counts, expected[i].counts) << "point " << i;
+  }
+  // >= rather than ==: timed-out trials are re-run once for confirmation,
+  // and confirmation runs count as injected executions.
+  EXPECT_GE(parallel.trials_run(), points.size() * 6);
+}
+
+TEST_F(MeasureMany, MaxParallelOneDegradesToSerialPath) {
+  const auto workload = apps::make_workload("LU");
+  Campaign campaign(*workload, options(1));
+  campaign.profile();
+  EXPECT_EQ(campaign.parallel_trials(), 1u);
+
+  auto points = campaign.enumeration().points;
+  if (points.size() > 3) points.resize(3);
+  const auto batched = campaign.measure_many(points);
+  ASSERT_EQ(batched.size(), points.size());
+  for (std::size_t i = 0; i < points.size(); ++i) {
+    const auto lone = campaign.measure(points[i]);
+    EXPECT_EQ(batched[i].counts, lone.counts) << "point " << i;
+  }
+}
+
+TEST_F(MeasureMany, EmptyBatchAndOptionMutator) {
+  const auto workload = apps::make_workload("LU");
+  Campaign campaign(*workload, options(0));
+  campaign.profile();
+  EXPECT_GE(campaign.parallel_trials(), 1u);
+  campaign.set_max_parallel_trials(2);
+  EXPECT_EQ(campaign.parallel_trials(), 2u);
+  const auto none = campaign.measure_many(std::span<const InjectionPoint>{});
+  EXPECT_TRUE(none.empty());
+  EXPECT_EQ(campaign.trials_run(), 0u);
 }
 
 }  // namespace

@@ -1,8 +1,7 @@
 // Snapshot parity: the prefix-replay fast path must be invisible in the
 // results. Every assertion here compares --snapshots on against the
-// from-scratch off path — per-point outcome counts, journal resume, the
-// parallel executor, a replay divergence — plus the golden-run memo and
-// its invalidation.
+// from-scratch off path — per-point outcome counts, journal resume,
+// parallel lanes, a replay divergence.
 
 #include <gtest/gtest.h>
 
@@ -14,7 +13,6 @@
 #include "apps/registry.hpp"
 #include "apps/workload.hpp"
 #include "core/campaign.hpp"
-#include "support/error.hpp"
 #include "telemetry/recorder.hpp"
 
 namespace tel = fastfit::telemetry;
@@ -155,39 +153,6 @@ TEST(SnapshotParity, ResumeFromJournalStaysBitIdentical) {
   expect_same_counts(expected, results, "LU resume");
 }
 
-TEST(SnapshotParity, GoldenRunIsMemoizedAcrossCampaigns) {
-  GoldenCache::instance().clear();
-  const auto workload = apps::make_workload("EP");
-  const auto opts = base_options(false);
-
-  Campaign first(*workload, opts);
-  first.profile();
-  EXPECT_EQ(GoldenCache::instance().size(), 1u);
-  const auto digest = first.golden_digest();
-
-  // Same configuration: the second campaign's profile() serves the
-  // golden run from the memo (still exactly one entry) and agrees on
-  // the digest the whole classification hangs off.
-  Campaign second(*workload, opts);
-  second.profile();
-  EXPECT_EQ(GoldenCache::instance().size(), 1u);
-  EXPECT_EQ(second.golden_digest(), digest);
-
-  // A different seed is a different key — no false sharing.
-  auto other = opts;
-  other.seed = opts.seed + 1;
-  Campaign third(*workload, other);
-  third.profile();
-  EXPECT_EQ(GoldenCache::instance().size(), 2u);
-}
-
-TEST(SnapshotParity, CacheBudgetMustBePositive) {
-  const auto workload = apps::make_workload("LU");
-  auto opts = base_options(true);
-  opts.snapshot_cache_mb = 0;
-  EXPECT_THROW(Campaign c(*workload, opts), ConfigError);
-}
-
 // Rank code that diverges from its own recording: the first bcast's count
 // grows once a rank has run three worlds (a snapshots-on campaign's
 // golden, profiling and recording runs), so the first replayed trial
@@ -223,7 +188,6 @@ TEST(SnapshotParity, DivergenceRunsTheTrialFromScratchAndRetiresReplay) {
   // and its own golden run, so the on campaign's first trial is the
   // first world to diverge.
   const auto measure = [](bool snapshots, SnapshotCache::Stats* stats) {
-    GoldenCache::instance().clear();
     auto opts = base_options(snapshots);
     DivergingWorkload workload(opts.nranks);
     Campaign campaign(workload, opts);

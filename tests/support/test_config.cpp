@@ -255,7 +255,6 @@ TEST(Config, KnobTableIsCompleteAndConsistent) {
       {"FASTFIT_PROGRESS", "1"},
       {"FASTFIT_METRICS_INTERVAL_MS", "100"},
       {"FASTFIT_SNAPSHOTS", "on"},
-      {"FASTFIT_SNAPSHOT_CACHE_MB", "64"},
       {"FASTFIT_FAULT_MODELS", "single-bit-flip,rank-death"},
       {"FASTFIT_REPAIR", "1"},
       {"FASTFIT_ISOLATION", "process"},
@@ -296,25 +295,18 @@ TEST(Config, IsolationKnobValidates) {
 }
 
 TEST(Config, SnapshotKnobsValidate) {
-  const auto cfg = InjectionConfig::from_map(
-      {{"FASTFIT_SNAPSHOTS", "off"}, {"FASTFIT_SNAPSHOT_CACHE_MB", "64"}});
+  const auto cfg = InjectionConfig::from_map({{"FASTFIT_SNAPSHOTS", "off"}});
   EXPECT_FALSE(cfg.snapshots);
-  EXPECT_EQ(cfg.snapshot_cache_mb, 64u);
   EXPECT_TRUE(InjectionConfig{}.snapshots);  // on by default
   EXPECT_TRUE(
       InjectionConfig::from_map({{"FASTFIT_SNAPSHOTS", "on"}}).snapshots);
-  EXPECT_EQ(InjectionConfig{}.snapshot_cache_mb, 256u);
   EXPECT_THROW(InjectionConfig::from_map({{"FASTFIT_SNAPSHOTS", "maybe"}}),
                ConfigError);
   // `auto` is not a value: it is rejected, not read as `on`.
   EXPECT_THROW(InjectionConfig::from_map({{"FASTFIT_SNAPSHOTS", "auto"}}),
                ConfigError);
-  EXPECT_THROW(
-      InjectionConfig::from_map({{"FASTFIT_SNAPSHOT_CACHE_MB", "0"}}),
-      ConfigError);
   // Non-default values round-trip through to_map; defaults are omitted.
   EXPECT_TRUE(cfg.to_map().count("FASTFIT_SNAPSHOTS"));
-  EXPECT_TRUE(cfg.to_map().count("FASTFIT_SNAPSHOT_CACHE_MB"));
   EXPECT_FALSE(InjectionConfig{}.to_map().count("FASTFIT_SNAPSHOTS"));
 }
 

@@ -1,5 +1,5 @@
 // Campaign ↔ telemetry integration: span nesting and thread-buffer
-// flush under the parallel TrialExecutor, and the replay-identical
+// flush under the parallel scheduler lanes, and the replay-identical
 // counter contract (a journal-resumed campaign reports the same
 // fastfit_trials_total series as the original run).
 

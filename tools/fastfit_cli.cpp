@@ -54,11 +54,12 @@
 
 #include <algorithm>
 #include <array>
+#include <charconv>
 #include <chrono>
 #include <cstdio>
-#include <cstdlib>
 #include <cstring>
 #include <fstream>
+#include <limits>
 #include <map>
 #include <memory>
 #include <sstream>
@@ -228,6 +229,49 @@ InjectionConfig parse_knob_flag(const Args& args, const std::string& flag) {
   throw InternalError("no configuration knob for --" + flag);
 }
 
+/// Reads the integer flag `--flag`, or `fallback` when it is absent: a
+/// decimal in [0, max]. An error names the flag.
+std::uint64_t parse_int_flag(const Args& args, const std::string& flag,
+                             std::uint64_t fallback, std::uint64_t max) {
+  if (!args.has(flag)) return fallback;
+  const std::string value = args.get(flag, "");
+  const char* end = value.data() + value.size();
+  std::uint64_t out = 0;
+  const auto parsed = std::from_chars(value.data(), end, out);
+  if (value.empty() || parsed.ec != std::errc{} || parsed.ptr != end ||
+      out > max) {
+    throw ConfigError("--" + flag + ": expected an integer in [0, " +
+                      std::to_string(max) + "], got '" + value + "'");
+  }
+  return out;
+}
+
+/// --threshold X: the ML loop's accuracy target, a decimal in [0, 1].
+double parse_threshold(const Args& args) {
+  const std::string value = args.get("threshold", "0.65");
+  const char* end = value.data() + value.size();
+  double out = 0.0;
+  const auto parsed = std::from_chars(value.data(), end, out);
+  if (parsed.ec != std::errc{} || parsed.ptr != end || !(out >= 0.0) ||
+      out > 1.0) {
+    throw ConfigError("--threshold: expected a number in [0, 1], got '" +
+                      value + "'");
+  }
+  return out;
+}
+
+/// --ranks N, checked.
+int parse_ranks(const Args& args) {
+  return static_cast<int>(parse_int_flag(
+      args, "ranks", 16, std::numeric_limits<int>::max()));
+}
+
+/// --trials T, checked.
+std::uint32_t parse_trials(const Args& args, std::uint32_t fallback) {
+  return static_cast<std::uint32_t>(parse_int_flag(
+      args, "trials", fallback, std::numeric_limits<std::uint32_t>::max()));
+}
+
 /// --repair on|off (also accepts the knob table's 0|1).
 bool parse_repair(const std::string& value) {
   if (value == "on" || value == "1") return true;
@@ -269,7 +313,7 @@ std::vector<std::string> resolve_passes(const Args& args,
 int cmd_profile(const std::string& workload_name, const Args& args) {
   const auto workload = apps::make_workload(workload_name);
   core::StudyOptions options;
-  options.campaign.nranks = std::atoi(args.get("ranks", "16").c_str());
+  options.campaign.nranks = parse_ranks(args);
   options.use_ml = false;
   options.passes = resolve_passes(args, InjectionConfig::from_environment());
   core::StudyDriver driver(*workload, std::move(options));
@@ -298,14 +342,13 @@ int cmd_profile(const std::string& workload_name, const Args& args) {
 int cmd_study(const std::string& workload_name, const Args& args) {
   const auto workload = apps::make_workload(workload_name);
   core::FastFitOptions options;
-  options.campaign.nranks = std::atoi(args.get("ranks", "16").c_str());
-  options.campaign.trials_per_point =
-      static_cast<std::uint32_t>(std::atoi(args.get("trials", "12").c_str()));
-  options.campaign.seed =
-      std::strtoull(args.get("seed", "258398418711").c_str(), nullptr, 10);
+  options.campaign.nranks = parse_ranks(args);
+  options.campaign.trials_per_point = parse_trials(args, 12);
+  options.campaign.seed = args.has("seed")
+                              ? parse_knob_flag(args, "seed").seed
+                              : 258398418711ULL;
   options.use_ml = !args.has("no-ml");
-  options.ml.accuracy_threshold =
-      std::atof(args.get("threshold", "0.65").c_str());
+  options.ml.accuracy_threshold = parse_threshold(args);
   if (args.has("parallel-trials")) {
     options.campaign.max_parallel_trials = static_cast<std::size_t>(
         parse_knob_flag(args, "parallel-trials").parallel_trials);
@@ -352,15 +395,10 @@ int cmd_study(const std::string& workload_name, const Args& args) {
     throw ConfigError("--resume requires --journal (or FASTFIT_JOURNAL)");
   }
 
-  // Prefix-replay snapshots: the on/off switch and the LRU budget.
+  // Prefix-replay snapshots: on or off.
   options.campaign.snapshots = env.snapshots;
   if (args.has("snapshots")) {
     options.campaign.snapshots = parse_knob_flag(args, "snapshots").snapshots;
-  }
-  options.campaign.snapshot_cache_mb = env.snapshot_cache_mb;
-  if (args.has("snapshot-cache-mb")) {
-    options.campaign.snapshot_cache_mb =
-        parse_knob_flag(args, "snapshot-cache-mb").snapshot_cache_mb;
   }
 
   // Pipeline selection: the pruning chain and the deterministic shard.
@@ -605,9 +643,8 @@ int cmd_merge(int argc, char** argv) {
 int cmd_p2p(const std::string& workload_name, const Args& args) {
   const auto workload = apps::make_workload(workload_name);
   core::StudyOptions options;
-  options.campaign.nranks = std::atoi(args.get("ranks", "16").c_str());
-  const auto trials =
-      static_cast<std::uint32_t>(std::atoi(args.get("trials", "8").c_str()));
+  options.campaign.nranks = parse_ranks(args);
+  const auto trials = parse_trials(args, 8);
   options.campaign.trials_per_point = trials;
   options.use_ml = false;
 
@@ -649,8 +686,8 @@ int cmd_p2p(const std::string& workload_name, const Args& args) {
     return 0;
   }
   auto points = e.points;
-  const auto cap = static_cast<std::size_t>(
-      std::atoi(args.get("points", "60").c_str()));
+  const auto cap = static_cast<std::size_t>(parse_int_flag(
+      args, "points", 60, std::numeric_limits<std::uint32_t>::max()));
   if (points.size() > cap) points.resize(cap);
   std::vector<core::P2pPointResult> results;
   for (const auto& point : points) {
