@@ -104,11 +104,10 @@ struct CampaignOptions {
   /// Trial execution backend (--isolation, FASTFIT_ISOLATION). `Thread`
   /// (default) runs trials in-process on the scheduler lane's thread.
   /// `Process` dispatches each trial to a fresh child of a per-lane
-  /// fork-server, or of its cut server (core/procpool.hpp): worker death
-  /// by a real signal classifies SEG_FAULT instead of killing the
-  /// campaign, and the lease kills rank code that never yields; results
-  /// for non-signal fault models stay byte-identical to the in-process
-  /// backend.
+  /// point server (core/procpool.hpp): worker death by a real signal
+  /// classifies SEG_FAULT instead of killing the campaign, and the lease
+  /// kills rank code that never yields; results for non-signal fault
+  /// models stay byte-identical to the in-process backend.
   IsolationMode isolation = IsolationMode::Thread;
   /// Per-trial lease for process-isolated workers: past this deadline
   /// the whole lane process group is SIGKILLed and the trial re-enters
@@ -280,7 +279,7 @@ class Campaign : private TrialRunner {
   /// The world execution behind run_trial. With a snapshot, only the
   /// post-injection suffix executes (prefix replayed from the recording);
   /// may throw mpi::ReplayError, which run_trial converts into a
-  /// from-scratch fallback. With `park` (a process-isolated cut server)
+  /// from-scratch fallback. With `park` (a process-isolated point server)
   /// the world is a fault-free template that parks at the cut and
   /// returns only in each forked trial child (core/procpool.hpp).
   inject::TrialForensics execute_trial(

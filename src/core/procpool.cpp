@@ -2,11 +2,11 @@
 
 #include <csignal>
 #include <cstring>
-#include <initializer_list>
 #include <optional>
 
 #include <errno.h>
 #include <poll.h>
+#include <sys/prctl.h>
 #include <sys/resource.h>
 #include <sys/wait.h>
 #include <unistd.h>
@@ -128,21 +128,6 @@ bool write_full(int fd, const void* data, std::size_t n) {
   return true;
 }
 
-bool read_full(int fd, void* data, std::size_t n) {
-  auto* p = static_cast<unsigned char*>(data);
-  while (n > 0) {
-    const ssize_t r = ::read(fd, p, n);
-    if (r < 0) {
-      if (errno == EINTR) continue;
-      return false;
-    }
-    if (r == 0) return false;  // EOF mid-frame
-    p += r;
-    n -= static_cast<std::size_t>(r);
-  }
-  return true;
-}
-
 bool write_frame(int fd, const std::string& payload) {
   std::uint32_t len = static_cast<std::uint32_t>(payload.size());
   unsigned char hdr[4];
@@ -151,69 +136,49 @@ bool write_frame(int fd, const std::string& payload) {
          write_full(fd, payload.data(), payload.size());
 }
 
-bool read_frame(int fd, std::string& payload) {
-  unsigned char hdr[4];
-  if (!read_full(fd, hdr, sizeof(hdr))) return false;
-  std::uint32_t len = 0;
-  for (int i = 0; i < 4; ++i) len |= static_cast<std::uint32_t>(hdr[i]) << (8 * i);
-  if (len > kMaxFrameBytes) return false;
-  payload.resize(len);
-  return len == 0 || read_full(fd, payload.data(), len);
-}
+enum class ReadStatus { Ok, Timeout, Closed };
 
-enum class DeadlineRead { Ok, Timeout, Closed };
-
-/// read_frame with a deadline: the server writes a reply frame in one
-/// burst, so per-chunk polling only has to bridge scheduler hiccups.
-DeadlineRead read_frame_deadline(int fd, std::string& payload,
-                                 std::chrono::steady_clock::time_point deadline) {
-  std::size_t want = 4;  // header first, then the payload
-  std::string raw;
-  bool header_done = false;
-  std::uint32_t len = 0;
-  std::size_t got = 0;
-  raw.resize(want);
-  for (;;) {
-    const auto now = std::chrono::steady_clock::now();
-    if (now >= deadline) return DeadlineRead::Timeout;
-    const auto remaining =
-        std::chrono::duration_cast<std::chrono::milliseconds>(deadline - now);
-    struct pollfd pfd{fd, POLLIN, 0};
-    const int pr = ::poll(&pfd, 1,
-                          static_cast<int>(std::min<std::int64_t>(
-                              remaining.count(), 60'000)));
-    if (pr < 0) {
-      if (errno == EINTR) continue;
-      return DeadlineRead::Closed;
-    }
-    if (pr == 0) continue;  // re-check the deadline
-    const ssize_t r = ::read(fd, raw.data() + got, want - got);
-    if (r < 0) {
-      if (errno == EINTR) continue;
-      return DeadlineRead::Closed;
-    }
-    if (r == 0) return DeadlineRead::Closed;
-    got += static_cast<std::size_t>(r);
-    if (got < want) continue;
-    if (!header_done) {
-      for (int i = 0; i < 4; ++i) {
-        len |= static_cast<std::uint32_t>(
-                   static_cast<unsigned char>(raw[i]))
-               << (8 * i);
+/// Reads one frame. The supervisor passes its lease deadline and polls
+/// between chunks (a frame is written in one burst, so the polling only
+/// bridges scheduler hiccups); the lane's processes block with none.
+ReadStatus read_frame(
+    int fd, std::string& payload,
+    std::optional<std::chrono::steady_clock::time_point> deadline = {}) {
+  const auto read_exact = [&](char* p, std::size_t n) {
+    while (n > 0) {
+      if (deadline) {
+        const auto now = std::chrono::steady_clock::now();
+        if (now >= *deadline) return ReadStatus::Timeout;
+        const auto remaining =
+            std::chrono::ceil<std::chrono::milliseconds>(*deadline - now);
+        struct pollfd pfd{fd, POLLIN, 0};
+        const int pr = ::poll(&pfd, 1,
+                              static_cast<int>(std::min<std::int64_t>(
+                                  remaining.count(), 60'000)));
+        if (pr < 0 && errno != EINTR) return ReadStatus::Closed;
+        if (pr <= 0) continue;  // re-check the deadline
       }
-      if (len > kMaxFrameBytes) return DeadlineRead::Closed;
-      header_done = true;
-      raw.clear();
-      raw.resize(len);
-      want = len;
-      got = 0;
-      if (len == 0) break;
-      continue;
+      const ssize_t r = ::read(fd, p, n);
+      if (r < 0 && errno == EINTR) continue;
+      if (r <= 0) return ReadStatus::Closed;  // error, or EOF mid-frame
+      p += r;
+      n -= static_cast<std::size_t>(r);
     }
-    break;
+    return ReadStatus::Ok;
+  };
+  char hdr[4];
+  if (const auto status = read_exact(hdr, sizeof(hdr));
+      status != ReadStatus::Ok) {
+    return status;
   }
-  payload = std::move(raw);
-  return DeadlineRead::Ok;
+  std::uint32_t len = 0;
+  for (int i = 0; i < 4; ++i) {
+    len |= static_cast<std::uint32_t>(static_cast<unsigned char>(hdr[i]))
+           << (8 * i);
+  }
+  if (len > kMaxFrameBytes) return ReadStatus::Closed;
+  payload.resize(len);
+  return read_exact(payload.data(), len);
 }
 
 // ---------------------------------------------------------------------------
@@ -289,22 +254,20 @@ bool decode_reply(ByteReader& r, procpool::TrialReply& reply) {
   return true;
 }
 
-/// Consolidated server → supervisor frame kinds.
+/// Consolidated point server → supervisor frame kinds.
 enum class ReplyKind : std::uint8_t {
   Completed = 0,    ///< child exited 0 with a TrialReply
   SignalDeath = 1,  ///< child killed by a signal
   BadExit = 2,      ///< child exited (possibly nonzero) without a reply
   ServeError = 3,   ///< server-side failure (fork/pipe), trial not run
-  NoCut = 4,        ///< cut server → fork-server only: the template's
-                    ///< world ended before its cut, trial not run
 };
 
-/// Which process forked a consolidated frame's trial child (the byte
-/// after the sequence number).
+/// Where a consolidated frame's trial child was forked (the byte after
+/// the sequence number).
 enum class Route : std::uint8_t {
-  Scratch = 0,  ///< the fork-server: the trial ran from scratch
-  Cut = 1,      ///< a cut server, at the cut
-  NewCut = 2,   ///< as Cut, and the first trial of a new cut server
+  Scratch = 0,  ///< the trial ran from scratch
+  Cut = 1,      ///< at the cut, by a point server parked there
+  NewCut = 2,   ///< as Cut, and the first trial of its point server
 };
 
 bool same_point(const procpool::WorkItem& a, const procpool::WorkItem& b) {
@@ -313,9 +276,9 @@ bool same_point(const procpool::WorkItem& a, const procpool::WorkItem& b) {
          a.fault == b.fault;
 }
 
-/// Items a cut server serves: exact-trigger faults that cannot replay an
-/// op log (message, fail-stop and signal models). A replayable parameter
-/// fault goes to the from-scratch child instead, where the campaign's
+/// Items forked at the cut: exact-trigger faults that cannot replay an op
+/// log (message, fail-stop and signal models). A replayable parameter
+/// fault runs in a from-scratch child instead, where the campaign's
 /// TrialFn replays the prefix from the recording the supervisor made
 /// before forking; on whole LU and miniMD studies that beats forking them
 /// at the cut (EXPERIMENTS.md, "Which trials fork at the cut").
@@ -325,20 +288,24 @@ bool forks_at_cut(const procpool::WorkItem& item) {
 }
 
 // ---------------------------------------------------------------------------
-// The servers: single-threaded after fork, one fresh child per trial.
+// The lane: a zygote and its point server, single-threaded after fork.
 // ---------------------------------------------------------------------------
 
-/// The fork / wait4 / consolidate step both server levels share. Forks
-/// the trial child of work item `seq`. In the child it returns the write
-/// end of the child's reply pipe: the child writes one encode_reply frame
-/// there and _exits without flushing inherited stdio buffers or running
-/// static destructors (the supervisor's journal fd and buffers are
-/// duplicated in it and must never see a write from it). In the server
-/// it waits for the child, writes the consolidated frame to `result_fd`
-/// and returns -1. `own_fds` are the server's pipe ends, closed in the
-/// child.
-int fork_trial(std::uint64_t seq, Route route, int result_fd,
-               std::initializer_list<int> own_fds) {
+/// A point server's pipe ends, all closed in its trial children.
+struct ServerFds {
+  int cmd = -1;      ///< supervisor → lane work frames
+  int result = -1;   ///< lane → supervisor consolidated frames
+  int handoff = -1;  ///< point server → zygote: the item it must not serve
+};
+
+/// Forks the trial child of work item `seq`. In the child it returns the
+/// write end of the child's reply pipe: the child writes one encode_reply
+/// frame there and _exits without flushing inherited stdio buffers or
+/// running static destructors (the supervisor's journal fd and buffers
+/// are duplicated in it and must never see a write from it). In the
+/// point server it waits for the child, writes the consolidated frame to
+/// the supervisor and returns -1.
+int fork_trial(std::uint64_t seq, Route route, const ServerFds& fds) {
   ByteWriter out;
   out.u64(seq);
   out.u8(static_cast<std::uint8_t>(route));
@@ -346,14 +313,14 @@ int fork_trial(std::uint64_t seq, Route route, int result_fd,
   int trial_pipe[2] = {-1, -1};
   if (::pipe(trial_pipe) != 0) {
     out.u8(static_cast<std::uint8_t>(ReplyKind::ServeError));
-    out.str(std::string("fork-server: pipe failed: ") + std::strerror(errno));
-    if (!write_frame(result_fd, out.bytes())) std::_Exit(0);
+    out.str(std::string("point server: pipe failed: ") + std::strerror(errno));
+    if (!write_frame(fds.result, out.bytes())) std::_Exit(0);
     return -1;
   }
 
   const pid_t child = ::fork();
   if (child == 0) {
-    for (const int fd : own_fds) ::close(fd);
+    for (const int fd : {fds.cmd, fds.result, fds.handoff}) ::close(fd);
     ::close(trial_pipe[0]);
     return trial_pipe[1];
   }
@@ -361,17 +328,18 @@ int fork_trial(std::uint64_t seq, Route route, int result_fd,
     ::close(trial_pipe[0]);
     ::close(trial_pipe[1]);
     out.u8(static_cast<std::uint8_t>(ReplyKind::ServeError));
-    out.str(std::string("fork-server: fork failed: ") + std::strerror(errno));
-    if (!write_frame(result_fd, out.bytes())) std::_Exit(0);
+    out.str(std::string("point server: fork failed: ") + std::strerror(errno));
+    if (!write_frame(fds.result, out.bytes())) std::_Exit(0);
     return -1;
   }
   ::close(trial_pipe[1]);
 
   // A wedged child never writes and never exits; this read then blocks
   // until the supervisor's lease expires and SIGKILLs the whole lane
-  // process group (servers + child).
+  // process group.
   std::string child_frame;
-  const bool got_reply = read_frame(trial_pipe[0], child_frame);
+  const bool got_reply =
+      read_frame(trial_pipe[0], child_frame) == ReadStatus::Ok;
   ::close(trial_pipe[0]);
 
   int status = 0;
@@ -391,173 +359,128 @@ int fork_trial(std::uint64_t seq, Route route, int result_fd,
     out.u8(static_cast<std::uint8_t>(ReplyKind::Completed));
     std::string merged = out.bytes();
     merged += child_frame;
-    if (!write_frame(result_fd, merged)) std::_Exit(0);
+    if (!write_frame(fds.result, merged)) std::_Exit(0);
     return -1;
   } else {
     out.u8(static_cast<std::uint8_t>(ReplyKind::BadExit));
     out.u32(static_cast<std::uint32_t>(
         WIFEXITED(status) ? WEXITSTATUS(status) : -1));
   }
-  if (!write_frame(result_fd, out.bytes())) std::_Exit(0);
+  if (!write_frame(fds.result, out.bytes())) std::_Exit(0);
   return -1;
 }
 
-/// The cut server's main: runs the template world, parks at its cut,
-/// and forks one trial child there per work item until the fork-server
-/// closes the command pipe.
-[[noreturn]] void run_cut_server(int cmd_fd, int res_fd,
-                                 const procpool::WorkItem& point,
-                                 const procpool::TemplateFn& cut_template) {
-  procpool::WorkItem item;
-  int reply_fd = -1;
-  Route route = Route::NewCut;
-  const procpool::Park park = [&]() -> const procpool::WorkItem& {
-    for (;;) {
-      std::string frame;
-      std::uint64_t seq = 0;
-      if (!read_frame(cmd_fd, frame)) std::_Exit(0);
-      if (!decode_work(frame, item, seq)) std::_Exit(3);
-      reply_fd = fork_trial(seq, route, res_fd, {cmd_fd, res_fd});
-      if (reply_fd >= 0) return item;  // the trial child resumes the world
-      route = Route::Cut;
-    }
-  };
-  const procpool::TrialReply reply = cut_template(point, park);
-  if (reply_fd >= 0) {
-    // The trial child, back from its suffix.
-    write_frame(reply_fd, encode_reply(reply));
-    std::_Exit(0);
-  }
-  // The template never parked: tell the fork-server, which serves the
-  // waiting item from scratch.
-  std::string frame;
-  std::uint64_t seq = 0;
-  procpool::WorkItem unserved;
-  if (!read_frame(cmd_fd, frame) || !decode_work(frame, unserved, seq)) {
-    std::_Exit(0);
-  }
-  ByteWriter out;
-  out.u64(seq);
-  out.u8(static_cast<std::uint8_t>(Route::Scratch));
-  out.u8(static_cast<std::uint8_t>(ReplyKind::NoCut));
-  write_frame(res_fd, out.bytes());
+/// Reads the next work item from the supervisor; _exits on EOF (the
+/// supervisor closed the lane) or on a frame that does not decode.
+void next_item(const ServerFds& fds, std::string& frame,
+               procpool::WorkItem& item, std::uint64_t& seq) {
+  if (read_frame(fds.cmd, frame) != ReadStatus::Ok) std::_Exit(0);
+  if (!decode_work(frame, item, seq)) std::_Exit(3);
+}
+
+/// Gives `frame` back to the zygote, which forks the next point server
+/// with it.
+[[noreturn]] void hand_off(const ServerFds& fds, const std::string& frame) {
+  write_frame(fds.handoff, frame);
   std::_Exit(0);
 }
 
-/// The fork-server's handle on its cut server.
-struct CutServer {
-  pid_t pid = 0;
-  int cmd_fd = -1;  ///< fork-server → cut server work frames
-  int res_fd = -1;  ///< cut server → fork-server consolidated frames
-  procpool::WorkItem point;
-};
-
-void stop_cut_server(CutServer& cut) {
-  if (cut.pid <= 0) return;
-  // Between items the cut server has no trial child, so this leaves no
-  // orphan behind.
-  ::kill(cut.pid, SIGKILL);
-  while (::waitpid(cut.pid, nullptr, 0) < 0 && errno == EINTR) {}
-  ::close(cut.cmd_fd);
-  ::close(cut.res_fd);
-  cut = CutServer{};
-}
-
-void start_cut_server(CutServer& cut, const procpool::WorkItem& point,
-                      int lane_cmd_fd, int lane_result_fd,
-                      const procpool::TemplateFn& cut_template) {
-  int cmd[2] = {-1, -1};
-  int res[2] = {-1, -1};
-  if (::pipe(cmd) != 0) return;
-  if (::pipe(res) != 0) {
-    ::close(cmd[0]);
-    ::close(cmd[1]);
-    return;
+/// The point server's main. Its first item (`frame`, or the next one on
+/// the command pipe when that is empty) is its point. A point that forks
+/// at the cut runs its template world to the cut and forks each of the
+/// point's items there, from inside a rank fiber, so it can serve no
+/// other item. Any other point, and one whose template ended before its
+/// cut, is served from scratch together with every other from-scratch
+/// item. An item the server must not serve goes back to the zygote
+/// through the handoff pipe, and the server exits.
+[[noreturn]] void run_point_server(const ServerFds& fds, std::string frame,
+                                   const procpool::TrialFn& fn,
+                                   const procpool::TemplateFn& cut_template) {
+  procpool::WorkItem item;
+  std::uint64_t seq = 0;
+  if (frame.empty()) {
+    next_item(fds, frame, item, seq);
+  } else if (!decode_work(frame, item, seq)) {
+    std::_Exit(3);
   }
-  const pid_t pid = ::fork();
-  if (pid == 0) {
-    ::close(lane_cmd_fd);
-    ::close(lane_result_fd);
-    ::close(cmd[1]);
-    ::close(res[0]);
-    run_cut_server(cmd[0], res[1], point, cut_template);
-  }
-  ::close(cmd[0]);
-  ::close(res[1]);
-  if (pid < 0) {
-    ::close(cmd[1]);
-    ::close(res[0]);
-    return;
-  }
-  cut = CutServer{pid, cmd[1], res[0], point};
-}
+  const procpool::WorkItem point = item;
+  const auto needs_template = [&](const procpool::WorkItem& w) {
+    return cut_template && forks_at_cut(w);
+  };
 
-/// The fork-server loop. Items that fork at the cut go to the cut server
-/// of their point (started on demand, replacing the previous one); every
-/// other item, and any the cut server cannot serve, runs in a fresh
-/// child.
-[[noreturn]] void serve(int cmd_fd, int result_fd, const procpool::TrialFn& fn,
-                        const procpool::TemplateFn& cut_template) {
-  CutServer cut;
-  // The last point whose template ended before its cut: its later items
-  // go straight to the from-scratch path.
-  std::optional<procpool::WorkItem> uncut;
-  for (;;) {
-    std::string frame;
-    procpool::WorkItem item;
-    std::uint64_t seq = 0;
-    if (!read_frame(cmd_fd, frame)) {  // supervisor closed
-      stop_cut_server(cut);
+  if (needs_template(point)) {
+    int reply_fd = -1;
+    const procpool::Park park = [&]() -> const procpool::WorkItem& {
+      for (Route route = Route::NewCut;; route = Route::Cut) {
+        reply_fd = fork_trial(seq, route, fds);
+        if (reply_fd >= 0) return item;  // the trial child resumes the world
+        next_item(fds, frame, item, seq);
+        if (!needs_template(item) || !same_point(point, item)) {
+          hand_off(fds, frame);
+        }
+      }
+    };
+    const procpool::TrialReply reply = cut_template(point, park);
+    if (reply_fd >= 0) {
+      // The trial child, back from its suffix.
+      write_frame(reply_fd, encode_reply(reply));
       std::_Exit(0);
     }
-    if (!decode_work(frame, item, seq)) {
-      stop_cut_server(cut);
-      std::_Exit(3);
-    }
-
-    const bool at_cut = cut_template && forks_at_cut(item) &&
-                        !(uncut && same_point(*uncut, item));
-    if (cut.pid > 0 && !(at_cut && same_point(cut.point, item))) {
-      stop_cut_server(cut);
-    }
-    if (at_cut && cut.pid == 0) {
-      start_cut_server(cut, item, cmd_fd, result_fd, cut_template);
-    }
-    if (cut.pid > 0) {
-      std::string reply;
-      if (write_frame(cut.cmd_fd, frame) && read_frame(cut.res_fd, reply)) {
-        ByteReader reader(reply);
-        std::uint64_t got_seq = 0;
-        std::uint8_t route = 0;
-        std::uint8_t kind = 0;
-        if (!(reader.u64(got_seq) && reader.u8(route) && reader.u8(kind) &&
-              static_cast<ReplyKind>(kind) == ReplyKind::NoCut)) {
-          if (!write_frame(result_fd, reply)) {
-            stop_cut_server(cut);
-            std::_Exit(0);
-          }
-          continue;
-        }
-        uncut = item;
-      }
-      // The template never reached its cut, or the cut server was lost.
-      stop_cut_server(cut);
-    }
-
-    const int reply_fd =
-        fork_trial(seq, Route::Scratch, result_fd, {cmd_fd, result_fd});
+    // The template never parked: its world ended before the cut, so the
+    // point's items run from scratch here.
+  }
+  for (;;) {
+    const int reply_fd = fork_trial(seq, Route::Scratch, fds);
     if (reply_fd >= 0) {
       write_frame(reply_fd, encode_reply(fn(item)));
       std::_Exit(0);
     }
+    next_item(fds, frame, item, seq);
+    if (needs_template(item) && !same_point(point, item)) hand_off(fds, frame);
   }
 }
 
-void ignore_sigpipe_once() {
-  // A write to a lane whose server just died must surface as EPIPE (a
-  // LaneFailure the campaign retries), not kill the supervisor.
+/// The lane's fork-server: a zygote that never reads a work item. It
+/// forks one point server at a time and waits for it; a server that
+/// hands an item back is replaced by a fresh one that starts with that
+/// item. When a server ends any other way (supervisor EOF, a crash) the
+/// zygote exits too, so the supervisor reads EOF on the result pipe and
+/// reports a LaneFailure.
+[[noreturn]] void run_zygote(int cmd_fd, int result_fd,
+                             const procpool::TrialFn& fn,
+                             const procpool::TemplateFn& cut_template) {
+  const pid_t zygote = ::getpid();
+  std::string frame;  // a handed-off item; empty: read the next one
+  for (;;) {
+    int handoff[2] = {-1, -1};
+    if (::pipe(handoff) != 0) std::_Exit(4);
+    const pid_t server = ::fork();
+    if (server == 0) {
+      ::close(handoff[0]);
+      // A killed zygote takes its server with it; the re-check covers a
+      // zygote that died before the prctl.
+      ::prctl(PR_SET_PDEATHSIG, SIGKILL);
+      if (::getppid() != zygote) std::_Exit(0);
+      run_point_server({cmd_fd, result_fd, handoff[1]}, std::move(frame), fn,
+                       cut_template);
+    }
+    if (server < 0) std::_Exit(4);
+    ::close(handoff[1]);
+    const bool handed_off = read_frame(handoff[0], frame) == ReadStatus::Ok;
+    ::close(handoff[0]);
+    while (::waitpid(server, nullptr, 0) < 0 && errno == EINTR) {}
+    if (!handed_off) std::_Exit(0);
+  }
+}
+
+void init_supervisor_once() {
   static const bool done = [] {
+    // A write to a lane whose server just died must surface as EPIPE (a
+    // LaneFailure the campaign retries), not kill the supervisor.
     std::signal(SIGPIPE, SIG_IGN);
+    // A lane process whose parent dies re-parents to the supervisor, so
+    // kill_lane_locked can reap every process of a killed lane.
+    ::prctl(PR_SET_CHILD_SUBREAPER, 1);
     return true;
   }();
   (void)done;
@@ -584,7 +507,7 @@ ProcPool::ProcPool(Options options, procpool::TrialFn fn)
     throw ConfigError("ProcPool: lanes must be >= 1");
   }
   if (!fn_) throw InternalError("ProcPool: trial function must be set");
-  ignore_sigpipe_once();
+  init_supervisor_once();
   lanes_.resize(options_.lanes);
   std::lock_guard<std::mutex> lock(mutex_);
   std::size_t alive = 0;
@@ -597,36 +520,11 @@ ProcPool::ProcPool(Options options, procpool::TrialFn fn)
 }
 
 ProcPool::~ProcPool() {
+  // No trial is outstanding here (the scheduler joins its lanes before
+  // the campaign tears the pool down), and the lanes hold no state worth
+  // a graceful exit.
   std::lock_guard<std::mutex> lock(mutex_);
-  // Closing the command pipe is the shutdown signal: the server's next
-  // read sees EOF and _exits. No trial is outstanding here — the
-  // scheduler joins its workers before the campaign tears the pool down.
-  for (auto& lane : lanes_) {
-    for (int fd : {lane.cmd_fd, lane.result_fd, lane.alive_fd}) {
-      if (fd >= 0) ::close(fd);
-    }
-    lane.cmd_fd = lane.result_fd = lane.alive_fd = -1;
-  }
-  for (auto& lane : lanes_) {
-    if (lane.pid <= 0) continue;
-    // Grace period, then escalate: a server mid-teardown exits on EOF in
-    // microseconds; anything still alive after the grace is wedged.
-    int status = 0;
-    bool reaped = false;
-    for (int spin = 0; spin < 200; ++spin) {
-      const pid_t r = ::waitpid(lane.pid, &status, WNOHANG);
-      if (r == lane.pid || (r < 0 && errno == ECHILD)) {
-        reaped = true;
-        break;
-      }
-      ::usleep(10'000);
-    }
-    if (!reaped) {
-      ::killpg(lane.pid, SIGKILL);
-      while (::waitpid(lane.pid, &status, 0) < 0 && errno == EINTR) {}
-    }
-    lane.pid = 0;
-  }
+  for (auto& lane : lanes_) kill_lane_locked(lane);
 }
 
 bool ProcPool::spawn_locked(Lane& lane, bool is_respawn) {
@@ -640,54 +538,47 @@ bool ProcPool::spawn_locked(Lane& lane, bool is_respawn) {
   }
   int cmd[2] = {-1, -1};
   int res[2] = {-1, -1};
-  int alive[2] = {-1, -1};
-  const auto close_all = [&] {
-    for (int fd : {cmd[0], cmd[1], res[0], res[1], alive[0], alive[1]}) {
+  if (::pipe(cmd) != 0 || ::pipe(res) != 0) {
+    for (int fd : {cmd[0], cmd[1], res[0], res[1]}) {
       if (fd >= 0) ::close(fd);
     }
-  };
-  if (::pipe(cmd) != 0 || ::pipe(res) != 0 || ::pipe(alive) != 0) {
-    close_all();
     return false;
   }
-  // Every parent-side fd of every other lane, so the fresh server can
-  // drop them: a sibling holding a dead lane's pipe ends would keep that
+  // Every parent-side fd of every other lane, so the fresh lane can drop
+  // them: a sibling holding a dead lane's pipe ends would keep that
   // lane's EOF from ever arriving.
   std::vector<int> parent_fds;
   for (const auto& other : lanes_) {
     if (other.cmd_fd >= 0) parent_fds.push_back(other.cmd_fd);
     if (other.result_fd >= 0) parent_fds.push_back(other.result_fd);
-    if (other.alive_fd >= 0) parent_fds.push_back(other.alive_fd);
   }
   const pid_t pid = ::fork();
   if (pid == 0) {
-    // Fork-server child: own process group (so one killpg reaps the
-    // server and its current trial child together), no foreign fds, and
-    // the caller's child_init (e.g. telemetry disable) before serving.
+    // The zygote: own process group (so one killpg reaches every process
+    // of the lane), no foreign fds, and the caller's child_init (e.g.
+    // telemetry disable) before it forks its first point server.
     ::setpgid(0, 0);
     ::close(cmd[1]);
     ::close(res[0]);
-    ::close(alive[0]);  // alive[1] stays open here and in every descendant
     for (int fd : parent_fds) ::close(fd);
     try {
       if (options_.child_init) options_.child_init();
     } catch (...) {
       // Serving with a failed init is better than losing the lane.
     }
-    serve(cmd[0], res[1], fn_, options_.cut_template);
+    run_zygote(cmd[0], res[1], fn_, options_.cut_template);
   }
+  ::close(cmd[0]);
+  ::close(res[1]);
   if (pid < 0) {
-    close_all();
+    ::close(cmd[1]);
+    ::close(res[0]);
     return false;
   }
   ::setpgid(pid, pid);  // also from the parent: closes the killpg race
-  ::close(cmd[0]);
-  ::close(res[1]);
-  ::close(alive[1]);
   lane.pid = static_cast<int>(pid);
   lane.cmd_fd = cmd[1];
   lane.result_fd = res[0];
-  lane.alive_fd = alive[0];
   lane.seq = 0;
   ++stats_.servers_spawned;
   if (auto& rec = tel::Recorder::instance(); rec.enabled()) {
@@ -701,21 +592,17 @@ bool ProcPool::spawn_locked(Lane& lane, bool is_respawn) {
 
 void ProcPool::kill_lane_locked(Lane& lane) {
   if (lane.pid > 0) {
+    // The lane's processes all share its process group. Each one whose
+    // parent dies re-parents to this subreaper before that parent can be
+    // reaped, so the loop ends (ECHILD) only once the whole group is.
     ::killpg(lane.pid, SIGKILL);
-    int status = 0;
-    while (::waitpid(lane.pid, &status, 0) < 0 && errno == EINTR) {}
-    // The server's cut server and trial child got the same SIGKILL, but
-    // they are not our children, so waitpid cannot tell when they are
-    // gone. The alive pipe's EOF does: wait for it (at most 1 s), so no
-    // process of a killed lane is still running when the kill returns.
-    pollfd alive{lane.alive_fd, POLLIN, 0};
-    while (::poll(&alive, 1, 1000) < 0 && errno == EINTR) {}
+    while (::waitpid(-lane.pid, nullptr, 0) >= 0 || errno == EINTR) {}
   }
-  for (int fd : {lane.cmd_fd, lane.result_fd, lane.alive_fd}) {
+  for (int fd : {lane.cmd_fd, lane.result_fd}) {
     if (fd >= 0) ::close(fd);
   }
   lane.pid = 0;
-  lane.cmd_fd = lane.result_fd = lane.alive_fd = -1;
+  lane.cmd_fd = lane.result_fd = -1;
 }
 
 bool ProcPool::degraded() const noexcept {
@@ -801,8 +688,8 @@ ProcPool::Result ProcPool::run(const procpool::WorkItem& item,
 
   std::string frame;
   const auto deadline = std::chrono::steady_clock::now() + lease;
-  const auto read_status = read_frame_deadline(result_fd, frame, deadline);
-  if (read_status == DeadlineRead::Timeout) {
+  const auto read_status = read_frame(result_fd, frame, deadline);
+  if (read_status == ReadStatus::Timeout) {
     std::lock_guard<std::mutex> lock(mutex_);
     kill_lane_locked(lanes_[index]);
     ++stats_.lease_kills;
@@ -818,7 +705,7 @@ ProcPool::Result ProcPool::run(const procpool::WorkItem& item,
                    " ms lease; lane SIGKILLed";
     return result;
   }
-  if (read_status == DeadlineRead::Closed) {
+  if (read_status == ReadStatus::Closed) {
     std::lock_guard<std::mutex> lock(mutex_);
     kill_lane_locked(lanes_[index]);
     ++stats_.lane_failures;
@@ -853,10 +740,11 @@ ProcPool::Result ProcPool::run(const procpool::WorkItem& item,
     if (auto& rec = tel::Recorder::instance(); rec.enabled()) {
       static auto& cut_trials = rec.counter(
           "fastfit_worker_cut_trials_total",
-          "Process-isolated trials forked at the cut by a cut server");
+          "Process-isolated trials forked at the cut by a point server");
       static auto& cut_servers = rec.counter(
           "fastfit_worker_cut_servers_total",
-          "Cut servers started: fault-free templates run to a point's cut");
+          "Point servers parked at a cut: fault-free templates run to a "
+          "point's cut");
       cut_trials.add();
       if (new_server) cut_servers.add();
     }
@@ -907,8 +795,6 @@ ProcPool::Result ProcPool::run(const procpool::WorkItem& item,
       result.reply.error = std::move(message);
       return result;
     }
-    case ReplyKind::NoCut:
-      break;  // never leaves the fork-server
   }
   {
     std::lock_guard<std::mutex> lock(mutex_);

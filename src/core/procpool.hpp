@@ -5,38 +5,46 @@
 // The paper's outcome taxonomy includes SEG_FAULT, but an in-process
 // trial can only *simulate* it — a genuine signal would kill the whole
 // campaign. ProcPool makes real crashes classifiable: the supervisor
-// pre-forks one warm fork-server per lane, ships each (point, spec,
-// trial) work item over a length-prefixed pipe, and the server forks a
-// fresh single-use child per trial. The child executes the trial and
-// writes its serialized result back; the server consolidates that result
-// with the child's waitpid status + rusage into exactly one reply frame.
+// pre-forks one warm fork-server per lane and ships each (point, spec,
+// trial) work item over a length-prefixed pipe, and a fresh single-use
+// child runs each trial and writes its serialized result back. The
+// process that forked the child consolidates that result with its
+// waitpid status + rusage into exactly one reply frame.
 //
-//   supervisor ──cmd pipe──▶ fork-server ──fork──▶ trial child
-//       ▲                        │  ▲                  │
-//       └──────result pipe───────┘  └───trial pipe─────┘
-//
-// Fork at the cut: with a template function set, an exact-trigger item
-// whose fault cannot replay an op log (a message, fail-stop or signal
-// model) is served by the lane's *cut server* instead — a child of the
-// fork-server that runs the point's world fault-free up to the cut (the
-// instant the fault would fire) and forks each trial child there, so a
-// trial executes only its suffix. The cut server consolidates exactly
-// like the fork-server, which relays its frames. It lives for as long as
-// its point: the lane stops it when an item of another point arrives.
+// The fork-server is a zygote: it never reads a work item. It forks one
+// *point server* at a time, and the point server reads the lane's
+// command pipe, forks each trial child and writes each consolidated
+// frame to the result pipe itself. Its first item is its point:
+//   * an exact-trigger item whose fault cannot replay an op log (a
+//     message, fail-stop or signal model), with a template function set,
+//     makes it run the point's world fault-free up to the cut (the
+//     instant the fault would fire) and fork each trial child there, so
+//     a trial executes only its suffix. Parked inside a rank fiber, it
+//     serves only that point's items;
+//   * any other item, or a template that ends before its cut, makes it
+//     serve every from-scratch item and the later items of its point.
+// An item the point server must not serve goes back to the zygote on a
+// handoff pipe, and the zygote forks the next point server with it.
 // Lane i serves one caller (scheduler lane i), and the scheduler keeps
 // that lane on one point until the point runs dry, so each point's
 // template is built about once per study, not once per lane.
 //
-//   fork-server ──fork──▶ cut server ──fork at the cut──▶ trial child
+//   supervisor ──cmd pipe──▶ point server ──fork──▶ trial child
+//       ▲                         │    ▲                  │
+//       └──────result pipe────────┘    └───trial pipe─────┘
+//
+//   zygote ──fork──▶ point server ──handoff pipe──▶ zygote
 //
 // Death taxonomy (docs/process_isolation.md):
 //   * child killed by SIGSEGV/SIGBUS/SIGFPE/SIGABRT → SignalDeath, a
 //     *datum* (the campaign classifies it SEG_FAULT with the signal
 //     number and rusage in the forensic field);
 //   * child (or server) wedged past the lease deadline → the whole lane
-//     process group is SIGKILLed → LeaseExpired (the campaign routes it
-//     through the existing retry-with-quarantine guard);
-//   * server death / protocol corruption → LaneFailure; the lane is
+//     process group is SIGKILLed and reaped → LeaseExpired (the campaign
+//     routes it through the existing retry-with-quarantine guard);
+//   * zygote or point server death / protocol corruption → LaneFailure
+//     (the zygote exits whenever its point server ends without a
+//     handoff, and a point server dies with its zygote); the lane is
 //     respawned on next use until the respawn budget runs out, after
 //     which the pool reports degraded() and the campaign falls back to
 //     in-process execution (recorded in CampaignHealth).
@@ -160,7 +168,7 @@ class ProcPool {
     std::uint64_t signal_deaths = 0;
     std::uint64_t lease_kills = 0;
     std::uint64_t lane_failures = 0;
-    std::uint64_t cut_servers = 0;  ///< cut servers that served a trial
+    std::uint64_t cut_servers = 0;  ///< point servers that forked at a cut
     std::uint64_t cut_trials = 0;   ///< trials forked at the cut
   };
 
@@ -190,19 +198,16 @@ class ProcPool {
   std::size_t lanes() const noexcept { return lanes_.size(); }
   Stats stats() const;
 
-  /// Live fork-server pids (0 for lanes awaiting respawn), which are also
-  /// the lanes' process-group ids. Tests use this to SIGKILL a worker
-  /// mid-trial.
+  /// Live fork-server (zygote) pids (0 for lanes awaiting respawn), which
+  /// are also the lanes' process-group ids. Tests use this to SIGKILL a
+  /// lane mid-trial.
   std::vector<int> server_pids() const;
 
  private:
   struct Lane {
-    int pid = 0;         ///< server pid (0 = dead, respawn on next use)
-    int cmd_fd = -1;     ///< supervisor → server work items
-    int result_fd = -1;  ///< server → supervisor consolidated replies
-    /// Read end of a pipe whose write end every process of the lane
-    /// inherits and keeps: EOF means the whole lane has exited.
-    int alive_fd = -1;
+    int pid = 0;         ///< zygote pid (0 = dead, respawn on next use)
+    int cmd_fd = -1;     ///< supervisor → point server work items
+    int result_fd = -1;  ///< point server → supervisor consolidated replies
     std::uint64_t seq = 0;
     bool busy = false;  ///< a run() call owns the lane
   };

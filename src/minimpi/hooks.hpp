@@ -2,8 +2,8 @@
 
 // Tool-interposition interface (MiniMPI's equivalent of PMPI).
 //
-// Every collective call flows through a CollectiveCall record and a chain
-// of ToolHooks before reaching the algorithm. Profilers read the record;
+// Every collective call flows through a CollectiveCall record and the
+// world's ToolHooks (World::set_tools) before reaching the algorithm. Profilers read the record;
 // the fault injector mutates it (flips a bit of a scalar parameter or of
 // the data buffer) — without the application or the collective
 // implementation knowing a tool exists, exactly like a PMPI shim.

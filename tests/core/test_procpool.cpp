@@ -5,13 +5,14 @@
 // (echo, contained error, raise(signo), sleep) to pin the wire protocol,
 // the death taxonomy (SignalDeath / LeaseExpired / LaneFailure), lane
 // respawn, one caller per lane, and the degradation ladder; synthetic
-// templates pin the cut server's lifecycle (lease kill, pool teardown,
-// point switch, a template that never parks) and a real world parked at
-// its cut pins the deadline rebase. Campaign-level tests require the process backend to be
+// templates pin the point server's lifecycle (lease kill, pool teardown,
+// point switch, a template that never parks, a stopped zygote, a lost
+// point server) and a real world parked at its cut pins the deadline
+// rebase. Campaign-level tests require the process backend to be
 // byte-identical to the thread backend for non-signal fault models
 // (serial, pooled, and journal resume), fork at the cut to be
 // byte-identical to --snapshots off for every manifestation family (and
-// a pool of 4 to build about one cut server per point), and genuine
+// a pool of 4 to park about one point server per point), and genuine
 // worker signal deaths to classify as SEG_FAULT — with the signal
 // number and rusage in the journal's forensic field — without losing the
 // campaign.
@@ -287,12 +288,12 @@ TEST(ProcPool, DescribeWorkerDeathNamesSignalAndRusage) {
 }
 
 // ---------------------------------------------------------------------------
-// Fork at the cut: cut-server lifecycle with synthetic templates.
+// Fork at the cut: point-server lifecycle with synthetic templates.
 // ---------------------------------------------------------------------------
 
 /// State letter of every process in process group `pgid`, by pid, read
-/// from /proc. A killed child not yet reaped by its new parent stays
-/// listed as a zombie ('Z').
+/// from /proc. A killed process not yet reaped stays listed as a zombie
+/// ('Z').
 std::map<int, char> group_members(int pgid) {
   std::map<int, char> members;
   std::error_code ec;
@@ -347,7 +348,7 @@ TrialReply tagged_reply(const std::string& tag) {
 
 /// Options for a one-lane pool whose template parks at once, except for
 /// site 7, whose "world" ends before its cut. A cut-served child reports
-/// "cut <trial> <cut-server pid>" and sleeps through trial 999.
+/// "cut <trial> <point-server pid>" and sleeps through trial 999.
 ProcPool::Options cut_pool_options() {
   ProcPool::Options opts;
   opts.lanes = 1;
@@ -364,6 +365,12 @@ ProcPool::Options cut_pool_options() {
 
 TrialReply scratch_trial(const WorkItem& item) {
   return tagged_reply("scratch " + std::to_string(item.trial));
+}
+
+/// The pid of the point server that forked a cut-served trial.
+int point_server_of(const ProcPool::Result& result) {
+  const std::string& tag = result.reply.autopsy;
+  return std::stoi(tag.substr(tag.rfind(' ')));
 }
 
 TEST(ProcPool, CutServerServesExactTriggerItemsAtTheCut) {
@@ -391,7 +398,7 @@ TEST(ProcPool, CutServerServesExactTriggerItemsAtTheCut) {
   const auto stats = pool.stats();
   EXPECT_EQ(stats.cut_trials, 3u);
   EXPECT_EQ(stats.cut_servers, 1u);
-  EXPECT_EQ(stats.servers_spawned, 1u);  // cut servers are not lane spawns
+  EXPECT_EQ(stats.servers_spawned, 1u);  // point servers are not lane spawns
 }
 
 TEST(ProcPool, LeaseExpiryDuringCutTrialKillsWholeLaneGroup) {
@@ -399,7 +406,7 @@ TEST(ProcPool, LeaseExpiryDuringCutTrialKillsWholeLaneGroup) {
   ASSERT_TRUE(pool.run(exact_item(1, 0), std::chrono::seconds(30), 0).at_cut);
   const int pgid = pool.server_pids().at(0);
 
-  // While trial 999 is wedged, the group is lane server, cut server and
+  // While trial 999 is wedged, the group is zygote, point server and
   // trial child.
   std::size_t during = 0;
   std::thread census([&] {
@@ -411,10 +418,11 @@ TEST(ProcPool, LeaseExpiryDuringCutTrialKillsWholeLaneGroup) {
   census.join();
   ASSERT_EQ(expired.kind, ProcPool::Result::Kind::LeaseExpired);
   EXPECT_EQ(during, 3u);
-  EXPECT_EQ(live_members(pgid), 0u);
+  // Reaped, every one: not even a zombie is left.
+  EXPECT_TRUE(group_members(pgid).empty());
   EXPECT_EQ(pool.stats().lease_kills, 1u);
 
-  // The lane respawns, starts a new cut server, and serves correctly.
+  // The lane respawns, parks a new point server, and serves correctly.
   const auto after = pool.run(exact_item(1, 4), std::chrono::seconds(30), 0);
   ASSERT_EQ(after.kind, ProcPool::Result::Kind::Completed);
   EXPECT_TRUE(after.at_cut);
@@ -429,7 +437,7 @@ TEST(ProcPool, DestroyingPoolWithLiveCutServerLeavesNoProcess) {
     ProcPool pool(cut_pool_options(), scratch_trial);
     ASSERT_TRUE(pool.run(exact_item(1, 0), std::chrono::seconds(30), 0).at_cut);
     pgid = pool.server_pids().at(0);
-    EXPECT_EQ(live_members(pgid), 2u);  // lane server + parked cut server
+    EXPECT_EQ(live_members(pgid), 2u);  // zygote + parked point server
   }
   EXPECT_TRUE(group_members(pgid).empty());
 }
@@ -440,14 +448,61 @@ TEST(ProcPool, SwitchingPointReapsOldCutServer) {
   const auto second = pool.run(exact_item(2, 0), std::chrono::seconds(30), 0);
   ASSERT_TRUE(first.at_cut);
   ASSERT_TRUE(second.at_cut);
-  const int old_cut = std::stoi(first.reply.autopsy.substr(first.reply.autopsy.rfind(' ')));
-  const int new_cut = std::stoi(second.reply.autopsy.substr(second.reply.autopsy.rfind(' ')));
+  const int old_cut = point_server_of(first);
+  const int new_cut = point_server_of(second);
   EXPECT_NE(old_cut, new_cut);
   const auto members = group_members(pool.server_pids().at(0));
   EXPECT_EQ(members.count(old_cut), 0u);  // reaped, not a zombie
-  EXPECT_EQ(members.size(), 2u);          // lane server + new cut server
+  EXPECT_EQ(members.size(), 2u);          // zygote + new point server
   for (const auto& [pid, state] : members) EXPECT_NE(state, 'Z') << pid;
   EXPECT_EQ(pool.stats().cut_servers, 2u);
+}
+
+TEST(ProcPool, StoppedZygoteDoesNotStallCutTrials) {
+  // The zygote reads no work item and relays no reply, so with it stopped
+  // the parked point server still serves its point, well inside a lease.
+  ProcPool pool(cut_pool_options(), scratch_trial);
+  ASSERT_TRUE(pool.run(exact_item(1, 0), std::chrono::seconds(30), 0).at_cut);
+  const int zygote = pool.server_pids().at(0);
+  ASSERT_EQ(::kill(zygote, SIGSTOP), 0);
+  struct Resume {
+    int pid;
+    ~Resume() { ::kill(pid, SIGCONT); }
+  } resume{zygote};
+  for (std::uint64_t trial = 1; trial <= 3; ++trial) {
+    const auto result =
+        pool.run(exact_item(1, trial), std::chrono::seconds(5), 0);
+    ASSERT_EQ(result.kind, ProcPool::Result::Kind::Completed) << result.error;
+    EXPECT_TRUE(result.at_cut);
+    const std::string want = "cut " + std::to_string(trial) + ' ';
+    EXPECT_EQ(result.reply.autopsy.rfind(want, 0), 0u) << result.reply.autopsy;
+  }
+  EXPECT_EQ(pool.stats().lease_kills, 0u);
+  EXPECT_EQ(pool.stats().cut_servers, 1u);
+}
+
+TEST(ProcPool, LostPointServerIsLaneFailureThenRecovers) {
+  // A point server killed between items takes the lane with it: the
+  // zygote exits, so the next item is a prompt LaneFailure rather than a
+  // trial quietly served some other way, and the respawned lane parks at
+  // the cut again.
+  ProcPool pool(cut_pool_options(), scratch_trial);
+  const auto first = pool.run(exact_item(1, 0), std::chrono::seconds(30), 0);
+  ASSERT_TRUE(first.at_cut);
+  ASSERT_EQ(::kill(point_server_of(first), SIGKILL), 0);
+
+  const auto start = std::chrono::steady_clock::now();
+  const auto lost = pool.run(exact_item(1, 1), std::chrono::seconds(30), 0);
+  EXPECT_EQ(lost.kind, ProcPool::Result::Kind::LaneFailure)
+      << lost.reply.autopsy;
+  EXPECT_LT(std::chrono::steady_clock::now() - start, std::chrono::seconds(5));
+
+  const auto after = pool.run(exact_item(1, 2), std::chrono::seconds(30), 0);
+  ASSERT_EQ(after.kind, ProcPool::Result::Kind::Completed) << after.error;
+  EXPECT_TRUE(after.at_cut);
+  EXPECT_EQ(after.reply.autopsy.rfind("cut 2 ", 0), 0u) << after.reply.autopsy;
+  EXPECT_EQ(pool.stats().respawns, 1u);
+  EXPECT_EQ(pool.stats().lane_failures, 1u);
 }
 
 TEST(ProcPool, TemplateThatNeverParksFallsBackToScratch) {
@@ -569,7 +624,7 @@ TEST(ProcPool, CutServerParkedPastWatchdogMatchesScratch) {
     item.fault = inject::FaultModelSpec::parse(model);
     item.watchdog_ms = watchdog_ms;
     const auto want = scratch.run(item, std::chrono::seconds(10), 0);
-    // Park the cut server for longer than any trial watchdog first.
+    // Park the point server for longer than any trial watchdog first.
     std::this_thread::sleep_for(std::chrono::milliseconds(600));
     const auto got = cut.run(item, std::chrono::seconds(10), 0);
     ASSERT_EQ(want.kind, ProcPool::Result::Kind::Completed) << model;
@@ -798,7 +853,7 @@ INSTANTIATE_TEST_SUITE_P(
 
 TEST(ProcessIsolation, PooledCutServersFollowPointsNotLanes) {
   // Each lane stays on its point while the point has trials left, so a
-  // pool of 4 builds about one cut server per point (plus at most one per
+  // pool of 4 parks about one point server per point (plus at most one per
   // lane and joined point in the tail), not one per point per lane, and
   // reports exactly what the serial pool does.
   constexpr std::size_t kPool = 4;
