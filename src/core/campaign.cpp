@@ -401,6 +401,7 @@ inject::TrialForensics Campaign::execute_trial(
   opts.algorithms = options_.algorithms;
   opts.repair = options_.repair;
   opts.replay = snapshot;
+  opts.trial_arena = true;
   if (park != nullptr) {
     // Fork at the cut: the template world runs fault-free under the
     // relaxed budget and parks at the cut. Each trial child resumes there,
@@ -445,11 +446,11 @@ inject::TrialForensics Campaign::execute_trial(
   }
   trials_run_.fetch_add(1, std::memory_order_relaxed);
 
-  // Post-trial audit. With every rank unwound, all RegisteredBuffer
-  // destructors have run; a region still registered is a harness bug, not
-  // a fault consequence. Throw so the guard retries (and eventually
-  // quarantines the point) rather than keep a result from a corrupted
-  // registry.
+  // Post-trial audit. Every rank the world did not drop has unwound, so
+  // all its RegisteredBuffer destructors have run; a region still
+  // registered is a harness bug, not a fault consequence. Throw so the
+  // guard retries (and eventually quarantines the point) rather than keep
+  // a result from a corrupted registry.
   if (job.world.leaked_regions > 0) {
     throw InternalError("post-trial audit: " +
                         std::to_string(job.world.leaked_regions) +

@@ -1,11 +1,14 @@
 #include "minimpi/fiber.hpp"
 
+#include <cxxabi.h>
+
 #include <cstdint>
 #include <cstdlib>
 #include <cstring>
 #include <utility>
 
 #include "support/error.hpp"
+#include "support/heap_scope.hpp"
 
 #if defined(FASTFIT_FAST_SWITCH)
 
@@ -69,6 +72,7 @@ void __tsan_switch_to_fiber(void* fiber, unsigned flags);
 #endif
 
 #if defined(FASTFIT_ASAN_FIBERS)
+#include <sanitizer/asan_interface.h>
 #include <sanitizer/common_interface_defs.h>
 #endif
 
@@ -144,6 +148,10 @@ thread_local std::size_t t_sched_stack_size = 0;
 
 FiberScheduler* FiberScheduler::active() noexcept { return t_active; }
 
+FiberScheduler::EhState& FiberScheduler::thread_eh() noexcept {
+  return *reinterpret_cast<EhState*>(abi::__cxa_get_globals());
+}
+
 FiberScheduler::FiberScheduler(int nfibers, std::size_t stack_bytes)
     : nfibers_(nfibers), stack_bytes_(stack_bytes) {
   if (nfibers_ < 1) {
@@ -181,6 +189,9 @@ void FiberScheduler::resume(int fiber) {
   Fiber& f = fibers_[static_cast<std::size_t>(fiber)];
   f.state = State::Running;
   current_ = fiber;
+  EhState& eh = *eh_;
+  const EhState sched_eh = std::exchange(eh, f.eh);
+  t_rank_arena = arena_;
 #if defined(FASTFIT_TSAN_FIBERS)
   __tsan_switch_to_fiber(f.tsan_fiber, 0);
 #endif
@@ -196,6 +207,8 @@ void FiberScheduler::resume(int fiber) {
 #if defined(FASTFIT_ASAN_FIBERS)
   __sanitizer_finish_switch_fiber(asan_fake_stack_, nullptr, nullptr);
 #endif
+  t_rank_arena = nullptr;
+  f.eh = std::exchange(eh, sched_eh);
   current_ = -1;
 }
 
@@ -255,12 +268,15 @@ std::vector<int> FiberScheduler::blocked() const {
 }
 
 void FiberScheduler::run(const std::function<void(int)>& body,
-                         const std::function<void()>& on_idle) {
+                         const std::function<void()>& on_idle,
+                         RankArena* arena) {
   if (t_active != nullptr) {
     throw InternalError("FiberScheduler::run: schedulers do not nest");
   }
   t_active = this;
   body_ = &body;
+  arena_ = arena;
+  eh_ = &thread_eh();
 #if defined(FASTFIT_TSAN_FIBERS)
   tsan_sched_fiber_ = __tsan_get_current_fiber();
 #endif
@@ -287,7 +303,7 @@ void FiberScheduler::run(const std::function<void(int)>& body,
     ready_.push_back(i);
   }
 
-  while (finished_ < nfibers_) {
+  while (finished_ < nfibers_ && !dropping_) {
     if (!ready_.empty()) {
       const int next = ready_.front();
       ready_.pop_front();
@@ -298,6 +314,24 @@ void FiberScheduler::run(const std::function<void(int)>& body,
     // satisfiable wait or prove a deadlock.
     on_idle();
   }
+
+  // Dropped fibers: never resumed again. A fiber parked inside a catch
+  // block leaves its exceptions on its saved chain; end those catches
+  // here, on the scheduler, with the fiber's chain installed.
+  for (auto& f : fibers_) {
+    if (f.state == State::Done) continue;
+    EhState& eh = *eh_;
+    const EhState sched_eh = std::exchange(eh, f.eh);
+    while (eh.caught != nullptr) abi::__cxa_end_catch();
+    eh = sched_eh;
+    f.eh = EhState{};
+#if defined(FASTFIT_ASAN_FIBERS)
+    // Its frames' redzones would trip the next fiber on this stack; a
+    // longjmp past them is unpoisoned the same way.
+    ASAN_UNPOISON_MEMORY_REGION(f.stack.get(), stack_bytes_);
+#endif
+  }
+  ready_.clear();
 
 #if defined(FASTFIT_TSAN_FIBERS)
   for (auto& f : fibers_) {

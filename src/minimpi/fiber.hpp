@@ -30,7 +30,18 @@
 //
 // Fibers start in rank order, and a World's rank body checks for poison
 // before it runs any rank code: a fiber that has not started when its
-// world is poisoned returns on its first resume and unwinds nothing.
+// world is poisoned returns on its first resume and unwinds nothing. A
+// trial world goes further: once it is poisoned it calls drop_rest(), and
+// run() resumes no fiber again. Parked, ready and unstarted fibers are
+// abandoned where they stand, their stacks go back to the pool, and what
+// they allocated dies with the thread's rank arena (minimpi/arena.hpp),
+// which run() routes every fiber's operator new to.
+//
+// Each fiber keeps its own C++ exception state (the runtime's stack of
+// caught exceptions and its uncaught count), so a fiber parked inside a
+// catch block still sees its own exception when it resumes, whatever the
+// fibers between did. A dropped fiber's caught exceptions are released
+// with it.
 //
 // Sanitizer support: under TSan and ASan every switch is annotated with
 // the fiber APIs (__tsan_switch_to_fiber / __sanitizer_start_switch_
@@ -79,6 +90,8 @@
 
 namespace fastfit::mpi {
 
+class RankArena;
+
 class FiberScheduler {
  public:
   /// Default fiber stack: generous for the bundled mini-apps (their rank
@@ -99,8 +112,19 @@ class FiberScheduler {
   /// satisfiable wait, or declare a deadlock and poison) — with every
   /// MiniMPI wait a cancellation point, a blocked fiber always unwinds
   /// once resumed, so run() terminates for every cooperative workload.
+  /// With `arena` set, every fiber's operator new serves from it.
   void run(const std::function<void(int)>& body,
-           const std::function<void()>& on_idle);
+           const std::function<void()>& on_idle, RankArena* arena = nullptr);
+
+  /// Ends run() as soon as control is back in the scheduler: the running
+  /// fiber (if any) goes on until it switches back, and no fiber is
+  /// resumed after that. Called by a poisoned trial world.
+  void drop_rest() noexcept { dropping_ = true; }
+
+  /// Whether fiber i's body returned (false for a dropped fiber).
+  bool done(int fiber) const noexcept {
+    return fibers_[static_cast<std::size_t>(fiber)].state == State::Done;
+  }
 
   /// The scheduler driving the calling thread, or nullptr when the
   /// caller is a plain thread (e.g. a test poking at a mailbox directly).
@@ -139,8 +163,18 @@ class FiberScheduler {
  private:
   enum class State : std::uint8_t { Ready, Running, Blocked, Done };
 
+  /// The C++ runtime's per-thread exception state, swapped per fiber:
+  /// the Itanium C++ ABI's __cxa_eh_globals, whose layout it fixes (the
+  /// caught-exception stack, then the uncaught count).
+  struct EhState {
+    void* caught = nullptr;
+    unsigned int uncaught = 0;
+  };
+  static EhState& thread_eh() noexcept;
+
   struct Fiber {
     ucontext_t context{};
+    EhState eh;
     void* saved_sp = nullptr;  // fast-switch path: parked stack pointer
     std::unique_ptr<std::byte[]> stack;
     State state = State::Ready;
@@ -160,6 +194,9 @@ class FiberScheduler {
 
   std::deque<int> ready_;
   int finished_ = 0;
+  bool dropping_ = false;
+  RankArena* arena_ = nullptr;
+  EhState* eh_ = nullptr;  ///< this thread's, looked up once per run()
 
   int current_ = -1;
   const std::function<void(int)>* body_ = nullptr;

@@ -10,7 +10,8 @@
 // (minimpi/fiber.hpp); when the deadline passes the rank raises
 // SimTimeout (the job "hangs", paper: INF_LOOP), and when another rank
 // has already failed, the world poison wakes every waiter with
-// WorldAborted so trials finish promptly.
+// WorldAborted so trials finish promptly (a trial world drops its
+// waiters instead, minimpi/world.hpp).
 
 #include <chrono>
 #include <cstddef>

@@ -7,6 +7,7 @@
 #include <stdexcept>
 #include <utility>
 
+#include "minimpi/arena.hpp"
 #include "minimpi/fiber.hpp"
 #include "minimpi/mpi.hpp"
 #include "telemetry/recorder.hpp"
@@ -55,6 +56,10 @@ MemoryRegistry& WorldState::registry(int world_rank) {
 
 void WorldState::poison_and_wake() {
   poison_.poison();
+  if (drop_ != nullptr) {
+    drop_->drop_rest();
+    return;
+  }
   for (auto& mailbox : mailboxes_) mailbox.wake();
 }
 
@@ -266,23 +271,53 @@ WorldResult World::run(const std::function<void(Mpi&)>& rank_main) {
   }
 
   // The scheduler lives on this stack frame: a fiber can never outlive
-  // run() — every MiniMPI wait is a cancellation point, so a resumed
-  // fiber always unwinds, and the scheduler does not return until all of
-  // them have.
+  // run(). In a trial-arena world the first poison ends the run: the
+  // scheduler drops every fiber but the one that raised it, and the
+  // dropped fibers' memory stays in the thread's rank arena until the
+  // next trial world releases it here. Any other world drains: every
+  // MiniMPI wait is a cancellation point, so a resumed fiber always
+  // unwinds, and the scheduler does not return until all of them have.
+  RankArena* const arena =
+      state->options_.trial_arena ? RankArena::for_this_thread() : nullptr;
+  if (arena != nullptr) arena->release();
   FiberScheduler sched(nranks);
   for (int r = 0; r < nranks; ++r) {
     state->mailbox(r).set_fiber_waker(&sched, r);
   }
+  state->drop_ = arena != nullptr ? &sched : nullptr;
 
-  const auto body = [state, &rank_main](int r) {
-    // One span per rank lifetime, on the rank's own trace lane.
-    telemetry::ScopedSpan rank_span("rank-main", telemetry::Track::Rank, r);
+  // One rank-main span per rank, on the rank's own trace lane: from its
+  // first resume until it returns or, for a dropped rank, until the world
+  // ends.
+  auto& rec = telemetry::Recorder::instance();
+  std::vector<std::int64_t> rank_start(
+      rec.enabled() ? static_cast<std::size_t>(nranks) : 0, -1);
+  const auto end_rank_span = [&rec, &rank_start](int r) {
+    if (rank_start.empty()) return;
+    const std::int64_t now = rec.now_us();
+    auto& start = rank_start[static_cast<std::size_t>(r)];
+    if (start < 0) start = now;  // dropped before it started
+    telemetry::Event span;
+    span.name = "rank-main";
+    span.start_us = start;
+    span.dur_us = now - start;
+    span.track = telemetry::Track::Rank;
+    span.index = r;
+    rec.record(std::move(span));
+  };
+
+  const auto body = [state, &rank_main, &rec, &rank_start,
+                     &end_rank_span](int r) {
+    if (!rank_start.empty()) {
+      rank_start[static_cast<std::size_t>(r)] = rec.now_us();
+    }
     // A rank that has not started when its world is poisoned never runs:
     // it owns nothing yet, and the outcome and autopsy are already fixed.
     // A revocation (repair mode) is not a poison; survivors start and
     // shrink.
     if (state->poisoned()) {
       state->progress_.publish_exited(r);
+      end_rank_span(r);
       return;
     }
     Mpi mpi(*state, r);
@@ -318,24 +353,41 @@ WorldResult World::run(const std::function<void(Mpi&)>& rank_main) {
     // A clean early exit simply stops participating, which the idle scan
     // then proves out as a blocked-on-exited-peer deadlock.
     state->progress_.publish_exited(r);
+    end_rank_span(r);
   };
 
-  sched.run(body, [&state, &sched] { state->fiber_idle(sched); });
+  sched.run(body, [&state, &sched] { state->fiber_idle(sched); }, arena);
+  state->drop_ = nullptr;
 
   // Detach the wake routing before the scheduler leaves this frame: a
   // kill_rank after run() returns then sees a null hook, never a
   // dangling one.
+  std::uint64_t dropped = 0;
   for (int r = 0; r < nranks; ++r) {
     state->mailbox(r).set_fiber_waker(nullptr, -1);
+    if (!sched.done(r)) {
+      ++dropped;
+      end_rank_span(r);
+    }
+  }
+  if (dropped > 0 && rec.enabled()) {
+    static auto& drops = rec.counter(
+        "fastfit_fibers_dropped_total",
+        "Rank fibers a poisoned trial world dropped instead of unwinding");
+    drops.add(dropped);
   }
 
   if (state->internal_error_) std::rethrow_exception(state->internal_error_);
 
   // Post-trial audit: with every rank unwound, all RAII registrations must
-  // be gone and (on a clean run) all sends consumed.
+  // be gone and (on a clean run) all sends consumed. A dropped rank never
+  // unwound; its registry dies with the world.
   WorldResult result;
-  for (const auto& registry : state->registries_) {
-    result.leaked_regions += registry.region_count();
+  for (int r = 0; r < nranks; ++r) {
+    if (sched.done(r)) {
+      result.leaked_regions +=
+          state->registries_[static_cast<std::size_t>(r)].region_count();
+    }
   }
   for (const auto& mailbox : state->mailboxes_) {
     result.undelivered_messages += mailbox.pending();

@@ -11,7 +11,10 @@
 // unwinds promptly with WorldAborted, and run() returns a WorldResult
 // describing the initiating event — never letting a "segfault" or "hang"
 // escape the process. A rank that has not started when its world is
-// poisoned never runs its rank function at all.
+// poisoned never runs its rank function at all. A trial world
+// (WorldOptions::trial_arena) does not unwind its other ranks either: it
+// drops them where they stand, and their memory goes with the thread's
+// rank arena.
 //
 // Every MiniMPI wait is a cooperative yield point, so the scheduler always
 // knows when no rank can run: if no blocked rank's awaited message is
@@ -84,6 +87,13 @@ struct WorldOptions {
   /// communicator via Mpi::shrink_and_continue(). Off = a rank death tears
   /// the world down (outcome RANK_DEAD).
   bool repair = false;
+  /// Set by Campaign::execute_trial for its trial worlds. Rank fibers
+  /// allocate from the thread's rank arena (minimpi/arena.hpp), and a
+  /// poisoned world drops its remaining fibers instead of resuming each
+  /// to unwind. The arena is released when the next such world starts on
+  /// the thread, so nothing a rank allocated may be used after that. A
+  /// thread that can get no arena runs the world as if this were unset.
+  bool trial_arena = false;
 };
 
 /// How a rank failed, for outcome classification (maps onto Table I).
@@ -114,7 +124,8 @@ struct WorldResult {
   /// clean run): per-rank phase, heartbeat, pending-op signature.
   std::optional<WorldAutopsy> autopsy;
   /// Post-trial audit: memory-registry regions left registered after all
-  /// ranks unwound (0 unless a registration escaped its scope).
+  /// ranks unwound (0 unless a registration escaped its scope). Ranks a
+  /// trial world dropped are not counted: their registries die with it.
   std::size_t leaked_regions = 0;
   /// Post-trial audit: messages still queued in mailboxes. Nonzero is
   /// normal for faulted runs (poison aborts in-flight exchanges) but a
@@ -236,7 +247,8 @@ class WorldState {
   void capture_event(int rank, const FaultEvent& event,
                      std::optional<WorldAutopsy> autopsy, bool poison = true);
 
-  /// Poison + mailbox wake storm (idempotent).
+  /// Poison + mailbox wake storm (idempotent); a trial-arena world drops
+  /// its remaining fibers instead of waking them.
   void poison_and_wake();
 
   /// Builds the deterministic-deadlock autopsy from the all-blocked
@@ -286,6 +298,10 @@ class WorldState {
 
   // Internal (non-fault) exception escaping a rank fiber.
   std::exception_ptr internal_error_;
+
+  // The running scheduler of a trial-arena world, which a poison tells to
+  // drop its remaining fibers.
+  FiberScheduler* drop_ = nullptr;
 };
 
 /// Thin single-use handle that owns its WorldState. Stack-allocatable (as

@@ -6,6 +6,7 @@
 #include <memory>
 
 #include "support/error.hpp"
+#include "support/heap_scope.hpp"
 
 namespace fastfit {
 namespace {
@@ -111,7 +112,11 @@ std::mt19937_64 stream_engine(std::uint64_t master_seed, std::string_view name,
       cache[(((base * 0x9e3779b97f4a7c15ULL) >> 32) + index) % kSlots];
   if (!entry || entry->a != a || entry->b != b) {
     SeedWords words(a, b);
-    if (!entry) entry = std::make_unique<Entry>();
+    if (!entry) {
+      // The cache outlives the trial world whose rank may fill it.
+      HeapScope heap;
+      entry = std::make_unique<Entry>();
+    }
     entry->a = a;
     entry->b = b;
     entry->engine.seed(words);

@@ -3,6 +3,8 @@
 #include <algorithm>
 #include <cmath>
 
+#include "support/heap_scope.hpp"
+
 namespace fastfit::telemetry {
 
 const char* to_string(Track track) noexcept {
@@ -140,7 +142,10 @@ Recorder::Recorder() : epoch_(std::chrono::steady_clock::now()) {}
 Recorder& Recorder::instance() {
   // Leaked: instrumentation may fire from thread-exit paths and atexit
   // handlers after static destruction would have run.
-  static Recorder* recorder = new Recorder();
+  static Recorder* recorder = [] {
+    HeapScope heap;  // the first caller may be a rank fiber
+    return new Recorder();
+  }();
   return *recorder;
 }
 
@@ -173,6 +178,10 @@ void Recorder::record(Event event) {
     const ThreadInfo& info = handle().info;
     event.world_lane = info.track == Track::Executor ? info.index : -1;
   }
+  // Events outlive the trial world whose rank fiber records them: a
+  // rank's detail tag is copied out of its rank arena.
+  HeapScope heap;
+  if (heap.suspended()) event.args = std::string(event.args);
   auto& buffer = local_buffer();
   std::lock_guard lock(buffer.mutex);
   buffer.events.push_back(std::move(event));
@@ -208,6 +217,7 @@ ThreadInfo Recorder::thread_info() { return handle().info; }
 
 Counter& Recorder::counter(std::string_view name, std::string_view help,
                            std::string_view labels) {
+  HeapScope heap;  // instruments live as long as the process
   std::string key = std::string(name) + '{' + std::string(labels) + '}';
   std::lock_guard lock(metrics_mutex_);
   if (auto it = counter_index_.find(key); it != counter_index_.end()) {
@@ -221,6 +231,7 @@ Counter& Recorder::counter(std::string_view name, std::string_view help,
 
 Gauge& Recorder::gauge(std::string_view name, std::string_view help,
                        std::string_view labels) {
+  HeapScope heap;  // instruments live as long as the process
   std::string key = std::string(name) + '{' + std::string(labels) + '}';
   std::lock_guard lock(metrics_mutex_);
   if (auto it = gauge_index_.find(key); it != gauge_index_.end()) {
@@ -234,6 +245,7 @@ Gauge& Recorder::gauge(std::string_view name, std::string_view help,
 
 LatencyHistogram& Recorder::latency(std::string_view name,
                                     std::string_view help) {
+  HeapScope heap;  // instruments live as long as the process
   std::string key(name);
   std::lock_guard lock(metrics_mutex_);
   if (auto it = histogram_index_.find(key); it != histogram_index_.end()) {

@@ -484,6 +484,33 @@ TEST(Snapshot, OverwrittenBufferFaultReconvergesAtTheCut) {
   EXPECT_EQ(live.rounds.out, golden_rounds());
 }
 
+TEST(World, ReconvergedTrialResumesNoParkedRank) {
+  // The trial of OverwrittenBufferFaultReconvergesAtTheCut, as a trial
+  // world: the rank that completes the verdict unwinds and frees its two
+  // buffers; every other rank parked past the cut and is dropped there,
+  // still holding both.
+  const auto recording = record_rounds();
+  const auto spec = fault_at(*recording, 4, 2, Param::RecvBuf);
+  auto o = opts(kRoundsRanks);
+  o.replay = WorldSnapshot::build(recording, spec.site_id, spec.invocation);
+  o.trial_arena = true;
+  inject::Injector injector(spec, 42);
+  World world(o);
+  world.set_tools(&injector);
+  Rounds rounds(kRoundsRanks);
+  const auto result = world.run([&rounds](Mpi& mpi) { rounds(mpi); });
+  ASSERT_TRUE(result.reconverged);
+  EXPECT_TRUE(result.clean());
+  EXPECT_EQ(result.leaked_regions, 0u);
+  int unwound = 0;
+  for (int r = 0; r < kRoundsRanks; ++r) {
+    const auto regions = world.state().registry(r).region_count();
+    EXPECT_TRUE(regions == 0 || regions == 2) << "rank " << r;
+    if (regions == 0) ++unwound;
+  }
+  EXPECT_EQ(unwound, 1);
+}
+
 TEST(Snapshot, RootBcastBufferFaultRunsTheSuffix) {
   // The root's bcast buffer is the source: the flip persists there (and
   // travels), so its check fails and the trial runs live. On a non-root

@@ -2,11 +2,17 @@
 
 #include <gtest/gtest.h>
 
+#include <malloc.h>
+
+#include <array>
 #include <atomic>
+#include <cstdint>
+#include <stdexcept>
 #include <string>
 #include <thread>
 #include <vector>
 
+#include "minimpi/arena.hpp"
 #include "minimpi/mpi.hpp"
 #include "support/rng.hpp"
 
@@ -289,6 +295,204 @@ TEST(World, SiteIdsHashFileLineAndKind) {
   }
   EXPECT_NE(recorder.collectives[0].id, recorder.collectives[1].id);
   EXPECT_NE(recorder.p2p[0].id, recorder.p2p[1].id);
+}
+
+// --- trial worlds: the rank arena and the drop ----------------------------
+
+WorldOptions trial_world(int n) {
+  WorldOptions opts = small_world(n);
+  opts.trial_arena = true;
+  return opts;
+}
+
+// Counts destructor runs of an object a rank holds while it parks.
+struct Held {
+  int* destroyed;
+  ~Held() { ++*destroyed; }
+};
+
+// Every rank but 0 parks holding a Held and a registered buffer; the last
+// one first sends rank 0 the token it waits for, and rank 0 then raises
+// an application error.
+WorldResult run_poisoned(World& world, int* destroyed) {
+  return world.run([destroyed](Mpi& mpi) {
+    const int last = mpi.size() - 1;
+    RegisteredBuffer<std::int32_t> token(mpi.registry(), 1, 0);
+    if (mpi.rank() == 0) {
+      mpi.recv(token.data(), 1, kInt32, last, 1);
+      throw AppError("rank 0 gives up");
+    }
+    Held held{destroyed};
+    std::vector<unsigned char> big(64 * 1024, 1);  // past the size classes
+    if (mpi.rank() == last) mpi.send(token.data(), 1, kInt32, 0, 1);
+    mpi.recv(token.data(), 1, kInt32, 0, 2);  // never sent
+  });
+}
+
+TEST(World, PoisonedTrialWorldDropsParkedRanksWithoutUnwinding) {
+  constexpr int kRanks = 8;
+  int destroyed = 0;
+  World world(trial_world(kRanks));
+  const auto result = run_poisoned(world, &destroyed);
+  ASSERT_TRUE(result.event.has_value());
+  EXPECT_EQ(result.event->type, EventType::AppDetected);
+  EXPECT_EQ(result.event->rank, 0);
+  EXPECT_EQ(destroyed, 0);  // a world that drains destroys kRanks - 1
+  // The dropped ranks' buffers are still registered, and not audited.
+  EXPECT_EQ(result.leaked_regions, 0u);
+  for (int r = 1; r < kRanks; ++r) {
+    EXPECT_EQ(world.state().registry(r).region_count(), 1u) << "rank " << r;
+  }
+
+  int drained = 0;
+  World plain(small_world(kRanks));
+  const auto unwound = run_poisoned(plain, &drained);
+  EXPECT_EQ(unwound.event->type, EventType::AppDetected);
+  EXPECT_EQ(drained, kRanks - 1);
+}
+
+TEST(World, ThousandPoisonedTrialWorldsKeepHeapAndArenaFlat) {
+  constexpr int kRanks = 32;
+  int destroyed = 0;
+  const auto run_worlds = [&](int n) {
+    for (int i = 0; i < n; ++i) {
+      World world(trial_world(kRanks));
+      ASSERT_FALSE(run_poisoned(world, &destroyed).clean());
+    }
+  };
+  run_worlds(10);
+  RankArena* const arena = RankArena::for_this_thread();
+  ASSERT_NE(arena, nullptr);
+  const auto heap = mallinfo2().uordblks;
+  const auto high_water = arena->high_water();
+  run_worlds(990);
+  EXPECT_EQ(mallinfo2().uordblks, heap);
+  EXPECT_EQ(arena->high_water(), high_water);
+  EXPECT_EQ(destroyed, 0);
+}
+
+TEST(World, ArenaSlotsComeBackWhenTheirThreadsExit) {
+  // Executor lanes are threads that come and go; more of them in turn
+  // than there are arena slots must each still get an arena.
+  for (int i = 0; i < 100; ++i) {
+    std::thread([] {
+      ASSERT_NE(RankArena::for_this_thread(), nullptr);
+      int destroyed = 0;
+      World world(trial_world(4));
+      EXPECT_FALSE(run_poisoned(world, &destroyed).clean());
+      EXPECT_EQ(destroyed, 0);
+    }).join();
+  }
+}
+
+TEST(World, AbsurdAllocationInATrialWorldFailsAsOnTheHeap) {
+#if defined(__SANITIZE_ADDRESS__) || defined(__SANITIZE_THREAD__)
+  GTEST_SKIP() << "sanitizer allocators abort on a failed malloc";
+#endif
+  World world(trial_world(2));
+  const auto result = world.run([](Mpi& mpi) {
+    if (mpi.rank() == 1) {
+      void* p = ::operator new(std::size_t{1} << 62);
+      ::operator delete(p);
+    }
+  });
+  ASSERT_TRUE(result.event.has_value());
+  EXPECT_EQ(result.event->type, EventType::SegFault);
+  EXPECT_EQ(result.event->rank, 1);
+}
+
+TEST(World, CleanTrialWorldStillDestroysEverything) {
+  constexpr int kRanks = 8;
+  int destroyed = 0;
+  World world(trial_world(kRanks));
+  const auto result = world.run([&destroyed](Mpi& mpi) {
+    Held held{&destroyed};
+    RegisteredBuffer<double> buf(mpi.registry(), 4, 1.0);
+    mpi.barrier();
+    mpi.bcast(buf.data(), 4, kDouble, 0);
+  });
+  EXPECT_TRUE(result.clean());
+  EXPECT_EQ(destroyed, kRanks);
+  EXPECT_EQ(result.leaked_regions, 0u);
+}
+
+TEST(World, RankThatReturnsWithARegionStillFailsTheTrialAudit) {
+  // Rank 0 returns with a region still registered; rank 1 parks on it,
+  // the deadlock verdict poisons the world and rank 1 is dropped holding
+  // its own buffer. Only rank 0's region is a leak.
+  World world(trial_world(2));
+  std::int32_t stray = 0;
+  const auto result = world.run([&stray](Mpi& mpi) {
+    if (mpi.rank() == 0) {
+      mpi.registry().add(&stray, sizeof stray);
+      return;
+    }
+    RegisteredBuffer<std::int32_t> buf(mpi.registry(), 1, 0);
+    mpi.recv(buf.data(), 1, kInt32, 0, 3);
+  });
+  ASSERT_TRUE(result.event.has_value());
+  EXPECT_EQ(result.event->type, EventType::Timeout);
+  EXPECT_EQ(result.leaked_regions, 1u);
+  EXPECT_EQ(world.state().registry(1).region_count(), 1u);
+}
+
+TEST(World, RngStreamFirstSeededInARankSurvivesTheNextTrialWorld) {
+  // A stream no other test seeds: its engine-cache entry is first made
+  // here, inside a rank fiber of a trial world.
+  constexpr std::uint64_t kSeed = 0xa4e7a;
+  std::uint64_t draw = 0;
+  std::thread([&draw] {
+    draw = RngStream(kSeed, "arena-escape", 0).uniform_u64(0, ~0ull);
+  }).join();
+  {
+    World world(trial_world(1));
+    world.run([&draw](Mpi&) {
+      EXPECT_EQ(RngStream(kSeed, "arena-escape", 0).uniform_u64(0, ~0ull),
+                draw);
+    });
+  }
+  // The next trial world carves its arena in the same order, so blocks of
+  // the cache entry's size land where an arena-allocated entry would
+  // have been. A cached engine there would be reseeded over them.
+  World world(trial_world(1));
+  const auto result = world.run([&draw](Mpi&) {
+    std::array<std::vector<unsigned char>, 16> blocks;
+    for (auto& block : blocks) block.assign(2520, 0x5a);
+    EXPECT_EQ(RngStream(kSeed, "arena-escape", 0).uniform_u64(0, ~0ull),
+              draw);
+    for (const auto& block : blocks) {
+      for (unsigned char byte : block) ASSERT_EQ(byte, 0x5a);
+    }
+  });
+  EXPECT_TRUE(result.clean());
+  EXPECT_EQ(RngStream(kSeed, "arena-escape", 0).uniform_u64(0, ~0ull), draw);
+}
+
+TEST(World, RanksParkedInHandlersKeepTheirOwnException) {
+  // Both ranks park inside a catch block, in interleaved order: each must
+  // still see its own exception when it resumes, and end its own catch.
+  World world(small_world(2));
+  std::array<std::string, 2> seen;
+  const auto result = world.run([&seen](Mpi& mpi) {
+    RegisteredBuffer<std::int32_t> buf(mpi.registry(), 1, 0);
+    const int peer = 1 - mpi.rank();
+    try {
+      throw std::runtime_error("rank " + std::to_string(mpi.rank()));
+    } catch (const std::runtime_error&) {
+      if (mpi.rank() == 1) mpi.send(buf.data(), 1, kInt32, peer, 1);
+      mpi.recv(buf.data(), 1, kInt32, peer, 1);
+      if (mpi.rank() == 0) mpi.send(buf.data(), 1, kInt32, peer, 1);
+      try {
+        std::rethrow_exception(std::current_exception());
+      } catch (const std::runtime_error& again) {
+        seen[static_cast<std::size_t>(mpi.rank())] = again.what();
+      }
+    }
+    EXPECT_EQ(std::uncaught_exceptions(), 0);
+  });
+  EXPECT_TRUE(result.clean());
+  EXPECT_EQ(seen[0], "rank 0");
+  EXPECT_EQ(seen[1], "rank 1");
 }
 
 }  // namespace
