@@ -415,7 +415,7 @@ inject::TrialForensics Campaign::execute_trial(
       mpi.world().rebase_deadline(watchdog_of(item), cut);
     });
   }
-  trace::ContextRegistry contexts(options_.nranks);
+  trace::ContextRegistry contexts(options_.nranks, trace::CallGraphs::Skip);
   auto& rec = tel::Recorder::instance();
   if (snapshot && rec.enabled()) {
     static auto& clones = rec.counter(

@@ -32,25 +32,25 @@ bool covered(const mpi::WriteSpan& range,
 }  // namespace
 
 Injector::Injector(FaultSpec spec, std::uint64_t seed)
-    : spec_(spec),
-      seed_(seed),
-      trigger_rng_(seed, "trigger", spec.stream_index()) {
-  choose_fire_at();
+    : spec_(spec), seed_(seed) {
+  seed_trigger();
 }
 
 void Injector::bind_trial(std::uint64_t trial) {
   spec_.trial = trial;
-  trigger_rng_ = RngStream(seed_, "trigger", spec_.stream_index());
-  choose_fire_at();
+  seed_trigger();
 }
 
-void Injector::choose_fire_at() {
+void Injector::seed_trigger() {
+  // An exact point never draws, so it seeds nothing.
+  if (spec_.fault.trigger == FaultTrigger::ExactPoint) return;
+  trigger_rng_.emplace(seed_, "trigger", spec_.stream_index());
   if (spec_.fault.trigger == FaultTrigger::UniformOverRun) {
     // One uniform draw over the window, made up front so the choice is a
     // pure function of (seed, point, trial) and not of run length. Runs
     // shorter than the window simply never fire (the fault fizzles).
     fire_at_ = spec_.fault.window > 0
-                   ? trigger_rng_.uniform_u64(0, spec_.fault.window - 1)
+                   ? trigger_rng_->uniform_u64(0, spec_.fault.window - 1)
                    : 0;
   }
 }
@@ -62,7 +62,7 @@ bool Injector::trigger_fires(const mpi::CollectiveCall& call) {
              call.invocation == spec_.invocation;
     case FaultTrigger::Probabilistic:
       ++calls_seen_;
-      return trigger_rng_.bernoulli(spec_.fault.probability);
+      return trigger_rng_->bernoulli(spec_.fault.probability);
     case FaultTrigger::NthCall:
       // window is 1-based: nth=1 fires on the rank's first collective.
       return ++calls_seen_ == spec_.fault.window;

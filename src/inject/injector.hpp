@@ -14,6 +14,7 @@
 
 #include <cstdint>
 #include <functional>
+#include <optional>
 #include <span>
 
 #include "inject/fault_spec.hpp"
@@ -35,7 +36,8 @@ class Injector final : public mpi::ToolHooks {
 
   /// Rebinds the trial ordinal, and with it both RNG streams, before the
   /// trigger has fired: a fork-at-cut template built for one trial of a
-  /// point serves every trial of it.
+  /// point serves every trial of it. An exact-point trigger seeds no
+  /// trigger stream, here or at construction.
   void bind_trial(std::uint64_t trial);
 
   /// Runs on the injected rank at the cut: just before an ExactPoint
@@ -78,8 +80,9 @@ class Injector final : public mpi::ToolHooks {
   /// and trigger RNG therefore count that rank's calls alone.
   bool trigger_fires(const mpi::CollectiveCall& call);
 
-  /// UniformOverRun: draws the firing call from the trigger stream.
-  void choose_fire_at();
+  /// Seeds the trigger stream of a trigger that draws from it, and for
+  /// UniformOverRun draws the firing call.
+  void seed_trigger();
 
   /// Manifestation axis, applied to the firing call.
   void manifest(mpi::CollectiveCall& call, mpi::Mpi& mpi);
@@ -91,7 +94,8 @@ class Injector final : public mpi::ToolHooks {
   /// A message-fault manifestation armed by the trigger; consumed by the
   /// first subsequent on_transport_send from the injected rank.
   bool transport_armed_ = false;
-  RngStream trigger_rng_;
+  /// Seeded only for the triggers that draw (all but ExactPoint).
+  std::optional<RngStream> trigger_rng_;
   std::uint64_t calls_seen_ = 0;  ///< injected rank's collective calls
   std::uint64_t fire_at_ = 0;     ///< UniformOverRun: chosen call ordinal
   /// A repeating (duty-cycle) fault is fizzled only while *every* fire so

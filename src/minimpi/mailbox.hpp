@@ -16,7 +16,6 @@
 #include <chrono>
 #include <cstddef>
 #include <cstdint>
-#include <deque>
 #include <vector>
 
 namespace fastfit::mpi {
@@ -103,7 +102,10 @@ class Mailbox {
   void set_fiber_waker(FiberScheduler* sched, int owner_rank);
 
  private:
-  std::deque<Message> queue_;
+  /// Unmatched messages in arrival order. A vector, not a deque: it
+  /// allocates nothing until the first delivery, and a world builds one
+  /// mailbox per rank for every trial.
+  std::vector<Message> queue_;
   PoisonState* poison_;
   int doom_rank_ = -1;
   const bool* doom_ = nullptr;

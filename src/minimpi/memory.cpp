@@ -6,6 +6,14 @@
 #include "support/error.hpp"
 
 namespace fastfit::mpi {
+namespace {
+
+// Orders a region before an address above its base (std::lower_bound).
+constexpr auto base_below = [](const auto& region, std::uintptr_t base) {
+  return region.base < base;
+};
+
+}  // namespace
 
 void MemoryRegistry::add(const void* ptr, std::size_t bytes) {
   if (ptr == nullptr && bytes > 0) {
@@ -14,34 +22,40 @@ void MemoryRegistry::add(const void* ptr, std::size_t bytes) {
   if (bytes == 0) return;  // nothing to protect
   const auto base = reinterpret_cast<std::uintptr_t>(ptr);
   // Reject overlap with the predecessor and successor regions.
-  auto next = regions_.lower_bound(base);
-  if (next != regions_.end() && base + bytes > next->first) {
+  const auto next =
+      std::lower_bound(regions_.begin(), regions_.end(), base, base_below);
+  if (next != regions_.end() && base + bytes > next->base) {
     throw InternalError("MemoryRegistry::add: overlapping region");
   }
   if (next != regions_.begin()) {
-    auto prev = std::prev(next);
-    if (prev->first + prev->second > base) {
+    const auto prev = std::prev(next);
+    if (prev->base + prev->bytes > base) {
       throw InternalError("MemoryRegistry::add: overlapping region");
     }
   }
-  regions_.emplace(base, bytes);
+  regions_.insert(next, Region{base, bytes});
 }
 
 void MemoryRegistry::remove(const void* ptr) {
   const auto base = reinterpret_cast<std::uintptr_t>(ptr);
-  if (regions_.erase(base) == 0) {
+  const auto it =
+      std::lower_bound(regions_.begin(), regions_.end(), base, base_below);
+  if (it == regions_.end() || it->base != base) {
     throw InternalError("MemoryRegistry::remove: unknown region");
   }
+  regions_.erase(it);
 }
 
 bool MemoryRegistry::covers(const void* ptr, std::size_t bytes) const noexcept {
   if (bytes == 0) return true;
   if (ptr == nullptr) return false;
   const auto base = reinterpret_cast<std::uintptr_t>(ptr);
-  auto next = regions_.upper_bound(base);
+  const auto next = std::upper_bound(
+      regions_.begin(), regions_.end(), base,
+      [](std::uintptr_t b, const Region& region) { return b < region.base; });
   if (next == regions_.begin()) return false;
-  const auto& [region_base, region_len] = *std::prev(next);
-  return base >= region_base && base + bytes <= region_base + region_len;
+  const Region& region = *std::prev(next);
+  return base >= region.base && base + bytes <= region.base + region.bytes;
 }
 
 void MemoryRegistry::check(const void* ptr, std::size_t bytes,

@@ -40,8 +40,13 @@ class MemoryRegistry {
   std::size_t region_count() const noexcept { return regions_.size(); }
 
  private:
-  // base address -> byte length
-  std::map<std::uintptr_t, std::size_t> regions_;
+  struct Region {
+    std::uintptr_t base;
+    std::size_t bytes;
+  };
+  /// Disjoint regions sorted by base. A vector allocates nothing until
+  /// the first registration, where a map allocates a node per region.
+  std::vector<Region> regions_;
 };
 
 /// Content-addressed store of immutable, ref-counted byte chunks — the

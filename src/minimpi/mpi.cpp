@@ -1,10 +1,13 @@
 #include "minimpi/mpi.hpp"
 
 #include <algorithm>
+#include <array>
 #include <cstring>
+#include <memory>
 #include <sstream>
 
 #include "minimpi/validate.hpp"
+#include "support/heap_scope.hpp"
 #include "support/rng.hpp"
 
 namespace fastfit::mpi {
@@ -24,17 +27,6 @@ std::uint64_t p2p_tag(Comm comm, std::int32_t user_tag) {
          static_cast<std::uint32_t>(user_tag);
 }
 
-// A call site's id: the FNV-1a of "<file>:<line>:<family><kind>", where
-// the family is "" for collectives and "p2p:" for point-to-point calls.
-// Hashed piecewise, without building the key, on every call.
-std::uint32_t site_hash(const std::source_location& loc,
-                        std::string_view family, int kind) {
-  Fnv1a hash;
-  hash.add(loc.file_name()).add(":").add_decimal(loc.line()).add(":");
-  hash.add(family).add_decimal(static_cast<unsigned>(kind));
-  return static_cast<std::uint32_t>(hash.value());
-}
-
 // Restores a rank's progress phase to Computing when a mailbox wait ends,
 // however it ends (matched, timed out, aborted, truncated).
 class WaitScope {
@@ -50,6 +42,42 @@ class WaitScope {
 };
 
 }  // namespace
+
+std::uint32_t site_id(const char* file, std::uint32_t line, SiteFamily family,
+                      int kind) {
+  // Every call of a site passes the same file-name pointer, so each
+  // thread keeps the ids it hashed last in a direct-mapped table keyed by
+  // the whole (pointer, line, family, kind). A hit compares the full key;
+  // a miss (a new site, or two sites sharing a slot) hashes again.
+  struct Entry {
+    const char* file = nullptr;
+    std::uint32_t line = 0;
+    std::uint32_t tag = 0;  // kind << 1 | family
+    std::uint32_t id = 0;
+  };
+  constexpr unsigned kSlotBits = 7;
+  thread_local std::unique_ptr<std::array<Entry, 1u << kSlotBits>> memo;
+  if (!memo) {
+    // The table outlives the trial world whose rank may create it.
+    HeapScope heap;
+    memo = std::make_unique<std::array<Entry, 1u << kSlotBits>>();
+  }
+  const std::uint32_t tag = static_cast<std::uint32_t>(kind) << 1 |
+                            static_cast<std::uint32_t>(family);
+  const std::uint64_t mix =
+      (reinterpret_cast<std::uintptr_t>(file) ^
+       (static_cast<std::uint64_t>(line) << 32 | tag)) *
+      0x9e3779b97f4a7c15ULL;
+  Entry& entry = (*memo)[mix >> (64 - kSlotBits)];
+  if (entry.file != file || entry.line != line || entry.tag != tag) {
+    Fnv1a hash;
+    hash.add(file).add(":").add_decimal(line).add(":");
+    if (family == SiteFamily::P2p) hash.add("p2p:");
+    hash.add_decimal(static_cast<unsigned>(kind));
+    entry = {file, line, tag, static_cast<std::uint32_t>(hash.value())};
+  }
+  return entry.id;
+}
 
 Mpi::Mpi(WorldState& state, int world_rank)
     : world_(&state), world_rank_(world_rank) {
@@ -395,7 +423,8 @@ void Mpi::store(void* ptr, std::span<const std::byte> data, const char* what) {
 void Mpi::fill_p2p_site(P2pCall& call, const std::source_location& loc) {
   call.site_file = loc.file_name();
   call.site_line = static_cast<int>(loc.line());
-  call.site_id = site_hash(loc, "p2p:", static_cast<int>(call.kind));
+  call.site_id = site_id(loc.file_name(), loc.line(), SiteFamily::P2p,
+                         static_cast<int>(call.kind));
   call.invocation = invocations_[call.site_id]++;
   call.rank = world_->comm_rank_of(call.comm, world_rank_);
 }
@@ -579,7 +608,8 @@ void Mpi::dispatch(CollectiveCall& call, std::source_location loc) {
     // outputs instead of the algorithm — zero rendezvous.
     call.site_file = loc.file_name();
     call.site_line = static_cast<int>(loc.line());
-    call.site_id = site_hash(loc, "", static_cast<int>(call.kind));
+    call.site_id = site_id(loc.file_name(), loc.line(), SiteFamily::Collective,
+                           static_cast<int>(call.kind));
     call.invocation = invocations_[call.site_id]++;
     call.rank = world_->comm_rank_of(call.comm, world_rank_);
     replay_collective(call);
@@ -600,7 +630,8 @@ void Mpi::dispatch(CollectiveCall& call, std::source_location loc) {
   }
   call.site_file = loc.file_name();
   call.site_line = static_cast<int>(loc.line());
-  call.site_id = site_hash(loc, "", static_cast<int>(call.kind));
+  call.site_id = site_id(loc.file_name(), loc.line(), SiteFamily::Collective,
+                         static_cast<int>(call.kind));
   call.invocation = invocations_[call.site_id]++;
   call.rank = world_->comm_rank_of(call.comm, world_rank_);
 

@@ -20,7 +20,6 @@
 
 #include <cstdint>
 #include <functional>
-#include <map>
 #include <memory>
 #include <optional>
 #include <source_location>
@@ -38,6 +37,36 @@
 #include "minimpi/world.hpp"
 
 namespace fastfit::mpi {
+
+/// Whether a call site is a collective or a point-to-point call.
+enum class SiteFamily : std::uint32_t { Collective = 0, P2p = 1 };
+
+/// A call site's id: the low 32 bits of the FNV-1a of
+/// "<file>:<line>:<family><kind>", where the family is "" for collectives
+/// and "p2p:" for point-to-point calls. Memoized per thread by (file-name
+/// pointer, line, family, kind), so a call repeated at one site hashes
+/// once.
+std::uint32_t site_id(const char* file, std::uint32_t line, SiteFamily family,
+                      int kind);
+
+/// One counter per key, for the few keys a rank sees (its communicators,
+/// its call sites). Searched linearly; allocates nothing until the first
+/// key arrives.
+template <typename Key, typename Count>
+class FlatCounters {
+ public:
+  /// The counter of `key`, starting at zero.
+  Count& operator[](Key key) {
+    for (auto& [k, count] : entries_) {
+      if (k == key) return count;
+    }
+    if (entries_.empty()) entries_.reserve(8);
+    return entries_.emplace_back(key, Count{}).second;
+  }
+
+ private:
+  std::vector<std::pair<Key, Count>> entries_;
+};
 
 /// Temporarily registers a stack or member object with a MemoryRegistry;
 /// used by the typed convenience wrappers below.
@@ -374,11 +403,11 @@ class Mpi {
   std::function<StackProbe()> stack_probe_;
   /// Per-communicator collective sequence numbers (lockstep across ranks
   /// in fault-free execution; divergence surfaces as unmatched traffic).
-  std::map<RawHandle, std::uint32_t> coll_seq_;
+  FlatCounters<RawHandle, std::uint32_t> coll_seq_;
   /// Per-(site) invocation counters for call identification.
-  std::map<std::uint32_t, std::uint64_t> invocations_;
+  FlatCounters<std::uint32_t, std::uint64_t> invocations_;
   /// Per-parent-communicator split counters (comm_split determinism).
-  std::map<RawHandle, std::uint32_t> split_seq_;
+  FlatCounters<RawHandle, std::uint32_t> split_seq_;
   /// Recording hook (nullptr outside recording runs). Raw pointer: the
   /// shared_ptr in the state's WorldOptions copy owns it, and that state
   /// outlives every rank fiber.

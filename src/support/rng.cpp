@@ -90,11 +90,12 @@ class SeedWords {
 /// pure function of the two words (a, b) derived below, and workloads
 /// seed the same streams in every trial (every rank of an LU world seeds
 /// "lu-rhs"; other workloads seed one stream per rank). So each thread
-/// keeps the engines it seeded last in a direct-mapped cache and copies
-/// them. The indices of one stream share a base slot and take consecutive
-/// slots from it, so a world's per-rank streams do not evict each other.
-std::mt19937_64 stream_engine(std::uint64_t master_seed, std::string_view name,
-                              std::uint64_t index) {
+/// keeps the engines it seeded last in a direct-mapped cache, already
+/// twisted, and copies them. The indices of one stream share a base slot
+/// and take consecutive slots from it, so a world's per-rank streams do
+/// not evict each other.
+Mt19937_64 stream_engine(std::uint64_t master_seed, std::string_view name,
+                         std::uint64_t index) {
   const std::uint64_t base = master_seed ^ fnv1a(name);
   std::uint64_t state = base ^ 0x6a09e667f3bcc909ULL * (index + 1);
   const std::uint64_t a = splitmix64(state);
@@ -103,7 +104,7 @@ std::mt19937_64 stream_engine(std::uint64_t master_seed, std::string_view name,
   struct Entry {
     std::uint64_t a;
     std::uint64_t b;
-    std::mt19937_64 engine;
+    Mt19937_64 engine;
   };
   // One 32-rank world's per-rank streams fill the cache (2.5 KB a slot).
   constexpr std::size_t kSlots = 32;
@@ -120,11 +121,26 @@ std::mt19937_64 stream_engine(std::uint64_t master_seed, std::string_view name,
     entry->a = a;
     entry->b = b;
     entry->engine.seed(words);
+    entry->engine.twist();
   }
   return entry->engine;
 }
 
 }  // namespace
+
+void Mt19937_64::twist() noexcept {
+  constexpr std::size_t n = kStateWords;
+  constexpr std::size_t m = 156;
+  const auto step = [this](std::size_t k, std::size_t next, std::size_t far) {
+    const std::uint64_t y =
+        (state_[k] & kUpperMask) | (state_[next] & ~kUpperMask);
+    state_[k] = state_[far] ^ (y >> 1) ^ ((y & 1) ? 0xb5026f5aa96619e9ULL : 0);
+  };
+  for (std::size_t k = 0; k < n - m; ++k) step(k, k + 1, k + m);
+  for (std::size_t k = n - m; k < n - 1; ++k) step(k, k + 1, k + m - n);
+  step(n - 1, 0, m - 1);
+  next_ = 0;
+}
 
 std::uint64_t splitmix64(std::uint64_t& state) noexcept {
   std::uint64_t z = (state += 0x9e3779b97f4a7c15ULL);

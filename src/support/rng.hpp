@@ -8,6 +8,8 @@
 // campaigns with the same seed therefore reproduce bit-for-bit, regardless
 // of thread scheduling, because each logical actor owns its own stream.
 
+#include <array>
+#include <cstddef>
 #include <cstdint>
 #include <random>
 #include <string_view>
@@ -47,13 +49,63 @@ class Fnv1a {
   std::uint64_t hash_ = 0xcbf29ce484222325ULL;
 };
 
+/// MT19937-64 with the parameters, seeding and tempering that the standard
+/// fixes for std::mt19937_64 ([rand.predef]), so it yields the same bits.
+/// Unlike the library engine it exposes the twist: an engine can be stored
+/// already twisted, and a copy of it then draws its first 312 words
+/// without regenerating the state.
+class Mt19937_64 {
+ public:
+  using result_type = std::uint64_t;
+  static constexpr std::size_t kStateWords = 312;
+
+  static constexpr result_type min() noexcept { return 0; }
+  static constexpr result_type max() noexcept { return ~result_type{0}; }
+
+  /// Seeds from a seed sequence, as std::mt19937_64::seed(seq) does: 624
+  /// 32-bit words, paired low word first, and a state whose significant
+  /// bits are all zero replaced by the top bit set. The next draw twists.
+  template <typename SeedSeq>
+  void seed(SeedSeq& seq) {
+    std::array<std::uint32_t, 2 * kStateWords> words;
+    seq.generate(words.begin(), words.end());
+    bool zero = true;
+    for (std::size_t i = 0; i < kStateWords; ++i) {
+      state_[i] = words[2 * i] |
+                  static_cast<std::uint64_t>(words[2 * i + 1]) << 32;
+      zero = zero && (state_[i] & (i == 0 ? kUpperMask : ~0ULL)) == 0;
+    }
+    if (zero) state_[0] = 1ULL << 63;
+    next_ = kStateWords;
+  }
+
+  /// Regenerates all 312 state words now instead of at the next draw.
+  void twist() noexcept;
+
+  result_type operator()() noexcept {
+    if (next_ >= kStateWords) twist();
+    std::uint64_t z = state_[next_++];
+    z ^= (z >> 29) & 0x5555555555555555ULL;
+    z ^= (z << 17) & 0x71d67fffeda60000ULL;
+    z ^= (z << 37) & 0xfff7eee000000000ULL;
+    return z ^ (z >> 43);
+  }
+
+ private:
+  static constexpr std::uint64_t kUpperMask = ~0ULL << 31;
+
+  std::array<std::uint64_t, kStateWords> state_{};
+  std::size_t next_ = kStateWords;
+};
+
 /// A self-contained deterministic random stream.
 ///
 /// Streams are cheap to construct and intended to be created per logical
 /// actor (per rank, per trial, per tree) rather than shared across threads;
-/// an RngStream is not thread-safe. The engine is an std::mt19937_64 seeded
-/// through the std::seed_seq algorithm; each thread caches the engines it
-/// seeded recently, so re-creating a stream costs a copy.
+/// an RngStream is not thread-safe. The engine gives the bits of an
+/// std::mt19937_64 seeded through the std::seed_seq algorithm; each thread
+/// caches the engines it seeded recently, already twisted, so re-creating
+/// a stream costs a copy and its first draws cost no twist.
 class RngStream {
  public:
   /// Derives a stream from a master seed, a human-readable name, and an
@@ -90,10 +142,10 @@ class RngStream {
                                                       std::size_t k);
 
   /// Underlying engine, for interop with <random> distributions.
-  std::mt19937_64& engine() noexcept { return engine_; }
+  Mt19937_64& engine() noexcept { return engine_; }
 
  private:
-  std::mt19937_64 engine_;
+  Mt19937_64 engine_;
 };
 
 }  // namespace fastfit

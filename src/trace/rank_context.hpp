@@ -5,9 +5,9 @@
 // scopes feed the shadow stack and call graph, phases mark the paper's
 // Phase feature (init / input / compute / end), and ErrorHandlingScope
 // marks the paper's ErrHal feature (LAMMPS uses >40% of its allreduces in
-// error-handling code).
+// error-handling code). Campaign trial worlds keep no call graph: only
+// the profiling run reads it.
 
-#include <memory>
 #include <string_view>
 #include <vector>
 
@@ -24,12 +24,24 @@ inline constexpr std::size_t kNumPhases = 4;
 
 const char* to_string(ExecPhase phase) noexcept;
 
+/// Whether a rank's contexts record call-graph edges. Only the profiling
+/// run reads the graph (trace/similarity.cpp); trial worlds keep no call
+/// graph, only the shadow stack that autopsies and pending-op signatures
+/// read.
+enum class CallGraphs : bool { Record, Skip };
+
 class RankContext {
  public:
-  /// Enters an application function: records the call-graph edge and
-  /// pushes the shadow frame. Prefer FunctionScope.
+  explicit RankContext(CallGraphs graphs = CallGraphs::Record)
+      : graphs_(graphs) {}
+
+  /// Enters an application function: records the call-graph edge (unless
+  /// the context skips the graph) and pushes the shadow frame. Prefer
+  /// FunctionScope.
   void enter_function(std::string_view name) {
-    graph_.add_call(stack_.innermost(), name);
+    if (graphs_ == CallGraphs::Record) {
+      graph_.add_call(stack_.innermost(), name);
+    }
     stack_.enter(name);
   }
   void leave_function() { stack_.leave(); }
@@ -48,6 +60,7 @@ class RankContext {
   bool in_error_handler() const noexcept { return errhal_depth_ > 0; }
 
  private:
+  CallGraphs graphs_;
   ShadowStack stack_;
   CallGraph graph_;
   CommTrace comm_trace_;
@@ -89,21 +102,21 @@ class ErrorHandlingScope {
 /// only its own slot.
 class ContextRegistry {
  public:
-  explicit ContextRegistry(int nranks)
-      : contexts_(static_cast<std::size_t>(nranks)) {
-    for (auto& c : contexts_) c = std::make_unique<RankContext>();
-  }
+  /// Campaign trial worlds pass CallGraphs::Skip.
+  explicit ContextRegistry(int nranks, CallGraphs graphs = CallGraphs::Record)
+      : contexts_(static_cast<std::size_t>(nranks), RankContext(graphs)) {}
 
   RankContext& of(int rank) {
-    return *contexts_.at(static_cast<std::size_t>(rank));
+    return contexts_.at(static_cast<std::size_t>(rank));
   }
   const RankContext& of(int rank) const {
-    return *contexts_.at(static_cast<std::size_t>(rank));
+    return contexts_.at(static_cast<std::size_t>(rank));
   }
   int size() const noexcept { return static_cast<int>(contexts_.size()); }
 
  private:
-  std::vector<std::unique_ptr<RankContext>> contexts_;
+  /// Sized once: each context keeps its address for the registry's life.
+  std::vector<RankContext> contexts_;
 };
 
 }  // namespace fastfit::trace

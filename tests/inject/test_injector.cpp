@@ -7,6 +7,7 @@
 #include <atomic>
 #include <functional>
 #include <memory>
+#include <set>
 #include <vector>
 
 #include "inject/injector.hpp"
@@ -158,6 +159,54 @@ TEST(Injector, DutyCycleFiresRepeatedlyOnTheSameBit) {
   EXPECT_TRUE(diffs[1]);   // quiet call leaves it corrupted
   EXPECT_FALSE(diffs[2]);  // second fire hits the SAME bit: flips it back
   EXPECT_FALSE(diffs[3]);
+}
+
+// The invocation at which `injector` fires in a 20-call AllreduceLoop, or
+// -1 when it never fires.
+int fired_at(Injector& injector) {
+  class FireLog : public mpi::ToolHooks {
+   public:
+    explicit FireLog(Injector& inner) : inner_(&inner) {}
+    void on_enter(mpi::CollectiveCall& call, mpi::Mpi& mpi) override {
+      const bool before = inner_->fired();
+      inner_->on_enter(call, mpi);
+      if (!before && inner_->fired()) at = static_cast<int>(call.invocation);
+    }
+    void on_exit(const mpi::CollectiveCall& call, mpi::Mpi& mpi) override {
+      inner_->on_exit(call, mpi);
+    }
+    int at = -1;
+
+   private:
+    Injector* inner_;
+  } log(injector);
+  mpi::World world(opts(2));
+  world.set_tools(&log);
+  world.run([](mpi::Mpi& mpi) { AllreduceLoop{20}(mpi); });
+  return log.at;
+}
+
+TEST(Injector, ProbabilisticTriggerFiresOnTheSameCallAfterBindTrial) {
+  // A fork-at-cut template binds each trial after construction; the
+  // trigger stream it re-seeds must draw as if the trial had been built
+  // with that ordinal.
+  FaultSpec spec;
+  spec.site_id = discover_site_id(2);
+  spec.rank = 0;
+  spec.param = mpi::Param::SendBuf;
+  spec.fault = FaultModelSpec::parse("single-bit-flip@prob=0.2");
+  std::set<int> seen;
+  for (std::uint64_t trial = 0; trial < 12; ++trial) {
+    spec.trial = trial;
+    Injector built(spec, 42);
+    spec.trial = 99;
+    Injector bound(spec, 42);
+    bound.bind_trial(trial);
+    const int at = fired_at(built);
+    EXPECT_EQ(fired_at(bound), at) << "trial " << trial;
+    seen.insert(at);
+  }
+  EXPECT_GT(seen.size(), 2u);  // the draws differ from trial to trial
 }
 
 // One allreduce of four doubles on two ranks, whose buffers live outside

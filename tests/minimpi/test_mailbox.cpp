@@ -4,7 +4,9 @@
 
 #include <exception>
 #include <functional>
+#include <iterator>
 #include <thread>
+#include <utility>
 #include <vector>
 
 #include "minimpi/fiber.hpp"
@@ -75,6 +77,28 @@ TEST(Mailbox, FifoAmongSameSourceAndTag) {
   box.deliver(make_msg(1, 5, 2));
   EXPECT_EQ(box.receive(1, 5, soon(100ms)).payload.size(), 1u);
   EXPECT_EQ(box.receive(1, 5, soon(100ms)).payload.size(), 2u);
+}
+
+TEST(Mailbox, EraseFromTheMiddleKeepsArrivalOrderPerSourceAndTag) {
+  // The payload size numbers the deliveries.
+  PoisonState poison;
+  Mailbox box(poison);
+  const std::pair<int, std::uint64_t> order[] = {
+      {1, 5}, {2, 5}, {1, 6}, {1, 5}, {2, 5}, {1, 6}, {1, 5}};
+  for (std::size_t i = 0; i < std::size(order); ++i) {
+    box.deliver(make_msg(order[i].first, order[i].second, i));
+  }
+  EXPECT_EQ(box.receive(1, 6, soon(100ms)).payload.size(), 2u);
+  EXPECT_EQ(box.receive(2, 5, soon(100ms)).payload.size(), 1u);
+  EXPECT_EQ(box.pending(), 5u);
+  EXPECT_EQ(box.receive(1, 5, soon(100ms)).payload.size(), 0u);
+  EXPECT_EQ(box.receive(1, 5, soon(100ms)).payload.size(), 3u);
+  EXPECT_TRUE(box.has_match(1, 6));
+  EXPECT_EQ(box.receive(1, 6, soon(100ms)).payload.size(), 5u);
+  EXPECT_FALSE(box.has_match(1, 6));
+  EXPECT_EQ(box.receive(2, 5, soon(100ms)).payload.size(), 4u);
+  EXPECT_EQ(box.receive(1, 5, soon(100ms)).payload.size(), 6u);
+  EXPECT_EQ(box.pending(), 0u);
 }
 
 TEST(Mailbox, TimeoutRaisesSimTimeout) {

@@ -3,6 +3,7 @@
 #include <gtest/gtest.h>
 
 #include <array>
+#include <utility>
 
 #include "support/error.hpp"
 
@@ -63,6 +64,48 @@ TEST(Memory, OverlappingRegistrationRejected) {
   reg.remove(buf.data());
   EXPECT_NO_THROW(reg.add(buf.data() + 8, 8));
   reg.remove(buf.data() + 8);
+}
+
+TEST(MemoryRegistry, OutOfOrderAddsAndMiddleRemovalsKeepEveryRegion) {
+  MemoryRegistry reg;
+  std::array<char, 1000> buf{};
+  char* const p = buf.data();
+  // (offset, bytes), registered out of address order.
+  const std::pair<int, int> regions[] = {
+      {500, 100}, {100, 100}, {800, 50}, {300, 100}, {0, 50}, {650, 100}};
+  for (const auto& [at, bytes] : regions) reg.add(p + at, bytes);
+  EXPECT_EQ(reg.region_count(), 6u);
+  for (const auto& [at, bytes] : regions) {
+    EXPECT_TRUE(reg.covers(p + at, bytes)) << at;
+    EXPECT_FALSE(reg.covers(p + at, bytes + 1)) << at;
+    EXPECT_FALSE(reg.covers(p + at - 1, 2)) << at;
+  }
+  // Overlaps with a predecessor, a successor, both, or an exact copy.
+  EXPECT_THROW(reg.add(p + 40, 20), InternalError);
+  EXPECT_THROW(reg.add(p + 250, 60), InternalError);
+  EXPECT_THROW(reg.add(p + 150, 400), InternalError);
+  EXPECT_THROW(reg.add(p + 300, 100), InternalError);
+  EXPECT_THROW(reg.add(p + 310, 10), InternalError);
+  EXPECT_EQ(reg.region_count(), 6u);
+  // Gaps still take new regions.
+  EXPECT_NO_THROW(reg.add(p + 200, 100));
+  EXPECT_NO_THROW(reg.add(p + 950, 50));
+
+  reg.remove(p + 300);
+  reg.remove(p + 650);
+  EXPECT_FALSE(reg.covers(p + 300, 1));
+  EXPECT_FALSE(reg.covers(p + 700, 1));
+  EXPECT_TRUE(reg.covers(p + 200, 100));
+  EXPECT_TRUE(reg.covers(p + 500, 100));
+  EXPECT_TRUE(reg.covers(p + 800, 50));
+  // Only an exact base removes; an interior pointer or a gone region is
+  // unknown.
+  EXPECT_THROW(reg.remove(p + 510), InternalError);
+  EXPECT_THROW(reg.remove(p + 300), InternalError);
+  EXPECT_NO_THROW(reg.add(p + 300, 200));
+  EXPECT_EQ(reg.region_count(), 7u);
+  for (int at : {0, 100, 200, 300, 500, 800, 950}) reg.remove(p + at);
+  EXPECT_EQ(reg.region_count(), 0u);
 }
 
 TEST(Memory, AdjacentRegionsDoNotMerge) {

@@ -297,6 +297,42 @@ TEST(World, SiteIdsHashFileLineAndKind) {
   EXPECT_NE(recorder.p2p[0].id, recorder.p2p[1].id);
 }
 
+TEST(World, SiteIdsSurviveMemoCollisions) {
+  // Far more sites than the per-thread memo has slots, so they share
+  // slots and evict each other; every id must still be the FNV-1a of its
+  // whole key. Two file-name pointers with the same text are two memo
+  // keys with one id.
+  static const char kFile[] = "src/apps/lu.cpp";
+  static const std::string kSameText = kFile;
+  struct Site {
+    const char* file;
+    std::uint32_t line;
+    SiteFamily family;
+    int kind;
+  };
+  std::vector<Site> sites;
+  for (std::uint32_t line = 1; line <= 80; ++line) {
+    for (int kind : {0, 3}) {
+      sites.push_back({kFile, line, SiteFamily::Collective, kind});
+      sites.push_back({kFile, line, SiteFamily::P2p, kind});
+    }
+    sites.push_back({kSameText.c_str(), line, SiteFamily::Collective, 1});
+  }
+  ASSERT_GE(sites.size(), 300u);
+  for (int pass = 0; pass < 3; ++pass) {
+    for (std::size_t i = 0; i < sites.size(); ++i) {
+      const Site& site = sites[(i * (2 * pass + 1)) % sites.size()];
+      const std::string key =
+          std::string(site.file) + ':' + std::to_string(site.line) + ':' +
+          (site.family == SiteFamily::P2p ? "p2p:" : "") +
+          std::to_string(site.kind);
+      EXPECT_EQ(site_id(site.file, site.line, site.family, site.kind),
+                static_cast<std::uint32_t>(fnv1a(key)))
+          << key << " pass " << pass;
+    }
+  }
+}
+
 // --- trial worlds: the rank arena and the drop ----------------------------
 
 WorldOptions trial_world(int n) {

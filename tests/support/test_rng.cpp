@@ -185,6 +185,45 @@ TEST(Rng, StreamsAreBitIdenticalToSeedSeqSeeding) {
   }
 }
 
+TEST(Rng, CachedStreamFirstDrawMatchesSeedSeq) {
+  // The first construction seeds the thread's cached engine and twists it;
+  // the ones after it copy that engine and draw without twisting first.
+  (void)RngStream(31, "cached", 4);
+  RngStream first(31, "cached", 4);
+  EXPECT_EQ(first.engine()(), seed_seq_engine(31, "cached", 4)());
+
+  // The library distributions over the copied engine, drawn well past the
+  // 312-word state.
+  RngStream stream(31, "cached", 4);
+  std::mt19937_64 reference = seed_seq_engine(31, "cached", 4);
+  for (int i = 0; i < 400; ++i) {
+    ASSERT_EQ(stream.uniform(),
+              std::uniform_real_distribution<double>(0.0, 1.0)(reference));
+    ASSERT_EQ(stream.normal(),
+              std::normal_distribution<double>(0.0, 1.0)(reference));
+    ASSERT_EQ(stream.index(97),
+              std::uniform_int_distribution<std::uint64_t>(0, 96)(reference));
+  }
+}
+
+TEST(Rng, ZeroStateIsReplacedAsTheLibraryDoes) {
+  // Only the low 31 bits of the first word are set, and the twist never
+  // reads them: the engine must count the state as all zero and set the
+  // first word's top bit, as std::mt19937_64 does.
+  struct LowBitsOnly {
+    using result_type = std::uint32_t;
+    void generate(std::uint32_t* begin, std::uint32_t* end) const {
+      std::fill(begin, end, 0u);
+      *begin = 0x7fffffffu;
+    }
+  } seq;
+  Mt19937_64 engine;
+  engine.seed(seq);
+  std::mt19937_64 reference;
+  reference.seed(seq);
+  for (int i = 0; i < 700; ++i) ASSERT_EQ(engine(), reference());
+}
+
 TEST(Rng, RecreatedStreamsStayIdenticalAcrossCacheEvictions) {
   // Many more streams than the per-thread cache holds, created again in
   // another order: cached and freshly seeded engines must agree.
