@@ -493,9 +493,9 @@ int main() {
   // faults, so the same points under message-drop run from scratch and
   // forked at the cut (process isolation, default snapshots). Each cell
   // is the median and IQR of kCutSamples measure_many calls after an
-  // untimed one-trial warm-up (golden run, recording); a process-isolated
-  // sample includes its lane spawn and one template per point, amortized
-  // over kCutTrials trials as in a study. Outcome counts are compared with
+  // untimed one-trial warm-up; a process-isolated sample includes its
+  // lane spawn and one template per point, amortized over kCutTrials
+  // trials as in a study. Outcome counts are compared with
   // the same model's from-scratch run but do not gate the exit code:
   // these studies use the calibrated wall-clock watchdog.
   constexpr std::size_t kCutPoints = 2;

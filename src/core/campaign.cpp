@@ -148,80 +148,66 @@ Campaign::Campaign(const apps::Workload& workload, CampaignOptions options)
       options_.shard.index > options_.shard.count) {
     throw ConfigError("Campaign: shard must satisfy 1 <= index <= count");
   }
-  if (options_.snapshots) snapshot_cache_ = std::make_unique<SnapshotCache>();
-}
-
-std::pair<std::uint64_t, std::chrono::milliseconds> Campaign::run_golden(
-    std::chrono::milliseconds watchdog_budget) {
-  mpi::WorldOptions opts;
-  opts.nranks = options_.nranks;
-  opts.seed = options_.seed;
-  opts.algorithms = options_.algorithms;
-  opts.watchdog = watchdog_budget;
-  trace::ContextRegistry contexts(options_.nranks);
-  tel::ScopedSpan span("golden-run");
-  const auto t0 = std::chrono::steady_clock::now();
-  const auto golden = apps::run_job(*workload_, opts, nullptr, contexts);
-  const auto wall = std::chrono::duration_cast<std::chrono::milliseconds>(
-      std::chrono::steady_clock::now() - t0);
-  span.finish();
-  if (!golden.world.clean()) {
-    throw InternalError("Campaign: golden run failed: " +
-                        golden.world.event->message);
-  }
-  // Uninjected runs get the strict leak audit: with no fault to explain
-  // them, a still-registered region or a queued message is a harness bug,
-  // full stop.
-  if (golden.world.leaked_regions > 0 ||
-      golden.world.undelivered_messages > 0) {
-    throw InternalError(
-        "Campaign: golden run leaked (" +
-        std::to_string(golden.world.leaked_regions) + " region(s), " +
-        std::to_string(golden.world.undelivered_messages) +
-        " undelivered message(s))");
-  }
-  return {golden.digest, wall};
 }
 
 void Campaign::profile() {
   if (profiled_) throw InternalError("Campaign::profile: already profiled");
 
-  // Golden (fault-free, un-instrumented) run: digest + wall time.
-  const auto [digest, golden_wall] =
-      run_golden(options_.watchdog.value_or(30'000ms));
-  golden_digest_ = digest;
-
-  watchdog_ = options_.watchdog.value_or(
-      std::max(kWatchdogFloor, golden_wall * kWatchdogMultiplier));
-
-  // Profiling run (paper Fig 5 phase 1): same problem as the injection
-  // runs, so the features transfer.
+  // Phase 1 (paper Fig 5): one fault-free run of the same problem as the
+  // injection runs, so the features transfer. It also gives the golden
+  // digest, the watchdog calibration and, when a replayable model will
+  // clone a prefix, the op log every replayed trial is cut from.
   contexts_ = std::make_unique<trace::ContextRegistry>(options_.nranks);
   profiler_ = std::make_unique<profile::Profiler>(*contexts_);
-  mpi::WorldOptions profile_opts;
-  profile_opts.nranks = options_.nranks;
-  profile_opts.seed = options_.seed;
-  profile_opts.algorithms = options_.algorithms;
-  profile_opts.watchdog = options_.watchdog.value_or(30'000ms);
-  tel::ScopedSpan profiling_span("profiling-run");
-  const auto profiled =
-      apps::run_job(*workload_, profile_opts, profiler_.get(), *contexts_);
-  profiling_span.finish();
-  if (!profiled.world.clean()) {
-    throw InternalError("Campaign: profiling run failed: " +
-                        profiled.world.event->message);
+  mpi::WorldOptions opts;
+  opts.nranks = options_.nranks;
+  opts.seed = options_.seed;
+  opts.algorithms = options_.algorithms;
+  opts.watchdog = options_.watchdog.value_or(30'000ms);
+  if (options_.snapshots &&
+      std::any_of(options_.fault_models.begin(), options_.fault_models.end(),
+                  [](const auto& spec) { return inject::is_replayable(spec); })) {
+    opts.recorder = std::make_shared<mpi::PrefixRecorder>(options_.nranks);
   }
-  if (profiled.digest != golden_digest_) {
-    throw InternalError("Campaign: profiling run digest diverged");
+  tel::ScopedSpan run_span("profiling-run");
+  const auto t0 = std::chrono::steady_clock::now();
+  const auto job = apps::run_job(*workload_, opts, profiler_.get(), *contexts_);
+  const auto wall = std::chrono::duration_cast<std::chrono::milliseconds>(
+      std::chrono::steady_clock::now() - t0);
+  if (!job.world.clean()) {
+    throw InternalError("Campaign: golden run failed: " +
+                        job.world.event->message);
   }
-  if (profiled.world.leaked_regions > 0 ||
-      profiled.world.undelivered_messages > 0) {
+  // The uninjected run gets the strict leak audit: with no fault to
+  // explain them, a still-registered region or a queued message is a
+  // harness bug, full stop.
+  if (job.world.leaked_regions > 0 || job.world.undelivered_messages > 0) {
     throw InternalError(
-        "Campaign: profiling run leaked (" +
-        std::to_string(profiled.world.leaked_regions) + " region(s), " +
-        std::to_string(profiled.world.undelivered_messages) +
+        "Campaign: golden run leaked (" +
+        std::to_string(job.world.leaked_regions) + " region(s), " +
+        std::to_string(job.world.undelivered_messages) +
         " undelivered message(s))");
   }
+  golden_digest_ = job.digest;
+  watchdog_ = options_.watchdog.value_or(
+      std::max(kWatchdogFloor, wall * kWatchdogMultiplier));
+  if (opts.recorder) {
+    auto recording = opts.recorder->finish();
+    run_span.arg("ops", std::to_string(recording->total_ops));
+    run_span.arg("payload_bytes", std::to_string(recording->payload_bytes));
+    // Unreplayable, or too large to hold: every trial runs live.
+    if (recording->replayable &&
+        recording->payload_bytes <= kMaxRecordingBytes) {
+      snapshot_cache_ = std::make_unique<SnapshotCache>(std::move(recording));
+      if (auto& rec = tel::Recorder::instance(); rec.enabled()) {
+        static auto& builds = rec.counter(
+            "fastfit_snapshot_recordings_total",
+            "Fault-free runs recorded for prefix replay");
+        builds.add();
+      }
+    }
+  }
+  run_span.finish();
 
   {
     tel::ScopedSpan span("enumerate-points");
@@ -311,45 +297,6 @@ CampaignHealth Campaign::health() const noexcept {
   return h;
 }
 
-std::shared_ptr<const mpi::WorldRecording> Campaign::build_recording() {
-  tel::ScopedSpan span("snapshot-build");
-  try {
-    auto recorder = std::make_shared<mpi::PrefixRecorder>(options_.nranks);
-    mpi::WorldOptions opts;
-    opts.nranks = options_.nranks;
-    opts.seed = options_.seed;
-    opts.algorithms = options_.algorithms;
-    // The recording run is fault-free; give it the relaxed golden-style
-    // budget rather than the trial watchdog, so a loaded machine cannot
-    // poison the recording with a spurious timeout.
-    opts.watchdog = fault_free_budget();
-    opts.recorder = recorder;
-    trace::ContextRegistry contexts(options_.nranks);
-    const auto job = apps::run_job(*workload_, opts, nullptr, contexts);
-    if (!job.world.clean() || job.world.leaked_regions > 0 ||
-        job.world.undelivered_messages > 0) {
-      return nullptr;
-    }
-    if (job.digest != golden_digest_) {
-      // The recording must be *the* golden execution, byte for byte —
-      // replaying anything else would corrupt every trial built on it.
-      return nullptr;
-    }
-    auto recording = recorder->finish();
-    span.arg("ops", std::to_string(recording->total_ops));
-    span.arg("payload_bytes", std::to_string(recording->payload_bytes));
-    if (auto& rec = tel::Recorder::instance(); rec.enabled()) {
-      static auto& builds = rec.counter(
-          "fastfit_snapshot_recordings_total",
-          "Fault-free recording runs performed for prefix replay");
-      builds.add();
-    }
-    return recording;
-  } catch (...) {
-    return nullptr;
-  }
-}
-
 inject::TrialForensics Campaign::run_trial(
     const InjectionPoint& point, std::uint64_t trial,
     std::chrono::milliseconds watchdog) {
@@ -362,8 +309,7 @@ inject::TrialForensics Campaign::run_trial(
     std::shared_ptr<const mpi::WorldSnapshot> snapshot;
     {
       tel::ScopedSpan clone_span("snapshot-clone");
-      snapshot = snapshot_cache_->lookup(point.site_id, point.invocation,
-                                         [this] { return build_recording(); });
+      snapshot = snapshot_cache_->lookup(point.site_id, point.invocation);
     }
     if (snapshot) {
       try {
@@ -459,7 +405,7 @@ inject::TrialForensics Campaign::execute_trial(
   // Undelivered transport messages are deliberately NOT audited here: an
   // injected run can legitimately succeed with strays queued (a corrupted
   // root re-routes sends nobody awaits while the digest never sees the
-  // difference). The uninjected golden/profiling runs assert zero.
+  // difference). The uninjected fault-free run in profile() asserts zero.
   tel::ScopedSpan classify_span("classify");
   return inject::classify_with_forensics(job.world, job.digest,
                                          golden_digest_);
@@ -471,8 +417,7 @@ void Campaign::warm_snapshots(std::span<const InjectionPoint> points) {
   for (const auto& point : points) {
     if (!inject::is_replayable(point.fault)) continue;
     if (!warmed.insert({point.site_id, point.invocation}).second) continue;
-    (void)snapshot_cache_->lookup(point.site_id, point.invocation,
-                                  [this] { return build_recording(); });
+    (void)snapshot_cache_->lookup(point.site_id, point.invocation);
     if (snapshot_cache_->disabled()) return;
   }
 }
@@ -621,8 +566,8 @@ std::vector<PointResult> Campaign::measure_impl(
 
   // Process isolation: fork the lane servers now, from the quietest
   // moment this measure has — before the trial pool spawns threads, and
-  // after pre-paying the snapshot recording so every worker inherits it
-  // instead of rebuilding it per child.
+  // after deriving the snapshot cuts so every worker inherits them
+  // instead of deriving them per child.
   std::unique_ptr<ProcPool> proc_pool;
   if (options_.isolation == IsolationMode::Process) {
     warm_snapshots(points);

@@ -1,7 +1,13 @@
 #pragma once
 
-// Campaign execution: golden run, per-trial fault injection, and the
-// per-point statistics the evaluation section reports.
+// Campaign execution: one fault-free run, per-trial fault injection, and
+// the per-point statistics the evaluation section reports.
+//
+// profile() runs the uninjected problem once. That one world carries the
+// profiler hooks (the features and the point enumeration), yields the
+// golden digest every trial is classified against, calibrates the
+// watchdog from its wall time and, when snapshots are on and some fault
+// model is replayable, records the op log that prefix replay cuts from.
 //
 // The campaign engine is crash-resilient in three coordinated layers:
 //  (1) a durable trial journal (core/journal.hpp) that measure() /
@@ -43,8 +49,8 @@ struct CampaignOptions {
   /// paper uses 100; smaller values trade statistical resolution for
   /// wall-clock time.
   std::uint32_t trials_per_point = 30;
-  /// Watchdog for injected runs; if unset, calibrated from the golden run
-  /// (a multiple of the fault-free wall time).
+  /// Watchdog for injected runs; if unset, calibrated from the fault-free
+  /// run in Campaign::profile() (a multiple of its wall time).
   std::optional<std::chrono::milliseconds> watchdog;
   /// Fault models (manifestation x trigger) the campaign injects
   /// (--fault-models, FASTFIT_FAULT_MODELS). profile() crosses the
@@ -156,8 +162,11 @@ class Campaign : private TrialRunner {
  public:
   Campaign(const apps::Workload& workload, CampaignOptions options);
 
-  /// Phase 1 (paper Fig 5): profiling run + golden digest + watchdog
-  /// calibration + point enumeration. Must be called before trials.
+  /// Phase 1 (paper Fig 5): one fault-free run gives the profile, the
+  /// golden digest, the watchdog calibration and (snapshots on, some
+  /// model replayable) the prefix recording; then the point enumeration.
+  /// Throws InternalError if that run fails or leaks. Must be called
+  /// before trials.
   void profile();
 
   const Enumeration& enumeration() const;
@@ -248,7 +257,8 @@ class Campaign : private TrialRunner {
   std::unique_ptr<profile::Profiler> profiler_;
   Enumeration enumeration_;
   std::unique_ptr<TrialJournal> journal_;
-  /// Present while snapshots are on; owns the recording + cut LRU.
+  /// Present when profile() recorded a replayable prefix; owns the
+  /// recording and the derived cuts.
   std::unique_ptr<SnapshotCache> snapshot_cache_;
   std::atomic<std::uint64_t> trials_run_{0};
   std::atomic<std::uint64_t> total_retries_{0};
@@ -270,8 +280,8 @@ class Campaign : private TrialRunner {
   /// memory regions registered is a harness bug and throws InternalError
   /// so the guard retries it. Stray undelivered messages are a
   /// legitimate fault consequence (e.g. a corrupted root re-routes
-  /// sends nobody awaits), so only the uninjected golden/profiling runs
-  /// assert on them.
+  /// sends nobody awaits), so only the uninjected run in profile()
+  /// asserts on them.
   inject::TrialForensics run_trial(const InjectionPoint& point,
                                    std::uint64_t trial,
                                    std::chrono::milliseconds watchdog);
@@ -288,11 +298,6 @@ class Campaign : private TrialRunner {
       std::shared_ptr<const mpi::WorldSnapshot> snapshot,
       const procpool::Park* park = nullptr);
 
-  /// One fault-free recording run (digest-checked against golden).
-  /// Returns nullptr on any failure — the snapshot subsystem disables
-  /// itself instead of costing the trial.
-  std::shared_ptr<const mpi::WorldRecording> build_recording();
-
   /// Routes one trial to the right backend: the live worker pool under
   /// process isolation (worker death → SEG_FAULT forensics, lease
   /// expiry/lane loss → InternalError for the retry guard), or the
@@ -303,9 +308,9 @@ class Campaign : private TrialRunner {
                                         std::uint64_t trial,
                                         std::chrono::milliseconds watchdog);
 
-  /// Pre-derives the snapshot recording + cuts for every replayable point
-  /// of the batch, so forked workers inherit them instead of each child
-  /// re-paying the recording cost.
+  /// Pre-derives the snapshot cuts of every replayable point of the
+  /// batch, so forked workers inherit them instead of each child deriving
+  /// its own.
   void warm_snapshots(std::span<const InjectionPoint> points);
 
   /// TrialRunner: supervised execution of one trial — retries internal
@@ -318,13 +323,9 @@ class Campaign : private TrialRunner {
   /// each lane keeps the fork-at-cut template of its current point.
   bool lanes_hold_point_state() const override;
 
-  /// Watchdog for fault-free runs that must not time out under load (the
-  /// recording run, a fork-at-cut template).
+  /// Watchdog for fault-free worlds that must not time out under load (a
+  /// fork-at-cut template).
   std::chrono::milliseconds fault_free_budget() const;
-
-  /// Fault-free run: returns (digest, wall time). Used by profile().
-  std::pair<std::uint64_t, std::chrono::milliseconds> run_golden(
-      std::chrono::milliseconds watchdog_budget);
 
   /// Shared implementation of measure / measure_many at a given pool size.
   std::vector<PointResult> measure_impl(

@@ -5,6 +5,7 @@
 #include <map>
 #include <sstream>
 
+#include "core/journal.hpp"
 #include "support/error.hpp"
 
 namespace fastfit::core {
@@ -18,27 +19,6 @@ std::string csv_quote(const std::string& field) {
     out += c;
   }
   out += '"';
-  return out;
-}
-
-std::string json_escape(const std::string& text) {
-  std::string out;
-  for (char c : text) {
-    switch (c) {
-      case '"': out += "\\\""; break;
-      case '\\': out += "\\\\"; break;
-      case '\n': out += "\\n"; break;
-      case '\t': out += "\\t"; break;
-      default:
-        if (static_cast<unsigned char>(c) < 0x20) {
-          char buf[8];
-          std::snprintf(buf, sizeof(buf), "\\u%04x", c);
-          out += buf;
-        } else {
-          out += c;
-        }
-    }
-  }
   return out;
 }
 

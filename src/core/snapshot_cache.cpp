@@ -6,36 +6,17 @@ namespace fastfit::core {
 
 namespace tel = fastfit::telemetry;
 
-std::shared_ptr<const mpi::WorldSnapshot> SnapshotCache::lookup(
-    std::uint32_t site_id, std::uint64_t invocation,
-    const RecordingBuilder& build) {
-  std::unique_lock lock(mutex_);
-  if (disabled_) return nullptr;
+SnapshotCache::SnapshotCache(
+    std::shared_ptr<const mpi::WorldRecording> recording)
+    : recording_(std::move(recording)) {
+  stats_.recording_builds = 1;
+  stats_.recording_bytes = recording_->payload_bytes;
+}
 
-  if (!recording_attempted_) {
-    // Build the recording under the lock: the build is expensive but
-    // happens exactly once, and concurrent trials must not each run it.
-    recording_attempted_ = true;
-    std::shared_ptr<const mpi::WorldRecording> recording;
-    try {
-      recording = build();
-    } catch (const std::exception&) {
-      // A recording failure must never cost the trial (let alone the
-      // point): disable the subsystem and let every trial run live.
-      disabled_ = true;
-      return nullptr;
-    }
-    // Unreplayable, or too large to hold: every trial runs live.
-    if (!recording || !recording->replayable ||
-        recording->payload_bytes > kMaxRecordingBytes) {
-      disabled_ = true;
-      return nullptr;
-    }
-    recording_ = std::move(recording);
-    ++stats_.recording_builds;
-    stats_.recording_bytes = recording_->payload_bytes;
-  }
-  if (!recording_) return nullptr;
+std::shared_ptr<const mpi::WorldSnapshot> SnapshotCache::lookup(
+    std::uint32_t site_id, std::uint64_t invocation) {
+  std::lock_guard lock(mutex_);
+  if (disabled_) return nullptr;
 
   const Key key{site_id, invocation};
   if (auto it = cuts_.find(key); it != cuts_.end()) {

@@ -1,16 +1,16 @@
 #pragma once
 
-// Campaign-side snapshot management (tentpole of the prefix-replay work):
-// one SnapshotCache per campaign while --snapshots is on (the default).
-// It builds the fault-free recording lazily (once, in memory) and derives
-// one WorldSnapshot per injected (site, invocation) — shared by every
-// trial of that point and by the whole semantic-equivalence class behind
-// it. Cuts are kept for the campaign's lifetime: a study's cuts total
-// kilobytes, and a recording beyond kMaxRecordingBytes is refused.
+// Campaign-side snapshot management: one SnapshotCache per campaign whose
+// fault-free run in Campaign::profile() recorded a replayable prefix
+// (--snapshots on, the default, and some fault model replayable). It
+// holds that recording and derives one WorldSnapshot per injected (site,
+// invocation) — shared by every trial of that point and by the whole
+// semantic-equivalence class behind it. Cuts are kept for the campaign's
+// lifetime: a study's cuts total kilobytes, and a recording beyond
+// kMaxRecordingBytes gets no cache at all.
 
 #include <cstddef>
 #include <cstdint>
-#include <functional>
 #include <map>
 #include <memory>
 #include <mutex>
@@ -25,22 +25,18 @@ namespace fastfit::core {
 inline constexpr std::size_t kMaxRecordingBytes = std::size_t{256} << 20;
 
 /// Per-campaign snapshot store. Thread-safe: measure_many worker threads
-/// look up concurrently; one mutex serializes the cache (the recording
-/// build runs under it, so exactly one trial pays for it).
+/// look up concurrently; one mutex serializes the cache.
 class SnapshotCache {
  public:
-  using RecordingBuilder =
-      std::function<std::shared_ptr<const mpi::WorldRecording>()>;
+  /// Holds `recording`, which must be replayable.
+  explicit SnapshotCache(std::shared_ptr<const mpi::WorldRecording> recording);
 
-  /// The snapshot for the collective at (site_id, invocation), deriving
-  /// it (and, first time through, the recording via `build`) on demand.
-  /// Returns nullptr when the subsystem is disabled, the recording is
-  /// not replayable, or the cut is invalid for this point — the caller
-  /// runs the trial from scratch. A failed recording build is memoized:
-  /// it is deterministic, so it is attempted exactly once.
-  std::shared_ptr<const mpi::WorldSnapshot> lookup(
-      std::uint32_t site_id, std::uint64_t invocation,
-      const RecordingBuilder& build);
+  /// The snapshot for the collective at (site_id, invocation), derived on
+  /// first demand. Returns nullptr when the subsystem is disabled or the
+  /// cut is invalid for this point — the caller runs the trial from
+  /// scratch.
+  std::shared_ptr<const mpi::WorldSnapshot> lookup(std::uint32_t site_id,
+                                                   std::uint64_t invocation);
 
   /// Permanently turns the subsystem off (after a replay divergence) and
   /// releases the recording and all snapshots.
@@ -51,7 +47,7 @@ class SnapshotCache {
   void note_fallback();
 
   struct Stats {
-    std::uint64_t recording_builds = 0;  ///< 0 or 1 per campaign
+    std::uint64_t recording_builds = 0;  ///< 1 while the cache exists
     std::uint64_t snapshot_builds = 0;   ///< distinct cuts derived
     std::uint64_t hits = 0;              ///< lookups served from cache
     std::uint64_t clones = 0;            ///< lookups that handed out a snapshot
@@ -66,7 +62,6 @@ class SnapshotCache {
 
   mutable std::mutex mutex_;
   bool disabled_ = false;
-  bool recording_attempted_ = false;
   std::shared_ptr<const mpi::WorldRecording> recording_;
   /// Derived cuts; nullptr marks a cut that failed to derive (e.g. a p2p
   /// site), so every trial of such a point does not redo the O(total

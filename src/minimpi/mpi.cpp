@@ -169,7 +169,8 @@ void Mpi::replay_collective(CollectiveCall& call) {
   // op at the cut produces bit-identical transport tags.
   coll_seq_[raw(call.comm)]++;
   const int comm_size = static_cast<int>(world_->group_of(call.comm).size());
-  const auto spans = collect_write_spans(call, comm_size);
+  collect_write_spans(call, comm_size, write_spans_);
+  const auto& spans = write_spans_;
   if (!same_shape(op, spans)) {
     throw ReplayError("rank " + std::to_string(world_rank_) +
                       ": write-span shape diverged from the recording");
@@ -194,8 +195,10 @@ void Mpi::check_reconvergence(const CollectiveCall& call) {
   const RecordedOp& op = (*replay_ops_)[replay_cut_];
   ToolHooks* tools = world_->tools();
   if (tools == nullptr || !records(op, call)) return;
-  const auto spans = collect_write_spans(
-      call, static_cast<int>(world_->group_of(call.comm).size()));
+  collect_write_spans(call,
+                      static_cast<int>(world_->group_of(call.comm).size()),
+                      write_spans_);
+  const auto& spans = write_spans_;
   if (!same_shape(op, spans) || !tools->vouches_at_cut(world_rank_, spans)) {
     return;
   }
@@ -663,9 +666,10 @@ void Mpi::dispatch(CollectiveCall& call, std::source_location loc) {
   run_algorithm(call, seq);
 
   if (recorder_ != nullptr) {
-    const auto spans = collect_write_spans(
-        call, static_cast<int>(world_->group_of(call.comm).size()));
-    recorder_->record_collective(world_rank_, call, spans);
+    collect_write_spans(call,
+                        static_cast<int>(world_->group_of(call.comm).size()),
+                        write_spans_);
+    recorder_->record_collective(world_rank_, call, write_spans_);
   }
 
   if (ToolHooks* tools = world_->tools()) {

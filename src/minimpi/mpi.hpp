@@ -416,6 +416,9 @@ class Mpi {
   const std::vector<RecordedOp>* replay_ops_ = nullptr;
   std::size_t replay_cut_ = 0;
   std::size_t replay_next_ = 0;
+  /// Scratch for collect_write_spans, reused by every recorded, replayed
+  /// or reconvergence-checked collective of this rank.
+  std::vector<WriteSpan> write_spans_;
   /// Messages a transport fault held for delayed delivery: (destination
   /// world rank, message). Rank-local; flushed by flush_held().
   std::vector<std::pair<int, Message>> held_;

@@ -37,9 +37,9 @@ void add_blocks(std::vector<WriteSpan>& spans, void* recvbuf,
 
 }  // namespace
 
-std::vector<WriteSpan> collect_write_spans(const CollectiveCall& call,
-                                           int comm_size) {
-  std::vector<WriteSpan> spans;
+void collect_write_spans(const CollectiveCall& call, int comm_size,
+                         std::vector<WriteSpan>& spans) {
+  spans.clear();
   const bool is_root = call.rank == static_cast<int>(call.root);
   const std::size_t n = static_cast<std::size_t>(comm_size);
   switch (call.kind) {
@@ -99,7 +99,6 @@ std::vector<WriteSpan> collect_write_spans(const CollectiveCall& call,
                  elem_size(call.recvdatatype));
       break;
   }
-  return spans;
 }
 
 bool records(const RecordedOp& op, const CollectiveCall& call) noexcept {

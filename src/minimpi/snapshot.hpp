@@ -61,9 +61,10 @@ class ReplayError : public FastFitError {
 /// unregistered gaps would trip the bounds registry; a subset is unsafe:
 /// replay would miss output). Root-only collectives report
 /// nothing on non-roots; vector collectives report one span per
-/// displacement block.
-std::vector<WriteSpan> collect_write_spans(const CollectiveCall& call,
-                                           int comm_size);
+/// displacement block. Replaces the contents of `spans`, so one vector
+/// can serve every call without allocating again.
+void collect_write_spans(const CollectiveCall& call, int comm_size,
+                         std::vector<WriteSpan>& spans);
 
 /// One operation of a rank's recorded op stream.
 struct RecordedOp {

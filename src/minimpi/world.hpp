@@ -76,7 +76,8 @@ struct WorldOptions {
   std::uint64_t seed = 0x5eedULL;
   CollectiveAlgorithms algorithms;
   /// When set, every rank logs its MPI ops and transport payloads here —
-  /// the campaign's one fault-free recording run (minimpi/snapshot.hpp).
+  /// the campaign's one fault-free run in Campaign::profile()
+  /// (minimpi/snapshot.hpp).
   std::shared_ptr<PrefixRecorder> recorder;
   /// When set, each rank replays its recorded prefix with zero rendezvous
   /// up to the snapshot's cut, then switches to live execution. In-flight

@@ -36,8 +36,9 @@ class RankContext {
       : graphs_(graphs) {}
 
   /// Enters an application function: records the call-graph edge (unless
-  /// the context skips the graph) and pushes the shadow frame. Prefer
-  /// FunctionScope.
+  /// the context skips the graph) and pushes the shadow frame. The frame
+  /// views `name` without copying it, so the name must outlive the frame
+  /// (a string literal does). Prefer FunctionScope.
   void enter_function(std::string_view name) {
     if (graphs_ == CallGraphs::Record) {
       graph_.add_call(stack_.innermost(), name);
@@ -69,7 +70,7 @@ class RankContext {
 };
 
 /// RAII function frame that maintains both the shadow stack and the call
-/// graph.
+/// graph. `name` must outlive the scope.
 class FunctionScope {
  public:
   FunctionScope(RankContext& ctx, std::string_view name) : ctx_(&ctx) {

@@ -23,7 +23,7 @@ StackId empty_stack_id() noexcept { return kEmptyId; }
 
 void ShadowStack::enter(std::string_view function) {
   const StackId parent = id();
-  frames_.push_back(Frame{std::string(function), extend(parent, function)});
+  frames_.push_back(Frame{function, extend(parent, function)});
 }
 
 void ShadowStack::leave() {
@@ -40,7 +40,7 @@ StackId ShadowStack::id() const noexcept {
 std::vector<std::string> ShadowStack::frames() const {
   std::vector<std::string> out;
   out.reserve(frames_.size());
-  for (const auto& frame : frames_) out.push_back(frame.name);
+  for (const auto& frame : frames_) out.emplace_back(frame.name);
   return out;
 }
 

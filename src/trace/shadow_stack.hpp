@@ -8,6 +8,9 @@
 // Workloads annotate function entry with TraceScope; the stack identity is
 // a running hash of frame names, so two invocations share a StackId iff
 // their active-function sequences match exactly.
+//
+// A frame keeps a view of its name, not a copy: the name must outlive the
+// frame. Workloads pass string literals, which always do.
 
 #include <cstdint>
 #include <string>
@@ -24,7 +27,9 @@ StackId empty_stack_id() noexcept;
 
 class ShadowStack {
  public:
-  /// Pushes a frame. Prefer TraceScope for exception safety.
+  /// Pushes a frame. `function` is viewed, not copied, so its characters
+  /// must outlive the frame (a string literal does). Prefer TraceScope for
+  /// exception safety.
   void enter(std::string_view function);
 
   /// Pops the innermost frame. Throws InternalError on underflow.
@@ -44,13 +49,13 @@ class ShadowStack {
 
  private:
   struct Frame {
-    std::string name;
+    std::string_view name;  // viewed; outlives the frame (see enter)
     StackId id;  // hash of the stack up to and including this frame
   };
   std::vector<Frame> frames_;
 };
 
-/// RAII frame marker:
+/// RAII frame marker; `function` must outlive the scope:
 ///
 ///   void compute_rhs(AppContext& ctx) {
 ///     trace::TraceScope scope(ctx.stack, "compute_rhs");

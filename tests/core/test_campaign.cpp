@@ -213,6 +213,62 @@ TEST(Campaign, GoldenDigestStableAcrossCampaigns) {
   EXPECT_EQ(c1.golden_digest(), c2.golden_digest());
 }
 
+// Delegates to a bundled workload and counts the worlds it runs: rank 0
+// enters run_rank once per world, replayed or not.
+class WorldCountingWorkload final : public apps::Workload {
+ public:
+  explicit WorldCountingWorkload(const std::string& name)
+      : inner_(apps::make_workload(name)) {}
+  std::string name() const override { return inner_->name(); }
+  std::uint64_t run_rank(apps::AppContext& ctx) const override {
+    if (ctx.mpi.world_rank() == 0) {
+      worlds.fetch_add(1, std::memory_order_relaxed);
+    }
+    return inner_->run_rank(ctx);
+  }
+
+  mutable std::atomic<std::uint64_t> worlds{0};
+
+ private:
+  std::unique_ptr<apps::Workload> inner_;
+};
+
+TEST(Campaign, ProfileRunsOneWorldAndTrialsRunOnlyInjectedOnes) {
+  struct Case {
+    const char* models;
+    bool snapshots;
+    std::uint64_t recordings;
+  };
+  for (const Case& c : {Case{"single-bit-flip", true, 1},
+                        Case{"single-bit-flip", false, 0},
+                        Case{"message-drop,rank-death", true, 0}}) {
+    const std::string label =
+        std::string(c.models) + (c.snapshots ? " on" : " off");
+    WorldCountingWorkload workload("LU");
+    auto opts = small_options();
+    opts.nranks = 4;
+    opts.max_parallel_trials = 2;
+    opts.snapshots = c.snapshots;
+    opts.fault_models = inject::parse_fault_models(c.models);
+    Campaign campaign(workload, opts);
+    campaign.profile();
+    // One fault-free world gives the profile, the golden digest, the
+    // watchdog and (bit flips, snapshots on) the prefix recording.
+    EXPECT_EQ(workload.worlds.load(), 1u) << label;
+    EXPECT_EQ(campaign.snapshot_stats().recording_builds, c.recordings)
+        << label;
+
+    const auto& all = campaign.enumeration().points;
+    const std::vector<InjectionPoint> points(
+        all.begin(), all.begin() + std::min<std::size_t>(all.size(), 6));
+    (void)campaign.measure_many(points, 3);
+    EXPECT_GE(campaign.trials_run(), points.size() * 3) << label;
+    EXPECT_EQ(workload.worlds.load() - 1, campaign.trials_run()) << label;
+    EXPECT_EQ(campaign.snapshot_stats().recording_builds, c.recordings)
+        << label;
+  }
+}
+
 // --- pool parity: the executor lane must be invisible ---------------------
 
 struct PoolRun {

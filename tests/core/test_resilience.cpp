@@ -34,8 +34,8 @@ using namespace std::chrono_literals;
 //    on an exited rank — a deadlock the world proves at quiescence. With
 //    `spin` set, rank 0 instead loops on check_deadline() until the
 //    watchdog fires — livelock, which only the wall clock can end.
-// Job ordinals count every World execution (golden = 1, profiling = 2,
-// trials from 3), assigned by rank 0 at entry.
+// Job ordinals count every World execution (the fault-free run in
+// profile() = 1, trials from 2), assigned by rank 0 at entry.
 class SupervisedWorkload final : public apps::Workload {
  public:
   std::string name() const override { return "supervised"; }
@@ -82,10 +82,11 @@ CampaignOptions supervised_options() {
   opts.trials_per_point = 4;
   opts.seed = 101;
   opts.max_parallel_trials = 1;
-  // These tests script failures by *job ordinal* (golden = 1, profiling
-  // = 2, trials from 3); the snapshot recording run would shift the
-  // ordinals and absorb scripted failures, so pin it off here. Snapshot
-  // parity has its own suite (test_snapshot_parity.cpp).
+  // These tests script failures by *job ordinal* (the fault-free run in
+  // profile() = 1, trials from 2); a scripted trial whose rank 0 skips
+  // its collectives would diverge from the prefix recording, so pin
+  // replay off here. Snapshot parity has its own suite
+  // (test_snapshot_parity.cpp).
   opts.snapshots = false;
   return opts;
 }
@@ -254,12 +255,12 @@ TEST(Resilience, SerialInfLoopIsConfirmedWithEscalatedBudget) {
   Campaign campaign(workload, supervised_options());  // serial: pool = 1
   campaign.profile();
 
-  // Job 3 (the only first-pass trial) spins until the watchdog; the
-  // escalated re-run (job 4) does not. Serial and parallel campaigns
+  // Job 2 (the only first-pass trial) spins until the watchdog; the
+  // escalated re-run (job 3) does not. Serial and parallel campaigns
   // must classify identically, so the confirmation pass runs at every
   // pool size.
-  workload.hang_from.store(3);
-  workload.hang_until.store(3);
+  workload.hang_from.store(2);
+  workload.hang_until.store(2);
   const auto result = campaign.measure(sendbuf_point(campaign), 1);
   EXPECT_EQ(result.trials, 1u);
   EXPECT_EQ(result.counts[static_cast<std::size_t>(inject::Outcome::InfLoop)],
@@ -278,8 +279,8 @@ TEST(Resilience, DeterministicDeadlockBypassesWatchdogMachinery) {
   Campaign campaign(workload, supervised_options());
   campaign.profile();
 
-  workload.hang_from.store(3);
-  workload.hang_until.store(3);
+  workload.hang_from.store(2);
+  workload.hang_until.store(2);
   const auto result = campaign.measure(sendbuf_point(campaign), 1);
   EXPECT_EQ(result.trials, 1u);
   EXPECT_EQ(result.counts[static_cast<std::size_t>(inject::Outcome::InfLoop)],
@@ -299,8 +300,8 @@ TEST(Resilience, DeterministicFlagAndAutopsyAreJournaled) {
   campaign.profile();
   const auto path = temp_journal("autopsy");
   campaign.attach_journal(path, JournalMode::Create);
-  workload.hang_from.store(3);
-  workload.hang_until.store(3);
+  workload.hang_from.store(2);
+  workload.hang_until.store(2);
   (void)campaign.measure(sendbuf_point(campaign), 1);
   campaign.detach_journal();
 

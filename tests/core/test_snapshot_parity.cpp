@@ -154,8 +154,8 @@ TEST(SnapshotParity, ResumeFromJournalStaysBitIdentical) {
 }
 
 // Rank code that diverges from its own recording: the first bcast's count
-// grows once a rank has run three worlds (a snapshots-on campaign's
-// golden, profiling and recording runs), so the first replayed trial
+// grows once a rank has run one world (the campaign's fault-free run in
+// profile(), which records the prefix), so the first replayed trial
 // raises ReplayError. The extra element is scratch the digest never reads,
 // so every run computes the same answer.
 class DivergingWorkload final : public apps::Workload {
@@ -167,7 +167,7 @@ class DivergingWorkload final : public apps::Workload {
 
   std::uint64_t run_rank(apps::AppContext& ctx) const override {
     auto& mpi = ctx.mpi;
-    const int count = runs_[static_cast<std::size_t>(mpi.rank())]++ < 3 ? 1 : 2;
+    const int count = runs_[static_cast<std::size_t>(mpi.rank())]++ == 0 ? 1 : 2;
     ctx.trace.set_phase(trace::ExecPhase::Compute);
     trace::FunctionScope scope(ctx.trace, "kernel");
     mpi::RegisteredBuffer<double> scratch(mpi.registry(), 2);
@@ -185,7 +185,7 @@ class DivergingWorkload final : public apps::Workload {
 
 TEST(SnapshotParity, DivergenceRunsTheTrialFromScratchAndRetiresReplay) {
   // Each campaign gets a fresh workload (its run counters start at zero)
-  // and its own golden run, so the on campaign's first trial is the
+  // and its own fault-free run, so the on campaign's first trial is the
   // first world to diverge.
   const auto measure = [](bool snapshots, SnapshotCache::Stats* stats) {
     auto opts = base_options(snapshots);

@@ -97,7 +97,7 @@ TEST_F(CampaignTelemetryTest, ExecutorSpansNestPerLaneAndRankBuffersFlush) {
 
   // Trial spans land on executor lanes (pool of 2), and so do the worlds
   // they ran: rank lanes live in the pid of executor lane 0 or 1 (or of
-  // the main thread, for the golden and profiling runs).
+  // the main thread, for the fault-free run in profile()).
   bool executor_lane_seen = false;
   for (const auto& event : events) {
     const std::string_view name(event.name);
