@@ -166,7 +166,7 @@ void Campaign::profile() {
   opts.watchdog = options_.watchdog.value_or(30'000ms);
   if (options_.snapshots &&
       std::any_of(options_.fault_models.begin(), options_.fault_models.end(),
-                  [](const auto& spec) { return inject::is_replayable(spec); })) {
+                  inject::is_replayable)) {
     opts.recorder = std::make_shared<mpi::PrefixRecorder>(options_.nranks);
   }
   tel::ScopedSpan run_span("profiling-run");
