@@ -21,7 +21,7 @@
 #include <memory>
 #include <string>
 
-#include "core/fastfit.hpp"
+#include "core/study.hpp"
 #include "core/report.hpp"
 
 namespace fastfit::bench {

@@ -35,7 +35,7 @@ int main() {
   for (const std::string name : {"IS", "FT", "MG", "LU", "miniMD"}) {
     const bool use_ml = (name == "miniMD");
     const auto workload = apps::make_workload(name);
-    core::FastFitOptions options;
+    core::StudyOptions options;
     options.campaign = bench::bench_campaign_options();
     options.use_ml = use_ml;
     options.ml.accuracy_threshold = 0.65;  // the paper's operating point
@@ -43,7 +43,7 @@ int main() {
     options.ml.verify_batch = 5;
     options.ml.forest.n_trees = 24;
 
-    core::FastFit study(*workload, options);
+    core::StudyDriver study(*workload, options);
     const auto result = study.run();
     const auto& s = result.stats;
     std::printf(

@@ -13,8 +13,8 @@
 
 #include "apps/common.hpp"
 #include "apps/workload.hpp"
-#include "core/fastfit.hpp"
 #include "core/report.hpp"
+#include "core/study.hpp"
 #include "support/format.hpp"
 
 using namespace fastfit;
@@ -105,14 +105,14 @@ class HeatDiffusion final : public apps::Workload {
 
 int main() {
   HeatDiffusion workload;
-  core::FastFitOptions options;
+  core::StudyOptions options;
   options.campaign.nranks = 8;
   options.campaign.trials_per_point = 12;
   options.use_ml = false;  // small space: measure everything
 
   std::printf("=== FastFIT on a custom workload: %s ===\n\n",
               workload.name().c_str());
-  core::FastFit study(workload, options);
+  core::StudyDriver study(workload, options);
   const auto result = study.run();
 
   std::printf("pruning: %llu -> %llu -> %llu points\n\n",

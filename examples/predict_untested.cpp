@@ -10,7 +10,7 @@
 #include <cstdlib>
 
 #include "apps/registry.hpp"
-#include "core/fastfit.hpp"
+#include "core/study.hpp"
 #include "stats/levels.hpp"
 #include "support/format.hpp"
 

@@ -10,8 +10,8 @@
 #include <cstdlib>
 
 #include "apps/registry.hpp"
-#include "core/fastfit.hpp"
 #include "core/report.hpp"
+#include "core/study.hpp"
 #include "profile/queries.hpp"
 #include "stats/levels.hpp"
 #include "support/format.hpp"
@@ -25,7 +25,7 @@ int main(int argc, char** argv) {
       argc > 3 ? static_cast<std::uint32_t>(std::atoi(argv[3])) : 12u;
 
   const auto workload = apps::make_workload(name);
-  core::FastFitOptions options;
+  core::StudyOptions options;
   options.campaign.nranks = nranks;
   options.campaign.trials_per_point = trials;
   options.use_ml = true;
@@ -35,7 +35,7 @@ int main(int argc, char** argv) {
               "point) ===\n\n",
               name.c_str(), nranks, trials);
 
-  core::FastFit study(*workload, options);
+  core::StudyDriver study(*workload, options);
   const auto result = study.run();
 
   // --- communication profile (mpiP-like) --------------------------------

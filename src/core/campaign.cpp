@@ -6,7 +6,6 @@
 #include <thread>
 #include <tuple>
 
-#include "core/pipeline.hpp"
 #include "inject/injector.hpp"
 #include "minimpi/mpi.hpp"
 #include "support/error.hpp"
@@ -135,14 +134,12 @@ Campaign::Campaign(const apps::Workload& workload, CampaignOptions options)
     }
   }
   // Validate the structural pruning chain up front: unknown names and
-  // measurer-needing passes ("ml") should fail at construction, not at
+  // the trial-running "ml" stage should fail at construction, not at
   // profile() time deep into a study.
-  for (const auto& name : options_.pruning_passes) {
-    if (make_pruning_pass(name)->needs_measurer()) {
-      throw ConfigError("Campaign: pruning pass '" + name +
-                        "' needs a measurer; select the ML stage through "
-                        "the study driver, not CampaignOptions");
-    }
+  if (parse_pass_list(options_.pruning_passes).ml) {
+    throw ConfigError(
+        "Campaign: pruning pass 'ml' runs trials; select the ML stage "
+        "through StudyOptions::use_ml, not CampaignOptions");
   }
   if (options_.shard.count < 1 || options_.shard.index < 1 ||
       options_.shard.index > options_.shard.count) {
@@ -441,9 +438,8 @@ inject::TrialForensics Campaign::dispatch_trial(
     const auto lease = options_.worker_lease.value_or(
         std::max<std::chrono::milliseconds>(
             60'000ms, watchdog * 4 + std::chrono::milliseconds(10'000)));
-    // Lane i is scheduler lane i; the serial path, the repair pass and
-    // the confirmations run on the scheduling thread, with the lanes
-    // idle, and take lane 0.
+    // Lane i is scheduler lane i; the serial path and the confirmations
+    // run on the scheduling thread, with the lanes idle, and take lane 0.
     const int worker = current_worker();
     const std::size_t lane = worker < 0 ? 0 : static_cast<std::size_t>(worker);
     const auto result = pool->run(item, lease, lane);

@@ -88,9 +88,9 @@ struct CampaignOptions {
   /// (FASTFIT_MAX_TRIAL_RETRIES; 0 disables retries.)
   std::uint32_t max_trial_retries = 2;
   /// Structural pruning chain applied at profile() time, in order
-  /// (FASTFIT_PASSES). Names as understood by make_pruning_pass; passes
-  /// that need a measurer ("ml") are rejected here — the ML stage runs
-  /// points and belongs to the study driver.
+  /// (--passes / FASTFIT_PASSES). Names as understood by parse_pass_list;
+  /// "ml" is rejected here — the ML stage runs trials and belongs to the
+  /// study driver (StudyOptions::use_ml).
   std::vector<std::string> pruning_passes = {"semantic", "context"};
   /// Which deterministic shard of the post-pruning point set this
   /// campaign executes (FASTFIT_SHARD, "--shard i/N"). The campaign

@@ -1,36 +1,160 @@
 #include "core/enumerate.hpp"
 
 #include <array>
-#include <memory>
+#include <map>
+#include <unordered_set>
+#include <utility>
 
-#include "core/pipeline.hpp"
+#include "profile/queries.hpp"
 #include "support/error.hpp"
 
 namespace fastfit::core {
+namespace {
+
+std::string short_location(const profile::SiteProfile& site) {
+  std::string name = site.file;
+  if (const auto slash = name.rfind('/'); slash != std::string::npos) {
+    name = name.substr(slash + 1);
+  }
+  return name + ":" + std::to_string(site.line);
+}
+
+/// The full exploration space — every invocation of every site on every
+/// rank, one point per injectable parameter — in canonical order (rank
+/// ascending, site id, invocation, parameter), with the ML features
+/// attached.
+Enumeration profiled_space(const profile::Profiler& profiler) {
+  Enumeration out;
+  out.stats.nranks = profiler.nranks();
+  for (int r = 0; r < profiler.nranks(); ++r) {
+    for (const auto& [site_id, site] : profiler.rank(r).sites) {
+      const auto params = mpi::injectable_params(site.kind);
+      const auto n_inv = profile::n_invocations(site);
+      const auto depth = profile::mean_stack_depth(site);
+      const auto n_stacks = profile::n_distinct_stacks(site);
+      for (const auto& inv : site.invocations) {
+        for (mpi::Param param : params) {
+          InjectionPoint point;
+          point.site_id = site_id;
+          point.kind = site.kind;
+          point.site_location = short_location(site);
+          point.rank = r;
+          point.invocation = inv.invocation;
+          point.param = param;
+          point.stack = inv.stack;
+          point.phase = inv.phase;
+          point.errhal = inv.errhal;
+          point.n_inv = n_inv;
+          point.stack_depth = depth;
+          point.n_diff_stack = n_stacks;
+          out.points.push_back(std::move(point));
+        }
+      }
+    }
+  }
+  out.stats.total_points = out.points.size();
+  return out;
+}
+
+/// Semantic-driven pruning: computes the process equivalence classes and
+/// keeps only the points on each class's lowest-rank representative.
+void prune_semantic(const profile::Profiler& profiler, Enumeration& e) {
+  e.classes = trace::equivalence_classes(profiler.contexts());
+  e.stats.equivalence_classes = e.classes.size();
+  std::vector<char> representative(
+      static_cast<std::size_t>(profiler.nranks()), 0);
+  for (const auto& cls : e.classes) {
+    representative[static_cast<std::size_t>(cls.representative())] = 1;
+  }
+  std::erase_if(e.points, [&](const InjectionPoint& point) {
+    return !representative[static_cast<std::size_t>(point.rank)];
+  });
+  e.stats.after_semantic = e.points.size();
+}
+
+/// Application-context-driven pruning: per (rank, site), keeps one
+/// invocation per distinct call stack (the first, in invocation order).
+void prune_context(const profile::Profiler& profiler, Enumeration& e) {
+  // Representative invocations per (rank, site), computed once per group.
+  std::map<std::pair<int, std::uint32_t>, std::unordered_set<std::uint64_t>>
+      keep;
+  std::erase_if(e.points, [&](const InjectionPoint& point) {
+    const auto group = std::make_pair(point.rank, point.site_id);
+    auto it = keep.find(group);
+    if (it == keep.end()) {
+      const auto& site = profiler.rank(point.rank).sites.at(point.site_id);
+      std::unordered_set<std::uint64_t> invocations;
+      for (const auto& inv : profile::stack_representatives(site)) {
+        invocations.insert(inv.invocation);
+      }
+      it = keep.emplace(group, std::move(invocations)).first;
+    }
+    return !it->second.count(point.invocation);
+  });
+}
+
+}  // namespace
+
+PassChain parse_pass_list(std::span<const std::string> names) {
+  for (const auto& name : names) {
+    if (name != "semantic" && name != "context" && name != "ml") {
+      throw ConfigError("unknown pruning pass '" + name +
+                        "' (available: semantic, context, ml)");
+    }
+  }
+  PassChain chain;
+  for (const auto& name : names) {
+    if (chain.ml) {
+      throw ConfigError(
+          "pass list: 'ml' runs trials and must be the last pass in the "
+          "chain");
+    }
+    if (name == "ml") {
+      chain.ml = true;
+    } else {
+      chain.structural.push_back(name);
+    }
+  }
+  return chain;
+}
+
+PassChain parse_pass_list(const std::string& text) {
+  std::vector<std::string> names;
+  std::size_t start = 0;
+  while (true) {
+    const auto comma = text.find(',', start);
+    const auto end = comma == std::string::npos ? text.size() : comma;
+    std::string name = text.substr(start, end - start);
+    if (name.empty()) {
+      throw ConfigError("pass list: empty entry in '" + text + "'");
+    }
+    names.push_back(std::move(name));
+    if (comma == std::string::npos) break;
+    start = comma + 1;
+  }
+  return parse_pass_list(names);
+}
 
 Enumeration enumerate_with_passes(const profile::Profiler& profiler,
                                   std::span<const std::string> pass_names) {
-  std::vector<std::unique_ptr<PruningPass>> passes;
-  passes.reserve(pass_names.size());
-  for (const auto& name : pass_names) {
-    auto pass = make_pruning_pass(name);
-    if (pass->needs_measurer()) {
-      throw ConfigError("enumerate: pass '" + name +
-                        "' needs a measurer and cannot run at enumeration "
-                        "time; select it through the study driver");
-    }
-    passes.push_back(std::move(pass));
+  if (parse_pass_list(pass_names).ml) {
+    throw ConfigError(
+        "enumerate: pass 'ml' runs trials and cannot run at enumeration "
+        "time; select it through the study driver");
   }
-
-  ProfilePointSource source(profiler);
-  PassContext ctx;
-  ctx.profiler = &profiler;
-  auto points = run_pruning_chain(source, passes, ctx);
-
-  Enumeration out;
-  out.stats = ctx.stats;
-  out.classes = std::move(ctx.classes);
-  out.points = std::move(points);
+  auto out = profiled_space(profiler);
+  out.stats.after_context = out.points.size();
+  for (const auto& name : pass_names) {
+    if (name == "semantic") {
+      prune_semantic(profiler, out);
+    } else {
+      prune_context(profiler, out);
+    }
+    out.stats.after_context = out.points.size();
+  }
+  // The passes erase in place: without this, the campaign would keep the
+  // whole unpruned space's memory resident for the study.
+  out.points.shrink_to_fit();
   return out;
 }
 

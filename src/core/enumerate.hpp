@@ -1,14 +1,15 @@
 #pragma once
 
-// Injection-point enumeration over a profiled run: applies semantic-driven
-// pruning (paper Sec III-A) and application-context-driven pruning
-// (Sec III-B) and yields the surviving points with their ML features.
+// Injection-point enumeration over a profiled run (paper Fig 5, between
+// profiling and injection): the profiled space, narrowed by
+// semantic-driven pruning (Sec III-A) and application-context-driven
+// pruning (Sec III-B) in the order a pass chain names them, yielding the
+// surviving points with their ML features.
 //
-// These are convenience wrappers over the staged pipeline in
-// core/pipeline.hpp: a ProfilePointSource feeding a chain of structural
-// PruningPass objects. enumerate_points() is the default chain
-// [semantic, context]; the chain is runtime-configurable through
-// enumerate_with_passes().
+// parse_pass_list is the one reader of pass names: "semantic" and
+// "context" are the structural passes (reorderable, repeatable); "ml"
+// names the study's injection ⇄ learning stage (core/study.hpp), which
+// runs trials and so may only end a chain.
 
 #include <span>
 #include <string>
@@ -26,11 +27,30 @@ struct Enumeration {
   std::vector<InjectionPoint> points;  ///< the post-pruning points
 };
 
+/// A validated pass chain: the structural passes in order, and whether
+/// the ML stage follows them.
+struct PassChain {
+  std::vector<std::string> structural;
+  bool ml = false;
+
+  bool operator==(const PassChain&) const = default;
+};
+
+/// Validates a chain given as names (CampaignOptions::pruning_passes; an
+/// empty chain enumerates the unpruned space). Throws ConfigError on an
+/// unknown name or on "ml" anywhere but last.
+PassChain parse_pass_list(std::span<const std::string> names);
+
+/// Parses a comma-separated chain ("semantic,context,ml", the --passes /
+/// FASTFIT_PASSES syntax). Throws ConfigError as above, and on an empty
+/// list or list entry.
+PassChain parse_pass_list(const std::string& text);
+
 /// Enumerates injection points from the profiling run. For every process
 /// equivalence class, its lowest-rank representative is kept; for every
 /// (rank, site), one invocation per distinct call stack is kept; every
 /// surviving invocation contributes one point per injectable parameter of
-/// the collective kind.
+/// the collective kind: the default chain [semantic, context].
 Enumeration enumerate_points(const profile::Profiler& profiler);
 
 /// Variant without the context (call-stack) pruning step: every invocation
@@ -39,10 +59,10 @@ Enumeration enumerate_points(const profile::Profiler& profiler);
 /// study the context-pruning premise itself (Fig 3).
 Enumeration enumerate_points_semantic_only(const profile::Profiler& profiler);
 
-/// Enumerates through an explicit structural pass chain (pass names as
-/// understood by make_pruning_pass). Throws ConfigError for passes that
-/// need a measurer ("ml") — those resolve points by running trials and
-/// belong to the study driver, not to enumeration.
+/// Enumerates through an explicit structural chain. stats.after_context
+/// tracks the surviving count after every pass. Throws ConfigError for
+/// "ml": it resolves points by running trials and belongs to the study
+/// driver, not to enumeration.
 Enumeration enumerate_with_passes(const profile::Profiler& profiler,
                                   std::span<const std::string> pass_names);
 

@@ -60,7 +60,7 @@ std::string to_csv(const std::vector<PointResult>& results,
   return out.str();
 }
 
-std::string to_json(const FastFitResult& result) {
+std::string to_json(const StudyResult& result) {
   std::ostringstream out;
   out << "{\n  \"pruning\": {\"total\": " << result.stats.total_points
       << ", \"afterSemantic\": " << result.stats.after_semantic

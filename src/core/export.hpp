@@ -8,7 +8,7 @@
 #include <string>
 #include <vector>
 
-#include "core/fastfit.hpp"
+#include "core/study.hpp"
 
 namespace fastfit::core {
 
@@ -21,7 +21,7 @@ std::string to_csv(const std::vector<PointResult>& results,
 
 /// The full study as a JSON document: options-independent content only
 /// (stats, measured points, predicted labels, accuracy).
-std::string to_json(const FastFitResult& result);
+std::string to_json(const StudyResult& result);
 
 /// Writes content to a file, throwing ConfigError on I/O failure.
 void write_file(const std::string& path, const std::string& content);

@@ -202,9 +202,7 @@ BatchStats TrialScheduler::run(std::span<const InjectionPoint> points,
     }
   }
 
-  // One fresh guarded trial, writing only into slot (i, t). Shared by
-  // the lane loops and by the post-join repair pass, so the two paths
-  // cannot drift.
+  // One fresh guarded trial, writing only into slot (i, t).
   const auto run_fresh = [this, &slots, &first_failed, &claim_mutex,
                           &points, &keys](std::size_t i, std::uint32_t t,
                                           std::int64_t submit_us) {
@@ -315,19 +313,14 @@ BatchStats TrialScheduler::run(std::span<const InjectionPoint> points,
     });
   }
 
-  // Truncation/repair pass: rebuild the serial stream per point. Serial
+  // Truncation pass: rebuild the serial stream per point. Serial
   // semantics are "trials execute in order until the first failure f;
   // f's slot and everything after it are skipped". Under pool > 1, slots
-  // beyond f may have executed anyway (wasted work — discard them) and a
-  // slot at or below f may have been skipped against a failure ordinal
-  // that a later failure then lowered — re-run those serially here.
+  // beyond f may have executed anyway (wasted work — discard them). No
+  // slot below f was skipped: claim_next skips a trial only above the
+  // failure ordinal it sees, and that ordinal only falls, so every
+  // skipped trial lies above the final f too.
   for (std::size_t i = 0; i < points.size(); ++i) {
-    for (std::uint32_t t = 0; t < trials && t < first_failed[i]; ++t) {
-      const Slot& slot = slots[i][t];
-      if (slot.outcome == kSkipped && !slot.failed && !slot.replayed) {
-        run_fresh(i, t, -1);
-      }
-    }
     for (std::uint32_t t = first_failed[i]; t < trials; ++t) {
       // Journal-replayed outcomes survive the truncation — the serial
       // run never re-executes (or un-records) them either.

@@ -56,8 +56,7 @@ namespace fastfit::core {
 std::size_t resolve_parallel_trials(std::size_t configured);
 
 /// Ordinal of the scheduler lane running the calling thread, or -1 off
-/// the lane threads (pool 1, the repair pass, the confirmations, the
-/// campaign driver). Used to attribute errors and trace spans to their
+/// the lane threads (pool 1, the confirmations, the campaign driver). Used to attribute errors and trace spans to their
 /// lane.
 int current_worker() noexcept;
 

@@ -1,55 +1,8 @@
 #include "core/study.hpp"
 
-#include "core/pipeline.hpp"
 #include "support/error.hpp"
 
 namespace fastfit::core {
-
-namespace {
-
-/// Splits the study's pass chain into the structural prefix (run at
-/// profile time by the campaign) and the ML stage flag, validating the
-/// shape: a measurer-needing pass must be last, and naming one while ML
-/// is disabled is a contradiction.
-struct ChainShape {
-  std::vector<std::string> structural;
-  bool ml_stage = false;
-};
-
-ChainShape split_chain(const StudyOptions& options) {
-  ChainShape shape;
-  if (options.passes.empty()) {
-    shape.structural = options.campaign.pruning_passes;
-    shape.ml_stage = options.use_ml;
-    return shape;
-  }
-  for (std::size_t i = 0; i < options.passes.size(); ++i) {
-    const auto& name = options.passes[i];
-    if (make_pruning_pass(name)->needs_measurer()) {
-      if (i + 1 != options.passes.size()) {
-        throw ConfigError("study: pass '" + name +
-                          "' runs trials and must be the last pass in the "
-                          "chain");
-      }
-      if (!options.use_ml) {
-        throw ConfigError("study: the pass chain selects '" + name +
-                          "' but ML is disabled");
-      }
-      shape.ml_stage = true;
-    } else {
-      shape.structural.push_back(name);
-    }
-  }
-  return shape;
-}
-
-CampaignOptions resolved_campaign_options(const StudyOptions& options) {
-  CampaignOptions campaign = options.campaign;
-  campaign.pruning_passes = split_chain(options).structural;
-  return campaign;
-}
-
-}  // namespace
 
 double StudyResult::total_reduction() const {
   if (stats.total_points == 0) return 0.0;
@@ -58,10 +11,8 @@ double StudyResult::total_reduction() const {
 }
 
 StudyDriver::StudyDriver(const apps::Workload& workload, StudyOptions options)
-    : options_(std::move(options)),
-      ml_stage_(split_chain(options_).ml_stage),
-      campaign_(workload, resolved_campaign_options(options_)) {
-  if (ml_stage_ && options_.campaign.shard.sharded()) {
+    : options_(std::move(options)), campaign_(workload, options_.campaign) {
+  if (options_.use_ml && options_.campaign.shard.sharded()) {
     throw ConfigError(
         "study: sharding requires a static post-pruning point set, but the "
         "ML stage resolves points adaptively; run sharded studies with the "
@@ -93,28 +44,17 @@ StudyResult StudyDriver::run() {
   result.golden_digest = campaign_.golden_digest();
   const auto& points = campaign_.enumeration().points;
 
-  if (ml_stage_) {
-    // The injection ⇄ learning stage, run through the pipeline's pass
-    // interface: it consumes the structurally surviving points and
-    // resolves every one of them, by measurement or by prediction.
-    PassContext ctx;
-    ctx.profiler = &campaign_.profiler();
-    ctx.measurer = &campaign_;
-    ctx.ml = &options_.ml;
-    MlPredictionPass pass;
-    pass.apply(ctx, points);
-    result.measured = std::move(ctx.measured);
-    result.predicted = std::move(ctx.predicted);
-    result.final_accuracy = ctx.final_accuracy;
-    result.threshold_reached = ctx.threshold_reached;
-    result.ml_rounds = ctx.ml_rounds;
-    result.model = std::move(ctx.model);
-    const std::size_t resolved =
-        result.measured.size() + result.predicted.size();
-    if (resolved > 0) {
-      result.ml_reduction = static_cast<double>(result.predicted.size()) /
-                            static_cast<double>(resolved);
-    }
+  if (options_.use_ml) {
+    // The injection ⇄ learning loop: it resolves every structurally
+    // surviving point, by measurement or by prediction.
+    auto ml = run_ml_loop(campaign_, points, options_.ml);
+    result.ml_reduction = ml.ml_reduction();
+    result.measured = std::move(ml.measured);
+    result.predicted = std::move(ml.predicted);
+    result.final_accuracy = ml.final_accuracy;
+    result.threshold_reached = ml.threshold_reached;
+    result.ml_rounds = ml.rounds;
+    result.model = std::move(ml.model);
   } else if (options_.campaign.shard.sharded()) {
     // Deterministic partition by stable point identity: every shard
     // computes the same ordinals from the same enumeration, so the N

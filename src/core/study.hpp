@@ -1,16 +1,17 @@
 #pragma once
 
-// StudyDriver: the slim orchestrator of one sensitivity study.
+// StudyDriver: one sensitivity study, the paper's tool (Fig 5) as a
+// chain of direct calls:
 //
-// A study is the composition of the pipeline's five stages (see
-// core/pipeline.hpp and core/scheduler.hpp):
+//   profile -> enumerate + prune -> measure every point, or run the
+//                                   injection ⇄ learning loop
 //
-//   PointSource -> [PruningPass...] -> TrialScheduler -> OutcomeSink*
-//
-// with the driver as the only piece that knows the whole shape. The
-// structural prefix of the pass chain runs at profile() time inside the
-// campaign engine; a trailing "ml" stage runs the injection ⇄ learning
-// feedback loop (paper Fig 5) through the same PruningPass interface.
+// The campaign (core/campaign.hpp) profiles and enumerates through the
+// structural chain CampaignOptions::pruning_passes (core/enumerate.hpp);
+// the driver then either measures every surviving point through the
+// campaign's TrialScheduler (core/scheduler.hpp) or, when
+// StudyOptions::use_ml is set, hands them to run_ml_loop
+// (core/ml_loop.hpp), which measures some and predicts the rest.
 //
 // Deterministic sharding: with campaign.shard = i/N the driver measures
 // only the points whose stable identity hash lands in shard i of the
@@ -32,17 +33,11 @@
 namespace fastfit::core {
 
 struct StudyOptions {
+  /// Its pruning_passes is the structural chain, run at profile time.
   CampaignOptions campaign;
-  /// Full pass chain, in order. Structural passes ("semantic",
-  /// "context", reorderable and repeatable) run at profile time; a
-  /// trailing "ml" selects the ML prediction stage. Empty = the
-  /// campaign's pruning_passes plus "ml" when use_ml. An explicit chain
-  /// is complete — it decides the ML stage by containing "ml" or not —
-  /// except that naming "ml" while use_ml is false is a contradiction
-  /// and throws ConfigError.
-  std::vector<std::string> passes;
-  /// ML-driven pruning on/off. The paper enables it for LAMMPS only (the
-  /// NPB spaces are already small after structural pruning).
+  /// The ML stage (paper Sec III-C) after the structural chain, on/off.
+  /// The paper enables it for LAMMPS only (the NPB spaces are already
+  /// small after structural pruning).
   bool use_ml = true;
   MlLoopConfig ml;
   /// Durable trial journal path (empty = no journal). Attached after
@@ -87,9 +82,8 @@ struct StudyResult {
   double total_reduction() const;
 };
 
-/// Orchestrates one study: profile, prune, measure/predict, report.
-/// Owns the campaign engine; everything else is composed through the
-/// pipeline interfaces.
+/// Orchestrates one study: profile, prune, measure/predict. Owns the
+/// campaign engine.
 class StudyDriver {
  public:
   StudyDriver(const apps::Workload& workload, StudyOptions options);
@@ -112,7 +106,6 @@ class StudyDriver {
 
  private:
   StudyOptions options_;
-  bool ml_stage_ = false;
   Campaign campaign_;
   bool profiled_ = false;
   bool started_ = false;

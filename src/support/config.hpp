@@ -73,7 +73,7 @@ struct InjectionConfig {
   std::string shard;
   /// Comma-separated pruning pass chain (FASTFIT_PASSES), e.g.
   /// "semantic,context" or "context,semantic,ml"; empty = the default
-  /// chain. Validated by the pipeline's pass factory downstream.
+  /// chain. Validated by core::parse_pass_list downstream.
   std::string passes;
   /// Comma-separated fault-model specs (FASTFIT_FAULT_MODELS), each
   /// "model[@trigger[=param]]", e.g.

@@ -55,7 +55,7 @@ TEST(Export, CsvQuotesSpecialCharacters) {
 }
 
 TEST(Export, JsonIsStructurallySound) {
-  FastFitResult result;
+  StudyResult result;
   result.stats.total_points = 100;
   result.stats.after_semantic = 20;
   result.stats.after_context = 10;
@@ -80,7 +80,7 @@ TEST(Export, JsonIsStructurallySound) {
 }
 
 TEST(Export, JsonEscapesStrings) {
-  FastFitResult result;
+  StudyResult result;
   auto r = sample_result("path\"with\\quotes", mpi::Param::SendBuf);
   result.measured.push_back(r);
   const auto json = to_json(result);
@@ -91,7 +91,7 @@ TEST(Export, ExtendedOutcomeColumnsAreOptIn) {
   // The default configuration keeps the paper's six-way taxonomy on
   // every serialized surface so its output stays byte-identical to
   // pre-v2 builds; extended fault-model studies add the two columns.
-  FastFitResult result;
+  StudyResult result;
   auto r = sample_result("lu.cpp:10", mpi::Param::SendBuf);
   r.record(inject::Outcome::RankDead);
   result.measured.push_back(r);

@@ -1,16 +1,16 @@
-// End-to-end FastFIT integration: the three-phase study on real workloads.
+// End-to-end study integration: the three-phase study on real workloads.
 
 #include <gtest/gtest.h>
 
 #include "apps/registry.hpp"
-#include "core/fastfit.hpp"
 #include "core/report.hpp"
+#include "core/study.hpp"
 
 namespace fastfit::core {
 namespace {
 
-FastFitOptions small_study() {
-  FastFitOptions opts;
+StudyOptions small_study() {
+  StudyOptions opts;
   opts.campaign.nranks = 8;
   opts.campaign.trials_per_point = 5;
   opts.campaign.seed = 4242;
@@ -21,9 +21,9 @@ FastFitOptions small_study() {
   return opts;
 }
 
-TEST(FastFit, FullStudyOnMiniMD) {
+TEST(StudyDriver, FullStudyOnMiniMD) {
   const auto workload = apps::make_workload("miniMD");
-  FastFit study(*workload, small_study());
+  StudyDriver study(*workload, small_study());
   const auto result = study.run();
 
   // Structural pruning must be substantial (the paper's headline claim).
@@ -40,29 +40,29 @@ TEST(FastFit, FullStudyOnMiniMD) {
   EXPECT_NEAR(sum, 1.0, 1e-9);
 }
 
-TEST(FastFit, TraditionalModeMeasuresEverything) {
+TEST(StudyDriver, TraditionalModeMeasuresEverything) {
   auto opts = small_study();
   opts.use_ml = false;
   opts.campaign.trials_per_point = 2;
   const auto workload = apps::make_workload("LU");
-  FastFit study(*workload, opts);
+  StudyDriver study(*workload, opts);
   const auto result = study.run();
   EXPECT_TRUE(result.predicted.empty());
   EXPECT_EQ(result.measured.size(), result.stats.after_context);
   EXPECT_EQ(result.ml_reduction, 0.0);
 }
 
-TEST(FastFit, SingleUse) {
+TEST(StudyDriver, SingleUse) {
   const auto workload = apps::make_workload("LU");
   auto opts = small_study();
   opts.use_ml = false;
   opts.campaign.trials_per_point = 1;
-  FastFit study(*workload, opts);
+  StudyDriver study(*workload, opts);
   study.run();
   EXPECT_THROW(study.run(), InternalError);
 }
 
-TEST(FastFit, CampaignBeforeRunThrowsInsteadOfHandingOutAnUnprofiledEngine) {
+TEST(StudyDriver, CampaignBeforeRunThrowsInsteadOfHandingOutAnUnprofiledEngine) {
   // Regression: campaign() used to return the unprofiled engine, whose
   // every accessor (stats, enumeration, golden digest) then failed from
   // deeper, more confusing places.
@@ -70,21 +70,21 @@ TEST(FastFit, CampaignBeforeRunThrowsInsteadOfHandingOutAnUnprofiledEngine) {
   auto opts = small_study();
   opts.use_ml = false;
   opts.campaign.trials_per_point = 1;
-  FastFit study(*workload, opts);
+  StudyDriver study(*workload, opts);
   EXPECT_THROW(study.campaign(), InternalError);
-  const FastFit& const_study = study;
+  const StudyDriver& const_study = study;
   EXPECT_THROW(const_study.campaign(), InternalError);
   study.run();
   EXPECT_NO_THROW(study.campaign().stats());
   EXPECT_NO_THROW(const_study.campaign().golden_digest());
 }
 
-TEST(FastFit, StudyIsReproducible) {
+TEST(StudyDriver, StudyIsReproducible) {
   const auto workload = apps::make_workload("LU");
   auto opts = small_study();
   opts.campaign.trials_per_point = 3;
-  FastFit s1(*workload, opts);
-  FastFit s2(*workload, opts);
+  StudyDriver s1(*workload, opts);
+  StudyDriver s2(*workload, opts);
   const auto r1 = s1.run();
   const auto r2 = s2.run();
   ASSERT_EQ(r1.measured.size(), r2.measured.size());
@@ -98,7 +98,7 @@ TEST(FastFit, StudyIsReproducible) {
   }
 }
 
-TEST(FastFit, BarrierFaultsAreSevere) {
+TEST(StudyDriver, BarrierFaultsAreSevere) {
   // Paper Figs 8/11: faulty MPI_Barrier has a lethal effect. A corrupted
   // communicator handle on a barrier is either MPI_ERR (invalid handle) or
   // INF_LOOP (valid-but-wrong communicator): never harmless.
@@ -106,7 +106,7 @@ TEST(FastFit, BarrierFaultsAreSevere) {
   auto opts = small_study();
   opts.use_ml = false;
   opts.campaign.trials_per_point = 8;
-  FastFit study(*workload, opts);
+  StudyDriver study(*workload, opts);
   const auto result = study.run();
   bool found = false;
   for (const auto& r : result.measured) {

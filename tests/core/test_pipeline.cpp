@@ -13,7 +13,6 @@
 
 #include "apps/registry.hpp"
 #include "core/enumerate.hpp"
-#include "core/pipeline.hpp"
 #include "profile/queries.hpp"
 
 namespace fastfit::core {
@@ -183,7 +182,7 @@ TEST(Pipeline, PassesAreRepeatable) {
 }
 
 TEST(Pipeline, UnknownPassIsRejected) {
-  EXPECT_THROW(make_pruning_pass("wat"), ConfigError);
+  EXPECT_THROW(parse_pass_list("wat"), ConfigError);
   ProfiledRun run("EP");
   EXPECT_THROW(enumerate_with_passes(run.profiler,
                                      std::vector<std::string>{"wat"}),
@@ -202,12 +201,16 @@ TEST(Pipeline, MeasuringPassIsRejectedAtEnumerationTime) {
 
 TEST(Pipeline, ParsePassList) {
   EXPECT_EQ(parse_pass_list("semantic,context,ml"),
-            (std::vector<std::string>{"semantic", "context", "ml"}));
-  EXPECT_EQ(parse_pass_list("context"),
-            (std::vector<std::string>{"context"}));
+            (PassChain{{"semantic", "context"}, true}));
+  EXPECT_EQ(parse_pass_list("context"), (PassChain{{"context"}, false}));
+  EXPECT_EQ(parse_pass_list("ml"), (PassChain{{}, true}));
   EXPECT_THROW(parse_pass_list(""), ConfigError);
   EXPECT_THROW(parse_pass_list("semantic,,context"), ConfigError);
   EXPECT_THROW(parse_pass_list("semantic,nope"), ConfigError);
+  // "ml" runs trials on whatever the structural passes leave, so it
+  // may only end the chain.
+  EXPECT_THROW(parse_pass_list("semantic,ml,context"), ConfigError);
+  EXPECT_THROW(parse_pass_list("ml,ml"), ConfigError);
 }
 
 }  // namespace

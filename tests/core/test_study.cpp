@@ -1,4 +1,4 @@
-// StudyDriver orchestration: pass-chain validation, deterministic
+// StudyDriver orchestration: the structural chain, deterministic
 // sharding, fragment export, and the `fastfit merge` reassembly that
 // must be bit-identical to the unsharded run.
 
@@ -100,26 +100,10 @@ TEST(StudyDriver, MlStageRefusesSharding) {
   EXPECT_THROW(StudyDriver(*workload, opts), ConfigError);
 }
 
-TEST(StudyDriver, MlPassMustBeLastInTheChain) {
-  const auto workload = apps::make_workload("EP");
-  auto opts = small_study();
-  opts.use_ml = true;
-  opts.passes = {"semantic", "ml", "context"};
-  EXPECT_THROW(StudyDriver(*workload, opts), ConfigError);
-}
-
-TEST(StudyDriver, MlPassWithMlDisabledIsAContradiction) {
-  const auto workload = apps::make_workload("EP");
-  auto opts = small_study();
-  opts.use_ml = false;
-  opts.passes = {"semantic", "context", "ml"};
-  EXPECT_THROW(StudyDriver(*workload, opts), ConfigError);
-}
-
 TEST(StudyDriver, ExplicitStructuralChainRuns) {
   const auto workload = apps::make_workload("EP");
   auto opts = small_study(8, 2);
-  opts.passes = {"context", "semantic"};
+  opts.campaign.pruning_passes = {"context", "semantic"};
   StudyDriver driver(*workload, opts);
   const auto result = driver.run();
   EXPECT_EQ(result.measured.size(), result.stats.after_context);

@@ -5,8 +5,8 @@
 #include <gtest/gtest.h>
 
 #include "apps/registry.hpp"
-#include "core/fastfit.hpp"
 #include "core/report.hpp"
+#include "core/study.hpp"
 
 namespace fastfit::core {
 namespace {
@@ -19,7 +19,7 @@ TEST_P(StudyMatrix, InvariantsHold) {
   const auto& [workload_name, model_index] = GetParam();
   const auto workload = apps::make_workload(workload_name);
 
-  FastFitOptions options;
+  StudyOptions options;
   options.campaign.nranks = 8;
   options.campaign.trials_per_point = 2;
   options.campaign.seed = 777 + model_index;
@@ -27,7 +27,7 @@ TEST_P(StudyMatrix, InvariantsHold) {
       inject::FaultModelSpec{static_cast<inject::FaultModel>(model_index)}};
   options.use_ml = false;  // measure everything: strongest invariants
 
-  FastFit study(*workload, options);
+  StudyDriver study(*workload, options);
   const auto result = study.run();
 
   // Structure: counts are monotone, every point measured exactly once.

@@ -329,7 +329,7 @@ TEST(Config, FaultModelKnobsValidate) {
 }
 
 TEST(Config, ShardAndPassesAreStoredRaw) {
-  // Raw text here; core/shard.hpp and core/pipeline.hpp own the
+  // Raw text here; core/shard.hpp and core/enumerate.hpp own the
   // semantics (and the CLI parses through them).
   const auto cfg = InjectionConfig::from_map(
       {{"FASTFIT_SHARD", "2/4"}, {"FASTFIT_PASSES", "context,semantic"}});

@@ -69,12 +69,11 @@
 
 #include "apps/registry.hpp"
 #include "core/export.hpp"
-#include "inject/fault_model.hpp"
-#include "core/fastfit.hpp"
 #include "core/p2p_study.hpp"
-#include "core/pipeline.hpp"
 #include "core/report.hpp"
 #include "core/shard.hpp"
+#include "core/study.hpp"
+#include "inject/fault_model.hpp"
 #include "ml/classifier.hpp"
 #include "profile/queries.hpp"
 #include "stats/levels.hpp"
@@ -300,14 +299,22 @@ int cmd_list() {
   return 0;
 }
 
-/// Resolves the pruning-pass chain from --passes / FASTFIT_PASSES
-/// (flag wins). Empty result = the default chain.
-std::vector<std::string> resolve_passes(const Args& args,
-                                        const InjectionConfig& env) {
+/// Applies the pass chain from --passes / FASTFIT_PASSES (flag wins):
+/// its structural passes become the campaign's pruning chain, and it
+/// decides the ML stage by ending in "ml" or not — which options.use_ml
+/// must allow. Returns false, changing nothing, when no chain is given.
+bool apply_passes(const Args& args, const InjectionConfig& env,
+                  core::StudyOptions& options) {
   std::string passes = env.passes;
   if (args.has("passes")) passes = args.get("passes", "");
-  if (passes.empty()) return {};
-  return core::parse_pass_list(passes);
+  if (passes.empty()) return false;
+  auto chain = core::parse_pass_list(passes);
+  if (chain.ml && !options.use_ml) {
+    throw ConfigError("the pass chain selects 'ml' but ML is disabled");
+  }
+  options.campaign.pruning_passes = std::move(chain.structural);
+  options.use_ml = chain.ml;
+  return true;
 }
 
 int cmd_profile(const std::string& workload_name, const Args& args) {
@@ -315,7 +322,7 @@ int cmd_profile(const std::string& workload_name, const Args& args) {
   core::StudyOptions options;
   options.campaign.nranks = parse_ranks(args);
   options.use_ml = false;
-  options.passes = resolve_passes(args, InjectionConfig::from_environment());
+  apply_passes(args, InjectionConfig::from_environment(), options);
   core::StudyDriver driver(*workload, std::move(options));
   driver.profile();
   auto& campaign = driver.campaign();
@@ -341,7 +348,7 @@ int cmd_profile(const std::string& workload_name, const Args& args) {
 
 int cmd_study(const std::string& workload_name, const Args& args) {
   const auto workload = apps::make_workload(workload_name);
-  core::FastFitOptions options;
+  core::StudyOptions options;
   options.campaign.nranks = parse_ranks(args);
   options.campaign.trials_per_point = parse_trials(args, 12);
   options.campaign.seed = args.has("seed")
@@ -402,12 +409,11 @@ int cmd_study(const std::string& workload_name, const Args& args) {
   }
 
   // Pipeline selection: the pruning chain and the deterministic shard.
-  options.passes = resolve_passes(args, env);
+  const bool explicit_chain = apply_passes(args, env, options);
   std::string shard = env.shard;
   if (args.has("shard")) shard = args.get("shard", "");
   if (!shard.empty()) options.campaign.shard = core::parse_shard(shard);
-  if (options.campaign.shard.sharded() && options.use_ml &&
-      options.passes.empty()) {
+  if (options.campaign.shard.sharded() && options.use_ml && !explicit_chain) {
     // A sharded study needs a static point set; rather than erroring on
     // the CLI's use_ml default, drop the ML stage the way --no-ml would.
     // An explicit "--passes ...,ml" together with --shard still errors.
@@ -448,7 +454,7 @@ int cmd_study(const std::string& workload_name, const Args& args) {
     }
   }
 
-  core::FastFit study(*workload, options);
+  core::StudyDriver study(*workload, std::move(options));
   const auto result = study.run();
   if (meter) meter->stop();
 
