@@ -100,6 +100,22 @@ TEST(StudyDriver, MlStageRefusesSharding) {
   EXPECT_THROW(StudyDriver(*workload, opts), ConfigError);
 }
 
+TEST(StudyDriver, MlPassMustBeLastInTheChain) {
+  // "ml" runs trials on whatever the structural passes leave, so a chain
+  // with a pass after it is refused when the driver is built.
+  const auto workload = apps::make_workload("EP");
+  auto opts = small_study();
+  opts.use_ml = true;
+  opts.campaign.pruning_passes = {"semantic", "ml", "context"};
+  try {
+    StudyDriver driver(*workload, opts);
+    FAIL() << "'ml' before 'context' must be refused";
+  } catch (const ConfigError& err) {
+    const std::string what = err.what();
+    EXPECT_NE(what.find("last pass"), std::string::npos) << what;
+  }
+}
+
 TEST(StudyDriver, ExplicitStructuralChainRuns) {
   const auto workload = apps::make_workload("EP");
   auto opts = small_study(8, 2);
