@@ -22,12 +22,9 @@ int main(int argc, char** argv) {
 
   const auto workload = apps::make_workload(name);
   core::StudyOptions study;
-  study.campaign = core::CampaignOptions{
-      .nranks = 16,
-      .seed = 0x5eedULL,
-      .trials_per_point = 10,
-      .watchdog = std::nullopt,
-  };
+  study.campaign.nranks = 16;
+  study.campaign.seed = 0x5eedULL;
+  study.campaign.trials_per_point = 10;
   // Drive the ML loop by hand below (to print the model) instead of
   // letting run() own it.
   study.use_ml = false;

@@ -13,6 +13,7 @@
 // to run 50 trials against parameter 4 (the reduction op).
 
 #include <cstdio>
+#include <utility>
 
 #include "apps/common.hpp"
 #include "apps/workload.hpp"
@@ -62,7 +63,10 @@ int main() {
   // The study pipeline owns engine construction; profile() is the golden
   // run + profiling run + pruning, after which the campaign engine is
   // ready for hand-driven measurement.
-  core::StudyDriver driver(workload, {.campaign = options, .use_ml = false});
+  core::StudyOptions study;
+  study.campaign = options;
+  study.use_ml = false;
+  core::StudyDriver driver(workload, std::move(study));
   driver.profile();
   auto& campaign = driver.campaign();
 

@@ -434,10 +434,11 @@ inject::TrialForensics Campaign::dispatch_trial(
     item.watchdog_ms = static_cast<std::uint64_t>(watchdog.count());
     // The in-world watchdog is the real trial timeout; the lease is a
     // generous backstop that only catches a wedged worker *process*
-    // (e.g. one that inherited a locked mutex across fork).
-    const auto lease = options_.worker_lease.value_or(
-        std::max<std::chrono::milliseconds>(
-            60'000ms, watchdog * 4 + std::chrono::milliseconds(10'000)));
+    // (e.g. one that inherited a locked mutex across fork). Past it the
+    // lane's process group is SIGKILLed and the trial re-enters the
+    // retry-with-quarantine guard.
+    const auto lease = std::max<std::chrono::milliseconds>(
+        60'000ms, watchdog * 4 + std::chrono::milliseconds(10'000));
     // Lane i is scheduler lane i; the serial path and the confirmations
     // run on the scheduling thread, with the lanes idle, and take lane 0.
     const int worker = current_worker();

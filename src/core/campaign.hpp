@@ -115,12 +115,6 @@ struct CampaignOptions {
   /// kills rank code that never yields; results for non-signal fault
   /// models stay byte-identical to the in-process backend.
   IsolationMode isolation = IsolationMode::Thread;
-  /// Per-trial lease for process-isolated workers: past this deadline
-  /// the whole lane process group is SIGKILLed and the trial re-enters
-  /// the retry-with-quarantine guard. Unset = a generous backstop
-  /// derived from the watchdog (the in-world watchdog is the real
-  /// timeout; the lease only catches a wedged worker process).
-  std::optional<std::chrono::milliseconds> worker_lease;
 };
 
 /// Aggregate campaign health: what the resilience machinery had to do.

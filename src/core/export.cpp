@@ -7,6 +7,7 @@
 
 #include "core/journal.hpp"
 #include "support/error.hpp"
+#include "support/format.hpp"
 
 namespace fastfit::core {
 namespace {

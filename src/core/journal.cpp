@@ -11,6 +11,7 @@
 #include <sstream>
 
 #include "support/error.hpp"
+#include "support/format.hpp"
 #include "telemetry/recorder.hpp"
 
 namespace fastfit::core {
@@ -171,28 +172,6 @@ int open_for_append(const std::string& path) {
 }
 
 }  // namespace
-
-std::string json_escape(const std::string& text) {
-  std::string out;
-  out.reserve(text.size());
-  for (char c : text) {
-    switch (c) {
-      case '"': out += "\\\""; break;
-      case '\\': out += "\\\\"; break;
-      case '\n': out += "\\n"; break;
-      case '\t': out += "\\t"; break;
-      default:
-        if (static_cast<unsigned char>(c) < 0x20) {
-          char buf[8];
-          std::snprintf(buf, sizeof(buf), "\\u%04x", c);
-          out += buf;
-        } else {
-          out += c;
-        }
-    }
-  }
-  return out;
-}
 
 std::string point_key(const InjectionPoint& point) {
   std::string key = std::to_string(point.site_id) + ':' +

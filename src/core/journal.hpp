@@ -35,11 +35,6 @@ namespace fastfit::core {
 /// ("site:rank:invocation:param"); the key journal lines are indexed by.
 std::string point_key(const InjectionPoint& point);
 
-/// Escapes `text` for a JSON string literal, as the journal, shard
-/// fragments and reports write it: `"`, `\\`, `\n` and `\t` get their short
-/// escapes, other control characters `\u00XX`.
-std::string json_escape(const std::string& text);
-
 /// Campaign identity written as the journal's first line. Resume refuses
 /// to continue a journal whose identity differs from the live campaign —
 /// a changed seed or golden digest would silently break the bit-identical

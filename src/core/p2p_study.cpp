@@ -120,7 +120,10 @@ P2pPointResult measure_p2p(Campaign& campaign, const P2pInjectionPoint& point,
     opts.seed = campaign.options().seed;
     opts.watchdog = campaign.watchdog();
     opts.algorithms = campaign.options().algorithms;
-    trace::ContextRegistry contexts(opts.nranks);
+    // Built like Campaign's trial worlds: no trial reads a call graph,
+    // and the ranks run on the thread's rank arena.
+    opts.trial_arena = true;
+    trace::ContextRegistry contexts(opts.nranks, trace::CallGraphs::Skip);
     const auto job =
         apps::run_job(campaign.workload(), opts, &injector, contexts);
     result.record(

@@ -33,7 +33,7 @@ std::uint64_t parse_u64(const std::string& key, const std::string& value,
 // these variables, the CLI renders this table into --help. Adding a knob
 // here makes it visible in both places at once.
 constexpr ConfigKnob kKnobs[] = {
-    {"NUM_INJ", "", "N", "trials per injection point (paper Table II)"},
+    {"NUM_INJ", "trials", "N", "trials per injection point (paper Table II)"},
     {"INV_ID", "", "ID", "target invocation id (paper Table II)"},
     {"CALL_ID", "", "ID", "target collective call-site id (paper Table II)"},
     {"RANK_ID", "", "ID", "target rank id (paper Table II)"},
@@ -51,7 +51,7 @@ constexpr ConfigKnob kKnobs[] = {
      "pruning chain, comma-separated (semantic,context[,ml])"},
     {"FASTFIT_FAULT_MODELS", "fault-models", "LIST",
      "fault models, comma-separated model[@trigger[=param]] specs"},
-    {"FASTFIT_REPAIR", "repair", "0|1",
+    {"FASTFIT_REPAIR", "repair", "on|off",
      "ULFM-style shrink-and-continue after rank death (default off)"},
     {"FASTFIT_ISOLATION", "isolation", "thread|process",
      "trial backend: in-process or fork-server workers"},
@@ -78,7 +78,7 @@ InjectionConfig InjectionConfig::from_map(
   for (const auto& [key, value] : kv) {
     if (key == "NUM_INJ") {
       cfg.num_inj = parse_u64(key, value,
-                              std::numeric_limits<std::uint64_t>::max());
+                              std::numeric_limits<std::uint32_t>::max());
       if (cfg.num_inj == 0) throw ConfigError("NUM_INJ: must be positive");
     } else if (key == "INV_ID") {
       // The paper allots 3 decimal digits to INV_ID and CALL_ID.
@@ -124,7 +124,11 @@ InjectionConfig InjectionConfig::from_map(
       if (value.empty()) throw ConfigError("FASTFIT_FAULT_MODELS: empty value");
       cfg.fault_models = value;
     } else if (key == "FASTFIT_REPAIR") {
-      cfg.repair = parse_u64(key, value, 1) != 0;
+      if (value != "on" && value != "off" && value != "0" && value != "1") {
+        throw ConfigError("FASTFIT_REPAIR: must be one of on|off|0|1, got '" +
+                          value + "'");
+      }
+      cfg.repair = value == "on" || value == "1";
     } else if (key == "FASTFIT_ISOLATION") {
       if (value != "thread" && value != "process") {
         throw ConfigError(
@@ -151,36 +155,6 @@ InjectionConfig InjectionConfig::from_environment() {
     if (const char* value = std::getenv(knob.env)) kv.emplace(knob.env, value);
   }
   return from_map(kv);
-}
-
-std::map<std::string, std::string> InjectionConfig::to_map() const {
-  std::map<std::string, std::string> kv;
-  kv["NUM_INJ"] = std::to_string(num_inj);
-  if (inv_id) kv["INV_ID"] = std::to_string(*inv_id);
-  if (call_id) kv["CALL_ID"] = std::to_string(*call_id);
-  if (rank_id) kv["RANK_ID"] = std::to_string(*rank_id);
-  if (param_id) kv["PARAM_ID"] = std::to_string(*param_id);
-  kv["FASTFIT_SEED"] = std::to_string(seed);
-  if (parallel_trials != 0) {
-    kv["FASTFIT_PARALLEL_TRIALS"] = std::to_string(parallel_trials);
-  }
-  if (!journal.empty()) kv["FASTFIT_JOURNAL"] = journal;
-  if (max_trial_retries != 2) {
-    kv["FASTFIT_MAX_TRIAL_RETRIES"] = std::to_string(max_trial_retries);
-  }
-  if (!trace_out.empty()) kv["FASTFIT_TRACE"] = trace_out;
-  if (!metrics_out.empty()) kv["FASTFIT_METRICS"] = metrics_out;
-  if (progress) kv["FASTFIT_PROGRESS"] = "1";
-  if (metrics_interval_ms != 0) {
-    kv["FASTFIT_METRICS_INTERVAL_MS"] = std::to_string(metrics_interval_ms);
-  }
-  if (!shard.empty()) kv["FASTFIT_SHARD"] = shard;
-  if (!passes.empty()) kv["FASTFIT_PASSES"] = passes;
-  if (!fault_models.empty()) kv["FASTFIT_FAULT_MODELS"] = fault_models;
-  if (repair) kv["FASTFIT_REPAIR"] = "1";
-  if (isolation != "thread") kv["FASTFIT_ISOLATION"] = isolation;
-  if (!snapshots) kv["FASTFIT_SNAPSHOTS"] = "off";
-  return kv;
 }
 
 }  // namespace fastfit

@@ -12,8 +12,8 @@
 //   PARAM_ID  - id of the injected parameter
 //
 // InjectionConfig reads them either from the process environment (like the
-// original tool) or from an explicit key/value map (used by tests and by
-// the campaign runner, which synthesizes one config per trial batch).
+// original tool) or from an explicit key/value map: the fastfit CLI builds
+// one from its flags and the variables of the knobs a command applies.
 
 #include <cstdint>
 #include <map>
@@ -25,11 +25,11 @@ namespace fastfit {
 
 /// One configuration knob: the environment variable, its CLI long-flag
 /// alias, the value placeholder, and a one-line description. The single
-/// table (config_knobs) drives both from_environment() and the CLI's
-/// --help, so the two views can never drift apart again.
+/// table (config_knobs) drives from_environment() and the CLI's flags,
+/// its resolver and its --help, so the views can never drift apart.
 struct ConfigKnob {
   const char* env;   ///< environment variable name
-  const char* flag;  ///< CLI long flag without "--" ("" = env-only)
+  const char* flag;  ///< CLI long flag without "--" ("" = library only)
   const char* arg;   ///< value placeholder, e.g. "N", "FILE" ("" = switch)
   const char* help;  ///< one-line description
 };
@@ -40,7 +40,8 @@ std::span<const ConfigKnob> config_knobs();
 /// One fault-injection configuration (paper Table II). Fields left
 /// unset select "all" / "chosen by the campaign planner".
 struct InjectionConfig {
-  std::uint64_t num_inj = 100;            ///< trials per injection point
+  /// Trials per injection point, in [1, 2^32) (--trials on the CLI).
+  std::uint64_t num_inj = 100;
   std::optional<std::uint32_t> inv_id;    ///< target invocation (3 decimal digits in the paper)
   std::optional<std::uint32_t> call_id;   ///< target collective call site
   std::optional<std::uint32_t> rank_id;   ///< target rank
@@ -82,8 +83,8 @@ struct InjectionConfig {
   /// inject::parse_fault_models downstream.
   std::string fault_models;
   /// ULFM-style shrink-and-continue repair for fail-stop rank death
-  /// (FASTFIT_REPAIR); 0 = off (default): a death poisons the world and
-  /// classifies RANK_DEAD.
+  /// (FASTFIT_REPAIR=on|off|0|1); off (default): a death poisons the
+  /// world and classifies RANK_DEAD.
   bool repair = false;
   /// Trial execution backend (FASTFIT_ISOLATION): "thread" (default,
   /// in-process on the scheduler lane's thread) or "process" (fork-server
@@ -112,9 +113,6 @@ struct InjectionConfig {
   /// deployment mode): reads every variable named in config_knobs().
   /// Missing variables keep their defaults.
   static InjectionConfig from_environment();
-
-  /// Renders the config back to Table II environment-variable form.
-  std::map<std::string, std::string> to_map() const;
 };
 
 }  // namespace fastfit

@@ -4,6 +4,7 @@
 
 #include <sstream>
 #include <string>
+#include <string_view>
 #include <vector>
 
 namespace fastfit {
@@ -27,5 +28,12 @@ std::string pad(const std::string& text, std::size_t width);
 
 /// Renders a simple horizontal ASCII bar of proportional length.
 std::string ascii_bar(double fraction, std::size_t max_width = 40);
+
+/// Escapes `text` for a JSON string literal (no quotes): `"`, `\\`, `\n`
+/// and `\t` get their short escapes, every other control character
+/// `\u00XX`. The journal, shard fragments, reports and telemetry exports
+/// all write through it; the journal and fragment readers decode each of
+/// these escapes.
+std::string json_escape(std::string_view text);
 
 }  // namespace fastfit

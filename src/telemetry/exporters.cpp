@@ -6,6 +6,8 @@
 #include <cstring>
 #include <sstream>
 
+#include "support/format.hpp"
+
 namespace fastfit::telemetry {
 
 namespace {
@@ -25,30 +27,6 @@ void append_args_json(std::string& out, const std::string& args) {
 }
 
 }  // namespace
-
-std::string json_escape(std::string_view s) {
-  std::string out;
-  out.reserve(s.size());
-  for (const char c : s) {
-    switch (c) {
-      case '"': out += "\\\""; break;
-      case '\\': out += "\\\\"; break;
-      case '\n': out += "\\n"; break;
-      case '\r': out += "\\r"; break;
-      case '\t': out += "\\t"; break;
-      default:
-        if (static_cast<unsigned char>(c) < 0x20) {
-          char buf[8];
-          std::snprintf(buf, sizeof(buf), "\\u%04x",
-                        static_cast<unsigned>(static_cast<unsigned char>(c)));
-          out += buf;
-        } else {
-          out += c;
-        }
-    }
-  }
-  return out;
-}
 
 int trace_tid(Track track, int index) noexcept {
   const int lane = index < 0 ? 0 : index;

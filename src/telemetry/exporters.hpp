@@ -31,9 +31,6 @@ std::string to_prometheus(const MetricsSnapshot& snapshot);
 /// arrays plus dropped_events).
 std::string to_metrics_json(const MetricsSnapshot& snapshot);
 
-/// Escapes a string for embedding in a JSON string literal (no quotes).
-std::string json_escape(std::string_view s);
-
 /// Writes `text` to `path` (truncating), fsyncs, and returns false (with
 /// no throw) if any step fails.
 bool write_text_file(const std::string& path, const std::string& text);

@@ -162,6 +162,26 @@ TEST(Export, RetiredHealthColumnsAreWrittenZeroAndIgnored) {
   EXPECT_EQ(to_shard_fragment(merged), to_shard_fragment(result));
 }
 
+TEST(Export, FragmentRoundTripsEveryControlByte) {
+  // A point's last error and autopsy are free text: bytes 0x01-0x1f must
+  // survive to_shard_fragment -> merge_fragments unchanged.
+  std::string text;
+  for (int c = 0x01; c <= 0x1f; ++c) text += static_cast<char>(c);
+  StudyResult result;
+  auto r = sample_result("lu.cpp:10", mpi::Param::SendBuf);
+  r.exec.last_error = "error " + text;
+  r.exec.last_autopsy = "autopsy " + text;
+  result.measured.push_back(r);
+  result.stats.total_points = 1;
+  result.stats.after_semantic = 1;
+  result.stats.after_context = 1;
+  result.stats.nranks = 8;
+  const auto merged = merge_fragments({to_shard_fragment(result)});
+  ASSERT_EQ(merged.measured.size(), 1u);
+  EXPECT_EQ(merged.measured[0].exec.last_error, r.exec.last_error);
+  EXPECT_EQ(merged.measured[0].exec.last_autopsy, r.exec.last_autopsy);
+}
+
 TEST(Export, MergeRejectsMixedOutcomeSets) {
   StudyResult result;
   result.measured.push_back(sample_result("lu.cpp:10", mpi::Param::SendBuf));

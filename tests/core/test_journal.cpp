@@ -200,5 +200,26 @@ TEST(TrialJournal, HeaderSurvivesEscapableStrings) {
   EXPECT_THROW(TrialJournal::resume(path, header()), ConfigError);
 }
 
+TEST(TrialJournal, EveryControlByteSurvivesResume) {
+  // Bytes 0x01-0x1f in a trial's autopsy and model and in a quarantine
+  // error: every line must still parse on resume, and the error text
+  // must come back unchanged.
+  std::string text;
+  for (int c = 0x01; c <= 0x1f; ++c) text += static_cast<char>(c);
+  const auto path = temp_path("control_bytes");
+  {
+    auto journal = TrialJournal::create(path, header());
+    journal->record_trial("k0", 0, inject::Outcome::InfLoop, true, text,
+                          text);
+    journal->record_quarantine("k1", 2, text);
+  }
+  auto journal = TrialJournal::resume(path, header());
+  EXPECT_EQ(journal->loaded_trials(), 1u);
+  EXPECT_EQ(journal->lookup("k0", 0), inject::Outcome::InfLoop);
+  const auto quarantine = journal->quarantine("k1");
+  ASSERT_TRUE(quarantine.has_value());
+  EXPECT_EQ(quarantine->error, text);
+}
+
 }  // namespace
 }  // namespace fastfit::core

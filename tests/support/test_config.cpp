@@ -55,21 +55,15 @@ TEST(Config, EnforcesTableTwoFieldWidths) {
   EXPECT_THROW(InjectionConfig::from_map({{"CALL_ID", "1000"}}), ConfigError);
   EXPECT_NO_THROW(InjectionConfig::from_map({{"PARAM_ID", "9"}}));
   EXPECT_THROW(InjectionConfig::from_map({{"PARAM_ID", "10"}}), ConfigError);
+  // NUM_INJ is the CLI's --trials: a campaign counts trials in 32 bits.
+  EXPECT_NO_THROW(InjectionConfig::from_map({{"NUM_INJ", "4294967295"}}));
+  EXPECT_THROW(InjectionConfig::from_map({{"NUM_INJ", "4294967296"}}),
+               ConfigError);
 }
 
 TEST(Config, RejectsOverflow) {
   EXPECT_THROW(InjectionConfig::from_map({{"NUM_INJ", "99999999999999999999"}}),
                ConfigError);
-}
-
-TEST(Config, RoundTripsThroughMap) {
-  auto cfg = InjectionConfig::from_map(
-      {{"NUM_INJ", "50"}, {"CALL_ID", "7"}, {"PARAM_ID", "2"}});
-  const auto cfg2 = InjectionConfig::from_map(cfg.to_map());
-  EXPECT_EQ(cfg2.num_inj, 50u);
-  EXPECT_EQ(cfg2.call_id, 7u);
-  EXPECT_EQ(cfg2.param_id, 2);
-  EXPECT_FALSE(cfg2.inv_id.has_value());
 }
 
 TEST(Config, ParallelTrialsDefaultsToAuto) {
@@ -88,14 +82,6 @@ TEST(Config, ParsesAndValidatesParallelTrials) {
   EXPECT_THROW(
       InjectionConfig::from_map({{"FASTFIT_PARALLEL_TRIALS", "5000"}}),
       ConfigError);
-}
-
-TEST(Config, ParallelTrialsRoundTripsThroughMap) {
-  auto cfg = InjectionConfig::from_map({{"FASTFIT_PARALLEL_TRIALS", "8"}});
-  const auto cfg2 = InjectionConfig::from_map(cfg.to_map());
-  EXPECT_EQ(cfg2.parallel_trials, 8u);
-  // The auto default is not emitted, keeping Table II maps minimal.
-  EXPECT_EQ(InjectionConfig{}.to_map().count("FASTFIT_PARALLEL_TRIALS"), 0u);
 }
 
 TEST(Config, ResilienceKnobDefaults) {
@@ -125,18 +111,6 @@ TEST(Config, ParsesAndValidatesMaxTrialRetries) {
   EXPECT_THROW(
       InjectionConfig::from_map({{"FASTFIT_MAX_TRIAL_RETRIES", "many"}}),
       ConfigError);
-}
-
-TEST(Config, ResilienceKnobsRoundTripThroughMap) {
-  auto cfg = InjectionConfig::from_map({{"FASTFIT_JOURNAL", "j.jsonl"},
-                                        {"FASTFIT_MAX_TRIAL_RETRIES", "5"}});
-  const auto cfg2 = InjectionConfig::from_map(cfg.to_map());
-  EXPECT_EQ(cfg2.journal, "j.jsonl");
-  EXPECT_EQ(cfg2.max_trial_retries, 5u);
-  // Defaults are not emitted, matching the FASTFIT_PARALLEL_TRIALS pattern.
-  const auto defaults = InjectionConfig{}.to_map();
-  EXPECT_EQ(defaults.count("FASTFIT_JOURNAL"), 0u);
-  EXPECT_EQ(defaults.count("FASTFIT_MAX_TRIAL_RETRIES"), 0u);
 }
 
 TEST(Config, ResilienceKnobsReadFromEnvironment) {
@@ -191,24 +165,6 @@ TEST(Config, ParsesAndValidatesMetricsInterval) {
   EXPECT_THROW(
       InjectionConfig::from_map({{"FASTFIT_METRICS_INTERVAL_MS", "3600001"}}),
       ConfigError);
-}
-
-TEST(Config, TelemetryKnobsRoundTripThroughMap) {
-  auto cfg = InjectionConfig::from_map(
-      {{"FASTFIT_TRACE", "t.json"},
-       {"FASTFIT_METRICS", "m.prom"},
-       {"FASTFIT_PROGRESS", "1"},
-       {"FASTFIT_METRICS_INTERVAL_MS", "250"}});
-  const auto cfg2 = InjectionConfig::from_map(cfg.to_map());
-  EXPECT_EQ(cfg2.trace_out, "t.json");
-  EXPECT_EQ(cfg2.metrics_out, "m.prom");
-  EXPECT_TRUE(cfg2.progress);
-  EXPECT_EQ(cfg2.metrics_interval_ms, 250u);
-  const auto defaults = InjectionConfig{}.to_map();
-  EXPECT_EQ(defaults.count("FASTFIT_TRACE"), 0u);
-  EXPECT_EQ(defaults.count("FASTFIT_METRICS"), 0u);
-  EXPECT_EQ(defaults.count("FASTFIT_PROGRESS"), 0u);
-  EXPECT_EQ(defaults.count("FASTFIT_METRICS_INTERVAL_MS"), 0u);
 }
 
 TEST(Config, TelemetryKnobsReadFromEnvironment) {
@@ -288,10 +244,6 @@ TEST(Config, IsolationKnobValidates) {
   EXPECT_EQ(InjectionConfig{}.isolation, "thread");
   EXPECT_THROW(InjectionConfig::from_map({{"FASTFIT_ISOLATION", "fork"}}),
                ConfigError);
-  // Non-default round-trips through to_map; the default is omitted so
-  // pre-existing serialized configs stay byte-identical.
-  EXPECT_TRUE(cfg.to_map().count("FASTFIT_ISOLATION"));
-  EXPECT_FALSE(InjectionConfig{}.to_map().count("FASTFIT_ISOLATION"));
 }
 
 TEST(Config, SnapshotKnobsValidate) {
@@ -305,9 +257,6 @@ TEST(Config, SnapshotKnobsValidate) {
   // `auto` is not a value: it is rejected, not read as `on`.
   EXPECT_THROW(InjectionConfig::from_map({{"FASTFIT_SNAPSHOTS", "auto"}}),
                ConfigError);
-  // Non-default values round-trip through to_map; defaults are omitted.
-  EXPECT_TRUE(cfg.to_map().count("FASTFIT_SNAPSHOTS"));
-  EXPECT_FALSE(InjectionConfig{}.to_map().count("FASTFIT_SNAPSHOTS"));
 }
 
 TEST(Config, FaultModelKnobsValidate) {
@@ -322,10 +271,12 @@ TEST(Config, FaultModelKnobsValidate) {
   EXPECT_FALSE(InjectionConfig{}.repair);
   EXPECT_THROW(InjectionConfig::from_map({{"FASTFIT_FAULT_MODELS", ""}}),
                ConfigError);
-  EXPECT_TRUE(cfg.to_map().count("FASTFIT_FAULT_MODELS"));
-  EXPECT_TRUE(cfg.to_map().count("FASTFIT_REPAIR"));
-  EXPECT_FALSE(InjectionConfig{}.to_map().count("FASTFIT_FAULT_MODELS"));
-  EXPECT_FALSE(InjectionConfig{}.to_map().count("FASTFIT_REPAIR"));
+  // --repair and FASTFIT_REPAIR share these rules: on|off|0|1.
+  EXPECT_TRUE(InjectionConfig::from_map({{"FASTFIT_REPAIR", "on"}}).repair);
+  EXPECT_FALSE(InjectionConfig::from_map({{"FASTFIT_REPAIR", "off"}}).repair);
+  EXPECT_FALSE(InjectionConfig::from_map({{"FASTFIT_REPAIR", "0"}}).repair);
+  EXPECT_THROW(InjectionConfig::from_map({{"FASTFIT_REPAIR", "yes"}}),
+               ConfigError);
 }
 
 TEST(Config, ShardAndPassesAreStoredRaw) {
@@ -339,17 +290,6 @@ TEST(Config, ShardAndPassesAreStoredRaw) {
                ConfigError);
   EXPECT_THROW(InjectionConfig::from_map({{"FASTFIT_PASSES", ""}}),
                ConfigError);
-}
-
-TEST(Config, ShardAndPassesRoundTripThroughMap) {
-  auto cfg = InjectionConfig::from_map(
-      {{"FASTFIT_SHARD", "1/8"}, {"FASTFIT_PASSES", "semantic"}});
-  const auto cfg2 = InjectionConfig::from_map(cfg.to_map());
-  EXPECT_EQ(cfg2.shard, "1/8");
-  EXPECT_EQ(cfg2.passes, "semantic");
-  const auto defaults = InjectionConfig{}.to_map();
-  EXPECT_EQ(defaults.count("FASTFIT_SHARD"), 0u);
-  EXPECT_EQ(defaults.count("FASTFIT_PASSES"), 0u);
 }
 
 TEST(Config, ShardAndPassesReadFromEnvironment) {

@@ -13,6 +13,7 @@
 #include <utility>
 
 #include "json_check.hpp"
+#include "support/format.hpp"
 #include "telemetry/exporters.hpp"
 #include "telemetry/recorder.hpp"
 

@@ -1,52 +1,36 @@
-// fastfit — the command-line front end of the tool.
+// fastfit — the command-line front end of the tool. `fastfit --help`
+// prints each command's synopsis and knobs, rendered from commands().
 //
-//   fastfit list
-//       Bundled workloads, prediction models, fault models.
+//   list     bundled workloads, prediction models, fault models.
+//   profile  phase 1 only: golden + profiling run, the mpiP-style
+//            communication report and the pruning statistics; --save
+//            persists the enumeration (profiling is a one-time cost;
+//            Sec IV-B).
+//   study    the full three-phase sensitivity study, with optional CSV
+//            and JSON export. --journal records every completed trial and
+//            --resume continues a killed campaign from it, bit-identically
+//            (docs/resilience.md); --shard i/N runs one deterministic
+//            shard and --fragment saves it for `fastfit merge`
+//            (docs/pipeline.md); telemetry sinks are described in
+//            docs/observability.md. Every study prints its per-outcome
+//            trial totals and its health table on stderr.
+//   merge    reassembles the fragments of a complete sharded study into
+//            the unsharded run's report, bit for bit (same JSON, same
+//            trial counters), after checking that they tile one campaign.
+//   p2p      the point-to-point extension study (Sec VIII future work):
+//            per-parameter response distributions of the workload's
+//            send/recv calls, under parameter fault models only.
 //
-//   fastfit profile <workload> [--ranks N] [--save FILE]
-//       Phase 1 only: golden + profiling run, the mpiP-style
-//       communication report, and the pruning statistics. --save persists
-//       the enumeration (profiling is a one-time cost; Sec IV-B).
-//
-//   fastfit study <workload> [--ranks N] [--trials T] [--threshold X]
-//                 [--fault-models LIST] [--repair on|off] [--no-ml]
-//                 [--csv FILE] [--json FILE] [--resume] [--fragment FILE]
-//                 [+ the study knobs listed by --help]
-//       --fault-models takes comma-separated model[@trigger[=param]]
-//       specs (see `fastfit list` and docs/fault_models.md); --repair
-//       enables ULFM-style shrink-and-continue after fail-stop death.
-//       The full three-phase sensitivity study, with optional CSV/JSON
-//       export of the results. Every study knob exists twice — as a
-//       --flag and as a FASTFIT_* environment variable — generated from
-//       the single table in support/config (config_knobs()); flags win.
-//       --journal records every completed trial in a durable journal;
-//       --resume continues a killed campaign from it, bit-identically
-//       (docs/resilience.md). --passes selects and orders the pruning
-//       chain (docs/pipeline.md); --shard i/N runs one deterministic
-//       shard of the study and --fragment persists its result for
-//       `fastfit merge`. Telemetry sinks are described in
-//       docs/observability.md. Independent of telemetry, every study
-//       prints the per-outcome trial totals and the campaign health
-//       table on stderr.
-//
-//   fastfit merge [--json FILE] [--csv FILE] [--metrics-out FILE]
-//                 FRAGMENT...
-//       Merges the --fragment files of a complete sharded study back
-//       into one report, bit-identical to the unsharded run (same JSON,
-//       same trial counters; docs/pipeline.md). Validates that the
-//       fragments belong to one campaign and tile it exactly.
-//
-//   fastfit p2p <workload> [--ranks N] [--trials T] [--points K]
-//                [--fault-models LIST]
-//       The point-to-point extension study (Sec VIII future work):
-//       pruning statistics and per-parameter response distributions for
-//       the workload's send/recv calls. Only parameter-mutation fault
-//       models apply; anything else is rejected at parse time with the
-//       supported families listed.
-//
-// Every command rejects a flag it does not know (exit 1, naming the
-// flag): profile, study, and p2p accept their own flags plus the study
-// knobs; merge accepts only its own.
+// Knobs are the configuration values of support/config (config_knobs()):
+// each has a --flag and an environment variable (NUM_INJ for --trials,
+// FASTFIT_* for the rest). Each command declares the knobs it applies
+// (commands() below); for each of those, resolve_knobs() takes the flag,
+// or else the variable, and checks the value with the one parser,
+// InjectionConfig::from_map, and apply_knobs() maps the knobs that were
+// given onto core::StudyOptions, so an unset knob keeps the command's own
+// default. A command reads no variable of a knob it does not apply, and
+// rejects any flag it does not know (exit 1, naming the flag): a typo
+// must never silently run a default-configured study.
 //
 // Exit codes: 0 clean success, 2 study completed with quarantined points
 // (results are partial for those points), 1 fatal (usage or execution
@@ -57,7 +41,7 @@
 #include <charconv>
 #include <chrono>
 #include <cstdio>
-#include <cstring>
+#include <cstdlib>
 #include <fstream>
 #include <limits>
 #include <map>
@@ -87,57 +71,90 @@ using namespace fastfit;
 
 namespace {
 
-/// The full usage text. The study-knob section is rendered from
-/// config_knobs() — the same table from_environment() reads — so the
-/// flag and environment-variable views cannot drift apart.
-std::string usage_text() {
-  std::string text =
-      "usage:\n"
-      "  fastfit list\n"
-      "  fastfit profile <workload> [--ranks N] [--save FILE]\n"
-      "                  [--passes LIST]\n"
-      "  fastfit study <workload> [--ranks N] [--trials T]\n"
-      "                [--threshold X] [--fault-models LIST]\n"
-      "                [--repair on|off] [--no-ml]\n"
-      "                [--csv FILE] [--json FILE] [--resume]\n"
-      "                [--fragment FILE] [study knobs below]\n"
-      "  fastfit merge [--json FILE] [--csv FILE] [--metrics-out FILE]\n"
-      "                FRAGMENT...\n"
-      "  fastfit p2p <workload> [--ranks N] [--trials T] [--points K]\n"
-      "              [--fault-models LIST]  (parameter models only)\n"
-      "\n"
-      "study knobs (each --flag has an environment-variable alias;\n"
-      "flags win):\n";
+/// One command's own flags and the configuration knobs it applies. The
+/// parser, the knob resolver and --help all read these lists, so what a
+/// command accepts, what it applies and what help says cannot drift.
+struct Command {
+  std::string_view name;
+  std::string_view synopsis;               ///< usage after the name
+  std::vector<std::string_view> options;   ///< own flags that take a value
+  std::vector<std::string_view> switches;  ///< own flags that take none
+  std::vector<std::string_view> knobs;     ///< config_knobs() flags applied
+  bool positional = false;  ///< bare arguments, not a workload (merge)
+};
+
+const std::vector<Command>& commands() {
+  static const std::vector<Command> table = {
+      {"profile", "<workload> [--ranks N] [--save FILE]", {"ranks", "save"},
+       {}, {"passes"}},
+      {"study",
+       "<workload> [--ranks N] [--threshold X] [--no-ml]\n"
+       "                [--csv FILE] [--json FILE] [--resume]\n"
+       "                [--fragment FILE]",
+       {"ranks", "threshold", "csv", "json", "fragment"},
+       {"no-ml", "resume"},
+       {"trials", "seed", "parallel-trials", "journal", "max-trial-retries",
+        "shard", "passes", "fault-models", "repair", "isolation",
+        "snapshots", "trace-out", "metrics-out", "progress",
+        "metrics-interval-ms"}},
+      {"merge", "[--json FILE] [--csv FILE] [--metrics-out FILE]\n"
+                "                FRAGMENT...",
+       {"json", "csv", "metrics-out"}, {}, {}, true},
+      {"p2p", "<workload> [--ranks N] [--points K]", {"ranks", "points"}, {},
+       {"trials", "seed", "fault-models"}},
+  };
+  return table;
+}
+
+bool listed(const std::vector<std::string_view>& names,
+            std::string_view name) {
+  return std::find(names.begin(), names.end(), name) != names.end();
+}
+
+/// --fault-model is the single-model spelling of the --fault-models knob.
+constexpr std::string_view kFaultModelAlias = "fault-model";
+
+/// The config knob that command-line flag `flag` sets, or nullptr.
+const ConfigKnob* knob_of(std::string_view flag) {
+  if (flag == kFaultModelAlias) flag = "fault-models";
   for (const auto& knob : config_knobs()) {
-    std::string left = "  ";
-    if (knob.flag[0] != '\0') {
-      left += "--";
-      left += knob.flag;
-      if (knob.arg[0] != '\0') {
-        left += ' ';
-        left += knob.arg;
-      }
-      left += "  (";
-      left += knob.env;
-      left += ')';
-    } else {
-      // Table II variables are environment-only, like the original tool.
-      left += knob.env;
-      if (knob.arg[0] != '\0') {
-        left += '=';
-        left += knob.arg;
-      }
-      left += "  (env only)";
-    }
-    constexpr std::size_t kHelpColumn = 48;
-    if (left.size() < kHelpColumn) {
-      left.resize(kHelpColumn, ' ');
-    } else {
-      left += ' ';
-    }
-    text += left;
-    text += knob.help;
+    if (flag == knob.flag) return &knob;
+  }
+  return nullptr;
+}
+
+/// The full usage text. The knob section is rendered from config_knobs()
+/// and the command table, so each knob's flag, variable and the commands
+/// that apply it come from the lists the parser and the resolver use.
+std::string usage_text() {
+  std::string text = "usage:\n  fastfit list\n";
+  for (const auto& command : commands()) {
+    text += "  fastfit ";
+    text += command.name;
+    text += ' ';
+    text += command.synopsis;
+    if (!command.knobs.empty()) text += " [knobs]";
     text += '\n';
+  }
+  text +=
+      "\n"
+      "knobs (each --flag has an environment-variable alias; flags win; a\n"
+      "command applies, and reads the variable of, only the knobs marked\n"
+      "with its name; --fault-model is an alias of --fault-models):\n";
+  for (const auto& knob : config_knobs()) {
+    std::string applied_by;
+    for (const auto& command : commands()) {
+      if (!listed(command.knobs, knob.flag)) continue;
+      if (!applied_by.empty()) applied_by += ", ";
+      applied_by += command.name;
+    }
+    if (applied_by.empty()) continue;
+    std::string left = "  --" + std::string(knob.flag);
+    if (knob.arg[0] != '\0') left += ' ' + std::string(knob.arg);
+    left += "  (" + std::string(knob.env) + ')';
+    constexpr std::size_t kHelpColumn = 48;
+    left.resize(std::max(left.size() + 1, kHelpColumn), ' ');
+    text += left + knob.help + " [" + applied_by + "]\n";
   }
   return text;
 }
@@ -146,14 +163,6 @@ int usage() {
   std::fprintf(stderr, "%s", usage_text().c_str());
   return 1;
 }
-
-/// The flags one command accepts beyond the study knobs.
-struct CommandFlags {
-  std::vector<std::string_view> options;   ///< take a value
-  std::vector<std::string_view> switches;  ///< take no value
-  bool knobs = true;        ///< also accept every config_knobs() flag
-  bool positional = false;  ///< bare arguments allowed (merge's fragments)
-};
 
 /// Minimal flag parser: --key value pairs plus boolean switches, checked
 /// against one command's flags.
@@ -164,35 +173,24 @@ struct Args {
   /// Parses argv[first..]. Throws ConfigError naming the first flag that
   /// `command` does not accept; returns false on a malformed command line
   /// (a flag missing its value, or a stray bare argument).
-  bool parse(int argc, char** argv, int first, const char* command,
-             const CommandFlags& flags) {
+  bool parse(int argc, char** argv, int first, const Command& command) {
     for (int i = first; i < argc; ++i) {
       std::string key = argv[i];
       if (key.rfind("--", 0) != 0) {
-        if (!flags.positional) return false;
+        if (!command.positional) return false;
         positional.push_back(std::move(key));
         continue;
       }
       key = key.substr(2);
-      const auto listed = [&key](const std::vector<std::string_view>& names) {
-        return std::find(names.begin(), names.end(), key) != names.end();
-      };
-      bool takes_value = listed(flags.options);
-      bool known = takes_value || listed(flags.switches);
-      if (!known && flags.knobs) {
-        for (const auto& knob : config_knobs()) {
-          if (knob.flag[0] != '\0' && key == knob.flag) {
-            known = true;
-            takes_value = knob.arg[0] != '\0';
-            break;
-          }
-        }
-      }
-      if (!known) {
+      const ConfigKnob* knob = knob_of(key);
+      const bool applied = knob != nullptr && listed(command.knobs, knob->flag);
+      const bool is_switch = listed(command.switches, key) ||
+                             (applied && knob->arg[0] == '\0');
+      if (!applied && !is_switch && !listed(command.options, key)) {
         throw ConfigError("unknown flag --" + key + " for 'fastfit " +
-                          command + "' (see fastfit --help)");
+                          std::string(command.name) + "' (see fastfit --help)");
       }
-      if (!takes_value) {
+      if (is_switch) {
         values[key] = "1";
       } else {
         if (i + 1 >= argc) return false;
@@ -208,74 +206,189 @@ struct Args {
   bool has(const std::string& key) const { return values.count(key) > 0; }
 };
 
-/// Validates the value of knob flag `--flag` through the InjectionConfig
-/// parser (same rules as the knob's environment variable). An error names
-/// the flag, not the variable: the value came from the command line.
-InjectionConfig parse_knob_flag(const Args& args, const std::string& flag) {
-  for (const auto& knob : config_knobs()) {
-    if (flag != knob.flag) continue;
-    const std::string env = knob.env;
+/// The knobs a command was given, resolved: `config` holds their values
+/// (every other field keeps its InjectionConfig default), and `source`
+/// maps each given knob's variable to where its value came from, the
+/// "--flag" or the variable itself.
+struct Knobs {
+  InjectionConfig config;
+  std::map<std::string, std::string> source;
+
+  /// Runs `apply` when the knob of variable `env` was given. A
+  /// ConfigError it throws is prefixed with the value's source.
+  template <typename Fn>
+  void apply(const std::string& env, Fn&& fn) const {
+    const auto it = source.find(env);
+    if (it == source.end()) return;
     try {
-      return InjectionConfig::from_map({{env, args.get(flag, "")}});
+      fn();
     } catch (const ConfigError& e) {
-      std::string message = e.what();
-      if (message.rfind(env, 0) == 0) {
-        message.replace(0, env.size(), "--" + flag);
-      }
-      throw ConfigError(message);
+      throw ConfigError(it->second + ": " + e.what());
     }
   }
-  throw InternalError("no configuration knob for --" + flag);
+};
+
+/// Reads each knob `command` applies from its flag, or else from its
+/// environment variable (the only place the CLI reads the environment),
+/// and checks every value with InjectionConfig::from_map. An error names
+/// the flag or the variable the bad value came from.
+Knobs resolve_knobs(const Command& command, const Args& args) {
+  Knobs knobs;
+  std::map<std::string, std::string> values;
+  for (const auto& knob : config_knobs()) {
+    if (!listed(command.knobs, knob.flag)) continue;
+    std::string flag = knob.flag;
+    if (!args.has(flag) && knob_of(kFaultModelAlias) == &knob) {
+      flag = kFaultModelAlias;
+    }
+    if (args.has(flag)) {
+      values[knob.env] = args.get(flag, "");
+      knobs.source[knob.env] = "--" + flag;
+    } else if (const char* value = std::getenv(knob.env)) {
+      values[knob.env] = value;
+      knobs.source[knob.env] = knob.env;
+    }
+  }
+  try {
+    knobs.config = InjectionConfig::from_map(values);
+  } catch (const ConfigError& e) {
+    // from_map's errors begin with the variable; name the real source.
+    std::string message = e.what();
+    for (const auto& [env, source] : knobs.source) {
+      if (message.rfind(env + ':', 0) == 0) {
+        message.replace(0, env.size(), source);
+        break;
+      }
+    }
+    throw ConfigError(message);
+  }
+  return knobs;
 }
 
-/// Reads the integer flag `--flag`, or `fallback` when it is absent: a
+/// Applies each knob that was given to `options`. A knob left unset keeps
+/// the command's own default. The pass chain decides the ML stage by
+/// ending in "ml" or not, which options.use_ml must already allow.
+void apply_knobs(const Knobs& knobs, core::StudyOptions& options) {
+  const auto& config = knobs.config;
+  auto& campaign = options.campaign;
+  knobs.apply("NUM_INJ", [&] {
+    campaign.trials_per_point = static_cast<std::uint32_t>(config.num_inj);
+  });
+  knobs.apply("FASTFIT_SEED", [&] { campaign.seed = config.seed; });
+  knobs.apply("FASTFIT_PARALLEL_TRIALS", [&] {
+    campaign.max_parallel_trials =
+        static_cast<std::size_t>(config.parallel_trials);
+  });
+  knobs.apply("FASTFIT_JOURNAL", [&] { options.journal = config.journal; });
+  knobs.apply("FASTFIT_MAX_TRIAL_RETRIES", [&] {
+    campaign.max_trial_retries =
+        static_cast<std::uint32_t>(config.max_trial_retries);
+  });
+  knobs.apply("FASTFIT_SHARD",
+              [&] { campaign.shard = core::parse_shard(config.shard); });
+  knobs.apply("FASTFIT_PASSES", [&] {
+    auto chain = core::parse_pass_list(config.passes);
+    if (chain.ml && !options.use_ml) {
+      throw ConfigError("the pass chain selects 'ml' but ML is disabled");
+    }
+    campaign.pruning_passes = std::move(chain.structural);
+    options.use_ml = chain.ml;
+  });
+  knobs.apply("FASTFIT_FAULT_MODELS", [&] {
+    campaign.fault_models = inject::parse_fault_models(config.fault_models);
+  });
+  knobs.apply("FASTFIT_REPAIR", [&] { campaign.repair = config.repair; });
+  knobs.apply("FASTFIT_ISOLATION", [&] {
+    campaign.isolation = core::parse_isolation_mode(config.isolation);
+  });
+  knobs.apply("FASTFIT_SNAPSHOTS",
+              [&] { campaign.snapshots = config.snapshots; });
+}
+
+/// Reads the numeric flag `--flag`, or `fallback` when it is absent: a
 /// decimal in [0, max]. An error names the flag.
-std::uint64_t parse_int_flag(const Args& args, const std::string& flag,
-                             std::uint64_t fallback, std::uint64_t max) {
+template <typename T>
+T parse_number_flag(const Args& args, const std::string& flag, T fallback,
+                    T max) {
   if (!args.has(flag)) return fallback;
   const std::string value = args.get(flag, "");
   const char* end = value.data() + value.size();
-  std::uint64_t out = 0;
+  T out{};
   const auto parsed = std::from_chars(value.data(), end, out);
-  if (value.empty() || parsed.ec != std::errc{} || parsed.ptr != end ||
+  if (parsed.ec != std::errc{} || parsed.ptr != end || !(out >= T{}) ||
       out > max) {
-    throw ConfigError("--" + flag + ": expected an integer in [0, " +
-                      std::to_string(max) + "], got '" + value + "'");
-  }
-  return out;
-}
-
-/// --threshold X: the ML loop's accuracy target, a decimal in [0, 1].
-double parse_threshold(const Args& args) {
-  const std::string value = args.get("threshold", "0.65");
-  const char* end = value.data() + value.size();
-  double out = 0.0;
-  const auto parsed = std::from_chars(value.data(), end, out);
-  if (parsed.ec != std::errc{} || parsed.ptr != end || !(out >= 0.0) ||
-      out > 1.0) {
-    throw ConfigError("--threshold: expected a number in [0, 1], got '" +
-                      value + "'");
+    std::ostringstream range;
+    range << max;
+    throw ConfigError("--" + flag + ": expected a number in [0, " +
+                      range.str() + "], got '" + value + "'");
   }
   return out;
 }
 
 /// --ranks N, checked.
 int parse_ranks(const Args& args) {
-  return static_cast<int>(parse_int_flag(
-      args, "ranks", 16, std::numeric_limits<int>::max()));
+  return parse_number_flag(args, "ranks", 16,
+                           std::numeric_limits<int>::max());
 }
 
-/// --trials T, checked.
-std::uint32_t parse_trials(const Args& args, std::uint32_t fallback) {
-  return static_cast<std::uint32_t>(parse_int_flag(
-      args, "trials", fallback, std::numeric_limits<std::uint32_t>::max()));
+/// Writes one output file named on the command line, reporting either
+/// "wrote PATH" on stdout or the failure on stderr.
+void write_output(const std::string& path, const std::string& text,
+                  const char* what) {
+  if (telemetry::write_text_file(path, text)) {
+    std::printf("wrote %s\n", path.c_str());
+  } else {
+    std::fprintf(stderr, "error: failed to write %s: %s\n", what,
+                 path.c_str());
+  }
 }
 
-/// --repair on|off (also accepts the knob table's 0|1).
-bool parse_repair(const std::string& value) {
-  if (value == "on" || value == "1") return true;
-  if (value == "off" || value == "0") return false;
-  throw ConfigError("--repair: expected on|off, got '" + value + "'");
+/// Writes the recorder's metrics snapshot: JSON for a ".json" path, else
+/// Prometheus text.
+void write_metrics(const std::string& path) {
+  const auto snapshot = telemetry::Recorder::instance().metrics();
+  const bool json = path.size() >= 5 &&
+                    path.compare(path.size() - 5, 5, ".json") == 0;
+  write_output(path,
+               json ? telemetry::to_metrics_json(snapshot)
+                    : telemetry::to_prometheus(snapshot),
+               "metrics");
+}
+
+/// Prints the outcome table (one row per collective kind, then ALL) and
+/// the campaign health table.
+void print_outcomes(const core::StudyResult& result) {
+  std::vector<std::pair<std::string,
+                        std::array<double, inject::kNumOutcomes>>>
+      rows;
+  for (auto kind : core::kinds_present(result.measured)) {
+    rows.emplace_back(mpi::to_string(kind),
+                      core::outcome_distribution(result.measured, kind));
+  }
+  rows.emplace_back("ALL", core::outcome_distribution(result.measured));
+  std::printf("%s\n",
+              core::render_outcome_table(rows, result.extended_outcomes)
+                  .c_str());
+  std::printf("%s", core::render_health(result.health).c_str());
+}
+
+/// Writes the --csv, --json and --fragment files the command line asked
+/// for.
+void write_reports(const Args& args, const core::StudyResult& result) {
+  if (args.has("csv")) {
+    core::write_file(args.get("csv", ""),
+                     core::to_csv(result.measured, result.extended_outcomes));
+    std::printf("wrote %s\n", args.get("csv", "").c_str());
+  }
+  if (args.has("json")) {
+    core::write_file(args.get("json", ""), core::to_json(result));
+    std::printf("wrote %s\n", args.get("json", "").c_str());
+  }
+  if (args.has("fragment")) {
+    core::write_file(args.get("fragment", ""),
+                     core::to_shard_fragment(result));
+    std::printf("wrote %s\n", args.get("fragment", "").c_str());
+  }
 }
 
 int cmd_list() {
@@ -299,30 +412,13 @@ int cmd_list() {
   return 0;
 }
 
-/// Applies the pass chain from --passes / FASTFIT_PASSES (flag wins):
-/// its structural passes become the campaign's pruning chain, and it
-/// decides the ML stage by ending in "ml" or not — which options.use_ml
-/// must allow. Returns false, changing nothing, when no chain is given.
-bool apply_passes(const Args& args, const InjectionConfig& env,
-                  core::StudyOptions& options) {
-  std::string passes = env.passes;
-  if (args.has("passes")) passes = args.get("passes", "");
-  if (passes.empty()) return false;
-  auto chain = core::parse_pass_list(passes);
-  if (chain.ml && !options.use_ml) {
-    throw ConfigError("the pass chain selects 'ml' but ML is disabled");
-  }
-  options.campaign.pruning_passes = std::move(chain.structural);
-  options.use_ml = chain.ml;
-  return true;
-}
-
-int cmd_profile(const std::string& workload_name, const Args& args) {
+int cmd_profile(const std::string& workload_name, const Args& args,
+                const Knobs& knobs) {
   const auto workload = apps::make_workload(workload_name);
   core::StudyOptions options;
   options.campaign.nranks = parse_ranks(args);
   options.use_ml = false;
-  apply_passes(args, InjectionConfig::from_environment(), options);
+  apply_knobs(knobs, options);
   core::StudyDriver driver(*workload, std::move(options));
   driver.profile();
   auto& campaign = driver.campaign();
@@ -346,74 +442,23 @@ int cmd_profile(const std::string& workload_name, const Args& args) {
   return 0;
 }
 
-int cmd_study(const std::string& workload_name, const Args& args) {
+int cmd_study(const std::string& workload_name, const Args& args,
+              const Knobs& knobs) {
   const auto workload = apps::make_workload(workload_name);
   core::StudyOptions options;
   options.campaign.nranks = parse_ranks(args);
-  options.campaign.trials_per_point = parse_trials(args, 12);
-  options.campaign.seed = args.has("seed")
-                              ? parse_knob_flag(args, "seed").seed
-                              : 258398418711ULL;
+  options.campaign.trials_per_point = 12;
+  options.campaign.seed = 258398418711ULL;
   options.use_ml = !args.has("no-ml");
-  options.ml.accuracy_threshold = parse_threshold(args);
-  if (args.has("parallel-trials")) {
-    options.campaign.max_parallel_trials = static_cast<std::size_t>(
-        parse_knob_flag(args, "parallel-trials").parallel_trials);
-  }
-
-  // Resilience knobs: flags override the FASTFIT_* environment (both are
-  // validated by the InjectionConfig parser, so limits match).
-  const auto env = InjectionConfig::from_environment();
-
-  // Fault-model axis: --fault-models takes a comma-separated spec list;
-  // --fault-model remains as the single-model spelling. Empty = the
-  // default exact-point single bit flip (pre-v2 behaviour, byte for
-  // byte).
-  std::string fault_models = env.fault_models;
-  if (args.has("fault-model")) fault_models = args.get("fault-model", "");
-  if (args.has("fault-models")) fault_models = args.get("fault-models", "");
-  if (!fault_models.empty()) {
-    options.campaign.fault_models = inject::parse_fault_models(fault_models);
-  }
-  options.campaign.repair = env.repair;
-  if (args.has("repair")) {
-    options.campaign.repair = parse_repair(args.get("repair", "off"));
-  }
-
-  // Trial isolation backend: thread (default, in-process) or process
-  // (fork-server workers — required for the real-signal fault models,
-  // which Campaign enforces at construction).
-  std::string isolation = env.isolation;
-  if (args.has("isolation")) {
-    isolation = parse_knob_flag(args, "isolation").isolation;
-  }
-  options.campaign.isolation = core::parse_isolation_mode(isolation);
-
-  options.journal = env.journal;
-  options.campaign.max_trial_retries =
-      static_cast<std::uint32_t>(env.max_trial_retries);
-  if (args.has("journal")) options.journal = args.get("journal", "");
-  if (args.has("max-trial-retries")) {
-    options.campaign.max_trial_retries = static_cast<std::uint32_t>(
-        parse_knob_flag(args, "max-trial-retries").max_trial_retries);
-  }
+  options.ml.accuracy_threshold =
+      parse_number_flag(args, "threshold", 0.65, 1.0);
   options.resume = args.has("resume");
+  apply_knobs(knobs, options);
   if (options.resume && options.journal.empty()) {
     throw ConfigError("--resume requires --journal (or FASTFIT_JOURNAL)");
   }
-
-  // Prefix-replay snapshots: on or off.
-  options.campaign.snapshots = env.snapshots;
-  if (args.has("snapshots")) {
-    options.campaign.snapshots = parse_knob_flag(args, "snapshots").snapshots;
-  }
-
-  // Pipeline selection: the pruning chain and the deterministic shard.
-  const bool explicit_chain = apply_passes(args, env, options);
-  std::string shard = env.shard;
-  if (args.has("shard")) shard = args.get("shard", "");
-  if (!shard.empty()) options.campaign.shard = core::parse_shard(shard);
-  if (options.campaign.shard.sharded() && options.use_ml && !explicit_chain) {
+  if (options.campaign.shard.sharded() && options.use_ml &&
+      !knobs.source.count("FASTFIT_PASSES")) {
     // A sharded study needs a static point set; rather than erroring on
     // the CLI's use_ml default, drop the ML stage the way --no-ml would.
     // An explicit "--passes ...,ml" together with --shard still errors.
@@ -423,33 +468,22 @@ int cmd_study(const std::string& workload_name, const Args& args) {
     options.use_ml = false;
   }
 
-  // Telemetry sinks: flags override the FASTFIT_* environment; any sink
-  // enables the recorder (it is off — and free — otherwise).
-  std::string trace_out = env.trace_out;
-  std::string metrics_out = env.metrics_out;
-  bool progress = env.progress;
-  std::uint64_t metrics_interval_ms = env.metrics_interval_ms;
-  if (args.has("trace-out")) trace_out = args.get("trace-out", "");
-  if (args.has("metrics-out")) metrics_out = args.get("metrics-out", "");
-  if (args.has("progress")) progress = true;
-  if (args.has("metrics-interval-ms")) {
-    metrics_interval_ms =
-        parse_knob_flag(args, "metrics-interval-ms").metrics_interval_ms;
-  }
-  const bool telemetry_on =
-      !trace_out.empty() || !metrics_out.empty() || progress;
+  // Telemetry sinks: any sink enables the recorder (it is off, and
+  // free, otherwise).
+  const auto& config = knobs.config;
   auto& recorder = telemetry::Recorder::instance();
   std::unique_ptr<telemetry::ProgressMeter> meter;
-  if (telemetry_on) {
+  if (config.telemetry_requested()) {
     recorder.enable();
     telemetry::Recorder::bind_thread(telemetry::Track::Main, -1,
                                      "campaign-main");
-    if (progress || (metrics_interval_ms > 0 && !metrics_out.empty())) {
+    if (config.progress ||
+        (config.metrics_interval_ms > 0 && !config.metrics_out.empty())) {
       telemetry::ProgressMeter::Options meter_opts;
-      meter_opts.live_line = progress;
-      meter_opts.metrics_path = metrics_out;
+      meter_opts.live_line = config.progress;
+      meter_opts.metrics_path = config.metrics_out;
       meter_opts.metrics_interval =
-          std::chrono::milliseconds(metrics_interval_ms);
+          std::chrono::milliseconds(config.metrics_interval_ms);
       meter = std::make_unique<telemetry::ProgressMeter>(meter_opts);
     }
   }
@@ -468,19 +502,7 @@ int cmd_study(const std::string& workload_name, const Args& args) {
               percent(s.context_reduction()).c_str(),
               percent(result.ml_reduction).c_str(),
               percent(result.total_reduction()).c_str());
-
-  std::vector<std::pair<std::string,
-                        std::array<double, inject::kNumOutcomes>>>
-      rows;
-  for (auto kind : core::kinds_present(result.measured)) {
-    rows.emplace_back(mpi::to_string(kind),
-                      core::outcome_distribution(result.measured, kind));
-  }
-  rows.emplace_back("ALL", core::outcome_distribution(result.measured));
-  std::printf("%s\n",
-              core::render_outcome_table(rows, result.extended_outcomes)
-                  .c_str());
-  std::printf("%s", core::render_health(result.health).c_str());
+  print_outcomes(result);
 
   // Always-on stderr report: outcome totals + health, telemetry or not —
   // a campaign's counts must never be only an exit code.
@@ -488,46 +510,14 @@ int cmd_study(const std::string& workload_name, const Args& args) {
                core::render_outcome_totals(result.measured).c_str(),
                core::render_health(result.health).c_str());
 
-  if (telemetry_on) {
-    if (!trace_out.empty()) {
-      const auto trace = telemetry::to_chrome_trace(
-          recorder.drain_events(), recorder.bound_threads());
-      if (telemetry::write_text_file(trace_out, trace)) {
-        std::printf("wrote %s\n", trace_out.c_str());
-      } else {
-        std::fprintf(stderr, "error: failed to write trace: %s\n",
-                     trace_out.c_str());
-      }
-    }
-    if (!metrics_out.empty()) {
-      const auto snapshot = recorder.metrics();
-      const bool json = metrics_out.size() >= 5 &&
-                        metrics_out.rfind(".json") == metrics_out.size() - 5;
-      const auto text = json ? telemetry::to_metrics_json(snapshot)
-                             : telemetry::to_prometheus(snapshot);
-      if (telemetry::write_text_file(metrics_out, text)) {
-        std::printf("wrote %s\n", metrics_out.c_str());
-      } else {
-        std::fprintf(stderr, "error: failed to write metrics: %s\n",
-                     metrics_out.c_str());
-      }
-    }
+  if (!config.trace_out.empty()) {
+    write_output(config.trace_out,
+                 telemetry::to_chrome_trace(recorder.drain_events(),
+                                            recorder.bound_threads()),
+                 "trace");
   }
-
-  if (args.has("csv")) {
-    core::write_file(args.get("csv", ""),
-                     core::to_csv(result.measured, result.extended_outcomes));
-    std::printf("wrote %s\n", args.get("csv", "").c_str());
-  }
-  if (args.has("json")) {
-    core::write_file(args.get("json", ""), core::to_json(result));
-    std::printf("wrote %s\n", args.get("json", "").c_str());
-  }
-  if (args.has("fragment")) {
-    core::write_file(args.get("fragment", ""),
-                     core::to_shard_fragment(result));
-    std::printf("wrote %s\n", args.get("fragment", "").c_str());
-  }
+  if (!config.metrics_out.empty()) write_metrics(config.metrics_out);
+  write_reports(args, result);
   return result.health.clean() ? 0 : 2;
 }
 
@@ -544,14 +534,7 @@ std::string read_text_file(const std::string& path) {
   return buffer.str();
 }
 
-int cmd_merge(int argc, char** argv) {
-  // Fragment paths are positional. The study knobs do not apply to a
-  // merge, so only its three output flags are accepted.
-  Args args;
-  if (!args.parse(argc, argv, 2, "merge",
-                  {{"json", "csv", "metrics-out"}, {}, false, true})) {
-    return usage();
-  }
+int cmd_merge(const Args& args) {
   const auto& paths = args.positional;
   if (paths.empty()) {
     std::fprintf(stderr, "error: merge needs at least one fragment file\n");
@@ -573,33 +556,12 @@ int cmd_merge(int argc, char** argv) {
               static_cast<unsigned long long>(s.after_context),
               percent(s.context_reduction()).c_str(),
               result.measured.size());
-  std::vector<std::pair<std::string,
-                        std::array<double, inject::kNumOutcomes>>>
-      rows;
-  for (auto kind : core::kinds_present(result.measured)) {
-    rows.emplace_back(mpi::to_string(kind),
-                      core::outcome_distribution(result.measured, kind));
-  }
-  rows.emplace_back("ALL", core::outcome_distribution(result.measured));
-  std::printf("%s\n",
-              core::render_outcome_table(rows, result.extended_outcomes)
-                  .c_str());
-  std::printf("%s", core::render_health(result.health).c_str());
-
-  if (args.has("json")) {
-    core::write_file(args.get("json", ""), core::to_json(result));
-    std::printf("wrote %s\n", args.get("json", "").c_str());
-  }
-  if (args.has("csv")) {
-    core::write_file(args.get("csv", ""),
-                     core::to_csv(result.measured, result.extended_outcomes));
-    std::printf("wrote %s\n", args.get("csv", "").c_str());
-  }
+  print_outcomes(result);
+  write_reports(args, result);
   if (args.has("metrics-out")) {
     // Synthesize the trial counters a single-process run would have
     // reported, so merged metrics diff cleanly against an unsharded
     // run's snapshot. Same names, help, and labels as TelemetrySink.
-    const std::string metrics_out = args.get("metrics-out", "");
     auto& recorder = telemetry::Recorder::instance();
     recorder.enable();
     std::array<std::uint64_t, inject::kNumOutcomes> totals{};
@@ -631,40 +593,25 @@ int cmd_merge(int argc, char** argv) {
                    "Points the trial guard gave up on")
           .add(result.health.quarantined_points);
     }
-    const auto snapshot = recorder.metrics();
-    const bool json = metrics_out.size() >= 5 &&
-                      metrics_out.rfind(".json") == metrics_out.size() - 5;
-    const auto text = json ? telemetry::to_metrics_json(snapshot)
-                           : telemetry::to_prometheus(snapshot);
-    if (telemetry::write_text_file(metrics_out, text)) {
-      std::printf("wrote %s\n", metrics_out.c_str());
-    } else {
-      std::fprintf(stderr, "error: failed to write metrics: %s\n",
-                   metrics_out.c_str());
-    }
+    write_metrics(args.get("metrics-out", ""));
   }
   return result.health.clean() ? 0 : 2;
 }
 
-int cmd_p2p(const std::string& workload_name, const Args& args) {
+int cmd_p2p(const std::string& workload_name, const Args& args,
+            const Knobs& knobs) {
   const auto workload = apps::make_workload(workload_name);
   core::StudyOptions options;
   options.campaign.nranks = parse_ranks(args);
-  const auto trials = parse_trials(args, 8);
-  options.campaign.trials_per_point = trials;
+  options.campaign.trials_per_point = 8;
   options.use_ml = false;
-
+  apply_knobs(knobs, options);
   // Fail fast on the fault-model axis: the p2p injector only has
-  // parameter manifestations, so reject anything else here at parse
-  // time — with the supported families spelled out — instead of letting
-  // measure_p2p throw mid-study after the profiling run.
-  const auto env = InjectionConfig::from_environment();
-  std::string fault_models = env.fault_models;
-  if (args.has("fault-model")) fault_models = args.get("fault-model", "");
-  if (args.has("fault-models")) fault_models = args.get("fault-models", "");
-  if (!fault_models.empty()) {
-    const auto specs = inject::parse_fault_models(fault_models);
-    for (const auto& spec : specs) {
+  // parameter manifestations, so reject anything else here, with the
+  // supported families spelled out, instead of letting measure_p2p throw
+  // mid-study after the profiling run.
+  knobs.apply("FASTFIT_FAULT_MODELS", [&] {
+    for (const auto& spec : options.campaign.fault_models) {
       if (!inject::is_parameter_model(spec.model)) {
         throw ConfigError(
             "p2p: fault model '" + spec.canonical() +
@@ -673,8 +620,8 @@ int cmd_p2p(const std::string& workload_name, const Args& args) {
             inject::parameter_fault_model_names());
       }
     }
-    options.campaign.fault_models = specs;
-  }
+  });
+  const auto trials = options.campaign.trials_per_point;
 
   core::StudyDriver driver(*workload, std::move(options));
   driver.profile();
@@ -692,8 +639,8 @@ int cmd_p2p(const std::string& workload_name, const Args& args) {
     return 0;
   }
   auto points = e.points;
-  const auto cap = static_cast<std::size_t>(parse_int_flag(
-      args, "points", 60, std::numeric_limits<std::uint32_t>::max()));
+  const std::size_t cap = parse_number_flag<std::size_t>(
+      args, "points", 60, std::numeric_limits<std::uint32_t>::max());
   if (points.size() > cap) points.resize(cap);
   std::vector<core::P2pPointResult> results;
   for (const auto& point : points) {
@@ -717,34 +664,31 @@ int cmd_p2p(const std::string& workload_name, const Args& args) {
 
 int main(int argc, char** argv) {
   if (argc < 2) return usage();
-  const std::string command = argv[1];
+  const std::string name = argv[1];
   try {
-    if (command == "--help" || command == "-h" || command == "help") {
+    if (name == "--help" || name == "-h" || name == "help") {
       std::printf("%s", usage_text().c_str());
       return 0;
     }
-    if (command == "list") return cmd_list();
-    if (command == "merge") return cmd_merge(argc, argv);
-    if (command == "profile" || command == "study" || command == "p2p") {
-      if (argc < 3) return usage();
-      CommandFlags flags;
-      if (command == "profile") {
-        flags.options = {"ranks", "save"};
-      } else if (command == "p2p") {
-        flags.options = {"ranks", "trials", "points", "fault-model"};
-      } else {
-        flags.options = {"ranks", "trials", "threshold", "fault-model",
-                         "csv",   "json",   "fragment"};
-        flags.switches = {"no-ml", "resume"};
-      }
-      Args args;
-      if (!args.parse(argc, argv, 3, command.c_str(), flags)) return usage();
-      if (command == "profile") return cmd_profile(argv[2], args);
-      if (command == "p2p") return cmd_p2p(argv[2], args);
-      return cmd_study(argv[2], args);
+    if (name == "list") return cmd_list();
+    const auto& table = commands();
+    const auto command =
+        std::find_if(table.begin(), table.end(),
+                     [&name](const Command& c) { return c.name == name; });
+    if (command == table.end()) {
+      std::fprintf(stderr, "unknown command: %s\n", name.c_str());
+      return usage();
     }
-    std::fprintf(stderr, "unknown command: %s\n", command.c_str());
-    return usage();
+    // Every command but merge takes its workload as the first argument.
+    const int first = command->positional ? 2 : 3;
+    if (argc < first) return usage();
+    Args args;
+    if (!args.parse(argc, argv, first, *command)) return usage();
+    const auto knobs = resolve_knobs(*command, args);
+    if (name == "merge") return cmd_merge(args);
+    if (name == "profile") return cmd_profile(argv[2], args, knobs);
+    if (name == "p2p") return cmd_p2p(argv[2], args, knobs);
+    return cmd_study(argv[2], args, knobs);
   } catch (const ConfigError& e) {
     std::fprintf(stderr, "error: %s\n", e.what());
     return 1;
