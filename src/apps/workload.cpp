@@ -66,9 +66,13 @@ JobResult run_job(const Workload& workload, const mpi::WorldOptions& options,
   result.world = world.run([&digests, &workload, &contexts,
                             seed = options.seed](mpi::Mpi& mpi) {
     trace::RankContext& trace = contexts.of(mpi.world_rank());
-    mpi.set_stack_probe([&trace]() -> mpi::Mpi::StackProbe {
-      return {trace.stack().id(), std::string(trace.stack().innermost())};
-    });
+    mpi.set_stack_probe(
+        [](const void* context) -> mpi::Mpi::StackProbe {
+          const auto& stack =
+              static_cast<const trace::RankContext*>(context)->stack();
+          return {stack.id(), stack.innermost()};
+        },
+        &trace);
     AppContext ctx{mpi, trace, seed};
     try {
       digests[static_cast<std::size_t>(mpi.world_rank())] =

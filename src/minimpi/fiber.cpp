@@ -208,7 +208,9 @@ void FiberScheduler::resume(int fiber) {
   __sanitizer_finish_switch_fiber(asan_fake_stack_, nullptr, nullptr);
 #endif
   t_rank_arena = nullptr;
-  f.eh = std::exchange(eh, sched_eh);
+  // The fiber that switched back is not always the one resumed here: a
+  // fiber that parks hands off to the next ready one (block_current).
+  fibers_[static_cast<std::size_t>(current_)].eh = std::exchange(eh, sched_eh);
   current_ = -1;
 }
 
@@ -240,7 +242,23 @@ void FiberScheduler::block_current() {
   if (current_ < 0) {
     throw InternalError("FiberScheduler::block_current: not inside a fiber");
   }
-  fibers_[static_cast<std::size_t>(current_)].state = State::Blocked;
+  Fiber& f = fibers_[static_cast<std::size_t>(current_)];
+  f.state = State::Blocked;
+#if defined(FASTFIT_FAST_SWITCH)
+  if (!ready_.empty() && !dropping_) {
+    // Direct handoff: the scheduler would resume the head of the queue
+    // next anyway, so switch to it without passing through the scheduler.
+    // The rank arena stays routed: both fibers belong to this world.
+    const int next = ready_.front();
+    ready_.pop_front();
+    Fiber& to = fibers_[static_cast<std::size_t>(next)];
+    to.state = State::Running;
+    f.eh = std::exchange(*eh_, to.eh);
+    current_ = next;
+    fastfit_ctx_swap(&f.saved_sp, to.saved_sp);
+    return;
+  }
+#endif
   switch_to_scheduler(/*dying=*/false);
 }
 

@@ -13,11 +13,13 @@
 //
 // Scheduling is cooperative and deterministic: the ready queue is FIFO,
 // seeded in rank order, and every yield point is a mailbox rendezvous
-// (minimpi/mailbox.cpp) — rank code never observes preemption. Because
-// MiniMPI matching is exact on (source, tag), the schedule cannot change
-// any rank's observable execution, which is why a trial's result does
-// not depend on which executor lane runs it (enforced by the pool parity
-// suite).
+// (minimpi/mailbox.cpp) — rank code never observes preemption. On the
+// fast-switch path a fiber that parks while another is ready switches to
+// it directly (one switch instead of two through the scheduler, same
+// order). Because MiniMPI matching is exact on (source, tag), the
+// schedule cannot change any rank's observable execution, which is why
+// a trial's result does not depend on which executor lane runs it
+// (enforced by the pool parity suite).
 //
 // A World is single-threaded by contract: every wake (message delivery,
 // poison, revocation, kill_rank) is made by a fiber of the same
@@ -53,7 +55,6 @@
 #include <exception>
 #include <functional>
 #include <memory>
-#include <ucontext.h>
 #include <vector>
 
 // Sanitizer fiber-API detection: GCC defines __SANITIZE_THREAD__ /
@@ -86,6 +87,8 @@
 #if defined(__x86_64__) && defined(__linux__) &&  \
     !defined(FASTFIT_TSAN_FIBERS) && !defined(FASTFIT_ASAN_FIBERS)
 #define FASTFIT_FAST_SWITCH 1
+#else
+#include <ucontext.h>
 #endif
 
 namespace fastfit::mpi {
@@ -137,8 +140,12 @@ class FiberScheduler {
   /// True while the calling thread is executing inside a fiber body.
   bool in_fiber() const noexcept { return current_ >= 0; }
 
-  /// Parks the current fiber and switches to the scheduler. Returns when
-  /// some make_ready(current) resumes it.
+  /// Parks the current fiber and switches away. Returns when some
+  /// make_ready(current) resumes it. On the fast-switch path the fiber
+  /// hands off straight to the head of the ready queue, exactly the fiber
+  /// the scheduler would resume next; it switches to the scheduler only
+  /// when no fiber is ready (the idle handler must run) or the world is
+  /// dropping its fibers.
   void block_current();
 
   /// Marks a blocked fiber ready (FIFO). Called from a fiber of this
@@ -173,9 +180,12 @@ class FiberScheduler {
   static EhState& thread_eh() noexcept;
 
   struct Fiber {
+#if defined(FASTFIT_FAST_SWITCH)
+    void* saved_sp = nullptr;  // parked stack pointer
+#else
     ucontext_t context{};
+#endif
     EhState eh;
-    void* saved_sp = nullptr;  // fast-switch path: parked stack pointer
     std::unique_ptr<std::byte[]> stack;
     State state = State::Ready;
 #if defined(FASTFIT_TSAN_FIBERS)
@@ -189,8 +199,11 @@ class FiberScheduler {
   const int nfibers_;
   const std::size_t stack_bytes_;
   std::vector<Fiber> fibers_;
+#if defined(FASTFIT_FAST_SWITCH)
+  void* sched_sp_ = nullptr;  // scheduler's parked stack pointer
+#else
   ucontext_t sched_context_{};
-  void* sched_sp_ = nullptr;  // fast-switch path: scheduler's parked sp
+#endif
 
   std::deque<int> ready_;
   int finished_ = 0;

@@ -46,7 +46,7 @@ Message Mailbox::receive(int source, std::uint64_t tag,
       throw RankRevoked("communicator revoked while waiting for rank " +
                         std::to_string(source));
     }
-    if (std::chrono::steady_clock::now() >= deadline) {
+    if (deadline_clock() >= deadline) {
       throw SimTimeout("receive from rank " + std::to_string(source) +
                        " tag " + std::to_string(tag) +
                        " never matched (job hang)");

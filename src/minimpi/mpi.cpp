@@ -295,7 +295,7 @@ void Mpi::check_deadline() {
   if (world_->poisoned()) {
     throw WorldAborted("compute loop interrupted by world teardown");
   }
-  if (std::chrono::steady_clock::now() > world_->deadline()) {
+  if (deadline_clock() > world_->deadline()) {
     throw SimTimeout("rank " + std::to_string(world_rank_) +
                      ": compute loop exceeded the watchdog (job hang)");
   }
@@ -307,10 +307,10 @@ void Mpi::publish_op(const char* op, Comm comm, std::uint32_t seq, int root) {
   sig.comm = raw(comm);
   sig.seq = seq;
   sig.root = root;
-  if (stack_probe_) {
-    StackProbe probe = stack_probe_();
+  if (stack_probe_ != nullptr) {
+    const StackProbe probe = stack_probe_(stack_probe_context_);
     sig.stack_id = probe.stack_id;
-    sig.frame = std::move(probe.frame);
+    sig.frame = probe.frame;
   }
   world_->progress().publish_op(world_rank_, sig);
 }

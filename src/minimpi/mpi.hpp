@@ -19,12 +19,12 @@
 // matching the paper's call-site granularity.
 
 #include <cstdint>
-#include <functional>
 #include <memory>
 #include <optional>
 #include <source_location>
 #include <span>
 #include <string>
+#include <string_view>
 #include <utility>
 #include <vector>
 
@@ -129,13 +129,17 @@ class Mpi {
   /// trial runner installs one per rank (backed by the rank's trace
   /// context); its result is folded into the pending-op signature that
   /// hang verdicts and autopsies report. Must only be called from this
-  /// rank's own fiber.
+  /// rank's own fiber. A plain function and its context pointer, so
+  /// MiniMPI stays independent of the trace layer and an op pays no
+  /// std::function call.
   struct StackProbe {
     std::uint64_t stack_id = 0;
-    std::string frame;  ///< innermost shadow frame name
+    std::string_view frame;  ///< innermost shadow frame name (a literal)
   };
-  void set_stack_probe(std::function<StackProbe()> probe) {
-    stack_probe_ = std::move(probe);
+  using StackProbeFn = StackProbe (*)(const void* context);
+  void set_stack_probe(StackProbeFn probe, const void* context) {
+    stack_probe_ = probe;
+    stack_probe_context_ = context;
   }
 
   // --- point-to-point ----------------------------------------------------
@@ -400,7 +404,8 @@ class Mpi {
 
   WorldState* world_;
   int world_rank_;
-  std::function<StackProbe()> stack_probe_;
+  StackProbeFn stack_probe_ = nullptr;
+  const void* stack_probe_context_ = nullptr;
   /// Per-communicator collective sequence numbers (lockstep across ranks
   /// in fault-free execution; divergence surfaces as unmatched traffic).
   FlatCounters<RawHandle, std::uint32_t> coll_seq_;

@@ -34,36 +34,6 @@ std::string PendingSig::describe() const {
 ProgressTable::ProgressTable(int nranks)
     : slots_(static_cast<std::size_t>(nranks)) {}
 
-void ProgressTable::bump(int rank) {
-  ++slots_.at(static_cast<std::size_t>(rank)).heartbeat;
-}
-
-void ProgressTable::publish_op(int rank, const PendingSig& sig) {
-  auto& slot = slots_.at(static_cast<std::size_t>(rank));
-  ++slot.heartbeat;
-  slot.phase = RankPhase::Computing;
-  slot.has_op = true;
-  slot.sig = sig;
-}
-
-void ProgressTable::publish_wait(int rank, int wait_source,
-                                 int wait_source_world,
-                                 std::uint64_t wait_tag) {
-  auto& slot = slots_.at(static_cast<std::size_t>(rank));
-  ++slot.heartbeat;
-  slot.phase = RankPhase::Blocked;
-  slot.has_op = true;
-  slot.sig.wait_source = wait_source;
-  slot.sig.wait_source_world = wait_source_world;
-  slot.sig.wait_tag = wait_tag;
-}
-
-void ProgressTable::publish_resume(int rank) {
-  auto& slot = slots_.at(static_cast<std::size_t>(rank));
-  ++slot.heartbeat;
-  slot.phase = RankPhase::Computing;
-}
-
 void ProgressTable::publish_exited(int rank) {
   auto& slot = slots_.at(static_cast<std::size_t>(rank));
   ++slot.heartbeat;

@@ -21,6 +21,8 @@
 
 #include <cstdint>
 #include <string>
+#include <string_view>
+#include <type_traits>
 #include <vector>
 
 namespace fastfit::mpi {
@@ -47,12 +49,17 @@ struct PendingSig {
   int wait_source_world = -1;     ///< awaited sender as a world rank
   std::uint64_t wait_tag = 0;     ///< exact transport tag awaited
   std::uint64_t stack_id = 0;     ///< shadow-stack identity at op entry
-  std::string frame;              ///< innermost shadow frame at op entry
+  /// Innermost shadow frame at op entry. A view, so that publishing a
+  /// signature copies no string: frame names are literals, which outlive
+  /// their frames and every autopsy (trace/shadow_stack.hpp).
+  std::string_view frame;
 
   /// One-line human form, e.g.
   /// "MPI_Bcast(comm=0x…, seq=3, root=2) awaiting world rank 5".
   std::string describe() const;
 };
+static_assert(std::is_trivially_copyable_v<PendingSig>,
+              "publish_op copies a signature per operation");
 
 /// Verdict-side view of one rank.
 struct RankSnapshot {
@@ -73,17 +80,35 @@ class ProgressTable {
 
   /// Heartbeat-only advance (compute progress, message sends). Publishers
   /// bump *before* delivering so quiescence implies no in-flight sends.
-  void bump(int rank);
+  void bump(int rank) { ++slot(rank).heartbeat; }
 
   /// Entering an operation: signature replaced, phase Computing.
-  void publish_op(int rank, const PendingSig& sig);
+  void publish_op(int rank, const PendingSig& sig) {
+    auto& s = slot(rank);
+    ++s.heartbeat;
+    s.phase = RankPhase::Computing;
+    s.has_op = true;
+    s.sig = sig;
+  }
 
   /// Entering a mailbox wait inside the current operation.
   void publish_wait(int rank, int wait_source, int wait_source_world,
-                    std::uint64_t wait_tag);
+                    std::uint64_t wait_tag) {
+    auto& s = slot(rank);
+    ++s.heartbeat;
+    s.phase = RankPhase::Blocked;
+    s.has_op = true;
+    s.sig.wait_source = wait_source;
+    s.sig.wait_source_world = wait_source_world;
+    s.sig.wait_tag = wait_tag;
+  }
 
   /// The wait ended (matched, timed out, or aborted): back to Computing.
-  void publish_resume(int rank);
+  void publish_resume(int rank) {
+    auto& s = slot(rank);
+    ++s.heartbeat;
+    s.phase = RankPhase::Computing;
+  }
 
   /// Rank main returned or unwound. Never downgrades a Dead slot: the
   /// fiber of a killed rank still unwinds through the normal exit path,
@@ -101,6 +126,10 @@ class ProgressTable {
   }
 
  private:
+  RankSnapshot& slot(int rank) {
+    return slots_.at(static_cast<std::size_t>(rank));
+  }
+
   std::vector<RankSnapshot> slots_;
 };
 

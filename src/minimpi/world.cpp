@@ -43,15 +43,6 @@ WorldState::WorldState(const WorldOptions& options)
   std::iota(everyone.begin(), everyone.end(), 0);
   world_members_ = everyone;
   comms_.push_back(CommEntry{std::move(everyone)});
-  comm_keys_.emplace("world", 0);
-}
-
-Mailbox& WorldState::mailbox(int world_rank) {
-  return mailboxes_.at(static_cast<std::size_t>(world_rank));
-}
-
-MemoryRegistry& WorldState::registry(int world_rank) {
-  return registries_.at(static_cast<std::size_t>(world_rank));
 }
 
 void WorldState::poison_and_wake() {
@@ -87,11 +78,6 @@ std::vector<int> WorldState::alive_members() const {
     if (!rank_dead(r)) alive.push_back(r);
   }
   return alive;
-}
-
-bool WorldState::comm_revoked(Comm comm) const noexcept {
-  if (!poison_.revoked()) return false;
-  return handle_index(raw(comm)) < revoked_comm_limit_;
 }
 
 void WorldState::report_rank_death(int rank, const RankKilled& event) {
@@ -197,8 +183,7 @@ Comm WorldState::register_comm(const std::string& key,
   return make_comm(index);
 }
 
-const std::vector<int>& WorldState::group_of(Comm comm) const {
-  if (comm == kCommWorld) return world_members_;
+const std::vector<int>& WorldState::group_of_registered(Comm comm) const {
   const RawHandle h = raw(comm);
   if (!has_magic(h, kCommMagic) || handle_index(h) >= comms_.size()) {
     throw MpiError(MpiErrc::InvalidComm, "handle 0x" + std::to_string(h));
@@ -206,10 +191,7 @@ const std::vector<int>& WorldState::group_of(Comm comm) const {
   return comms_[handle_index(h)].members;
 }
 
-int WorldState::comm_rank_of(Comm comm, int world_rank) const {
-  if (comm == kCommWorld) {
-    return world_rank >= 0 && world_rank < options_.nranks ? world_rank : -1;
-  }
+int WorldState::comm_rank_of_registered(Comm comm, int world_rank) const {
   const auto& members = group_of(comm);
   const auto it = std::find(members.begin(), members.end(), world_rank);
   if (it == members.end()) return -1;

@@ -158,8 +158,13 @@ class WorldState {
   const WorldOptions& options() const noexcept { return options_; }
   int size() const noexcept { return options_.nranks; }
 
-  Mailbox& mailbox(int world_rank);
-  MemoryRegistry& registry(int world_rank);
+  // The accessors an operation calls several times each are inline.
+  Mailbox& mailbox(int world_rank) {
+    return mailboxes_.at(static_cast<std::size_t>(world_rank));
+  }
+  MemoryRegistry& registry(int world_rank) {
+    return registries_.at(static_cast<std::size_t>(world_rank));
+  }
   ProgressTable& progress() noexcept { return progress_; }
   PoisonState& poison() noexcept { return poison_; }
   bool poisoned() const noexcept { return poison_.poisoned(); }
@@ -212,7 +217,9 @@ class WorldState {
   /// Whether `comm` was revoked by a fail-stop under repair mode.
   /// Communicators registered after the revocation (the shrunken one) are
   /// exempt; everything older raises RankRevoked at its next operation.
-  bool comm_revoked(Comm comm) const noexcept;
+  bool comm_revoked(Comm comm) const noexcept {
+    return poison_.revoked() && handle_index(raw(comm)) < revoked_comm_limit_;
+  }
 
   /// A survivor completed its repair hook; when every survivor has, the
   /// world result reports repaired=true (outcome REPAIRED).
@@ -233,13 +240,23 @@ class WorldState {
 
   /// Group of a communicator; throws MpiError(InvalidComm) for a handle
   /// that does not name a live communicator of this world.
-  const std::vector<int>& group_of(Comm comm) const;
+  const std::vector<int>& group_of(Comm comm) const {
+    return comm == kCommWorld ? world_members_ : group_of_registered(comm);
+  }
 
   /// Rank of `world_rank` within `comm`, or -1 if not a member.
-  int comm_rank_of(Comm comm, int world_rank) const;
+  int comm_rank_of(Comm comm, int world_rank) const {
+    if (comm == kCommWorld) {
+      return world_rank >= 0 && world_rank < options_.nranks ? world_rank : -1;
+    }
+    return comm_rank_of_registered(comm, world_rank);
+  }
 
  private:
   friend class World;
+
+  const std::vector<int>& group_of_registered(Comm comm) const;
+  int comm_rank_of_registered(Comm comm, int world_rank) const;
 
   /// First-wins event capture with an explicit autopsy (the deadlock
   /// verdict); nullopt snapshots the live table instead. `poison` = false
@@ -277,6 +294,8 @@ class WorldState {
     std::vector<int> members;
   };
   std::vector<CommEntry> comms_;
+  /// Creation keys of the registered communicators; the world
+  /// communicator is not registered by key (no rank derives one for it).
   std::map<std::string, RawHandle> comm_keys_;
   /// Members of the world communicator (every rank, in order), resolved
   /// without a table lookup: nearly every operation names it.

@@ -86,60 +86,56 @@ class SeedWords {
   std::array<std::uint32_t, 4> v_;
 };
 
-/// The engine of stream (master_seed, name, index). A seeded engine is a
-/// pure function of the two words (a, b) derived below, and workloads
+/// The per-thread cache of seeded states. A seeded engine is a pure
+/// function of the two words (a, b) an RngStream derives, and workloads
 /// seed the same streams in every trial (every rank of an LU world seeds
 /// "lu-rhs"; other workloads seed one stream per rank). So each thread
-/// keeps the engines it seeded last in a direct-mapped cache, already
-/// twisted, and copies them. The indices of one stream share a base slot
+/// keeps the states it seeded last in a direct-mapped cache, and streams
+/// draw from them in place. The indices of one stream share a base slot
 /// and take consecutive slots from it, so a world's per-rank streams do
 /// not evict each other.
-Mt19937_64 stream_engine(std::uint64_t master_seed, std::string_view name,
-                         std::uint64_t index) {
-  const std::uint64_t base = master_seed ^ fnv1a(name);
-  std::uint64_t state = base ^ 0x6a09e667f3bcc909ULL * (index + 1);
-  const std::uint64_t a = splitmix64(state);
-  const std::uint64_t b = splitmix64(state);
+struct CachedState {
+  std::uint64_t a = 0;
+  std::uint64_t b = 0;
+  /// Words of `state`'s first generation twisted so far: a freshly
+  /// seeded state twists in order, only as far as a stream has drawn.
+  std::size_t twisted = 0;
+  Mt19937_64::State state;
+};
 
-  struct Entry {
-    std::uint64_t a;
-    std::uint64_t b;
-    Mt19937_64 engine;
-  };
-  // One 32-rank world's per-rank streams fill the cache (2.5 KB a slot).
-  constexpr std::size_t kSlots = 32;
-  thread_local std::array<std::unique_ptr<Entry>, kSlots> cache;
-  auto& entry =
-      cache[(((base * 0x9e3779b97f4a7c15ULL) >> 32) + index) % kSlots];
-  if (!entry || entry->a != a || entry->b != b) {
-    SeedWords words(a, b);
-    if (!entry) {
-      // The cache outlives the trial world whose rank may fill it.
-      HeapScope heap;
-      entry = std::make_unique<Entry>();
-    }
-    entry->a = a;
-    entry->b = b;
-    entry->engine.seed(words);
-    entry->engine.twist();
-  }
-  return entry->engine;
+// One 32-rank world's per-rank streams fill the cache (2.5 KB a slot).
+constexpr std::size_t kSlots = 32;
+thread_local std::array<std::unique_ptr<CachedState>, kSlots> t_cache;
+
+/// The calling thread's cached state (a, b), if it is still in `slot`.
+/// Only ever this thread's cache: a stream used on another thread than
+/// its creator's finds its state there or seeds an engine of its own.
+CachedState* cached(std::size_t slot, std::uint64_t a,
+                    std::uint64_t b) noexcept {
+  CachedState* entry = t_cache[slot].get();
+  return entry != nullptr && entry->a == a && entry->b == b ? entry : nullptr;
 }
 
 }  // namespace
 
-void Mt19937_64::twist() noexcept {
+void Mt19937_64::twist_words(State& state, std::size_t from,
+                             std::size_t to) noexcept {
   constexpr std::size_t n = kStateWords;
   constexpr std::size_t m = 156;
-  const auto step = [this](std::size_t k, std::size_t next, std::size_t far) {
+  const auto step = [&state](std::size_t k, std::size_t next,
+                             std::size_t far) {
     const std::uint64_t y =
-        (state_[k] & kUpperMask) | (state_[next] & ~kUpperMask);
-    state_[k] = state_[far] ^ (y >> 1) ^ ((y & 1) ? 0xb5026f5aa96619e9ULL : 0);
+        (state[k] & kUpperMask) | (state[next] & ~kUpperMask);
+    state[k] = state[far] ^ (y >> 1) ^ ((y & 1) ? 0xb5026f5aa96619e9ULL : 0);
   };
-  for (std::size_t k = 0; k < n - m; ++k) step(k, k + 1, k + m);
-  for (std::size_t k = n - m; k < n - 1; ++k) step(k, k + 1, k + m - n);
-  step(n - 1, 0, m - 1);
-  next_ = 0;
+  std::size_t k = from;
+  for (const std::size_t end = std::min(to, n - m); k < end; ++k) {
+    step(k, k + 1, k + m);
+  }
+  for (const std::size_t end = std::min(to, n - 1); k < end; ++k) {
+    step(k, k + 1, k + m - n);
+  }
+  if (k < to) step(n - 1, 0, m - 1);
 }
 
 std::uint64_t splitmix64(std::uint64_t& state) noexcept {
@@ -147,10 +143,6 @@ std::uint64_t splitmix64(std::uint64_t& state) noexcept {
   z = (z ^ (z >> 30)) * 0xbf58476d1ce4e5b9ULL;
   z = (z ^ (z >> 27)) * 0x94d049bb133111ebULL;
   return z ^ (z >> 31);
-}
-
-std::uint64_t fnv1a(std::string_view text) noexcept {
-  return Fnv1a().add(text).value();
 }
 
 Fnv1a& Fnv1a::add_decimal(std::uint64_t value) noexcept {
@@ -165,8 +157,50 @@ Fnv1a& Fnv1a::add_decimal(std::uint64_t value) noexcept {
 }
 
 RngStream::RngStream(std::uint64_t master_seed, std::string_view name,
-                     std::uint64_t index)
-    : engine_(stream_engine(master_seed, name, index)) {}
+                     std::uint64_t index) {
+  const std::uint64_t base = master_seed ^ fnv1a(name);
+  std::uint64_t state = base ^ 0x6a09e667f3bcc909ULL * (index + 1);
+  engine_.a_ = splitmix64(state);
+  engine_.b_ = splitmix64(state);
+  engine_.slot_ = (((base * 0x9e3779b97f4a7c15ULL) >> 32) + index) % kSlots;
+  if (cached(engine_.slot_, engine_.a_, engine_.b_) != nullptr) return;
+  auto& entry = t_cache[engine_.slot_];
+  if (!entry) {
+    // The cache outlives the trial world whose rank may fill it.
+    HeapScope heap;
+    entry = std::make_unique<CachedState>();
+  }
+  SeedWords words(engine_.a_, engine_.b_);
+  entry->a = engine_.a_;
+  entry->b = engine_.b_;
+  entry->twisted = 0;
+  Mt19937_64::seed_state(words, entry->state);
+}
+
+RngStream::Engine::result_type RngStream::Engine::draw_cached() {
+  CachedState* entry = cached(slot_, a_, b_);
+  if (entry == nullptr) {
+    // Another stream reseeded the slot, or this thread never seeded this
+    // stream: seed an engine of this stream's own.
+    SeedWords words(a_, b_);
+    own_.emplace();
+    own_->seed(words);
+    for (std::size_t drawn = 0; drawn < next_; ++drawn) (*own_)();
+    return (*own_)();
+  }
+  if (next_ == Mt19937_64::kStateWords) {
+    // Past the first generation: go on with a copy of the whole state.
+    Mt19937_64::twist_words(entry->state, entry->twisted, next_);
+    entry->twisted = next_;
+    own_.emplace(entry->state, next_);
+    return (*own_)();
+  }
+  if (entry->twisted <= next_) {
+    Mt19937_64::twist_words(entry->state, entry->twisted, next_ + 1);
+    entry->twisted = next_ + 1;
+  }
+  return Mt19937_64::temper(entry->state[next_++]);
+}
 
 std::uint64_t RngStream::uniform_u64(std::uint64_t lo, std::uint64_t hi) {
   if (lo > hi) throw InternalError("RngStream::uniform_u64: lo > hi");

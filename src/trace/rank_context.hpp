@@ -39,7 +39,14 @@ class RankContext {
   /// the context skips the graph) and pushes the shadow frame. The frame
   /// views `name` without copying it, so the name must outlive the frame
   /// (a string literal does). Prefer FunctionScope.
-  void enter_function(std::string_view name) {
+  void enter_function(FrameName name) {
+    if (graphs_ == CallGraphs::Record) {
+      graph_.add_call(stack_.innermost(), name.name());
+    }
+    stack_.enter(name);
+  }
+  template <RuntimeFrameName S>
+  void enter_function(const S& name) {
     if (graphs_ == CallGraphs::Record) {
       graph_.add_call(stack_.innermost(), name);
     }
@@ -73,7 +80,11 @@ class RankContext {
 /// graph. `name` must outlive the scope.
 class FunctionScope {
  public:
-  FunctionScope(RankContext& ctx, std::string_view name) : ctx_(&ctx) {
+  FunctionScope(RankContext& ctx, FrameName name) : ctx_(&ctx) {
+    ctx_->enter_function(name);
+  }
+  template <RuntimeFrameName S>
+  FunctionScope(RankContext& ctx, const S& name) : ctx_(&ctx) {
     ctx_->enter_function(name);
   }
   ~FunctionScope() { ctx_->leave_function(); }

@@ -1,7 +1,6 @@
 #include "trace/shadow_stack.hpp"
 
 #include "support/error.hpp"
-#include "support/rng.hpp"
 
 namespace fastfit::trace {
 namespace {
@@ -13,23 +12,17 @@ constexpr StackId kEmptyId = 0x9e3779b97f4a7c15ULL;
 /// growth, which every trial world's ranks would otherwise repeat.
 constexpr std::size_t kUsualDepth = 8;
 
-StackId extend(StackId parent, std::string_view function) {
-  // Order-sensitive combination: hash the frame name, then mix with the
-  // parent id so [f, g] and [g, f] get distinct identities.
-  const std::uint64_t h = fnv1a(function);
-  StackId id = parent;
-  id ^= h + 0x9e3779b97f4a7c15ULL + (id << 6) + (id >> 2);
-  return id;
-}
-
 }  // namespace
 
 StackId empty_stack_id() noexcept { return kEmptyId; }
 
-void ShadowStack::enter(std::string_view function) {
-  const StackId parent = id();
+void ShadowStack::push(std::string_view name, std::uint64_t hash) {
+  // Order-sensitive combination: mix the frame name's hash with the
+  // parent id so [f, g] and [g, f] get distinct identities.
+  StackId id = this->id();
+  id ^= hash + 0x9e3779b97f4a7c15ULL + (id << 6) + (id >> 2);
   if (frames_.capacity() == 0) frames_.reserve(kUsualDepth);
-  frames_.push_back(Frame{function, extend(parent, function)});
+  frames_.push_back(Frame{name, id});
 }
 
 void ShadowStack::leave() {

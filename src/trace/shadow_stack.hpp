@@ -10,12 +10,17 @@
 // their active-function sequences match exactly.
 //
 // A frame keeps a view of its name, not a copy: the name must outlive the
-// frame. Workloads pass string literals, which always do.
+// frame. Workloads pass string literals, which always do, and whose hash
+// the compiler takes (FrameName), so a push hashes nothing at run time.
 
+#include <concepts>
 #include <cstdint>
 #include <string>
 #include <string_view>
+#include <type_traits>
 #include <vector>
+
+#include "support/rng.hpp"
 
 namespace fastfit::trace {
 
@@ -25,12 +30,40 @@ using StackId = std::uint64_t;
 /// The StackId of the empty stack ("main" only).
 StackId empty_stack_id() noexcept;
 
+/// A frame name written as a string literal, with its FNV-1a hash taken at
+/// compile time. Converts implicitly from a literal, so
+/// `FunctionScope(ctx, "ssor")` builds one.
+class FrameName {
+ public:
+  template <std::size_t N>
+  consteval FrameName(const char (&literal)[N])  // NOLINT: implicit
+      : name_(literal), hash_(fnv1a(name_)) {}
+
+  constexpr std::string_view name() const noexcept { return name_; }
+  constexpr std::uint64_t hash() const noexcept { return hash_; }
+
+ private:
+  std::string_view name_;
+  std::uint64_t hash_;
+};
+
+/// A frame name known only at run time (a pointer or string, not a
+/// literal): hashed on every push.
+template <typename S>
+concept RuntimeFrameName =
+    std::convertible_to<const S&, std::string_view> && !std::is_array_v<S>;
+
 class ShadowStack {
  public:
   /// Pushes a frame. `function` is viewed, not copied, so its characters
   /// must outlive the frame (a string literal does). Prefer TraceScope for
   /// exception safety.
-  void enter(std::string_view function);
+  void enter(FrameName function) { push(function.name(), function.hash()); }
+  template <RuntimeFrameName S>
+  void enter(const S& function) {
+    const std::string_view name(function);
+    push(name, fnv1a(name));
+  }
 
   /// Pops the innermost frame. Throws InternalError on underflow.
   void leave();
@@ -48,6 +81,9 @@ class ShadowStack {
   std::string_view innermost() const noexcept;
 
  private:
+  /// Pushes `name`, whose FNV-1a hash is `hash`.
+  void push(std::string_view name, std::uint64_t hash);
+
   struct Frame {
     std::string_view name;  // viewed; outlives the frame (see enter)
     StackId id;  // hash of the stack up to and including this frame
@@ -63,7 +99,7 @@ class ShadowStack {
 ///   }
 class TraceScope {
  public:
-  TraceScope(ShadowStack& stack, std::string_view function) : stack_(&stack) {
+  TraceScope(ShadowStack& stack, FrameName function) : stack_(&stack) {
     stack_->enter(function);
   }
   ~TraceScope() { stack_->leave(); }

@@ -180,5 +180,50 @@ TEST(WorkloadFT, RootRankFormsItsOwnClass) {
   EXPECT_EQ(classes.front().representative(), 0);
 }
 
+// Two ranks that each wait, inside nested frames, for a message the other
+// never sends: a deterministic deadlock.
+class CrossedReceives : public Workload {
+ public:
+  std::string name() const override { return "crossed-receives"; }
+  std::uint64_t run_rank(AppContext& ctx) const override {
+    trace::FunctionScope outer(ctx.trace, "solve");
+    const int peer = 1 - ctx.mpi.rank();
+    mpi::RegisteredBuffer<std::int32_t> buf(ctx.mpi.registry(), 1, 0);
+    if (ctx.mpi.rank() == 0) {
+      trace::FunctionScope inner(ctx.trace, "halo_exchange");
+      ctx.mpi.recv(buf.data(), 1, mpi::kInt32, peer, 7);
+    } else {
+      trace::FunctionScope inner(ctx.trace, "residual_norm");
+      ctx.mpi.recv(buf.data(), 1, mpi::kInt32, peer, 9);
+    }
+    return 1;
+  }
+};
+
+TEST(RunJob, PendingOpNamesItsFrameAfterTheFrameHasClosed) {
+  // The signature is published at op entry; the autopsy is read after
+  // both ranks unwound out of their frames, so it must hold the frame as
+  // it was then, not look at the stack now.
+  trace::ContextRegistry contexts(2);
+  const auto result = run_job(CrossedReceives(), opts(2), nullptr, contexts);
+  ASSERT_FALSE(result.world.clean());
+  for (int r = 0; r < 2; ++r) {
+    EXPECT_EQ(contexts.of(r).stack().depth(), 0u);
+  }
+  ASSERT_TRUE(result.world.autopsy.has_value());
+  const auto& ranks = result.world.autopsy->ranks;
+  ASSERT_EQ(ranks.size(), 2u);
+  ASSERT_TRUE(ranks[0].has_op);
+  ASSERT_TRUE(ranks[1].has_op);
+  EXPECT_EQ(ranks[0].sig.frame, "halo_exchange");
+  EXPECT_EQ(ranks[1].sig.frame, "residual_norm");
+  EXPECT_NE(ranks[0].sig.describe().find(" in halo_exchange"),
+            std::string::npos)
+      << ranks[0].sig.describe();
+  EXPECT_NE(ranks[1].sig.describe().find(" in residual_norm"),
+            std::string::npos)
+      << ranks[1].sig.describe();
+}
+
 }  // namespace
 }  // namespace fastfit::apps

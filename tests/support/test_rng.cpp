@@ -7,6 +7,7 @@
 #include <set>
 #include <string>
 #include <thread>
+#include <vector>
 
 #include "support/error.hpp"
 
@@ -186,14 +187,14 @@ TEST(Rng, StreamsAreBitIdenticalToSeedSeqSeeding) {
 }
 
 TEST(Rng, CachedStreamFirstDrawMatchesSeedSeq) {
-  // The first construction seeds the thread's cached engine and twists it;
-  // the ones after it copy that engine and draw without twisting first.
+  // The first construction seeds the thread's cached state; the ones
+  // after it draw from that state in place.
   (void)RngStream(31, "cached", 4);
   RngStream first(31, "cached", 4);
   EXPECT_EQ(first.engine()(), seed_seq_engine(31, "cached", 4)());
 
-  // The library distributions over the copied engine, drawn well past the
-  // 312-word state.
+  // The library distributions over the cached state, drawn well past its
+  // 312 words.
   RngStream stream(31, "cached", 4);
   std::mt19937_64 reference = seed_seq_engine(31, "cached", 4);
   for (int i = 0; i < 400; ++i) {
@@ -235,6 +236,81 @@ TEST(Rng, RecreatedStreamsStayIdenticalAcrossCacheEvictions) {
       expect_same_engine(stream, seed_seq_engine(9, name, index));
     }
   }
+}
+
+// The indices of one stream take consecutive cache slots from a base slot,
+// so index i and index i + 32 (the cache's size) share a slot.
+constexpr std::uint64_t kSameSlot = 32;
+
+TEST(Rng, StreamWhoseSlotIsReseededMidDrawStaysExact) {
+  RngStream stream(5, "evicted", 3);
+  std::mt19937_64 reference = seed_seq_engine(5, "evicted", 3);
+  for (int i = 0; i < 700; ++i) {
+    if (i == 40) {
+      // Another stream takes the slot over and a third seeds the first
+      // one's words into it again: the first goes on from that fresh,
+      // untwisted state.
+      RngStream(5, "evicted", 3 + kSameSlot).engine()();
+      (void)RngStream(5, "evicted", 3);
+    }
+    if (i == 250) {
+      // Another stream takes the slot for good: the first must go on from
+      // its own seed words, not from the other stream's state.
+      RngStream(5, "evicted", 3 + kSameSlot).engine()();
+    }
+    ASSERT_EQ(stream.engine()(), reference()) << "draw " << i;
+  }
+}
+
+TEST(Rng, InterleavedStreamsOfOneSeedDrawTheSameBits) {
+  RngStream a(6, "twin", 2);
+  RngStream b(6, "twin", 2);
+  std::mt19937_64 ref_a = seed_seq_engine(6, "twin", 2);
+  std::mt19937_64 ref_b = ref_a;
+  // Uneven strides, so each stream twists words the other reads later and
+  // reads words the other twisted.
+  for (int i = 0; i < 700; ++i) {
+    ASSERT_EQ(a.engine()(), ref_a()) << "a, draw " << i;
+    if (i % 3 != 0) {
+      ASSERT_EQ(b.engine()(), ref_b()) << "b, draw " << i;
+    }
+  }
+  for (int i = 0; i < 300; ++i) ASSERT_EQ(b.engine()(), ref_b());
+}
+
+TEST(Rng, StreamOnAPartlyTwistedCachedStateStaysExact) {
+  // A fresh seeding twists only the words drawn; streams created on that
+  // state, drawing further or past the first generation, must still see
+  // the library's bits, and so must the stream that stopped early.
+  (void)RngStream(7, "lazy", 1 + kSameSlot);  // make the next seeding fresh
+  RngStream early(7, "lazy", 1);
+  std::mt19937_64 ref_early = seed_seq_engine(7, "lazy", 1);
+  for (int i = 0; i < 5; ++i) ASSERT_EQ(early.engine()(), ref_early());
+
+  RngStream later(7, "lazy", 1);
+  expect_same_engine(later, seed_seq_engine(7, "lazy", 1));
+  RngStream third(7, "lazy", 1);
+  expect_same_engine(third, seed_seq_engine(7, "lazy", 1));
+  for (int i = 5; i < 700; ++i) ASSERT_EQ(early.engine()(), ref_early());
+}
+
+TEST(Rng, StreamDrawnOnAnotherThreadNeverReadsItsCreatorsCache) {
+  // The creating thread keeps reseeding the stream's slot while another
+  // thread draws from the stream: those draws must come from the drawing
+  // thread's cache or an engine of the stream's own (under TSan, a read of
+  // the creator's cache is a race).
+  RngStream stream(8, "moved", 4);
+  std::mt19937_64 reference = seed_seq_engine(8, "moved", 4);
+  for (int i = 0; i < 3; ++i) ASSERT_EQ(stream.engine()(), reference());
+  std::vector<std::uint64_t> drawn;
+  std::thread worker([&stream, &drawn] {
+    for (int i = 3; i < 700; ++i) drawn.push_back(stream.engine()());
+  });
+  for (int i = 0; i < 50; ++i) {
+    RngStream(8, "moved", 4 + (i % 2 == 0 ? kSameSlot : 0)).engine()();
+  }
+  worker.join();
+  for (std::uint64_t word : drawn) ASSERT_EQ(word, reference());
 }
 
 TEST(Rng, StreamDoesNotDependOnTheCreatingThread) {

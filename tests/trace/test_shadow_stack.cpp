@@ -2,6 +2,8 @@
 
 #include <gtest/gtest.h>
 
+#include <string>
+
 #include "support/error.hpp"
 
 namespace fastfit::trace {
@@ -33,6 +35,22 @@ TEST(ShadowStack, SameFrameSequenceSameId) {
   }
   EXPECT_EQ(a.id(), b.id());
   EXPECT_EQ(a.frames(), b.frames());
+}
+
+TEST(ShadowStack, LiteralAndRuntimeNamesGiveTheSameId) {
+  // A literal's hash is taken at compile time, any other name's at run
+  // time; the identities must not tell them apart, nor differ from the
+  // FNV-1a combination context pruning has always keyed on.
+  ShadowStack literal, runtime;
+  literal.enter("ssor");
+  literal.enter("rhs");
+  const std::string outer = "ssor";
+  const char* inner = "rhs";
+  runtime.enter(outer);
+  runtime.enter(inner);
+  EXPECT_EQ(literal.id(), runtime.id());
+  EXPECT_EQ(literal.id(), 0xd8697ad27414ebe2ULL);
+  EXPECT_EQ(FrameName("rhs").hash(), fnv1a("rhs"));
 }
 
 TEST(ShadowStack, OrderMattersForIdentity) {

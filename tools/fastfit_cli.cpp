@@ -332,27 +332,30 @@ int parse_ranks(const Args& args) {
 }
 
 /// Writes one output file named on the command line, reporting either
-/// "wrote PATH" on stdout or the failure on stderr.
-void write_output(const std::string& path, const std::string& text,
+/// "wrote PATH" on stdout or the failure on stderr. Returns whether it
+/// wrote: the command goes on to write its other outputs, then exits 1,
+/// as it does for an unwritable --json.
+bool write_output(const std::string& path, const std::string& text,
                   const char* what) {
-  if (telemetry::write_text_file(path, text)) {
-    std::printf("wrote %s\n", path.c_str());
-  } else {
+  if (!telemetry::write_text_file(path, text)) {
     std::fprintf(stderr, "error: failed to write %s: %s\n", what,
                  path.c_str());
+    return false;
   }
+  std::printf("wrote %s\n", path.c_str());
+  return true;
 }
 
 /// Writes the recorder's metrics snapshot: JSON for a ".json" path, else
 /// Prometheus text.
-void write_metrics(const std::string& path) {
+bool write_metrics(const std::string& path) {
   const auto snapshot = telemetry::Recorder::instance().metrics();
   const bool json = path.size() >= 5 &&
                     path.compare(path.size() - 5, 5, ".json") == 0;
-  write_output(path,
-               json ? telemetry::to_metrics_json(snapshot)
-                    : telemetry::to_prometheus(snapshot),
-               "metrics");
+  return write_output(path,
+                      json ? telemetry::to_metrics_json(snapshot)
+                           : telemetry::to_prometheus(snapshot),
+                      "metrics");
 }
 
 /// Prints the outcome table (one row per collective kind, then ALL) and
@@ -510,14 +513,16 @@ int cmd_study(const std::string& workload_name, const Args& args,
                core::render_outcome_totals(result.measured).c_str(),
                core::render_health(result.health).c_str());
 
+  bool wrote = true;
   if (!config.trace_out.empty()) {
-    write_output(config.trace_out,
-                 telemetry::to_chrome_trace(recorder.drain_events(),
-                                            recorder.bound_threads()),
-                 "trace");
+    wrote &= write_output(config.trace_out,
+                          telemetry::to_chrome_trace(recorder.drain_events(),
+                                                     recorder.bound_threads()),
+                          "trace");
   }
-  if (!config.metrics_out.empty()) write_metrics(config.metrics_out);
+  if (!config.metrics_out.empty()) wrote &= write_metrics(config.metrics_out);
   write_reports(args, result);
+  if (!wrote) return 1;
   return result.health.clean() ? 0 : 2;
 }
 
@@ -593,7 +598,7 @@ int cmd_merge(const Args& args) {
                    "Points the trial guard gave up on")
           .add(result.health.quarantined_points);
     }
-    write_metrics(args.get("metrics-out", ""));
+    if (!write_metrics(args.get("metrics-out", ""))) return 1;
   }
   return result.health.clean() ? 0 : 2;
 }
@@ -622,6 +627,8 @@ int cmd_p2p(const std::string& workload_name, const Args& args,
     }
   });
   const auto trials = options.campaign.trials_per_point;
+  const std::size_t cap = parse_number_flag<std::size_t>(
+      args, "points", 60, std::numeric_limits<std::uint32_t>::max());
 
   core::StudyDriver driver(*workload, std::move(options));
   driver.profile();
@@ -639,8 +646,6 @@ int cmd_p2p(const std::string& workload_name, const Args& args,
     return 0;
   }
   auto points = e.points;
-  const std::size_t cap = parse_number_flag<std::size_t>(
-      args, "points", 60, std::numeric_limits<std::uint32_t>::max());
   if (points.size() > cap) points.resize(cap);
   std::vector<core::P2pPointResult> results;
   for (const auto& point : points) {
