@@ -11,7 +11,7 @@
 
 #include "apps/registry.hpp"
 #include "bench_common.hpp"
-#include "core/p2p_study.hpp"
+#include "core/report.hpp"
 #include "support/format.hpp"
 #include "support/rng.hpp"
 
@@ -36,8 +36,8 @@ int main() {
       }
     }
 
-    // Point-to-point study.
-    const auto e = core::enumerate_p2p_points(campaign.profiler());
+    // Point-to-point study: send/recv sites as ordinary campaign points.
+    const auto e = campaign.enumerate(mpi::SiteFamily::P2p);
     std::printf("%s: p2p exploration space %llu -> %llu (semantic) -> %llu "
                 "(context); %zu equivalence classes\n",
                 name.c_str(),
@@ -54,31 +54,21 @@ int main() {
         static_cast<std::size_t>(bench::env_u64("FASTFIT_BENCH_P2P_POINTS",
                                                 80));
     if (points.size() > cap) points.resize(cap);
-    std::vector<core::P2pPointResult> p2p;
-    for (const auto& point : points) {
-      p2p.push_back(
-          core::measure_p2p(campaign, point, bench::bench_trials()));
-    }
+    const auto p2p = campaign.measure_many(points, bench::bench_trials());
 
     std::vector<std::pair<std::string,
                           std::array<double, inject::kNumOutcomes>>>
         rows;
     rows.emplace_back("collective buf", core::outcome_distribution(coll));
-    rows.emplace_back("p2p buffer",
-                      core::p2p_outcome_distribution(
-                          p2p, std::nullopt, mpi::P2pParam::Buffer));
-    rows.emplace_back("p2p count",
-                      core::p2p_outcome_distribution(
-                          p2p, std::nullopt, mpi::P2pParam::Count));
-    rows.emplace_back("p2p datatype",
-                      core::p2p_outcome_distribution(
-                          p2p, std::nullopt, mpi::P2pParam::Datatype));
-    rows.emplace_back("p2p peer",
-                      core::p2p_outcome_distribution(
-                          p2p, std::nullopt, mpi::P2pParam::Peer));
-    rows.emplace_back("p2p tag",
-                      core::p2p_outcome_distribution(
-                          p2p, std::nullopt, mpi::P2pParam::Tag));
+    for (auto param : {mpi::P2pParam::Buffer, mpi::P2pParam::Count,
+                       mpi::P2pParam::Datatype, mpi::P2pParam::Peer,
+                       mpi::P2pParam::Tag}) {
+      rows.emplace_back(std::string("p2p ") + to_string(param),
+                        core::outcome_distribution(
+                            p2p, [param](const core::InjectionPoint& p) {
+                              return p.p2p_param == param;
+                            }));
+    }
     std::printf("%s\n", core::render_outcome_table(rows).c_str());
   }
 

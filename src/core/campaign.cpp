@@ -68,16 +68,6 @@ std::vector<InjectionPoint> cross_with_fault_models(
   return crossed;
 }
 
-InjectionPoint point_of(const procpool::WorkItem& item) {
-  InjectionPoint point;
-  point.site_id = item.site_id;
-  point.rank = item.rank;
-  point.invocation = item.invocation;
-  point.param = static_cast<mpi::Param>(item.param);
-  point.fault = item.fault;
-  return point;
-}
-
 std::chrono::milliseconds watchdog_of(const procpool::WorkItem& item) {
   return std::chrono::milliseconds(static_cast<std::int64_t>(item.watchdog_ms));
 }
@@ -89,11 +79,8 @@ template <typename Body>
 procpool::TrialReply worker_reply(const Body& body) {
   procpool::TrialReply reply;
   try {
-    const inject::TrialForensics forensics = body();
+    reply.forensics = body();
     reply.ok = true;
-    reply.outcome = forensics.outcome;
-    reply.deterministic_hang = forensics.deterministic_hang;
-    reply.autopsy = forensics.autopsy;
   } catch (const std::exception& e) {
     reply.ok = false;
     reply.error = e.what();
@@ -206,27 +193,31 @@ void Campaign::profile() {
   }
   run_span.finish();
 
-  {
-    tel::ScopedSpan span("enumerate-points");
-    enumeration_ = enumerate_with_passes(*profiler_, options_.pruning_passes);
-    enumeration_.points = cross_with_fault_models(
-        std::move(enumeration_.points), options_.fault_models);
-    // A non-identity cross changes the measured point set: after_context
-    // is what sharding partitions and merge validates coverage against,
-    // so it must track the crossed size (monotonicity of the earlier
-    // stages is preserved by maxing them up). The default single-spec
-    // cross is the identity and leaves every stat byte-identical.
-    auto& stats = enumeration_.stats;
-    stats.after_context = enumeration_.points.size();
-    stats.after_semantic = std::max(stats.after_semantic, stats.after_context);
-    stats.total_points = std::max(stats.total_points, stats.after_semantic);
-  }
   profiled_ = true;
+  tel::ScopedSpan span("enumerate-points");
+  enumeration_ = enumerate(mpi::SiteFamily::Collective);
 }
 
 const Enumeration& Campaign::enumeration() const {
   if (!profiled_) throw InternalError("Campaign: profile() not run");
   return enumeration_;
+}
+
+Enumeration Campaign::enumerate(mpi::SiteFamily family) const {
+  Enumeration out =
+      enumerate_with_passes(profiler(), options_.pruning_passes, family);
+  out.points =
+      cross_with_fault_models(std::move(out.points), options_.fault_models);
+  // A non-identity cross changes the measured point set: after_context
+  // is what sharding partitions and merge validates coverage against,
+  // so it must track the crossed size (monotonicity of the earlier
+  // stages is preserved by maxing them up). The default single-spec
+  // cross is the identity and leaves every stat byte-identical.
+  auto& stats = out.stats;
+  stats.after_context = out.points.size();
+  stats.after_semantic = std::max(stats.after_semantic, stats.after_context);
+  stats.total_points = std::max(stats.total_points, stats.after_semantic);
+  return out;
 }
 
 const profile::Profiler& Campaign::profiler() const {
@@ -295,22 +286,24 @@ CampaignHealth Campaign::health() const noexcept {
 }
 
 inject::TrialForensics Campaign::run_trial(
-    const InjectionPoint& point, std::uint64_t trial,
-    std::chrono::milliseconds watchdog) {
+    const inject::FaultSpec& spec, std::chrono::milliseconds watchdog) {
   // Snapshot fast path only for replayable specs: a fault that perturbs
   // prefix-visible state (message delay/drop, probabilistic or windowed
   // triggers that may fire inside the prefix) must execute from scratch —
   // the recorded fault-free prefix would silently mask the perturbation.
-  if (inject::is_replayable(point.fault) && snapshot_cache_ &&
+  // The recording is cut at collective sites only, so a point-to-point
+  // fault runs from scratch too.
+  if (spec.family == mpi::SiteFamily::Collective &&
+      inject::is_replayable(spec.fault) && snapshot_cache_ &&
       !snapshot_cache_->disabled()) {
     std::shared_ptr<const mpi::WorldSnapshot> snapshot;
     {
       tel::ScopedSpan clone_span("snapshot-clone");
-      snapshot = snapshot_cache_->lookup(point.site_id, point.invocation);
+      snapshot = snapshot_cache_->lookup(spec.site_id, spec.invocation);
     }
     if (snapshot) {
       try {
-        return execute_trial(point, trial, watchdog, std::move(snapshot));
+        return execute_trial(spec, watchdog, std::move(snapshot));
       } catch (const mpi::ReplayError&) {
         // Divergence is a harness condition, never a trial outcome: fall
         // back to the from-scratch path below, and retire the subsystem
@@ -320,22 +313,13 @@ inject::TrialForensics Campaign::run_trial(
       }
     }
   }
-  return execute_trial(point, trial, watchdog, nullptr);
+  return execute_trial(spec, watchdog, nullptr);
 }
 
 inject::TrialForensics Campaign::execute_trial(
-    const InjectionPoint& point, std::uint64_t trial,
-    std::chrono::milliseconds watchdog,
+    const inject::FaultSpec& spec, std::chrono::milliseconds watchdog,
     std::shared_ptr<const mpi::WorldSnapshot> snapshot,
     const procpool::Park* park) {
-  inject::FaultSpec spec;
-  spec.site_id = point.site_id;
-  spec.rank = point.rank;
-  spec.invocation = point.invocation;
-  spec.param = point.param;
-  spec.trial = trial;
-  spec.fault = point.fault;
-
   inject::Injector injector(spec, options_.seed);
   mpi::WorldOptions opts;
   opts.nranks = options_.nranks;
@@ -354,7 +338,7 @@ inject::TrialForensics Campaign::execute_trial(
     injector.set_cut_hook([&injector, park](mpi::Mpi& mpi) {
       const auto cut = std::chrono::steady_clock::now();
       const procpool::WorkItem& item = (*park)();
-      injector.bind_trial(item.trial);
+      injector.bind_trial(item.spec.trial);
       mpi.world().rebase_deadline(watchdog_of(item), cut);
     });
   }
@@ -412,7 +396,10 @@ void Campaign::warm_snapshots(std::span<const InjectionPoint> points) {
   if (!snapshot_cache_ || snapshot_cache_->disabled()) return;
   std::set<std::pair<std::uint32_t, std::uint64_t>> warmed;
   for (const auto& point : points) {
-    if (!inject::is_replayable(point.fault)) continue;
+    if (point.family != mpi::SiteFamily::Collective ||
+        !inject::is_replayable(point.fault)) {
+      continue;
+    }
     if (!warmed.insert({point.site_id, point.invocation}).second) continue;
     (void)snapshot_cache_->lookup(point.site_id, point.invocation);
     if (snapshot_cache_->disabled()) return;
@@ -420,17 +407,11 @@ void Campaign::warm_snapshots(std::span<const InjectionPoint> points) {
 }
 
 inject::TrialForensics Campaign::dispatch_trial(
-    const InjectionPoint& point, std::uint64_t trial,
-    std::chrono::milliseconds watchdog) {
+    const inject::FaultSpec& spec, std::chrono::milliseconds watchdog) {
   ProcPool* pool = active_pool_.load(std::memory_order_acquire);
   if (pool != nullptr && !pool->degraded()) {
     procpool::WorkItem item;
-    item.site_id = point.site_id;
-    item.rank = point.rank;
-    item.invocation = point.invocation;
-    item.param = static_cast<std::uint8_t>(point.param);
-    item.fault = point.fault;
-    item.trial = trial;
+    item.spec = spec;
     item.watchdog_ms = static_cast<std::uint64_t>(watchdog.count());
     // The in-world watchdog is the real trial timeout; the lease is a
     // generous backstop that only catches a wedged worker *process*
@@ -452,11 +433,7 @@ inject::TrialForensics Campaign::dispatch_trial(
           throw InternalError("worker: " + result.reply.error);
         }
         trials_run_.fetch_add(1, std::memory_order_relaxed);
-        inject::TrialForensics forensics;
-        forensics.outcome = result.reply.outcome;
-        forensics.deterministic_hang = result.reply.deterministic_hang;
-        forensics.autopsy = result.reply.autopsy;
-        return forensics;
+        return result.reply.forensics;
       }
       case ProcPool::Result::Kind::SignalDeath: {
         trials_run_.fetch_add(1, std::memory_order_relaxed);
@@ -476,12 +453,12 @@ inject::TrialForensics Campaign::dispatch_trial(
     }
     throw InternalError("dispatch_trial: unknown worker result");
   }
-  if (inject::is_signal_model(point.fault.model)) {
+  if (inject::is_signal_model(spec.fault.model)) {
     // Never raise a real signal inside the campaign process: with the
     // pool gone this trial cannot run, so it takes the retry → quarantine
     // ladder instead of the in-process fallback.
     throw InternalError(
-        "fault model '" + point.fault.canonical() +
+        "fault model '" + spec.fault.canonical() +
         "' needs a live worker pool (process isolation degraded)");
   }
   if (pool != nullptr) {
@@ -489,12 +466,13 @@ inject::TrialForensics Campaign::dispatch_trial(
     // recorded in CampaignHealth (results are identical either way).
     isolation_fallbacks_.fetch_add(1, std::memory_order_relaxed);
   }
-  return run_trial(point, trial, watchdog);
+  return run_trial(spec, watchdog);
 }
 
 TrialRunner::Attempt Campaign::run_guarded(
     const InjectionPoint& point, std::uint64_t trial,
     std::chrono::milliseconds watchdog) {
+  const inject::FaultSpec spec = point.fault_spec(trial);
   Attempt attempt;
   for (std::uint32_t tries = 0;; ++tries) {
     // Attribution prefix for the error: which attempt failed, on which
@@ -502,10 +480,7 @@ TrialRunner::Attempt Campaign::run_guarded(
     const std::string site = "attempt " + std::to_string(tries + 1) + " on " +
                              execution_site() + ": ";
     try {
-      const auto forensics = dispatch_trial(point, trial, watchdog);
-      attempt.outcome = forensics.outcome;
-      attempt.deterministic_hang = forensics.deterministic_hang;
-      attempt.autopsy = forensics.autopsy;
+      attempt.forensics = dispatch_trial(spec, watchdog);
       attempt.ok = true;
       return attempt;
     } catch (const std::exception& e) {
@@ -549,6 +524,11 @@ std::vector<PointResult> Campaign::measure_impl(
     std::span<const InjectionPoint> points, std::uint32_t trials,
     std::size_t pool) {
   if (!profiled_) throw InternalError("Campaign: profile() not run");
+  for (const auto& point : points) {
+    if (point.family == mpi::SiteFamily::P2p) {
+      inject::check_p2p_fault_model(point.fault);
+    }
+  }
   measuring_.fetch_add(1, std::memory_order_acq_rel);
   struct MeasuringGuard {
     std::atomic<int>& flag;
@@ -583,15 +563,15 @@ std::vector<PointResult> Campaign::measure_impl(
       pool_options.cut_template = [this](const procpool::WorkItem& item,
                                          const procpool::Park& park) {
         return worker_reply([&] {
-          return execute_trial(point_of(item), item.trial,
-                               watchdog_of(item), nullptr, &park);
+          return execute_trial(item.spec, watchdog_of(item), nullptr,
+                               &park);
         });
       };
     }
     proc_pool = std::make_unique<ProcPool>(
         pool_options, [this](const procpool::WorkItem& item) {
           return worker_reply([&] {
-            return run_trial(point_of(item), item.trial, watchdog_of(item));
+            return run_trial(item.spec, watchdog_of(item));
           });
         });
     active_pool_.store(proc_pool.get(), std::memory_order_release);

@@ -163,8 +163,15 @@ class Campaign : private TrialRunner {
   /// before trials.
   void profile();
 
+  /// The collective points profile() enumerated.
   const Enumeration& enumeration() const;
   const PruningStats& stats() const { return enumeration().stats; }
+
+  /// Enumerates `family`'s points through the campaign's pruning chain and
+  /// crosses them with its fault models, as profile() does for the
+  /// collective sites. The point-to-point study measures what this gives
+  /// for SiteFamily::P2p like any other points. Requires profile().
+  Enumeration enumerate(mpi::SiteFamily family) const;
   const profile::Profiler& profiler() const;
 
   /// Attaches a durable trial journal at `path`. Requires profile():
@@ -190,6 +197,8 @@ class Campaign : private TrialRunner {
   /// depend on what was measured before — or concurrently. Trials run
   /// serially; internal failures are retried and, on exhaustion, the
   /// point is quarantined (see PointResult::exec) rather than thrown.
+  /// Throws ConfigError for a point-to-point point whose fault model its
+  /// site cannot take (inject::check_p2p_fault_model).
   PointResult measure(const InjectionPoint& point, std::uint32_t trials);
 
   /// Convenience: measure with the configured trials_per_point.
@@ -275,9 +284,9 @@ class Campaign : private TrialRunner {
   /// so the guard retries it. Stray undelivered messages are a
   /// legitimate fault consequence (e.g. a corrupted root re-routes
   /// sends nobody awaits), so only the uninjected run in profile()
-  /// asserts on them.
-  inject::TrialForensics run_trial(const InjectionPoint& point,
-                                   std::uint64_t trial,
+  /// asserts on them. Point-to-point faults always run from scratch: the
+  /// prefix recording is cut at collective sites only.
+  inject::TrialForensics run_trial(const inject::FaultSpec& spec,
                                    std::chrono::milliseconds watchdog);
 
   /// The world execution behind run_trial. With a snapshot, only the
@@ -287,8 +296,7 @@ class Campaign : private TrialRunner {
   /// the world is a fault-free template that parks at the cut and
   /// returns only in each forked trial child (core/procpool.hpp).
   inject::TrialForensics execute_trial(
-      const InjectionPoint& point, std::uint64_t trial,
-      std::chrono::milliseconds watchdog,
+      const inject::FaultSpec& spec, std::chrono::milliseconds watchdog,
       std::shared_ptr<const mpi::WorldSnapshot> snapshot,
       const procpool::Park* park = nullptr);
 
@@ -298,12 +306,11 @@ class Campaign : private TrialRunner {
   /// in-process run_trial otherwise — including the degraded-pool
   /// fallback, which is refused for signal models (a real signal must
   /// never fire inside the campaign process).
-  inject::TrialForensics dispatch_trial(const InjectionPoint& point,
-                                        std::uint64_t trial,
+  inject::TrialForensics dispatch_trial(const inject::FaultSpec& spec,
                                         std::chrono::milliseconds watchdog);
 
-  /// Pre-derives the snapshot cuts of every replayable point of the
-  /// batch, so forked workers inherit them instead of each child deriving
+  /// Pre-derives the snapshot cuts of every replayable collective point
+  /// of the batch, so forked workers inherit them instead of each child deriving
   /// its own.
   void warm_snapshots(std::span<const InjectionPoint> points);
 

@@ -11,49 +11,87 @@
 namespace fastfit::core {
 namespace {
 
-std::string short_location(const profile::SiteProfile& site) {
-  std::string name = site.file;
+std::string short_location(const std::string& file, int line) {
+  std::string name = file;
   if (const auto slash = name.rfind('/'); slash != std::string::npos) {
     name = name.substr(slash + 1);
   }
-  return name + ":" + std::to_string(site.line);
+  return name + ":" + std::to_string(line);
 }
 
-/// The full exploration space — every invocation of every site on every
-/// rank, one point per injectable parameter — in canonical order (rank
-/// ascending, site id, invocation, parameter), with the ML features
-/// attached.
-Enumeration profiled_space(const profile::Profiler& profiler) {
+constexpr std::array<mpi::P2pParam, mpi::kNumP2pParams> kP2pParams{
+    mpi::P2pParam::Buffer, mpi::P2pParam::Count, mpi::P2pParam::Datatype,
+    mpi::P2pParam::Peer, mpi::P2pParam::Tag};
+
+/// Appends one point per (invocation, parameter) of one site on one rank,
+/// in invocation then parameter order. `site` holds the site-level fields
+/// and features; `set_param` fills in one of `params`.
+template <typename Param, typename SetParam>
+void add_site_points(std::vector<InjectionPoint>& points,
+                     InjectionPoint site,
+                     std::span<const profile::InvocationRecord> invocations,
+                     std::span<const Param> params, SetParam set_param) {
+  site.n_inv = profile::n_invocations(invocations);
+  site.stack_depth = profile::mean_stack_depth(invocations);
+  site.n_diff_stack = profile::n_distinct_stacks(invocations);
+  for (const auto& inv : invocations) {
+    site.invocation = inv.invocation;
+    site.stack = inv.stack;
+    site.phase = inv.phase;
+    site.errhal = inv.errhal;
+    for (const Param param : params) {
+      set_param(site, param);
+      points.push_back(site);
+    }
+  }
+}
+
+/// The full exploration space of one site family — every invocation of
+/// every site on every rank, one point per injectable parameter — in
+/// canonical order (rank ascending, site id, invocation, parameter), with
+/// the ML features attached.
+Enumeration profiled_space(const profile::Profiler& profiler,
+                           mpi::SiteFamily family) {
   Enumeration out;
   out.stats.nranks = profiler.nranks();
   for (int r = 0; r < profiler.nranks(); ++r) {
-    for (const auto& [site_id, site] : profiler.rank(r).sites) {
-      const auto params = mpi::injectable_params(site.kind);
-      const auto n_inv = profile::n_invocations(site);
-      const auto depth = profile::mean_stack_depth(site);
-      const auto n_stacks = profile::n_distinct_stacks(site);
-      for (const auto& inv : site.invocations) {
-        for (mpi::Param param : params) {
-          InjectionPoint point;
-          point.site_id = site_id;
-          point.kind = site.kind;
-          point.site_location = short_location(site);
-          point.rank = r;
-          point.invocation = inv.invocation;
-          point.param = param;
-          point.stack = inv.stack;
-          point.phase = inv.phase;
-          point.errhal = inv.errhal;
-          point.n_inv = n_inv;
-          point.stack_depth = depth;
-          point.n_diff_stack = n_stacks;
-          out.points.push_back(std::move(point));
-        }
+    InjectionPoint site;
+    site.rank = r;
+    site.family = family;
+    if (family == mpi::SiteFamily::Collective) {
+      for (const auto& [site_id, profiled] : profiler.rank(r).sites) {
+        site.site_id = site_id;
+        site.kind = profiled.kind;
+        site.site_location = short_location(profiled.file, profiled.line);
+        const auto params = mpi::injectable_params(profiled.kind);
+        add_site_points<mpi::Param>(
+            out.points, site, profiled.invocations, params,
+            [](InjectionPoint& point, mpi::Param p) { point.param = p; });
+      }
+    } else {
+      for (const auto& [site_id, profiled] : profiler.rank(r).p2p_sites) {
+        site.site_id = site_id;
+        site.p2p_kind = profiled.kind;
+        site.site_location = short_location(profiled.file, profiled.line);
+        add_site_points<mpi::P2pParam>(
+            out.points, site, profiled.invocations, kP2pParams,
+            [](InjectionPoint& point, mpi::P2pParam p) {
+              point.p2p_param = p;
+            });
       }
     }
   }
   out.stats.total_points = out.points.size();
   return out;
+}
+
+/// The profiled invocations of `point`'s site on its rank.
+const std::vector<profile::InvocationRecord>& site_invocations(
+    const profile::Profiler& profiler, const InjectionPoint& point) {
+  const auto& rank = profiler.rank(point.rank);
+  return point.family == mpi::SiteFamily::Collective
+             ? rank.sites.at(point.site_id).invocations
+             : rank.p2p_sites.at(point.site_id).invocations;
 }
 
 /// Semantic-driven pruning: computes the process equivalence classes and
@@ -82,9 +120,9 @@ void prune_context(const profile::Profiler& profiler, Enumeration& e) {
     const auto group = std::make_pair(point.rank, point.site_id);
     auto it = keep.find(group);
     if (it == keep.end()) {
-      const auto& site = profiler.rank(point.rank).sites.at(point.site_id);
       std::unordered_set<std::uint64_t> invocations;
-      for (const auto& inv : profile::stack_representatives(site)) {
+      for (const auto& inv : profile::stack_representatives(
+               site_invocations(profiler, point))) {
         invocations.insert(inv.invocation);
       }
       it = keep.emplace(group, std::move(invocations)).first;
@@ -136,13 +174,14 @@ PassChain parse_pass_list(const std::string& text) {
 }
 
 Enumeration enumerate_with_passes(const profile::Profiler& profiler,
-                                  std::span<const std::string> pass_names) {
+                                  std::span<const std::string> pass_names,
+                                  mpi::SiteFamily family) {
   if (parse_pass_list(pass_names).ml) {
     throw ConfigError(
         "enumerate: pass 'ml' runs trials and cannot run at enumeration "
         "time; select it through the study driver");
   }
-  auto out = profiled_space(profiler);
+  auto out = profiled_space(profiler, family);
   out.stats.after_context = out.points.size();
   for (const auto& name : pass_names) {
     if (name == "semantic") {

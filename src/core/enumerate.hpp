@@ -59,11 +59,14 @@ Enumeration enumerate_points(const profile::Profiler& profiler);
 /// study the context-pruning premise itself (Fig 3).
 Enumeration enumerate_points_semantic_only(const profile::Profiler& profiler);
 
-/// Enumerates through an explicit structural chain. stats.after_context
-/// tracks the surviving count after every pass. Throws ConfigError for
-/// "ml": it resolves points by running trials and belongs to the study
-/// driver, not to enumeration.
-Enumeration enumerate_with_passes(const profile::Profiler& profiler,
-                                  std::span<const std::string> pass_names);
+/// Enumerates one site family's points through an explicit structural
+/// chain: the same passes prune collective and point-to-point sites.
+/// stats.after_context tracks the surviving count after every pass.
+/// Throws ConfigError for "ml": it resolves points by running trials and
+/// belongs to the study driver, not to enumeration.
+Enumeration enumerate_with_passes(
+    const profile::Profiler& profiler,
+    std::span<const std::string> pass_names,
+    mpi::SiteFamily family = mpi::SiteFamily::Collective);
 
 }  // namespace fastfit::core

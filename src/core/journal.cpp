@@ -177,7 +177,8 @@ std::string point_key(const InjectionPoint& point) {
   std::string key = std::to_string(point.site_id) + ':' +
                     std::to_string(point.rank) + ':' +
                     std::to_string(point.invocation) + ':' +
-                    std::to_string(static_cast<int>(point.param));
+                    std::to_string(inject::param_ordinal(
+                        point.family, point.param, point.p2p_param));
   // The fault-model axis joins the key only for non-default specs, so
   // pre-v2 journals (implicitly exact-point single-bit-flip throughout)
   // keep resuming byte for byte.

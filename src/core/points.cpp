@@ -19,6 +19,19 @@ ml::FeatureVec InjectionPoint::features() const {
   return x;
 }
 
+inject::FaultSpec InjectionPoint::fault_spec(std::uint64_t trial) const {
+  inject::FaultSpec spec;
+  spec.site_id = site_id;
+  spec.rank = rank;
+  spec.invocation = invocation;
+  spec.param = param;
+  spec.trial = trial;
+  spec.fault = fault;
+  spec.family = family;
+  spec.p2p_param = p2p_param;
+  return spec;
+}
+
 double PruningStats::semantic_reduction() const {
   if (total_points == 0) return 0.0;
   return 1.0 - static_cast<double>(after_semantic) /

@@ -14,7 +14,7 @@
 #include <string>
 #include <vector>
 
-#include "inject/fault_model.hpp"
+#include "inject/fault_spec.hpp"
 #include "inject/outcome.hpp"
 #include "minimpi/hooks.hpp"
 #include "minimpi/types.hpp"
@@ -26,6 +26,12 @@ namespace fastfit::core {
 
 /// One (surviving) fault injection point, with the application features
 /// the ML model consumes attached.
+///
+/// A point lives on a collective call site (the paper's space) or, for
+/// the point-to-point study, on a send or receive site. Site ids hash the
+/// family, so the two never share an id. Collective points use `kind` and
+/// `param`; point-to-point points use `p2p_kind` and `p2p_param`. Reports,
+/// ML features and the figure benches only ever see collective points.
 struct InjectionPoint {
   std::uint32_t site_id = 0;
   mpi::CollectiveKind kind{};
@@ -36,6 +42,9 @@ struct InjectionPoint {
   /// Fault model x trigger this point runs under (campaign fault-model
   /// axis; the default is the paper's exact-point single bit flip).
   inject::FaultModelSpec fault{};
+  mpi::SiteFamily family = mpi::SiteFamily::Collective;
+  mpi::P2pKind p2p_kind{};    ///< point-to-point sites: send or receive
+  mpi::P2pParam p2p_param{};  ///< point-to-point sites: injected parameter
 
   // Application features (paper Sec III-C).
   trace::StackId stack = 0;
@@ -47,6 +56,9 @@ struct InjectionPoint {
 
   /// Feature vector in the ml::Feature order.
   ml::FeatureVec features() const;
+
+  /// The fault trial `trial` of this point injects.
+  inject::FaultSpec fault_spec(std::uint64_t trial) const;
 };
 
 /// Point counts through the pruning pipeline (the raw material of the

@@ -187,17 +187,20 @@ ReadStatus read_frame(
 
 std::string encode_work(const procpool::WorkItem& item, std::uint64_t seq) {
   ByteWriter w;
+  const inject::FaultSpec& spec = item.spec;
   w.u64(seq);
-  w.u32(item.site_id);
-  w.u64(static_cast<std::uint64_t>(static_cast<std::int64_t>(item.rank)));
-  w.u64(item.invocation);
-  w.u8(item.param);
-  w.u8(static_cast<std::uint8_t>(item.fault.model));
-  w.u8(static_cast<std::uint8_t>(item.fault.trigger));
-  w.f64(item.fault.probability);
-  w.u64(item.fault.window);
-  w.u64(item.fault.duty_k);
-  w.u64(item.trial);
+  w.u32(spec.site_id);
+  w.u64(static_cast<std::uint64_t>(static_cast<std::int64_t>(spec.rank)));
+  w.u64(spec.invocation);
+  w.u8(static_cast<std::uint8_t>(spec.family));
+  w.u8(static_cast<std::uint8_t>(spec.param));
+  w.u8(static_cast<std::uint8_t>(spec.p2p_param));
+  w.u8(static_cast<std::uint8_t>(spec.fault.model));
+  w.u8(static_cast<std::uint8_t>(spec.fault.trigger));
+  w.f64(spec.fault.probability);
+  w.u64(spec.fault.window);
+  w.u64(spec.fault.duty_k);
+  w.u64(spec.trial);
   w.u64(item.watchdog_ms);
   return w.bytes();
 }
@@ -205,20 +208,27 @@ std::string encode_work(const procpool::WorkItem& item, std::uint64_t seq) {
 bool decode_work(const std::string& payload, procpool::WorkItem& item,
                  std::uint64_t& seq) {
   ByteReader r(payload);
+  inject::FaultSpec& spec = item.spec;
   std::uint64_t rank = 0;
+  std::uint8_t family = 0;
+  std::uint8_t param = 0;
+  std::uint8_t p2p_param = 0;
   std::uint8_t model = 0;
   std::uint8_t trigger = 0;
-  if (!r.u64(seq) || !r.u32(item.site_id) || !r.u64(rank) ||
-      !r.u64(item.invocation) || !r.u8(item.param) || !r.u8(model) ||
-      !r.u8(trigger) || !r.f64(item.fault.probability) ||
-      !r.u64(item.fault.window) || !r.u64(item.fault.duty_k) ||
-      !r.u64(item.trial) ||
+  if (!r.u64(seq) || !r.u32(spec.site_id) || !r.u64(rank) ||
+      !r.u64(spec.invocation) || !r.u8(family) || !r.u8(param) ||
+      !r.u8(p2p_param) || !r.u8(model) || !r.u8(trigger) ||
+      !r.f64(spec.fault.probability) || !r.u64(spec.fault.window) ||
+      !r.u64(spec.fault.duty_k) || !r.u64(spec.trial) ||
       !r.u64(item.watchdog_ms) || !r.done()) {
     return false;
   }
-  item.rank = static_cast<int>(static_cast<std::int64_t>(rank));
-  item.fault.model = static_cast<inject::FaultModel>(model);
-  item.fault.trigger = static_cast<inject::FaultTrigger>(trigger);
+  spec.rank = static_cast<int>(static_cast<std::int64_t>(rank));
+  spec.family = static_cast<mpi::SiteFamily>(family);
+  spec.param = static_cast<mpi::Param>(param);
+  spec.p2p_param = static_cast<mpi::P2pParam>(p2p_param);
+  spec.fault.model = static_cast<inject::FaultModel>(model);
+  spec.fault.trigger = static_cast<inject::FaultTrigger>(trigger);
   return true;
 }
 
@@ -226,9 +236,9 @@ std::string encode_reply(const procpool::TrialReply& reply) {
   ByteWriter w;
   w.u8(reply.ok ? 1 : 0);
   if (reply.ok) {
-    w.u8(static_cast<std::uint8_t>(reply.outcome));
-    w.u8(reply.deterministic_hang ? 1 : 0);
-    w.str(reply.autopsy);
+    w.u8(static_cast<std::uint8_t>(reply.forensics.outcome));
+    w.u8(reply.forensics.deterministic_hang ? 1 : 0);
+    w.str(reply.forensics.autopsy);
   } else {
     w.str(reply.error);
   }
@@ -242,12 +252,12 @@ bool decode_reply(ByteReader& r, procpool::TrialReply& reply) {
   if (reply.ok) {
     std::uint8_t outcome = 0;
     std::uint8_t det = 0;
-    if (!r.u8(outcome) || !r.u8(det) || !r.str(reply.autopsy)) {
+    if (!r.u8(outcome) || !r.u8(det) || !r.str(reply.forensics.autopsy)) {
       return false;
     }
     if (outcome >= inject::kNumOutcomes) return false;
-    reply.outcome = static_cast<inject::Outcome>(outcome);
-    reply.deterministic_hang = det != 0;
+    reply.forensics.outcome = static_cast<inject::Outcome>(outcome);
+    reply.forensics.deterministic_hang = det != 0;
   } else {
     if (!r.str(reply.error)) return false;
   }
@@ -271,9 +281,9 @@ enum class Route : std::uint8_t {
 };
 
 bool same_point(const procpool::WorkItem& a, const procpool::WorkItem& b) {
-  return a.site_id == b.site_id && a.rank == b.rank &&
-         a.invocation == b.invocation && a.param == b.param &&
-         a.fault == b.fault;
+  inject::FaultSpec other = b.spec;
+  other.trial = a.spec.trial;
+  return a.spec == other;
 }
 
 /// Items forked at the cut: exact-trigger faults that cannot replay an op
@@ -283,8 +293,8 @@ bool same_point(const procpool::WorkItem& a, const procpool::WorkItem& b) {
 /// before forking; on whole LU and miniMD studies that beats forking them
 /// at the cut (EXPERIMENTS.md, "Which trials fork at the cut").
 bool forks_at_cut(const procpool::WorkItem& item) {
-  return item.fault.trigger == inject::FaultTrigger::ExactPoint &&
-         !inject::is_replayable(item.fault);
+  return item.spec.fault.trigger == inject::FaultTrigger::ExactPoint &&
+         !inject::is_replayable(item.spec.fault);
 }
 
 // ---------------------------------------------------------------------------

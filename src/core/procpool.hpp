@@ -59,7 +59,7 @@
 #include <string>
 #include <vector>
 
-#include "inject/fault_model.hpp"
+#include "inject/fault_spec.hpp"
 #include "inject/outcome.hpp"
 
 namespace fastfit::core {
@@ -76,18 +76,12 @@ const char* to_string(IsolationMode mode) noexcept;
 
 namespace procpool {
 
-/// One trial's coordinates on the wire: everything the worker needs to
-/// reconstruct the injection deterministically. The per-trial RNG
-/// identity is a pure function of (seed, point, trial) via
-/// FaultSpec::stream_index, so shipping only the coordinates preserves
-/// bit-identical results across isolation modes.
+/// One trial on the wire: the fault it injects (site family included)
+/// and its watchdog. The per-trial RNG identity is a pure function of
+/// (seed, point, trial) via FaultSpec::stream_index, so shipping only the
+/// spec preserves bit-identical results across isolation modes.
 struct WorkItem {
-  std::uint32_t site_id = 0;
-  int rank = 0;
-  std::uint64_t invocation = 0;
-  std::uint8_t param = 0;  ///< mpi::Param ordinal
-  inject::FaultModelSpec fault;
-  std::uint64_t trial = 0;
+  inject::FaultSpec spec;
   std::uint64_t watchdog_ms = 0;
 };
 
@@ -95,11 +89,9 @@ struct WorkItem {
 /// child that dies before writing this is reported by its server via the
 /// waitpid status instead.
 struct TrialReply {
-  bool ok = false;                   ///< false = `error` holds the cause
-  inject::Outcome outcome{};         ///< valid when ok
-  bool deterministic_hang = false;   ///< valid when ok
-  std::string autopsy;               ///< valid when ok
-  std::string error;                 ///< valid when !ok
+  bool ok = false;                     ///< false = `error` holds the cause
+  inject::TrialForensics forensics;    ///< valid when ok
+  std::string error;                   ///< valid when !ok
 };
 
 /// Runs one trial inside the forked worker child. Must not throw — a

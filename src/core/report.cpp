@@ -13,11 +13,18 @@ namespace fastfit::core {
 std::array<double, inject::kNumOutcomes> outcome_distribution(
     const std::vector<PointResult>& results,
     std::optional<mpi::CollectiveKind> kind, std::optional<mpi::Param> param) {
+  return outcome_distribution(results, [&](const InjectionPoint& point) {
+    return (!kind || point.kind == *kind) && (!param || point.param == *param);
+  });
+}
+
+std::array<double, inject::kNumOutcomes> outcome_distribution(
+    const std::vector<PointResult>& results,
+    const std::function<bool(const InjectionPoint&)>& keep) {
   std::array<double, inject::kNumOutcomes> out{};
   std::uint64_t total = 0;
   for (const auto& r : results) {
-    if (kind && r.point.kind != *kind) continue;
-    if (param && r.point.param != *param) continue;
+    if (!keep(r.point)) continue;
     for (std::size_t o = 0; o < inject::kNumOutcomes; ++o) {
       out[o] += r.counts[o];
       total += r.counts[o];

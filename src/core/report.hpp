@@ -4,6 +4,7 @@
 // evaluation figures (7-11) and Table IV.
 
 #include <array>
+#include <functional>
 #include <map>
 #include <optional>
 #include <string>
@@ -21,6 +22,12 @@ std::array<double, inject::kNumOutcomes> outcome_distribution(
     const std::vector<PointResult>& results,
     std::optional<mpi::CollectiveKind> kind = std::nullopt,
     std::optional<mpi::Param> param = std::nullopt);
+
+/// Fraction of the trials of the points `keep` selects, per outcome (the
+/// point-to-point study selects by P2pParam).
+std::array<double, inject::kNumOutcomes> outcome_distribution(
+    const std::vector<PointResult>& results,
+    const std::function<bool(const InjectionPoint&)>& keep);
 
 /// Collective kinds present in the results, in enum order.
 std::vector<mpi::CollectiveKind> kinds_present(

@@ -232,13 +232,14 @@ BatchStats TrialScheduler::run(std::span<const InjectionPoint> points,
       first_failed[i] = std::min(first_failed[i], t);
       return;
     }
-    trial_span.arg("outcome", inject::to_string(attempt.outcome));
+    const auto& forensics = attempt.forensics;
+    trial_span.arg("outcome", inject::to_string(forensics.outcome));
     // A proven structural deadlock is load-independent, so it needs no
     // escalated re-confirmation.
-    slot.deterministic = attempt.outcome == inject::Outcome::InfLoop &&
-                         attempt.deterministic_hang;
-    slot.autopsy = attempt.autopsy;
-    slot.outcome = static_cast<int>(attempt.outcome);
+    slot.deterministic = forensics.outcome == inject::Outcome::InfLoop &&
+                         forensics.deterministic_hang;
+    slot.autopsy = forensics.autopsy;
+    slot.outcome = static_cast<int>(forensics.outcome);
   };
 
   // Phase 1: concurrent guarded execution of the missing trials. Each
@@ -373,7 +374,9 @@ BatchStats TrialScheduler::run(std::span<const InjectionPoint> points,
       confirm_retries[i] += attempt.retries;
       // A confirmation that fails internally keeps the original outcome:
       // the trial did produce one, and quarantining here would discard it.
-      if (attempt.ok) slot.outcome = static_cast<int>(attempt.outcome);
+      if (attempt.ok) {
+        slot.outcome = static_cast<int>(attempt.forensics.outcome);
+      }
     }
   }
 

@@ -67,10 +67,8 @@ class TrialRunner {
   /// Result of one supervised trial: outcome plus guard forensics.
   struct Attempt {
     bool ok = false;  ///< false = retries exhausted, quarantine the point
-    inject::Outcome outcome{};
-    bool deterministic_hang = false;  ///< deadlock proven at quiescence
-    std::string autopsy;              ///< world autopsy (non-SUCCESS runs)
-    std::uint32_t retries = 0;        ///< internal-error retries consumed
+    inject::TrialForensics forensics;  ///< valid when ok
+    std::uint32_t retries = 0;         ///< internal-error retries consumed
     std::string error;                ///< last internal error, attributed
   };
 

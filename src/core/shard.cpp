@@ -38,7 +38,7 @@ bool shard_owns(const ShardSpec& spec, const InjectionPoint& point) {
   if (!spec.sharded()) return true;
   const auto hash = inject::point_identity_hash(
       point.site_id, static_cast<std::uint64_t>(point.rank), point.invocation,
-      static_cast<std::uint64_t>(point.param));
+      inject::param_ordinal(point.family, point.param, point.p2p_param));
   return hash % spec.count == spec.index - 1;
 }
 

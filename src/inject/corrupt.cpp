@@ -197,4 +197,30 @@ bool corrupt_parameter(mpi::CollectiveCall& call, mpi::Param param,
   throw InternalError("corrupt_parameter: unknown parameter");
 }
 
+bool corrupt_p2p_parameter(mpi::P2pCall& call, mpi::P2pParam param,
+                           FaultModel model, RngStream& rng, mpi::Mpi& mpi) {
+  bool changed = false;
+  switch (param) {
+    case mpi::P2pParam::Buffer: {
+      if (call.count < 0) return false;
+      const std::size_t bytes = static_cast<std::size_t>(call.count) *
+                                esize_or_zero(call.datatype);
+      return mutate_buffer(call.buffer, bytes, model, rng, mpi, nullptr);
+    }
+    case mpi::P2pParam::Count:
+      call.count = mutate_value(call.count, model, rng, &changed);
+      return changed;
+    case mpi::P2pParam::Datatype:
+      call.datatype = mutate_handle(call.datatype, model, rng, &changed);
+      return changed;
+    case mpi::P2pParam::Peer:
+      call.peer = mutate_value(call.peer, model, rng, &changed);
+      return changed;
+    case mpi::P2pParam::Tag:
+      call.tag = mutate_value(call.tag, model, rng, &changed);
+      return changed;
+  }
+  throw InternalError("corrupt_p2p_parameter: unknown parameter");
+}
+
 }  // namespace fastfit::inject

@@ -1,7 +1,7 @@
 #pragma once
 
 // Parameter corruption: applies the single-bit-flip fault model to one
-// parameter of a CollectiveCall.
+// parameter of a CollectiveCall or of a point-to-point call.
 //
 // Scalar parameters (count, datatype, op, comm, root) flip one of their 32
 // bits. Buffer parameters flip one random bit of the buffer *contents*
@@ -36,5 +36,12 @@ inline bool corrupt_parameter(mpi::CollectiveCall& call, mpi::Param param,
                               RngStream& rng, mpi::Mpi& mpi) {
   return corrupt_parameter(call, param, FaultModel::SingleBitFlip, rng, mpi);
 }
+
+/// Corrupts `param` of a point-to-point call in place under `model`. The
+/// buffer fault mutates the message contents, and only when the rank's
+/// registry maps them. Returns false for provable no-ops (empty or
+/// unmapped buffer, unchanged value).
+bool corrupt_p2p_parameter(mpi::P2pCall& call, mpi::P2pParam param,
+                           FaultModel model, RngStream& rng, mpi::Mpi& mpi);
 
 }  // namespace fastfit::inject

@@ -51,6 +51,20 @@ std::string parameter_fault_model_names() {
   return joined;
 }
 
+void check_p2p_fault_model(const FaultModelSpec& spec) {
+  if (!is_parameter_model(spec.model)) {
+    throw ConfigError("fault model '" + spec.canonical() +
+                      "' has no point-to-point parameter manifestation; "
+                      "supported families: " +
+                      parameter_fault_model_names());
+  }
+  if (spec.trigger != FaultTrigger::ExactPoint) {
+    throw ConfigError("fault model '" + spec.canonical() +
+                      "': point-to-point faults fire at their exact point "
+                      "only, without an '@' trigger");
+  }
+}
+
 const char* to_string(FaultTrigger trigger) noexcept {
   switch (trigger) {
     case FaultTrigger::ExactPoint: return "exact";

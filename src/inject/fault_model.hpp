@@ -143,6 +143,11 @@ std::string canonical_fault_models(const std::vector<FaultModelSpec>& specs);
 /// parameter-only surface (e.g. the p2p study) supports.
 std::string parameter_fault_model_names();
 
+/// Throws ConfigError unless a point-to-point site can take `spec`: the
+/// injector's p2p hook applies a parameter mutation at the exact point
+/// and nothing else.
+void check_p2p_fault_model(const FaultModelSpec& spec);
+
 /// True when a trial under this spec may take the snapshot fast path.
 /// Message-level and fail-stop manifestations perturb transport state the
 /// prefix recording does not capture, and non-exact triggers can fire

@@ -26,16 +26,17 @@ std::uint64_t point_identity_hash(std::uint64_t site, std::uint64_t rank,
 
 std::uint64_t FaultSpec::stream_index() const noexcept {
   return mix_stream_index(site_id, static_cast<std::uint64_t>(rank),
-                          invocation, static_cast<std::uint64_t>(param),
-                          trial);
+                          invocation,
+                          param_ordinal(family, param, p2p_param), trial);
 }
 
 std::string FaultSpec::describe() const {
+  const bool p2p = family == mpi::SiteFamily::P2p;
   std::ostringstream out;
-  out << "fault{site=0x" << std::hex << site_id << std::dec
-      << " rank=" << rank << " inv=" << invocation
-      << " param=" << mpi::to_string(param) << " trial=" << trial
-      << " model=" << fault.canonical() << '}';
+  out << (p2p ? "p2p-fault" : "fault") << "{site=0x" << std::hex << site_id
+      << std::dec << " rank=" << rank << " inv=" << invocation << " param="
+      << (p2p ? mpi::to_string(p2p_param) : mpi::to_string(param))
+      << " trial=" << trial << " model=" << fault.canonical() << '}';
   return out.str();
 }
 

@@ -8,7 +8,9 @@
 // the random choices, plus the two-axis fault model (manifestation ×
 // trigger, inject/fault_model.hpp). The default model is exactly the
 // paper's: a single random bit flip in one input parameter (or one random
-// bit of the data buffer) of one collective invocation.
+// bit of the data buffer) of one collective invocation. A point-to-point
+// spec names a send or receive site instead, and the parameter it
+// corrupts is a P2pParam.
 
 #include <cstdint>
 #include <string>
@@ -18,13 +20,27 @@
 
 namespace fastfit::inject {
 
+/// The injected parameter's ordinal in its site family's enum: the
+/// parameter coordinate of stream indices, journal keys and shard hashes.
+constexpr std::uint64_t param_ordinal(mpi::SiteFamily family,
+                                      mpi::Param param,
+                                      mpi::P2pParam p2p_param) noexcept {
+  return family == mpi::SiteFamily::P2p
+             ? static_cast<std::uint64_t>(p2p_param)
+             : static_cast<std::uint64_t>(param);
+}
+
 struct FaultSpec {
-  std::uint32_t site_id = 0;      ///< collective call site (CALL_ID analogue)
+  std::uint32_t site_id = 0;      ///< call site (CALL_ID analogue)
   int rank = 0;                   ///< injected world rank (RANK_ID)
   std::uint64_t invocation = 0;   ///< injected invocation ordinal (INV_ID)
   mpi::Param param{};             ///< injected parameter (PARAM_ID)
   std::uint64_t trial = 0;        ///< per-point trial ordinal
   FaultModelSpec fault{};         ///< manifestation × trigger
+  /// Collective sites corrupt `param`; point-to-point sites corrupt
+  /// `p2p_param`, at the exact point and under a parameter model only.
+  mpi::SiteFamily family = mpi::SiteFamily::Collective;
+  mpi::P2pParam p2p_param{};
 
   bool operator==(const FaultSpec&) const = default;
 
@@ -40,8 +56,8 @@ struct FaultSpec {
   std::string describe() const;
 };
 
-/// Shared coordinate-mixing helper behind FaultSpec::stream_index and its
-/// p2p counterpart: FNV-style folding plus a SplitMix finalizer.
+/// The coordinate mixing behind FaultSpec::stream_index: FNV-style
+/// folding plus a SplitMix finalizer.
 std::uint64_t mix_stream_index(std::uint64_t site, std::uint64_t rank,
                                std::uint64_t invocation, std::uint64_t param,
                                std::uint64_t trial) noexcept;

@@ -136,6 +136,18 @@ void Injector::on_enter(mpi::CollectiveCall& call, mpi::Mpi& mpi) {
 
 void Injector::on_exit(const mpi::CollectiveCall&, mpi::Mpi&) {}
 
+void Injector::on_p2p(mpi::P2pCall& call, mpi::Mpi& mpi) {
+  if (spec_.family != mpi::SiteFamily::P2p || fired_) return;
+  if (mpi.world_rank() != spec_.rank || call.site_id != spec_.site_id ||
+      call.invocation != spec_.invocation) {
+    return;
+  }
+  fired_ = true;
+  RngStream rng(seed_, "p2p-bitflip", spec_.stream_index());
+  fizzled_ = !corrupt_p2p_parameter(call, spec_.p2p_param, spec_.fault.model,
+                                    rng, mpi);
+}
+
 bool Injector::vouches_at_cut(int world_rank,
                               std::span<const mpi::WriteSpan> spans) const {
   if (world_rank != spec_.rank) return true;

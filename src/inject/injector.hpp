@@ -7,7 +7,10 @@
 // *manifestation* decides what happens: a parameter mutation at the call
 // record (the PMPI-shim deployment of the paper's Fig 5), an in-flight
 // message corruption / delay / drop at the transport layer, or fail-stop
-// rank death. Every untargeted call passes through untouched.
+// rank death. A point-to-point spec (FaultSpec::family) targets a send or
+// receive site instead: it fires at its exact point only and applies a
+// parameter mutation only (check_p2p_fault_model). Every untargeted call
+// passes through untouched.
 //
 // An Injector is a per-trial tool bound to one world, so it runs only on
 // that world's thread and its state is plain fields.
@@ -49,6 +52,12 @@ class Injector final : public mpi::ToolHooks {
 
   void on_enter(mpi::CollectiveCall& call, mpi::Mpi& mpi) override;
   void on_exit(const mpi::CollectiveCall& call, mpi::Mpi& mpi) override;
+
+  /// Serves a point-to-point spec at its exact (rank, site, invocation):
+  /// corrupts the call's parameter with bits drawn from the
+  /// ("p2p-bitflip", spec.stream_index()) stream. A collective spec
+  /// passes every point-to-point call through.
+  void on_p2p(mpi::P2pCall& call, mpi::Mpi& mpi) override;
 
   /// Transport interception for the message-fault manifestations: once the
   /// trigger has armed the fault, the injected rank's next outgoing

@@ -19,6 +19,9 @@ namespace fastfit::mpi {
 
 class Mpi;
 
+/// Whether a call site is a collective or a point-to-point call.
+enum class SiteFamily : std::uint32_t { Collective = 0, P2p = 1 };
+
 /// Injectable parameters of a collective call (paper Fig 9 uses the first
 /// six for MPI_Allreduce; rooted and vector collectives add the rest).
 enum class Param : std::uint8_t {

@@ -38,9 +38,6 @@
 
 namespace fastfit::mpi {
 
-/// Whether a call site is a collective or a point-to-point call.
-enum class SiteFamily : std::uint32_t { Collective = 0, P2p = 1 };
-
 /// A call site's id: the low 32 bits of the FNV-1a of
 /// "<file>:<line>:<family><kind>", where the family is "" for collectives
 /// and "p2p:" for point-to-point calls. Memoized per thread by (file-name

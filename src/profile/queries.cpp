@@ -10,67 +10,33 @@
 
 namespace fastfit::profile {
 
-namespace {
-
-std::uint64_t n_invocations_impl(
-    const std::vector<InvocationRecord>& invocations) noexcept {
+std::uint64_t n_invocations(
+    std::span<const InvocationRecord> invocations) noexcept {
   return invocations.size();
 }
 
-std::size_t n_distinct_stacks_impl(
-    const std::vector<InvocationRecord>& invocations) {
+std::size_t n_distinct_stacks(std::span<const InvocationRecord> invocations) {
   std::set<trace::StackId> stacks;
   for (const auto& inv : invocations) stacks.insert(inv.stack);
   return stacks.size();
 }
 
-double mean_stack_depth_impl(
-    const std::vector<InvocationRecord>& invocations) noexcept {
+double mean_stack_depth(
+    std::span<const InvocationRecord> invocations) noexcept {
   if (invocations.empty()) return 0.0;
   double total = 0.0;
   for (const auto& inv : invocations) total += inv.depth;
   return total / static_cast<double>(invocations.size());
 }
 
-std::vector<InvocationRecord> stack_representatives_impl(
-    const std::vector<InvocationRecord>& invocations) {
+std::vector<InvocationRecord> stack_representatives(
+    std::span<const InvocationRecord> invocations) {
   std::set<trace::StackId> seen;
   std::vector<InvocationRecord> out;
   for (const auto& inv : invocations) {
     if (seen.insert(inv.stack).second) out.push_back(inv);
   }
   return out;
-}
-
-}  // namespace
-
-std::uint64_t n_invocations(const SiteProfile& site) noexcept {
-  return n_invocations_impl(site.invocations);
-}
-std::uint64_t n_invocations(const P2pSiteProfile& site) noexcept {
-  return n_invocations_impl(site.invocations);
-}
-
-std::size_t n_distinct_stacks(const SiteProfile& site) {
-  return n_distinct_stacks_impl(site.invocations);
-}
-std::size_t n_distinct_stacks(const P2pSiteProfile& site) {
-  return n_distinct_stacks_impl(site.invocations);
-}
-
-double mean_stack_depth(const SiteProfile& site) noexcept {
-  return mean_stack_depth_impl(site.invocations);
-}
-double mean_stack_depth(const P2pSiteProfile& site) noexcept {
-  return mean_stack_depth_impl(site.invocations);
-}
-
-std::vector<InvocationRecord> stack_representatives(const SiteProfile& site) {
-  return stack_representatives_impl(site.invocations);
-}
-std::vector<InvocationRecord> stack_representatives(
-    const P2pSiteProfile& site) {
-  return stack_representatives_impl(site.invocations);
 }
 
 namespace {

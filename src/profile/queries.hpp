@@ -4,6 +4,7 @@
 // model (nInv, nDiffStack, StackDep) and the mpiP-style communication
 // report used to understand a workload's collective mix.
 
+#include <span>
 #include <string>
 #include <vector>
 
@@ -12,24 +13,25 @@
 
 namespace fastfit::profile {
 
+// Each site query reads one site's invocation records on one rank, so
+// collective and point-to-point sites share it: pass `site.invocations`.
+
 /// Number of invocations of a site on this rank: the nInv feature.
-std::uint64_t n_invocations(const SiteProfile& site) noexcept;
-std::uint64_t n_invocations(const P2pSiteProfile& site) noexcept;
+std::uint64_t n_invocations(
+    std::span<const InvocationRecord> invocations) noexcept;
 
 /// Number of distinct call stacks observed at a site: nDiffStack.
-std::size_t n_distinct_stacks(const SiteProfile& site);
-std::size_t n_distinct_stacks(const P2pSiteProfile& site);
+std::size_t n_distinct_stacks(std::span<const InvocationRecord> invocations);
 
 /// Mean shadow-stack depth over invocations: the StackDep feature.
-double mean_stack_depth(const SiteProfile& site) noexcept;
-double mean_stack_depth(const P2pSiteProfile& site) noexcept;
+double mean_stack_depth(
+    std::span<const InvocationRecord> invocations) noexcept;
 
 /// The context-pruning representatives: the first invocation of each
 /// distinct call stack, ordered by invocation number. Injecting into
 /// these covers every application context the site runs in (Sec III-B).
-std::vector<InvocationRecord> stack_representatives(const SiteProfile& site);
 std::vector<InvocationRecord> stack_representatives(
-    const P2pSiteProfile& site);
+    std::span<const InvocationRecord> invocations);
 
 /// Fraction of all collective invocations (across ranks) with this kind;
 /// e.g. the paper notes >84% of LAMMPS collectives are MPI_Allreduce.

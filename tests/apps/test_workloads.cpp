@@ -80,8 +80,8 @@ TEST_P(WorkloadSweep, ProfilesWithAnnotations) {
     ASSERT_FALSE(prof.sites.empty()) << "rank " << r;
     bool any_depth = false;
     for (const auto& [id, site] : prof.sites) {
-      EXPECT_GT(profile::n_invocations(site), 0u);
-      if (profile::mean_stack_depth(site) > 0) any_depth = true;
+      EXPECT_GT(profile::n_invocations(site.invocations), 0u);
+      if (profile::mean_stack_depth(site.invocations) > 0) any_depth = true;
     }
     EXPECT_TRUE(any_depth);
     EXPECT_GT(contexts.of(r).graph().edge_count(), 0u);

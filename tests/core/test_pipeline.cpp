@@ -53,12 +53,12 @@ Enumeration reference_enumerate(const profile::Profiler& profiler,
     const int rep = cls.representative();
     for (const auto& [site_id, site] : profiler.rank(rep).sites) {
       const auto representatives = context_pruning
-                                       ? profile::stack_representatives(site)
+                                       ? profile::stack_representatives(site.invocations)
                                        : site.invocations;
       const auto params = mpi::injectable_params(site.kind);
-      const auto n_inv = profile::n_invocations(site);
-      const auto depth = profile::mean_stack_depth(site);
-      const auto n_stacks = profile::n_distinct_stacks(site);
+      const auto n_inv = profile::n_invocations(site.invocations);
+      const auto depth = profile::mean_stack_depth(site.invocations);
+      const auto n_stacks = profile::n_distinct_stacks(site.invocations);
       for (const auto& inv : representatives) {
         for (mpi::Param param : params) {
           InjectionPoint point;

@@ -63,12 +63,14 @@ constexpr auto kSegFault = static_cast<std::size_t>(inject::Outcome::SegFault);
 
 WorkItem sample_item() {
   WorkItem item;
-  item.site_id = 42;
-  item.rank = -3;  // negative ranks must survive the wire encoding
-  item.invocation = 7;
-  item.param = 2;
-  item.fault = inject::FaultModelSpec::parse("single-bit-flip@prob=0.25");
-  item.trial = 11;
+  item.spec.site_id = 42;
+  item.spec.rank = -3;  // negative ranks must survive the wire encoding
+  item.spec.invocation = 7;
+  item.spec.param = mpi::Param::Count;
+  item.spec.family = mpi::SiteFamily::P2p;
+  item.spec.p2p_param = mpi::P2pParam::Tag;
+  item.spec.fault = inject::FaultModelSpec::parse("single-bit-flip@prob=0.25");
+  item.spec.trial = 11;
   item.watchdog_ms = 1234;
   return item;
 }
@@ -85,22 +87,25 @@ TEST(ProcPool, CompletedReplyRoundTripsEveryField) {
   ProcPool pool(opts, [](const WorkItem& item) {
     TrialReply reply;
     reply.ok = true;
-    reply.outcome = inject::Outcome::WrongAns;
-    reply.deterministic_hang = true;
+    reply.forensics.outcome = inject::Outcome::WrongAns;
+    reply.forensics.deterministic_hang = true;
+    const inject::FaultSpec& spec = item.spec;
     std::ostringstream echo;
-    echo << item.site_id << '/' << item.rank << '/' << item.invocation << '/'
-         << static_cast<int>(item.param) << '/' << item.fault.canonical()
-         << '/' << item.trial << '/' << item.watchdog_ms;
-    reply.autopsy = echo.str();
+    echo << spec.site_id << '/' << spec.rank << '/' << spec.invocation << '/'
+         << static_cast<int>(spec.family) << '/'
+         << static_cast<int>(spec.param) << '/'
+         << static_cast<int>(spec.p2p_param) << '/' << spec.fault.canonical()
+         << '/' << spec.trial << '/' << item.watchdog_ms;
+    reply.forensics.autopsy = echo.str();
     return reply;
   });
 
   const auto result = pool.run(sample_item(), std::chrono::seconds(30), 0);
   ASSERT_EQ(result.kind, ProcPool::Result::Kind::Completed);
   EXPECT_TRUE(result.reply.ok);
-  EXPECT_EQ(result.reply.outcome, inject::Outcome::WrongAns);
-  EXPECT_TRUE(result.reply.deterministic_hang);
-  EXPECT_EQ(result.reply.autopsy, "42/-3/7/2/single-bit-flip@prob=0.25/11/1234");
+  EXPECT_EQ(result.reply.forensics.outcome, inject::Outcome::WrongAns);
+  EXPECT_TRUE(result.reply.forensics.deterministic_hang);
+  EXPECT_EQ(result.reply.forensics.autopsy, "42/-3/7/1/2/4/single-bit-flip@prob=0.25/11/1234");
   EXPECT_EQ(pool.stats().trials_dispatched, 1u);
   EXPECT_EQ(pool.stats().signal_deaths, 0u);
 }
@@ -129,8 +134,8 @@ TEST(ProcPool, SignalMatrixReportsSignalDeathWithRusage) {
   ProcPool pool(opts, [](const WorkItem& item) {
     // Default disposition, as the injector's signal models use: a handler
     // inherited from the test process (a sanitizer's) must not catch it.
-    std::signal(static_cast<int>(item.site_id), SIG_DFL);
-    std::raise(static_cast<int>(item.site_id));
+    std::signal(static_cast<int>(item.spec.site_id), SIG_DFL);
+    std::raise(static_cast<int>(item.spec.site_id));
     TrialReply reply;  // unreachable: the raise kills this child
     reply.ok = false;
     reply.error = "survived raise";
@@ -139,7 +144,7 @@ TEST(ProcPool, SignalMatrixReportsSignalDeathWithRusage) {
 
   for (const int signo : {SIGSEGV, SIGBUS, SIGFPE, SIGABRT}) {
     WorkItem item = sample_item();
-    item.site_id = static_cast<std::uint32_t>(signo);
+    item.spec.site_id = static_cast<std::uint32_t>(signo);
     const auto result = pool.run(item, std::chrono::seconds(30), 0);
     ASSERT_EQ(result.kind, ProcPool::Result::Kind::SignalDeath)
         << "signal " << signo;
@@ -157,17 +162,17 @@ TEST(ProcPool, LeaseExpiryKillsLaneAndRespawns) {
   opts.lanes = 1;
   opts.respawn_budget = 2;
   ProcPool pool(opts, [](const WorkItem& item) {
-    if (item.trial == 999) {  // the wedged trial: sleep past any lease
+    if (item.spec.trial == 999) {  // the wedged trial: sleep past any lease
       std::this_thread::sleep_for(std::chrono::seconds(60));
     }
     TrialReply reply;
     reply.ok = true;
-    reply.outcome = inject::Outcome::Success;
+    reply.forensics.outcome = inject::Outcome::Success;
     return reply;
   });
 
   WorkItem wedged = sample_item();
-  wedged.trial = 999;
+  wedged.spec.trial = 999;
   const auto expired = pool.run(wedged, std::chrono::milliseconds(200), 0);
   ASSERT_EQ(expired.kind, ProcPool::Result::Kind::LeaseExpired);
   EXPECT_NE(expired.error.find("lease"), std::string::npos);
@@ -186,12 +191,12 @@ TEST(ProcPool, ServerKilledMidTrialIsLaneFailureThenRecovers) {
   opts.lanes = 1;
   opts.respawn_budget = 2;
   ProcPool pool(opts, [](const WorkItem& item) {
-    if (item.trial == 999) {
+    if (item.spec.trial == 999) {
       std::this_thread::sleep_for(std::chrono::seconds(60));
     }
     TrialReply reply;
     reply.ok = true;
-    reply.outcome = inject::Outcome::Success;
+    reply.forensics.outcome = inject::Outcome::Success;
     return reply;
   });
 
@@ -205,7 +210,7 @@ TEST(ProcPool, ServerKilledMidTrialIsLaneFailureThenRecovers) {
     ::kill(pid, SIGKILL);
   });
   WorkItem wedged = sample_item();
-  wedged.trial = 999;
+  wedged.spec.trial = 999;
   const auto lost = pool.run(wedged, std::chrono::seconds(30), 0);
   killer.join();
   ASSERT_EQ(lost.kind, ProcPool::Result::Kind::LaneFailure);
@@ -224,7 +229,7 @@ TEST(ProcPool, RespawnBudgetExhaustionDegradesPool) {
   ProcPool pool(opts, [](const WorkItem&) {
     TrialReply reply;
     reply.ok = true;
-    reply.outcome = inject::Outcome::Success;
+    reply.forensics.outcome = inject::Outcome::Success;
     return reply;
   });
   const auto pids = pool.server_pids();
@@ -245,13 +250,13 @@ TEST(ProcPool, LaneHasOneCallerAtATime) {
   ProcPool::Options opts;
   opts.lanes = 2;
   ProcPool pool(opts, [](const WorkItem& item) {
-    if (item.trial == 999) std::this_thread::sleep_for(std::chrono::seconds(1));
+    if (item.spec.trial == 999) std::this_thread::sleep_for(std::chrono::seconds(1));
     TrialReply reply;
     reply.ok = true;
     return reply;
   });
   WorkItem slow = sample_item();
-  slow.trial = 999;
+  slow.spec.trial = 999;
   std::thread first([&] {
     EXPECT_EQ(pool.run(slow, std::chrono::seconds(30), 0).kind,
               ProcPool::Result::Kind::Completed);
@@ -329,11 +334,11 @@ std::size_t live_members(int pgid) {
 /// the cut.
 WorkItem exact_item(std::uint32_t site_id, std::uint64_t trial) {
   WorkItem item;
-  item.site_id = site_id;
-  item.rank = 1;
-  item.invocation = 0;
-  item.fault = inject::FaultModelSpec::parse("message-drop");
-  item.trial = trial;
+  item.spec.site_id = site_id;
+  item.spec.rank = 1;
+  item.spec.invocation = 0;
+  item.spec.fault = inject::FaultModelSpec::parse("message-drop");
+  item.spec.trial = trial;
   item.watchdog_ms = 1000;
   return item;
 }
@@ -341,8 +346,8 @@ WorkItem exact_item(std::uint32_t site_id, std::uint64_t trial) {
 TrialReply tagged_reply(const std::string& tag) {
   TrialReply reply;
   reply.ok = true;
-  reply.outcome = inject::Outcome::Success;
-  reply.autopsy = tag;
+  reply.forensics.outcome = inject::Outcome::Success;
+  reply.forensics.autopsy = tag;
   return reply;
 }
 
@@ -354,22 +359,22 @@ ProcPool::Options cut_pool_options() {
   opts.lanes = 1;
   opts.respawn_budget = 2;
   opts.cut_template = [](const WorkItem& point, const procpool::Park& park) {
-    if (point.site_id == 7) return tagged_reply("template ended");
+    if (point.spec.site_id == 7) return tagged_reply("template ended");
     const WorkItem& item = park();
-    if (item.trial == 999) std::this_thread::sleep_for(std::chrono::seconds(60));
-    return tagged_reply("cut " + std::to_string(item.trial) + ' ' +
+    if (item.spec.trial == 999) std::this_thread::sleep_for(std::chrono::seconds(60));
+    return tagged_reply("cut " + std::to_string(item.spec.trial) + ' ' +
                         std::to_string(::getppid()));
   };
   return opts;
 }
 
 TrialReply scratch_trial(const WorkItem& item) {
-  return tagged_reply("scratch " + std::to_string(item.trial));
+  return tagged_reply("scratch " + std::to_string(item.spec.trial));
 }
 
 /// The pid of the point server that forked a cut-served trial.
 int point_server_of(const ProcPool::Result& result) {
-  const std::string& tag = result.reply.autopsy;
+  const std::string& tag = result.reply.forensics.autopsy;
   return std::stoi(tag.substr(tag.rfind(' ')));
 }
 
@@ -380,19 +385,19 @@ TEST(ProcPool, CutServerServesExactTriggerItemsAtTheCut) {
         pool.run(exact_item(1, trial), std::chrono::seconds(30), 0);
     ASSERT_EQ(result.kind, ProcPool::Result::Kind::Completed);
     EXPECT_TRUE(result.at_cut);
-    EXPECT_EQ(result.reply.autopsy.rfind("cut " + std::to_string(trial), 0), 0u)
-        << result.reply.autopsy;
+    EXPECT_EQ(result.reply.forensics.autopsy.rfind("cut " + std::to_string(trial), 0), 0u)
+        << result.reply.forensics.autopsy;
   }
   // A non-exact trigger takes the from-scratch path, and so does a
   // replayable parameter fault: its fresh child replays the op log.
   std::uint64_t trial = 5;
   for (const char* model : {"message-drop@nth=2", "single-bit-flip"}) {
     WorkItem scratch_item = exact_item(1, trial);
-    scratch_item.fault = inject::FaultModelSpec::parse(model);
+    scratch_item.spec.fault = inject::FaultModelSpec::parse(model);
     const auto scratch = pool.run(scratch_item, std::chrono::seconds(30), 0);
     ASSERT_EQ(scratch.kind, ProcPool::Result::Kind::Completed) << model;
     EXPECT_FALSE(scratch.at_cut) << model;
-    EXPECT_EQ(scratch.reply.autopsy, "scratch " + std::to_string(trial++));
+    EXPECT_EQ(scratch.reply.forensics.autopsy, "scratch " + std::to_string(trial++));
   }
 
   const auto stats = pool.stats();
@@ -426,7 +431,7 @@ TEST(ProcPool, LeaseExpiryDuringCutTrialKillsWholeLaneGroup) {
   const auto after = pool.run(exact_item(1, 4), std::chrono::seconds(30), 0);
   ASSERT_EQ(after.kind, ProcPool::Result::Kind::Completed);
   EXPECT_TRUE(after.at_cut);
-  EXPECT_EQ(after.reply.autopsy.rfind("cut 4 ", 0), 0u);
+  EXPECT_EQ(after.reply.forensics.autopsy.rfind("cut 4 ", 0), 0u);
   EXPECT_EQ(pool.stats().respawns, 1u);
   EXPECT_EQ(pool.stats().cut_servers, 2u);
 }
@@ -475,7 +480,7 @@ TEST(ProcPool, StoppedZygoteDoesNotStallCutTrials) {
     ASSERT_EQ(result.kind, ProcPool::Result::Kind::Completed) << result.error;
     EXPECT_TRUE(result.at_cut);
     const std::string want = "cut " + std::to_string(trial) + ' ';
-    EXPECT_EQ(result.reply.autopsy.rfind(want, 0), 0u) << result.reply.autopsy;
+    EXPECT_EQ(result.reply.forensics.autopsy.rfind(want, 0), 0u) << result.reply.forensics.autopsy;
   }
   EXPECT_EQ(pool.stats().lease_kills, 0u);
   EXPECT_EQ(pool.stats().cut_servers, 1u);
@@ -494,13 +499,13 @@ TEST(ProcPool, LostPointServerIsLaneFailureThenRecovers) {
   const auto start = std::chrono::steady_clock::now();
   const auto lost = pool.run(exact_item(1, 1), std::chrono::seconds(30), 0);
   EXPECT_EQ(lost.kind, ProcPool::Result::Kind::LaneFailure)
-      << lost.reply.autopsy;
+      << lost.reply.forensics.autopsy;
   EXPECT_LT(std::chrono::steady_clock::now() - start, std::chrono::seconds(5));
 
   const auto after = pool.run(exact_item(1, 2), std::chrono::seconds(30), 0);
   ASSERT_EQ(after.kind, ProcPool::Result::Kind::Completed) << after.error;
   EXPECT_TRUE(after.at_cut);
-  EXPECT_EQ(after.reply.autopsy.rfind("cut 2 ", 0), 0u) << after.reply.autopsy;
+  EXPECT_EQ(after.reply.forensics.autopsy.rfind("cut 2 ", 0), 0u) << after.reply.forensics.autopsy;
   EXPECT_EQ(pool.stats().respawns, 1u);
   EXPECT_EQ(pool.stats().lane_failures, 1u);
 }
@@ -512,7 +517,7 @@ TEST(ProcPool, TemplateThatNeverParksFallsBackToScratch) {
         pool.run(exact_item(7, trial), std::chrono::seconds(30), 0);
     ASSERT_EQ(result.kind, ProcPool::Result::Kind::Completed);
     EXPECT_FALSE(result.at_cut);
-    EXPECT_EQ(result.reply.autopsy, "scratch " + std::to_string(trial));
+    EXPECT_EQ(result.reply.forensics.autopsy, "scratch " + std::to_string(trial));
   }
   // The next point parks normally.
   EXPECT_TRUE(pool.run(exact_item(1, 0), std::chrono::seconds(30), 0).at_cut);
@@ -560,14 +565,7 @@ std::uint32_t cut_world_site() {
 /// One trial of cut_world_main under `item`'s fault; with `park`, a
 /// template that parks at the cut as the campaign's does.
 TrialReply run_cut_world(const WorkItem& item, const procpool::Park* park) {
-  inject::FaultSpec spec;
-  spec.site_id = item.site_id;
-  spec.rank = item.rank;
-  spec.invocation = item.invocation;
-  spec.param = static_cast<mpi::Param>(item.param);
-  spec.trial = item.trial;
-  spec.fault = item.fault;
-  inject::Injector injector(spec, 20261017);
+  inject::Injector injector(item.spec, 20261017);
   mpi::WorldOptions opts;
   opts.nranks = 2;
   opts.watchdog = std::chrono::milliseconds(item.watchdog_ms);
@@ -576,7 +574,7 @@ TrialReply run_cut_world(const WorkItem& item, const procpool::Park* park) {
     injector.set_cut_hook([&injector, park](mpi::Mpi& mpi) {
       const auto cut = std::chrono::steady_clock::now();
       const WorkItem& bound = (*park)();
-      injector.bind_trial(bound.trial);
+      injector.bind_trial(bound.spec.trial);
       mpi.world().rebase_deadline(
           std::chrono::milliseconds(bound.watchdog_ms), cut);
     });
@@ -586,7 +584,7 @@ TrialReply run_cut_world(const WorkItem& item, const procpool::Park* park) {
   const auto result = world.run(cut_world_main);
   TrialReply reply;
   reply.ok = true;
-  reply.outcome =
+  reply.forensics.outcome =
       result.clean() ? inject::Outcome::Success
       : result.event->type == mpi::EventType::Timeout ? inject::Outcome::InfLoop
                                                       : inject::Outcome::AppDetected;
@@ -620,8 +618,8 @@ TEST(ProcPool, CutServerParkedPastWatchdogMatchesScratch) {
   std::uint64_t trial = 0;
   for (const auto& [model, watchdog_ms, expected] : cases) {
     WorkItem item = exact_item(site, trial++);
-    item.param = static_cast<std::uint8_t>(mpi::Param::RecvBuf);
-    item.fault = inject::FaultModelSpec::parse(model);
+    item.spec.param = mpi::Param::RecvBuf;
+    item.spec.fault = inject::FaultModelSpec::parse(model);
     item.watchdog_ms = watchdog_ms;
     const auto want = scratch.run(item, std::chrono::seconds(10), 0);
     // Park the point server for longer than any trial watchdog first.
@@ -631,8 +629,8 @@ TEST(ProcPool, CutServerParkedPastWatchdogMatchesScratch) {
     ASSERT_EQ(got.kind, ProcPool::Result::Kind::Completed)
         << model << ' ' << watchdog_ms << ": " << got.error;
     EXPECT_TRUE(got.at_cut);
-    EXPECT_EQ(want.reply.outcome, expected) << model << ' ' << watchdog_ms;
-    EXPECT_EQ(got.reply.outcome, expected) << model << ' ' << watchdog_ms;
+    EXPECT_EQ(want.reply.forensics.outcome, expected) << model << ' ' << watchdog_ms;
+    EXPECT_EQ(got.reply.forensics.outcome, expected) << model << ' ' << watchdog_ms;
   }
   EXPECT_EQ(cut.stats().cut_servers, 2u);  // one per point
 }

@@ -346,7 +346,7 @@ class ScriptedRunner final : public TrialRunner {
     // % 7: every outcome but REPAIRED. INF_LOOP is among them, so the
     // escalated-confirmation pass runs too (its retries join the point's
     // total).
-    attempt.outcome = static_cast<inject::Outcome>(
+    attempt.forensics.outcome = static_cast<inject::Outcome>(
         (point.site_id + trial) % (inject::kNumOutcomes - 1));
     return attempt;
   }

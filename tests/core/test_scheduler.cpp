@@ -74,7 +74,7 @@ class RecordingRunner final : public TrialRunner {
     }
     attempt.ok = true;
     // Below INF_LOOP, so no escalated confirmation joins the calls.
-    attempt.outcome = static_cast<inject::Outcome>(
+    attempt.forensics.outcome = static_cast<inject::Outcome>(
         (point.site_id + trial) %
         static_cast<std::uint64_t>(inject::Outcome::InfLoop));
     return attempt;

@@ -2,7 +2,7 @@
 
 #include <gtest/gtest.h>
 
-#include "inject/p2p_injector.hpp"
+#include "inject/corrupt.hpp"
 #include "minimpi/mpi.hpp"
 
 namespace fastfit::inject {
@@ -73,7 +73,7 @@ TEST_P(P2pModelSweep, ScalarParamsMutateOrReportNoOp) {
   });
 }
 
-// Parameter-mutation models only (indices 0-4): the p2p injector mutates
+// Parameter-mutation models only (indices 0-4): a p2p fault mutates
 // call parameters in place, which the message/fail-stop manifestations
 // never do.
 INSTANTIATE_TEST_SUITE_P(AllModels, P2pModelSweep,

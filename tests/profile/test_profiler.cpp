@@ -42,14 +42,14 @@ TEST(Profiler, RecordsSitesInvocationsAndKinds) {
     for (const auto& [id, site] : prof.sites) {
       if (site.kind == mpi::CollectiveKind::Allreduce) {
         saw_allreduce = true;
-        EXPECT_EQ(n_invocations(site), 5u);
-        EXPECT_EQ(n_distinct_stacks(site), 1u);
-        EXPECT_DOUBLE_EQ(mean_stack_depth(site), 1.0);
+        EXPECT_EQ(n_invocations(site.invocations), 5u);
+        EXPECT_EQ(n_distinct_stacks(site.invocations), 1u);
+        EXPECT_DOUBLE_EQ(mean_stack_depth(site.invocations), 1.0);
         EXPECT_EQ(site.invocations.front().bytes, 32u);
       } else {
         saw_barrier = true;
         EXPECT_EQ(site.kind, mpi::CollectiveKind::Barrier);
-        EXPECT_EQ(n_invocations(site), 1u);
+        EXPECT_EQ(n_invocations(site.invocations), 1u);
       }
     }
     EXPECT_TRUE(saw_allreduce);
@@ -82,9 +82,9 @@ TEST(Profiler, DistinctStacksSeparateRepresentatives) {
   const auto& prof = profiler.rank(0);
   ASSERT_EQ(prof.sites.size(), 1u);
   const auto& site = prof.sites.begin()->second;
-  EXPECT_EQ(n_invocations(site), 3u);
-  EXPECT_EQ(n_distinct_stacks(site), 2u);
-  const auto reps = stack_representatives(site);
+  EXPECT_EQ(n_invocations(site.invocations), 3u);
+  EXPECT_EQ(n_distinct_stacks(site.invocations), 2u);
+  const auto reps = stack_representatives(site.invocations);
   ASSERT_EQ(reps.size(), 2u);
   EXPECT_EQ(reps[0].invocation, 0u);
   EXPECT_EQ(reps[1].invocation, 2u);

@@ -19,7 +19,9 @@
 //            trial counters), after checking that they tile one campaign.
 //   p2p      the point-to-point extension study (Sec VIII future work):
 //            per-parameter response distributions of the workload's
-//            send/recv calls, under parameter fault models only.
+//            send/recv calls, run as ordinary campaign points under one
+//            exact-point parameter fault model; exits 2 like study when
+//            a point was quarantined.
 //
 // Knobs are the configuration values of support/config (config_knobs()):
 // each has a --flag and an environment variable (NUM_INJ for --trials,
@@ -46,6 +48,7 @@
 #include <limits>
 #include <map>
 #include <memory>
+#include <span>
 #include <sstream>
 #include <string>
 #include <string_view>
@@ -53,7 +56,6 @@
 
 #include "apps/registry.hpp"
 #include "core/export.hpp"
-#include "core/p2p_study.hpp"
 #include "core/report.hpp"
 #include "core/shard.hpp"
 #include "core/study.hpp"
@@ -611,19 +613,15 @@ int cmd_p2p(const std::string& workload_name, const Args& args,
   options.campaign.trials_per_point = 8;
   options.use_ml = false;
   apply_knobs(knobs, options);
-  // Fail fast on the fault-model axis: the p2p injector only has
-  // parameter manifestations, so reject anything else here, with the
-  // supported families spelled out, instead of letting measure_p2p throw
-  // mid-study after the profiling run.
+  // Fail fast on the fault-model axis, before the profiling run: a p2p
+  // site takes one exact-point parameter mutation, so any other model,
+  // trigger or a second model is an error, not silently dropped.
   knobs.apply("FASTFIT_FAULT_MODELS", [&] {
-    for (const auto& spec : options.campaign.fault_models) {
-      if (!inject::is_parameter_model(spec.model)) {
-        throw ConfigError(
-            "p2p: fault model '" + spec.canonical() +
-            "' has no point-to-point parameter manifestation; supported "
-            "families: " +
-            inject::parameter_fault_model_names());
-      }
+    const auto& models = options.campaign.fault_models;
+    for (const auto& spec : models) inject::check_p2p_fault_model(spec);
+    if (models.size() > 1) {
+      throw ConfigError("the p2p study injects one fault model; got '" +
+                        inject::canonical_fault_models(models) + "'");
     }
   });
   const auto trials = options.campaign.trials_per_point;
@@ -634,7 +632,7 @@ int cmd_p2p(const std::string& workload_name, const Args& args,
   driver.profile();
   auto& campaign = driver.campaign();
 
-  const auto e = core::enumerate_p2p_points(campaign.profiler());
+  const auto e = campaign.enumerate(mpi::SiteFamily::P2p);
   std::printf("p2p exploration space: %llu -> %llu (semantic) -> %llu "
               "(context)\n",
               static_cast<unsigned long long>(e.stats.total_points),
@@ -645,24 +643,23 @@ int cmd_p2p(const std::string& workload_name, const Args& args,
                 workload_name.c_str());
     return 0;
   }
-  auto points = e.points;
-  if (points.size() > cap) points.resize(cap);
-  std::vector<core::P2pPointResult> results;
-  for (const auto& point : points) {
-    results.push_back(core::measure_p2p(campaign, point, trials));
-  }
+  const std::span<const core::InjectionPoint> points(
+      e.points.data(), std::min(e.points.size(), cap));
+  const auto results = campaign.measure_many(points, trials);
   std::vector<std::pair<std::string,
                         std::array<double, inject::kNumOutcomes>>>
       rows;
   for (auto param : {mpi::P2pParam::Buffer, mpi::P2pParam::Count,
                      mpi::P2pParam::Datatype, mpi::P2pParam::Peer,
                      mpi::P2pParam::Tag}) {
-    rows.emplace_back(
-        to_string(param),
-        core::p2p_outcome_distribution(results, std::nullopt, param));
+    rows.emplace_back(to_string(param),
+                      core::outcome_distribution(
+                          results, [param](const core::InjectionPoint& p) {
+                            return p.p2p_param == param;
+                          }));
   }
   std::printf("%s", core::render_outcome_table(rows).c_str());
-  return 0;
+  return campaign.health().clean() ? 0 : 2;
 }
 
 }  // namespace
